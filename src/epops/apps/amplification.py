@@ -2,22 +2,27 @@
 
 Raising a coherent amplitude r1 to r2 > r1 converts one truncated Poisson
 number profile into another.  The weight ratios form a geometric sequence
-e^(r2^2-r1^2) (r1/r2)^(2n), so every sector is its own ratio group and the
-protocol runs for cutoff+1 rounds.  Each round's probability has a closed
+(Z(r2)/Z(r1)) (r1/r2)^(2n), with Z(r) = sum_{n <= cutoff} r^(2n)/n! the
+truncated normalizer (close to e^(r^2)), so every sector is its own ratio
+group and the protocol runs for cutoff+1 rounds.  Each round's probability has a closed
 form, and each round's fidelity obeys an explicit Poisson-tail floor; both
-are checked against the generic engine on every call.
+are checked against the generic engine on every call, and a failed check
+raises :class:`~epops.errors.ConsistencyError`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Tuple
 
-from ..coarse import TradeoffCurve, tradeoff_curve
-from ..errors import CutoffTooSmall
+import numpy as np
+
+from ..coarse import TradeoffCurve, curve_from_run
+from ..errors import ConsistencyError, CutoffTooSmall
 from ..recursive import run_protocol
-from ..spectra import EnergyProfile, poisson_profile
+from ..spectra import EnergyProfile, _log_factorials, poisson_profile
 
 _REL_TOL = 1e-8
 _LOG_TOL = 1e-6
@@ -78,24 +83,36 @@ def fidelity_floor(r2: float, remaining: int) -> Optional[float]:
     return 1.0 - tail_deficit(r2, remaining)
 
 
+def _log_normalizer(r: float, cutoff: int) -> float:
+    """log of sum_{n <= cutoff} r^(2n)/n!, the truncated Poisson normalizer."""
+    if r == 0.0:
+        return 0.0
+    terms = 2.0 * np.arange(cutoff + 1) * math.log(r) - _log_factorials(cutoff)
+    return float(np.logaddexp.reduce(terms))
+
+
 def _closed_rounds(
-    p: EnergyProfile, q: EnergyProfile, r1: float, r2: float, K: int
+    p: EnergyProfile, q: EnergyProfile, r1: float, r2: float, cutoff: int, K: int
 ) -> list:
     """Per-round (probability, fidelity floor) from the geometric ratios.
 
-    Round k erodes the k-th largest common sector, so the fidelities are
-    suffix sums of the target weights over the descending sector list.
+    The ratios are (Z(r2)/Z(r1)) (r1/r2)^(2n), with Z the normalizer of
+    the Poisson weights truncated at ``cutoff``.  Round k erodes the k-th
+    largest common sector, so the fidelities are suffix sums of the target
+    weights over the descending sector list.
     """
     common = sorted(
         (n for n in p.support if q.weight(n) > 0.0), reverse=True
     )
     if r1 == r2:
         return [(1.0, fidelity_floor(r2, common[0]))]
-    scale = math.exp(r2 * r2 - r1 * r1)
+    scale = math.exp(_log_normalizer(r2, cutoff) - _log_normalizer(r1, cutoff))
     base = (r1 / r2) ** 2
+    # tails[k-1] is the target weight on common[k-1:], summed from n = 0 up.
+    tails = list(accumulate(q.weight(m) for m in reversed(common)))[::-1]
     rows = []
     for k, n in enumerate(common[: min(K, len(common))], start=1):
-        f = math.fsum(q.weight(m) for m in common[k - 1 :])
+        f = tails[k - 1]
         prev = scale * base ** common[k - 2] if k >= 2 else 0.0
         rows.append(((scale * base**n - prev) * f, fidelity_floor(r2, n)))
     return rows
@@ -109,7 +126,7 @@ def amplification_tradeoff(
     Runs the generic protocol on the two Poisson profiles, then checks
     every round probability against the geometric closed form (relative
     1e-8, or 1e-6 on the logarithm below 1e-15) and every round fidelity
-    against its Poisson-tail floor.
+    against its Poisson-tail floor, raising ConsistencyError on a miss.
     """
     if r1 < 0.0:
         raise ValueError("r1 must be nonnegative")
@@ -125,16 +142,22 @@ def amplification_tradeoff(
     p = poisson_profile(r1, cutoff)
     q = poisson_profile(r2, cutoff)
     run = run_protocol(p, q, K)
-    curve = tradeoff_curve(p, q, K)
-    closed = _closed_rounds(p, q, r1, r2, K)
-    assert len(closed) == len(run.rounds)
+    closed = _closed_rounds(p, q, r1, r2, cutoff, K)
+    if len(closed) != len(run.rounds):
+        raise ConsistencyError("round count", len(run.rounds), len(closed), 0)
     audits = []
     for r, (cp, floor) in zip(run.rounds, closed):
-        dev = _deviation(r.probability, cp)
         limit = _LOG_TOL if min(r.probability, cp) < _TINY else _REL_TOL
-        assert dev <= limit, (r.k, r.probability, cp, dev)
-        if floor is not None:
-            assert r.fidelity >= floor - 1e-12, (r.k, r.fidelity, floor)
+        if _deviation(r.probability, cp) > limit:
+            raise ConsistencyError(
+                f"round {r.k} probability, engine vs closed form",
+                r.probability, cp, limit,
+            )
+        if floor is not None and r.fidelity < floor - 1e-12:
+            raise ConsistencyError(
+                f"round {r.k} fidelity vs its Poisson-tail floor",
+                r.fidelity, floor, 1e-12,
+            )
         audits.append(
             RoundAudit(
                 k=r.k,
@@ -148,7 +171,7 @@ def amplification_tradeoff(
         r1=r1,
         r2=r2,
         cutoff=cutoff,
-        curve=curve,
+        curve=curve_from_run(run),
         audits=tuple(audits),
         tail_bound=tail_deficit(r2, cutoff),
     )

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.special import gammaln
-
 from ..coarse import TradeoffCurve, tradeoff_curve
 from ..errors import ParityMismatch
 from ..spectra import binomial_profile
@@ -43,7 +41,8 @@ def first_round_fidelity(N: int, M: int) -> float:
     for n in range(-N, N + 1, 2):
         k = (M - n) // 2
         total += math.exp(
-            log_half_m + gammaln(M + 1) - gammaln(k + 1) - gammaln(M - k + 1)
+            log_half_m + math.lgamma(M + 1)
+            - math.lgamma(k + 1) - math.lgamma(M - k + 1)
         )
     return total
 

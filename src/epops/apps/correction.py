@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..coarse import CurvePoint, TradeoffCurve, tradeoff_curve
+from ..coarse import CurvePoint, TradeoffCurve, curve_from_run
+from ..errors import ConsistencyError
 from ..recursive import run_protocol
 from ..spectra import EnergyProfile, _assemble
 
@@ -61,7 +62,8 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
 
     The sector curve is the raw engine output; the average curve applies
     the Haar map to both fidelity columns.  Every round is checked
-    against the closed forms p^(k) and F0^(k) = (d+1-k)/d to 1e-10.
+    against the closed forms p^(k) and F0^(k) = (d+1-k)/d to 1e-10; a
+    miss raises ConsistencyError.
     """
     if d < 2:
         raise ValueError("d must be at least 2")
@@ -69,17 +71,21 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
         raise ValueError("mu must lie strictly between 0 and 1")
     p = damped_profile(d, mu)
     q = uniform_levels(d)
-    curve = tradeoff_curve(p, q, K)
     run = run_protocol(p, q, K)
     for r in run.rounds:
         cp = round_probability(d, mu, r.k)
-        assert abs(r.probability - cp) <= _CLOSED_TOL * max(cp, 1.0), (
-            r.k,
-            r.probability,
-            cp,
-        )
+        if abs(r.probability - cp) > _CLOSED_TOL * max(cp, 1.0):
+            raise ConsistencyError(
+                f"round {r.k} probability, engine vs closed form",
+                r.probability, cp, _CLOSED_TOL * max(cp, 1.0),
+            )
         cf = (d + 1 - r.k) / d
-        assert abs(r.fidelity - cf) <= _CLOSED_TOL, (r.k, r.fidelity, cf)
+        if abs(r.fidelity - cf) > _CLOSED_TOL:
+            raise ConsistencyError(
+                f"round {r.k} fidelity, engine vs closed form",
+                r.fidelity, cf, _CLOSED_TOL,
+            )
+    curve = curve_from_run(run)
     mapped = tuple(
         CurvePoint(
             T=pt.T,

@@ -16,13 +16,17 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
-from ..channels import filter_success_probability
-from ..coarse import coarse_filter
+from ..coarse import coarse_filter, curve_from_run
 from ..errors import NotNormalized, NotOdd
-from ..recursive import cumulative, run_protocol
-from ..spectra import EnergyProfile, _assemble, sine_profile, uniform_profile
+from ..recursive import run_protocol
+from ..spectra import (
+    EnergyLabel,
+    EnergyProfile,
+    binomial_profile,
+    sine_profile,
+    uniform_profile,
+)
 
 _NORM_TOL = 1e-10
 
@@ -31,10 +35,12 @@ MODES = ("maxcoh", "qubits")
 
 @dataclass(frozen=True)
 class GainPoint:
-    """Estimation gain after T rounds, averaged and coarse-grained."""
+    """Fidelities and estimation gains after T rounds, averaged and coarse-grained."""
 
     T: int
     p_succ: float
+    F_recursive: float
+    F_coarse: float
     gain_recursive: float
     gain_coarse: float
 
@@ -65,17 +71,6 @@ def _dense_amplitudes(profile: EnergyProfile) -> np.ndarray:
     return a
 
 
-def _qubit_ensemble_profile(N: int) -> EnergyProfile:
-    # Excitation numbers of N symmetric qubits prepared along x.
-    ns = np.arange(N + 1)
-    logw = gammaln(N + 1) - gammaln(ns + 1) - gammaln(N - ns + 1) - N * math.log(2.0)
-    weights = np.exp(logw)
-    weights /= weights.sum()
-    return _assemble(
-        ((int(n), float(n), float(w)) for n, w in zip(ns, weights)), 0.0
-    )
-
-
 def estimation_profiles(mode: str, N: int) -> Tuple[EnergyProfile, EnergyProfile]:
     """Input and target profiles of an estimation mode.
 
@@ -88,7 +83,10 @@ def estimation_profiles(mode: str, N: int) -> Tuple[EnergyProfile, EnergyProfile
     if mode == "maxcoh":
         return uniform_profile(N), sine_profile(N - 1)
     if mode == "qubits":
-        return _qubit_ensemble_profile(N), sine_profile(N)
+        # Excitation numbers n = (m + N)/2 of N symmetric qubits along x.
+        spins = binomial_profile(N).entries
+        qubits = EnergyProfile(tuple((EnergyLabel((m.index + N) // 2), w) for m, w in spins))
+        return qubits, sine_profile(N)
     raise ValueError(f"unknown estimation mode {mode!r}; pick one of {MODES}")
 
 
@@ -99,47 +97,34 @@ def deterministic_gain(mode: str, N: int) -> float:
 
 
 def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
-    """Gain against success probability for T = 1..min(K, L) rounds.
+    """Fidelity and gain against success probability for T = 1..min(K, L).
 
-    The recursive column averages the per-round output gains with the
-    round probabilities; the coarse column evaluates the gain of the
-    merged filter's output state directly.
+    The recursive gain averages the per-round output gains with the round
+    probabilities; the coarse gain is that of the merged filter's output
+    state.
     """
     p, q = estimation_profiles(mode, N)
     run = run_protocol(p, q, K)
     round_gains = [holevo_gain(_dense_amplitudes(r.output)) for r in run.rounds]
+    averaged = np.cumsum(run.probabilities * round_gains) / run.p_succ
+    lo, hi = p.support[0], p.support[-1]
     points = []
-    for T in range(1, len(run.rounds) + 1):
-        p_succ, _ = cumulative(run, T)
-        averaged = (
-            math.fsum(
-                r.probability * g
-                for r, g in zip(run.rounds[:T], round_gains[:T])
-            )
-            / p_succ
-        )
-        merged = coarse_filter(run, T)
-        merged_p = filter_success_probability(p, merged)
-        coarse_amplitudes = _filtered_amplitudes(p, merged, merged_p)
+    for cp, g_rec in zip(curve_from_run(run).points, averaged.tolist()):
+        x = coarse_filter(run, cp.T).coefficients
+        merged = np.zeros(hi - lo + 1)
+        for i, w in p.as_dict().items():
+            merged[i - lo] = math.sqrt(w * x[i] / cp.p_succ)
         points.append(
             GainPoint(
-                T=T,
-                p_succ=p_succ,
-                gain_recursive=averaged,
-                gain_coarse=holevo_gain(coarse_amplitudes),
+                T=cp.T,
+                p_succ=cp.p_succ,
+                F_recursive=cp.F_recursive,
+                F_coarse=cp.F_coarse,
+                gain_recursive=g_rec,
+                gain_coarse=holevo_gain(merged),
             )
         )
     return points
-
-
-def _filtered_amplitudes(
-    p: EnergyProfile, merged, p_succ: float
-) -> np.ndarray:
-    lo, hi = p.support[0], p.support[-1]
-    a = np.zeros(hi - lo + 1)
-    for i in p.support:
-        a[i - lo] = math.sqrt(p.weight(i) * merged.coefficient(i) / p_succ)
-    return a
 
 
 def asymptotic_gain(N: int, T: int) -> Tuple[float, float]:

@@ -105,15 +105,3 @@ def filter_fidelity(p: EnergyProfile, q: EnergyProfile, f: SectorFilter) -> floa
     )
     return s * s / p_succ
 
-
-def luders_probability_identity_check(model, op) -> bool:
-    """Check Tr[sqrt(P) rho sqrt(P)] = Tr[M(rho)] with P = sum_k M_k^dag M_k.
-
-    ``model`` is an explicit-matrix sector model and ``op`` a list of Kraus
-    matrices on it; the matrix work is delegated to the oracle module.
-    Random density matrices are sampled there and the two traces compared
-    at 1e-10.
-    """
-    from . import oracle
-
-    return oracle.luders_identity_holds(model, op)

@@ -8,8 +8,9 @@ always be traced back to the exact invocation that produced it.  The
 and reports pass or fail per check.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 infeasible parameters (domain errors such as disjoint spectra or a
-parity mismatch).
+3 infeasible parameters (domain errors such as disjoint spectra, a parity
+mismatch or a non-finite weight), 4 an internal consistency check failed
+(two routes to the same number disagreed beyond their tolerance).
 """
 
 from __future__ import annotations
@@ -19,60 +20,49 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import __version__
 from .apps.amplification import amplification_tradeoff
 from .apps.cloning import cloning_tradeoff
 from .apps.correction import correction_tradeoff
-from .apps.estimation import estimation_profiles, estimation_tradeoff
+from .apps.estimation import estimation_tradeoff
 from .coarse import tradeoff_curve
-from .errors import EpopsError
+from .errors import ConsistencyError, EpopsError
 from .mixedstate import purification_report
 from .oracle import run_verification
 from .spectra import RATIO_TOLERANCE, EnergyProfile
 
-_MERGE_CHECK = 1e-12
+_TOLERANCES = {"ratio_grouping_rel": RATIO_TOLERANCE}
 _CLOSED_FORM_ABS = 1e-10
 _CLOSED_FORM_REL = 1e-8
 _CLOSED_FORM_LOG = 1e-6
-_ORACLE_AGREEMENT = 1e-10
+#: Parsed attributes that are not parameters of the computation.
+_NOT_PARAMETERS = {"command", "func", "out", "raw_argv"}
 
 
-def _manifest_path(out: Path) -> Path:
-    return out.with_name(out.stem + ".manifest.json")
+def _write_output(args: argparse.Namespace, text: str, tolerances: dict,
+                  **extra) -> int:
+    """Write ``text`` to ``--out`` and the manifest beside it.
 
-
-def _write_manifest(
-    out: Path,
-    command: str,
-    argv: Iterable[str],
-    parameters: dict,
-    tolerances: dict,
-    seed: Optional[int],
-) -> None:
+    The manifest's parameters are the subcommand's own arguments plus
+    ``extra``, the derived values worth recording.
+    """
+    out = Path(args.out)
+    out.write_text(text)
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     doc = {
-        "command": command,
-        "argv": list(argv),
-        "parameters": parameters,
+        "command": args.command,
+        "argv": args.raw_argv,
+        "parameters": {**parameters, **extra},
         "tolerances": tolerances,
-        "seed": seed,
+        "seed": None,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    _manifest_path(out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def _write_curve(args: argparse.Namespace, command: str, curve, parameters: dict,
-                 tolerances: dict) -> int:
-    out = Path(args.out)
-    out.write_text(curve.to_csv())
-    _write_manifest(out, command, args.raw_argv, parameters, tolerances, None)
+    manifest = out.with_name(out.stem + ".manifest.json")
+    manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
-
-
-def _base_tolerances() -> dict:
-    return {"ratio_grouping_rel": RATIO_TOLERANCE, "coarse_merge_abs": _MERGE_CHECK}
 
 
 def _cmd_tradeoff(args: argparse.Namespace) -> int:
@@ -82,104 +72,47 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         print(f"error: cannot load profile: {exc}", file=sys.stderr)
         return 2
-    curve = tradeoff_curve(p, q, args.rounds)
-    return _write_curve(
-        args,
-        "tradeoff",
-        curve,
-        {"input": args.input, "target": args.target, "rounds": args.rounds},
-        _base_tolerances(),
-    )
+    return _write_output(args, tradeoff_curve(p, q, args.rounds).to_csv(), _TOLERANCES)
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    p, q = estimation_profiles(args.mode, args.n)
-    curve = tradeoff_curve(p, q, args.rounds)
-    points = estimation_tradeoff(args.mode, args.n, args.rounds)
     lines = ["T,p_succ,F_recursive,F_coarse,G_recursive,G_coarse"]
-    for cp, gp in zip(curve.points, points):
+    for gp in estimation_tradeoff(args.mode, args.n, args.rounds):
         lines.append(
             "%d,%.6g,%.6g,%.6g,%.6g,%.6g"
-            % (cp.T, cp.p_succ, cp.F_recursive, cp.F_coarse,
+            % (gp.T, gp.p_succ, gp.F_recursive, gp.F_coarse,
                gp.gain_recursive, gp.gain_coarse)
         )
-    out = Path(args.out)
-    out.write_text("\n".join(lines) + "\n")
-    _write_manifest(
-        out,
-        "estimate",
-        args.raw_argv,
-        {"mode": args.mode, "n": args.n, "rounds": args.rounds},
-        _base_tolerances(),
-        None,
-    )
-    return 0
+    return _write_output(args, "\n".join(lines) + "\n", _TOLERANCES)
 
 
 def _cmd_clone(args: argparse.Namespace) -> int:
     curve = cloning_tradeoff(args.n, args.m, args.rounds)
-    return _write_curve(
-        args,
-        "clone",
-        curve,
-        {"n": args.n, "m": args.m, "rounds": args.rounds},
-        _base_tolerances(),
-    )
+    return _write_output(args, curve.to_csv(), _TOLERANCES)
 
 
 def _cmd_amplify(args: argparse.Namespace) -> int:
     result = amplification_tradeoff(args.r1, args.r2, args.cutoff, args.rounds)
-    tolerances = _base_tolerances()
-    tolerances["closed_form_rel"] = _CLOSED_FORM_REL
-    tolerances["closed_form_log"] = _CLOSED_FORM_LOG
-    return _write_curve(
-        args,
-        "amplify",
-        result.curve,
-        {
-            "r1": args.r1,
-            "r2": args.r2,
-            "cutoff": args.cutoff,
-            "rounds": args.rounds,
-            "tail_bound": result.tail_bound,
-        },
-        tolerances,
-    )
+    tolerances = {**_TOLERANCES, "closed_form_rel": _CLOSED_FORM_REL,
+                  "closed_form_log": _CLOSED_FORM_LOG}
+    return _write_output(args, result.curve.to_csv(), tolerances,
+                         tail_bound=result.tail_bound)
 
 
 def _cmd_correct(args: argparse.Namespace) -> int:
     result = correction_tradeoff(args.d, args.mu, args.rounds)
-    tolerances = _base_tolerances()
-    tolerances["closed_form_abs"] = _CLOSED_FORM_ABS
-    return _write_curve(
-        args,
-        "correct",
-        result.average_curve,
-        {"d": args.d, "mu": args.mu, "rounds": args.rounds},
-        tolerances,
-    )
+    tolerances = {**_TOLERANCES, "closed_form_abs": _CLOSED_FORM_ABS}
+    return _write_output(args, result.average_curve.to_csv(), tolerances)
 
 
 def _cmd_purify(args: argparse.Namespace) -> int:
     report = purification_report(args.n, args.beta)
     out = Path(args.out)
-    lines = [
-        "N,beta,F_det,F_prob,p_max",
-        "%d,%.6g,%.6g,%.6g,%.6g"
-        % (report.N, report.beta, report.F_det, report.F_prob, report.p_max),
-    ]
-    out.write_text("\n".join(lines) + "\n")
     sidecar = out.with_name(out.stem + ".sectors.json")
     sidecar.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        out,
-        "purify",
-        args.raw_argv,
-        {"n": args.n, "beta": args.beta},
-        {"fidelity_tie_rel": 1e-12},
-        None,
-    )
-    return 0
+    text = "N,beta,F_det,F_prob,p_max\n%d,%.6g,%.6g,%.6g,%.6g\n" % (
+        report.N, report.beta, report.F_det, report.F_prob, report.p_max)
+    return _write_output(args, text, {"fidelity_tie_rel": 1e-12})
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -256,6 +189,9 @@ def main(argv: Optional[list] = None) -> int:
     args.raw_argv = raw
     try:
         return args.func(args)
+    except ConsistencyError as exc:
+        print(f"error: consistency check failed: {exc}", file=sys.stderr)
+        return 4
     except EpopsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

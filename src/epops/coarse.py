@@ -6,20 +6,23 @@ already-eroded sectors fully (x_E = 1 on U_T) and the rest at r_T q_E/p_E,
 and its fidelity is at least the cumulative fidelity of the T separate
 rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
+
+The merged filter and its fidelity are evaluated in closed form only,
+from the prefix sums of the ratio table.  Their second routes (summing the
+round filters, the generic filter fidelity and success probability) are
+compared in the tests and by ``epops verify``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from .channels import SectorFilter, filter_fidelity, filter_success_probability
-from .errors import RoundOutOfRange
-from .recursive import ProtocolRun, cumulative, run_protocol
-from .spectra import RATIO_TOLERANCE, EnergyProfile
+import numpy as np
 
-_MERGE_TOL = 1e-12
+from .channels import SectorFilter
+from .recursive import ProtocolRun, run_protocol
+from .spectra import EnergyProfile, RatioTable
 
 
 @dataclass(frozen=True)
@@ -51,78 +54,55 @@ class TradeoffCurve:
 def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
     """The single filter equivalent to keeping rounds 1..T.
 
-    Computed two ways, by summing the per-round filter weights and from
-    the closed form (1 on U_T, r_T q_E/p_E elsewhere); the routes must
-    agree within 1e-12 or the run data is inconsistent.
+    Transmits U_T fully and every other input sector at r_T q_E/p_E.
     """
-    if not 1 <= T <= len(run.rounds):
-        raise RoundOutOfRange(f"T={T} outside 1..{len(run.rounds)}")
-    summed = {
-        i: math.fsum(run.rounds[k].kraus[i] for k in range(T))
-        for i in run.input.support
-    }
+    run.check_round(T)
+    u_t = set(run.table.prefix(T))
     r_t = run.table.ratios[T - 1]
-    u_t = set(run.table.unions[T - 1])
-    closed = {}
-    for i in run.input.support:
-        if i in u_t:
-            closed[i] = 1.0
-        else:
-            closed[i] = r_t * run.target.weight(i) / run.input.weight(i)
-    for i in run.input.support:
-        assert abs(summed[i] - closed[i]) <= _MERGE_TOL, (
-            f"merged filter mismatch at sector {i}: "
-            f"summed {summed[i]!r} vs closed {closed[i]!r}"
-        )
-    return SectorFilter(closed)
+    return SectorFilter(
+        {
+            i.index: 1.0 if i.index in u_t else r_t * run.target.weight(i.index) / w
+            for i, w in run.input.entries
+        }
+    )
+
+
+def _merged_fidelities(table: RatioTable, n: int) -> np.ndarray:
+    """Merged-filter fidelities for T = 1..n.
+
+    (sqrt(p q) summed over U_T + sqrt(r_T) q_rest)^2 / (p(U_T) + r_T q_rest),
+    where q_rest is the target weight left outside U_T.
+    """
+    r = np.array(table.ratios[:n])
+    rest = table.q_remaining[1 : n + 1]
+    numerator = table.aligned[1 : n + 1] + np.sqrt(r) * rest
+    return numerator * numerator / (table.p_eroded[1 : n + 1] + r * rest)
 
 
 def coarse_fidelity(run: ProtocolRun, T: int) -> float:
-    """Fidelity of the merged filter for rounds 1..T, in closed form.
+    """Fidelity of the merged filter for rounds 1..T, in closed form."""
+    run.check_round(T)
+    return float(_merged_fidelities(run.table, T)[T - 1])
 
-    Cross-checked against the generic filter fidelity of
-    :func:`coarse_filter`; the two must agree within 1e-12.
-    """
-    if not 1 <= T <= len(run.rounds):
-        raise RoundOutOfRange(f"T={T} outside 1..{len(run.rounds)}")
-    p, q = run.input, run.target
-    r_t = run.table.ratios[T - 1]
-    u_t = set(run.table.unions[T - 1])
-    rest = [i for i in p.support if i not in u_t]
-    aligned = math.fsum(math.sqrt(p.weight(i) * q.weight(i)) for i in u_t)
-    q_rest = math.fsum(q.weight(i) for i in rest)
-    numerator = aligned + math.sqrt(r_t) * q_rest
-    denominator = math.fsum(p.weight(i) for i in u_t) + r_t * q_rest
-    value = numerator * numerator / denominator
-    generic = filter_fidelity(p, q, coarse_filter(run, T))
-    assert abs(value - generic) <= _MERGE_TOL, (
-        f"coarse fidelity mismatch at T={T}: closed {value!r} vs generic {generic!r}"
+
+def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
+    """Recursive and merged fidelities of ``run`` against success probability."""
+    f_coarse = _merged_fidelities(run.table, len(run.fidelities))
+    return TradeoffCurve(
+        points=tuple(
+            CurvePoint(T=T, p_succ=p, F_recursive=f_rec, F_coarse=f_co)
+            for T, (p, f_rec, f_co) in enumerate(
+                zip(run.p_succ.tolist(), run.f_recursive.tolist(), f_coarse.tolist()),
+                start=1,
+            )
+        )
     )
-    return value
 
 
-def tradeoff_curve(
-    p: EnergyProfile,
-    q: EnergyProfile,
-    K: int,
-    tolerance: float = RATIO_TOLERANCE,
-) -> TradeoffCurve:
+def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:
     """Recursive and coarse fidelities against success probability.
 
-    One point per termination round T up to min(K, L).  The coarse
-    probability equals the cumulative recursive probability by
-    construction and is asserted to within 1e-10.
+    One point per termination round T up to min(K, L); the merged filter
+    has the cumulative recursive success probability by construction.
     """
-    run = run_protocol(p, q, K, tolerance=tolerance)
-    points = []
-    for T in range(1, len(run.rounds) + 1):
-        p_succ, f_rec = cumulative(run, T)
-        f_coarse = coarse_fidelity(run, T)
-        p_merged = filter_success_probability(p, coarse_filter(run, T))
-        assert abs(p_merged - p_succ) <= 1e-10, (
-            f"coarse probability mismatch at T={T}: {p_merged!r} vs {p_succ!r}"
-        )
-        points.append(
-            CurvePoint(T=T, p_succ=p_succ, F_recursive=f_rec, F_coarse=f_coarse)
-        )
-    return TradeoffCurve(points=tuple(points))
+    return curve_from_run(run_protocol(p, q, K))

@@ -2,7 +2,8 @@
 
 Every error is a subclass of :class:`EpopsError`, so callers can catch the
 whole family at once.  The CLI maps these onto exit code 3 (infeasible
-parameters), while argument-parsing problems exit with code 2.
+parameters), except :class:`ConsistencyError`, which exits with code 4;
+argument-parsing problems exit with code 2.
 """
 
 
@@ -20,6 +21,18 @@ class DuplicateLabel(EpopsError):
 
 class NegativeWeight(EpopsError):
     """A weight is negative beyond numerical noise."""
+
+
+class NonFiniteWeight(EpopsError):
+    """A weight is NaN or infinite."""
+
+
+class ConsistencyError(EpopsError):
+    """Two routes to one quantity disagree by more than ``tolerance``."""
+
+    def __init__(self, quantity: str, first, second, tolerance) -> None:
+        super().__init__(f"{quantity}: {first!r} vs {second!r}, tolerance {tolerance}")
+        self.first, self.second, self.tolerance = first, second, tolerance
 
 
 class DisjointSpectra(EpopsError):

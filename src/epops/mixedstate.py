@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import (
+    ConsistencyError,
     DimensionMismatch,
     DisjointSpectra,
     NotBlockPositive,
@@ -413,9 +414,10 @@ def spin_multiplicities(N: int) -> Dict[float, int]:
         raise NotOdd(f"N={N} must be odd")
     out = {}
     for j in range(1, N + 1, 2):
-        numerator = (2 * j + 2) * math.comb(N, (N + j) // 2)
-        assert numerator % (N + j + 2) == 0
-        out[j / 2] = numerator // (N + j + 2)
+        count, rest = divmod((2 * j + 2) * math.comb(N, (N + j) // 2), N + j + 2)
+        if rest:
+            raise ConsistencyError(f"remainder of the l={j}/2 multiplicity", rest, 0, 0)
+        out[j / 2] = count
     return out
 
 

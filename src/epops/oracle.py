@@ -18,17 +18,23 @@ import numpy as np
 
 from .channels import SectorFilter, filter_fidelity, filter_success_probability
 from .errors import (
+    ConsistencyError,
     DimensionMismatch,
     InfeasibleProbability,
     NotTraceNonIncreasing,
     SpectrumTooLarge,
     TooLarge,
 )
+from .recursive import ProtocolRun, cumulative
 from .spectra import EnergyProfile
 
 _DIMENSION_CAP = 16
 _GRID_POINT_CAP = 50_000_000
 _ERODED_RELATIVE = 1e-12
+_ROUND_TOL = 1e-10
+
+#: Largest gap :func:`merge_residuals` allows for each second route.
+MERGE_TOLERANCES = {"kraus": 1e-12, "fidelity": 1e-12, "probability": 1e-10}
 
 
 @dataclass(frozen=True)
@@ -172,10 +178,11 @@ def check_energy_preserving(
                 after = float(np.trace(pr @ out).real)
                 if abs(after - before) > max(tol, 1e-8):
                     stats_ok = False
-        assert stats_ok == commutant_ok, (
-            "sector statistics and commutant checks disagree; "
-            "one of the two oracle routes is wrong"
-        )
+        if stats_ok != commutant_ok:
+            raise ConsistencyError(
+                "energy preservation, sector statistics vs commutant",
+                stats_ok, commutant_ok, tol,
+            )
     return commutant_ok
 
 
@@ -392,6 +399,30 @@ def grid_search_tradeoff(
     return best_f, SectorFilter({i: float(v) for i, v in zip(support, best_x)})
 
 
+def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
+    """Worst gap between each closed-form merged filter and its second routes.
+
+    For every T of ``run``: ``kraus`` compares the round filter weights
+    summed over rounds 1..T with ``coarse_filter(run, T)``, ``fidelity``
+    compares ``coarse_fidelity`` with the generic fidelity of that filter,
+    and ``probability`` compares the filter's success probability with the
+    cumulative one.  :data:`MERGE_TOLERANCES` holds the allowed gaps.
+    """
+    from .coarse import coarse_fidelity, coarse_filter
+
+    p, q = run.input, run.target
+    summed = np.cumsum([[r.kraus[i] for i in p.support] for r in run.rounds], axis=0)
+    gaps = []
+    for T, row in enumerate(summed, start=1):
+        merged = coarse_filter(run, T)
+        gaps.append((
+            max(abs(x - merged.coefficients[i]) for i, x in zip(p.support, row)),
+            abs(coarse_fidelity(run, T) - filter_fidelity(p, q, merged)),
+            abs(filter_success_probability(p, merged) - cumulative(run, T)[0]),
+        ))
+    return dict(zip(MERGE_TOLERANCES, np.max(gaps, axis=0).tolist()))
+
+
 @dataclass(frozen=True)
 class VerificationCheck:
     name: str
@@ -450,18 +481,23 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
     """Drive every dual-route check on random instances.
 
     Draws ``instances`` random profile pairs and verifies, against the
-    matrix oracle: per-round agreement of the recursive engine, Kraus
-    completeness, the Lagrange construction against a brute-force grid,
-    optimality bounds against random filters and random channels, and the
-    square-root reduction identity.
+    matrix oracle: per-round agreement of the recursive engine, each
+    closed-form merged filter against the summed round filters of the
+    engine and of the simulation and against its generic fidelity and
+    success probability, Kraus completeness, the Lagrange construction
+    against a brute-force grid, optimality bounds against random filters
+    and random channels, and the square-root reduction identity.
     """
     from .channels import deterministic_fidelity
+    from .coarse import coarse_filter
     from .optimal import optimal_tradeoff_point, ultimate_optimum
     from .recursive import run_protocol
 
     rng = np.random.default_rng(seed)
     rounds_checked = 0
     worst_round = 0.0
+    worst_merge = dict.fromkeys(MERGE_TOLERANCES, 0.0)
+    worst_sim_merge = 0.0
     worst_completeness = 0.0
     worst_grid = 0.0
     grid_ok = True
@@ -488,6 +524,15 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
                 ),
             )
             worst_round = max(worst_round, dev)
+        for name, gap in merge_residuals(run).items():
+            worst_merge[name] = max(worst_merge[name], gap)
+        simulated = np.cumsum(
+            [[b.kraus_weights[i] for i in p.support] for b in sim.rounds], axis=0
+        )
+        for T, row in enumerate(simulated[: len(run.rounds)], start=1):
+            merged = coarse_filter(run, T).coefficients
+            gaps = [abs(x - merged[i]) for i, x in zip(p.support, row)]
+            worst_sim_merge = max([worst_sim_merge] + gaps)
         worst_completeness = max(worst_completeness, sim.completeness_residual)
 
         ops = [r.operator for r in sim.rounds] + [sim.failure_operator]
@@ -529,8 +574,13 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
     checks = (
         VerificationCheck(
             "recursive-vs-simulation",
-            rounds_ok and worst_round <= 1e-10,
-            f"{rounds_checked} rounds compared, worst deviation {worst_round:.2e}",
+            rounds_ok
+            and worst_round <= _ROUND_TOL
+            and worst_sim_merge <= _ROUND_TOL
+            and all(worst_merge[k] <= tol for k, tol in MERGE_TOLERANCES.items()),
+            f"{rounds_checked} rounds compared, worst deviation {worst_round:.2e}; "
+            f"merged filters: vs simulation {worst_sim_merge:.2e}, "
+            + ", ".join(f"{k} {v:.2e}" for k, v in worst_merge.items()),
         ),
         VerificationCheck(
             "kraus-completeness",

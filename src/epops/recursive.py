@@ -5,80 +5,101 @@ round left behind.  Round k erodes exactly the sectors whose input/target
 weight ratio sits in the k-th ratio group, so after L rounds (L the number
 of distinct ratios) nothing is left to remove and the protocol terminates.
 
-The round fidelity is the target weight remaining on the uneroded
-spectrum, and the round success probability is the ratio increment
-r_k - r_{k-1} times that fidelity.  Cumulative quantities follow by
-weighted averaging; a telescoping identity gives the cumulative success
-probability in closed form, which `closed_form_probability` exposes so the
-two routes can be compared.
+Every column comes from the prefix sums of the ratio table.  The round
+fidelity is the target weight remaining on the uneroded spectrum, and the
+round success probability is the ratio increment r_k - r_{k-1} times that
+fidelity; the cumulative probability and fidelity are their running sums.
+The per-round filters and output profiles are built only when read.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Mapping, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Dict, Tuple
+
+import numpy as np
 
 from .errors import RoundOutOfRange
-from .spectra import (
-    RATIO_TOLERANCE,
-    EnergyProfile,
-    RatioTable,
-    _assemble,
-    ratio_table,
-)
+from .spectra import EnergyProfile, RatioTable, _assemble, ratio_table
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolRound:
-    """One protocol round: its fidelity, probability, filter, and output.
+    """One protocol round: its fidelity and probability, filter and output."""
 
-    ``kraus`` maps each input sector to the round's filter weight m_E:
-    zero on sectors eroded by earlier rounds, (r_k - r_{k-1}) q_E / p_E on
-    the rest.
-    """
-
+    run: "ProtocolRun" = field(repr=False)
     k: int
     fidelity: float
     probability: float
-    kraus: Mapping[int, float]
-    output: EnergyProfile
+
+    @cached_property
+    def kraus(self) -> Dict[int, float]:
+        """Filter weight m_E of each input sector.
+
+        Zero on sectors eroded by earlier rounds, (r_k - r_{k-1}) q_E / p_E
+        on the rest.
+        """
+        run, k = self.run, self.k
+        eroded = set(run.table.prefix(k - 1))
+        ratios = run.table.ratios
+        increment = ratios[k - 1] - (ratios[k - 2] if k >= 2 else 0.0)
+        q = run.target
+        return {
+            i.index: 0.0 if i.index in eroded else increment * q.weight(i.index) / w
+            for i, w in run.input.entries
+        }
+
+    @cached_property
+    def output(self) -> EnergyProfile:
+        """The target profile renormalized on the uneroded common spectrum."""
+        table = self.run.table
+        active = set(table.order) - set(table.prefix(self.k - 1))
+        return _assemble(
+            [(i.index, i.value, w / self.fidelity)
+             for i, w in self.run.target.entries if i.index in active],
+            0.0,
+        )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolRun:
-    """A protocol execution: the ratio table and the first K rounds."""
+    """A protocol execution: the ratio table and the first K rounds.
+
+    ``fidelities`` and ``probabilities`` hold the per-round values;
+    ``p_succ[T-1]`` and ``f_recursive[T-1]`` the success probability and
+    fidelity after keeping rounds 1..T.
+    """
 
     input: EnergyProfile
     target: EnergyProfile
     table: RatioTable
-    rounds: Tuple[ProtocolRound, ...]
+    fidelities: np.ndarray
+    probabilities: np.ndarray
+    p_succ: np.ndarray
+    f_recursive: np.ndarray
+
+    @cached_property
+    def rounds(self) -> Tuple[ProtocolRound, ...]:
+        return tuple(
+            ProtocolRound(self, k, f, pr)
+            for k, (f, pr) in enumerate(
+                zip(self.fidelities.tolist(), self.probabilities.tolist()), start=1
+            )
+        )
 
     @property
     def terminated(self) -> bool:
         """True when every distinct ratio has had its round."""
-        return len(self.rounds) == self.table.length
+        return len(self.fidelities) == self.table.length
 
-    def closed_form_probability(self, T: int) -> float:
-        """Cumulative success probability via the telescoped form.
-
-        Equals the eroded input weight p(U_{T-1}) plus r_T times the T-th
-        round fidelity.  Agrees with summing round probabilities to within
-        1e-10; both are kept so tests can compare the routes.
-        """
-        if not 1 <= T <= len(self.rounds):
-            raise RoundOutOfRange(f"T={T} outside 1..{len(self.rounds)}")
-        eroded = self.table.union_before(T)
-        p_eroded = math.fsum(self.input.weight(i) for i in eroded)
-        return p_eroded + self.table.ratios[T - 1] * self.rounds[T - 1].fidelity
+    def check_round(self, T: int) -> None:
+        """Raise :class:`RoundOutOfRange` unless 1 <= T <= the rounds run."""
+        if not 1 <= T <= len(self.fidelities):
+            raise RoundOutOfRange(f"T={T} outside 1..{len(self.fidelities)}")
 
 
-def run_protocol(
-    p: EnergyProfile,
-    q: EnergyProfile,
-    K: int,
-    tolerance: float = RATIO_TOLERANCE,
-) -> ProtocolRun:
+def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     """Execute min(K, L) rounds of the recursive conversion protocol.
 
     Round k transmits the previously eroded sectors untouched and filters
@@ -87,41 +108,20 @@ def run_protocol(
     """
     if K < 1:
         raise ValueError("K must be at least 1")
-    table = ratio_table(p, q, tol=tolerance)
-    rounds = []
-    previous_ratio = 0.0
-    for k in range(1, min(K, table.length) + 1):
-        eroded = set(table.union_before(k))
-        active = [i for i in p.support if i not in eroded]
-        fidelity = math.fsum(q.weight(i) for i in active)
-        increment = table.ratios[k - 1] - previous_ratio
-        probability = increment * fidelity
-        kraus = {}
-        for i in p.support:
-            if i in eroded:
-                kraus[i] = 0.0
-            else:
-                kraus[i] = increment * q.weight(i) / p.weight(i)
-        active_set = set(active)
-        output = _assemble(
-            [
-                (label.index, label.value, w / fidelity)
-                for label, w in q.entries
-                if label.index in active_set
-            ],
-            0.0,
-        )
-        rounds.append(
-            ProtocolRound(
-                k=k,
-                fidelity=fidelity,
-                probability=probability,
-                kraus=kraus,
-                output=output,
-            )
-        )
-        previous_ratio = table.ratios[k - 1]
-    return ProtocolRun(input=p, target=q, table=table, rounds=tuple(rounds))
+    table = ratio_table(p, q)
+    n = min(K, table.length)
+    fidelities = table.q_remaining[:n]
+    probabilities = np.diff(table.ratios[:n], prepend=0.0) * fidelities
+    p_succ = np.cumsum(probabilities)
+    return ProtocolRun(
+        input=p,
+        target=q,
+        table=table,
+        fidelities=fidelities,
+        probabilities=probabilities,
+        p_succ=p_succ,
+        f_recursive=np.cumsum(probabilities * fidelities) / p_succ,
+    )
 
 
 def cumulative(run: ProtocolRun, T: int) -> Tuple[float, float]:
@@ -130,18 +130,10 @@ def cumulative(run: ProtocolRun, T: int) -> Tuple[float, float]:
     The probability sums the round probabilities; the fidelity is the
     probability-weighted average of the round fidelities.
     """
-    if not 1 <= T <= len(run.rounds):
-        raise RoundOutOfRange(f"T={T} outside 1..{len(run.rounds)}")
-    probs = [r.probability for r in run.rounds[:T]]
-    p_succ = math.fsum(probs)
-    fidelity = math.fsum(
-        r.probability * r.fidelity for r in run.rounds[:T]
-    ) / p_succ
-    return p_succ, fidelity
+    run.check_round(T)
+    return float(run.p_succ[T - 1]), float(run.f_recursive[T - 1])
 
 
-def termination_time(
-    p: EnergyProfile, q: EnergyProfile, tolerance: float = RATIO_TOLERANCE
-) -> int:
+def termination_time(p: EnergyProfile, q: EnergyProfile) -> int:
     """Number of rounds until nothing is left to erode."""
-    return ratio_table(p, q, tol=tolerance).length
+    return ratio_table(p, q).length

@@ -1,11 +1,13 @@
-"""Energy-sector profiles and weight-ratio tables.
+"""Energy-sector profiles and the ratio-sorted common spectrum.
 
 A pure state with definite sector components is fully described, for every
 formula in this package, by its *energy profile*: the probability weight
 p_E carried by each energy sector E.  This module provides the profile
 type, builders for the standard families (binomial, Poisson, uniform,
-sine), and the ratio table r_1 < ... < r_L of distinct values of p_E/q_E
-that drives the recursive protocol.
+sine), and the ratio table: the common spectrum of two profiles sorted by
+p_E/q_E, grouped into the distinct ratios r_1 < ... < r_L, with the prefix
+sums at the group boundaries from which the recursive protocol and its
+coarse-graining read every number.  It is the only place that sorts.
 
 Weights for large parameters are computed in the log domain (log-gamma),
 so quantities like the weight 2^-400 at the edge of a 400-copy binomial
@@ -17,16 +19,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Tuple
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AllZeroWeights,
     DisjointSpectra,
     DuplicateLabel,
     NegativeWeight,
+    NonFiniteWeight,
 )
 
 #: Weights at or below this value are treated as exactly zero by the generic
@@ -34,7 +36,7 @@ from .errors import (
 #: every positive weight they compute.
 ZERO_THRESHOLD = 1e-15
 
-#: Default relative tolerance for collapsing equal weight ratios into one group.
+#: Relative tolerance for collapsing equal weight ratios into one group.
 RATIO_TOLERANCE = 1e-9
 
 _NORMALIZATION_TOL = 1e-12
@@ -137,6 +139,8 @@ def _assemble(
     for index, value, weight in pairs:
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
+        if not math.isfinite(weight):
+            raise NonFiniteWeight(f"weight {weight!r} at sector {index} is not finite")
         if weight < -1e-12:
             raise NegativeWeight(f"weight {weight!r} at sector {index} is negative")
         seen[index] = (value, max(weight, 0.0))
@@ -159,29 +163,48 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
     return _assemble(pairs, ZERO_THRESHOLD)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatioTable:
-    """Distinct sorted values of p_E/q_E on the common spectrum.
+    """The common spectrum sorted by p_E/q_E, grouped by distinct ratio.
 
-    ``ratios`` holds r_1 < ... < r_L; ``groups`` the sector sets R_i sharing
-    each ratio; ``unions`` the prefix unions U_k = R_1 | ... | R_k.  The
-    length L of ``ratios`` is the termination time of the recursive
-    protocol.
+    ``order`` lists the common sectors by increasing ratio (ties by index);
+    the first ``ends[k-1]`` of them form U_k = R_1 | ... | R_k, the union
+    of the first k groups.  ``ratios`` holds r_1 < ... < r_L, and L is the
+    termination time of the recursive protocol.  For k = 0..L the prefix
+    sums ``p_eroded[k]``, ``aligned[k]`` and ``q_remaining[k]`` are p(U_k),
+    the sum of sqrt(p_E q_E) over U_k, and the target weight of the common
+    spectrum outside U_k.
     """
 
+    order: Tuple[int, ...]
+    ends: Tuple[int, ...]
     ratios: Tuple[float, ...]
-    groups: Tuple[Tuple[int, ...], ...]
-    unions: Tuple[Tuple[int, ...], ...]
-    common: Tuple[int, ...]
-    tolerance: float
+    p_eroded: np.ndarray
+    aligned: np.ndarray
+    q_remaining: np.ndarray
 
     @property
     def length(self) -> int:
         return len(self.ratios)
 
+    def prefix(self, k: int) -> Tuple[int, ...]:
+        """U_k in ratio order (empty for k = 0)."""
+        return self.order[: self.ends[k - 1]] if k else ()
+
+    @property
+    def groups(self) -> Tuple[Tuple[int, ...], ...]:
+        """The sector sets R_k sharing each ratio, each sorted by index."""
+        starts = (0,) + self.ends[:-1]
+        return tuple(tuple(sorted(self.order[a:b])) for a, b in zip(starts, self.ends))
+
+    @property
+    def unions(self) -> Tuple[Tuple[int, ...], ...]:
+        """The prefix unions U_k, each sorted by index."""
+        return tuple(tuple(sorted(self.prefix(k))) for k in range(1, self.length + 1))
+
     def union_before(self, k: int) -> Tuple[int, ...]:
         """U_{k-1}, the sectors eroded before round k (empty for k=1)."""
-        return self.unions[k - 2] if k >= 2 else ()
+        return tuple(sorted(self.prefix(k - 1)))
 
 
 def common_support(p: EnergyProfile, q: EnergyProfile) -> Tuple[int, ...]:
@@ -190,48 +213,46 @@ def common_support(p: EnergyProfile, q: EnergyProfile) -> Tuple[int, ...]:
     return tuple(i for i in p.support if i in qs)
 
 
-def ratio_table(
-    p: EnergyProfile, q: EnergyProfile, tol: float = RATIO_TOLERANCE
-) -> RatioTable:
-    """Group the weight ratios p_E/q_E over the common spectrum.
+def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
+    """Sort the common spectrum by p_E/q_E and group equal ratios.
 
-    Ratios within a relative distance ``tol`` of each other collapse into a
-    single group (their representative ratio is the group mean); this keeps
-    analytically equal ratios, e.g. from a symmetric binomial profile,
-    from inflating the round count.
+    Ratios within a relative distance :data:`RATIO_TOLERANCE` of the first
+    ratio of their group collapse into that group (its representative
+    ratio is the group mean); this keeps analytically equal ratios, e.g.
+    from a symmetric binomial profile, from inflating the round count.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     common = common_support(p, q)
     if not common:
         raise DisjointSpectra("input and target profiles share no sector")
-    order = sorted(common, key=lambda i: (p.weight(i) / q.weight(i), i))
-    raw = [p.weight(i) / q.weight(i) for i in order]
+    pw = np.array([p.weight(i) for i in common])
+    qw = np.array([q.weight(i) for i in common])
+    perm = np.argsort(pw / qw, kind="stable")
+    pw, qw = pw[perm], qw[perm]
+    raw = (pw / qw).tolist()
 
-    groups: list[list[int]] = []
-    members: list[list[float]] = []
-    for idx, r in zip(order, raw):
-        if members and r - members[-1][0] <= tol * members[-1][0]:
-            groups[-1].append(idx)
-            members[-1].append(r)
-        else:
-            groups.append([idx])
-            members.append([r])
+    starts = [0]
+    for j in range(1, len(raw)):
+        first = raw[starts[-1]]
+        if raw[j] - first > RATIO_TOLERANCE * first:
+            starts.append(j)
+    ends = starts[1:] + [len(raw)]
+    ratios = tuple(math.fsum(raw[a:b]) / (b - a) for a, b in zip(starts, ends))
 
-    ratios = tuple(math.fsum(m) / len(m) for m in members)
-    group_tuples = tuple(tuple(sorted(g)) for g in groups)
-    unions: list[Tuple[int, ...]] = []
-    acc: list[int] = []
-    for g in group_tuples:
-        acc.extend(g)
-        unions.append(tuple(sorted(acc)))
+    cuts = [0] + ends
+    # The q sums run from the tail so small remainders keep their precision.
     return RatioTable(
+        order=tuple(common[j] for j in perm.tolist()),
+        ends=tuple(ends),
         ratios=ratios,
-        groups=group_tuples,
-        unions=tuple(unions),
-        common=common,
-        tolerance=tol,
+        p_eroded=np.cumsum(np.append(0.0, pw))[cuts],
+        aligned=np.cumsum(np.append(0.0, np.sqrt(pw * qw)))[cuts],
+        q_remaining=np.cumsum(np.append(qw, 0.0)[::-1])[::-1][cuts],
     )
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n."""
+    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
 
 
 def binomial_profile(N: int) -> EnergyProfile:
@@ -244,7 +265,8 @@ def binomial_profile(N: int) -> EnergyProfile:
         raise ValueError("N must be a positive integer")
     ms = np.arange(-N, N + 1, 2)
     ks = (N - ms) // 2
-    logw = gammaln(N + 1) - gammaln(ks + 1) - gammaln(N - ks + 1) - N * math.log(2.0)
+    lf = _log_factorials(N)
+    logw = lf[N] - lf[ks] - lf[N - ks] - N * math.log(2.0)
     weights = np.exp(logw)
     weights /= weights.sum()
     return _assemble(
@@ -265,7 +287,7 @@ def poisson_profile(r: float, cutoff: int) -> EnergyProfile:
     if r == 0.0:
         return _assemble([(0, 0.0, 1.0)], 0.0)
     ns = np.arange(cutoff + 1)
-    logw = -r * r + 2.0 * ns * math.log(r) - gammaln(ns + 1)
+    logw = -r * r + 2.0 * ns * math.log(r) - _log_factorials(cutoff)
     logw -= logw.max()
     weights = np.exp(logw)
     weights /= weights.sum()

@@ -69,6 +69,15 @@ def test_closed_form_probabilities_track_engine():
     assert res_small.max_probability_deviation <= 1e-8
 
 
+def test_closed_form_uses_truncated_normalizers():
+    # At cutoff 10 the untruncated normalization e^(r2^2 - r1^2) is off by
+    # the Poisson mass above 10, about 1e-8 relative.
+    res = amplification_tradeoff(0.0, 1.0, 10, 11)
+    assert len(res.audits) == 1
+    assert res.audits[0].probability == pytest.approx(1.0, abs=1e-15)
+    assert res.max_probability_deviation <= 1e-14
+
+
 def test_fidelity_floor_behaviour():
     assert fidelity_floor(1.5, 2) is None
     floor = fidelity_floor(1.5, 40)

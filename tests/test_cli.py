@@ -2,20 +2,33 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from epops.apps.correction import correction_tradeoff
+import epops
+import epops.recursive
+from epops.apps import (
+    amplification_tradeoff,
+    cloning_tradeoff,
+    correction_tradeoff,
+    estimation_tradeoff,
+)
 from epops.cli import main
 from epops.spectra import sine_profile, uniform_profile
+
+SRC_DIR = str(Path(epops.__file__).resolve().parent.parent)
 
 
 def run_cli(tmp_path, *argv):
     """Invoke the CLI in-process from inside ``tmp_path``."""
-    import os
-
     old = os.getcwd()
     os.chdir(tmp_path)
     try:
@@ -139,6 +152,99 @@ def test_tradeoff_malformed_json_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+def test_tradeoff_non_finite_weight_exits_3(tmp_path, capsys, bad):
+    (tmp_path / "p.json").write_text(
+        '{"energies": [{"index": 0, "weight": 0.5}, {"index": 1, "weight": %s}]}' % bad
+    )
+    (tmp_path / "q.json").write_text(uniform_profile(2).to_json())
+    rc = run_cli(
+        tmp_path, "tradeoff", "--input", "p.json", "--target", "q.json",
+        "--out", "t.csv",
+    )
+    assert rc == 3
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def run_cli_process(tmp_path, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [SRC_DIR] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return subprocess.run(
+        [sys.executable, *args], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_failed_consistency_check_exits_4_even_under_optimize(tmp_path):
+    # At cutoff 175 the smallest input weight is subnormal, so the engine's
+    # round probabilities drift from the closed form; the audit must still
+    # fire under -O and end in a clean error line.
+    proc = run_cli_process(
+        tmp_path, "-O", "-m", "epops.cli", "amplify", "--r1", "1", "--r2", "1.5",
+        "--cutoff", "175", "--out", "a.csv",
+    )
+    assert proc.returncode == 4
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: consistency check failed")
+
+
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    proc = run_cli_process(
+        tmp_path, "-c",
+        "import sys, epops.cli; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))",
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.fixture
+def protocol_calls(monkeypatch):
+    """Record every call of run_protocol, wherever a module bound it."""
+    original = epops.recursive.run_protocol
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "run_protocol", None)
+        if name.split(".")[0] == "epops" and bound is original:
+            monkeypatch.setattr(module, "run_protocol", counted)
+    return calls
+
+
+@pytest.mark.parametrize("call", [
+    lambda: amplification_tradeoff(1.0, 1.5, 30, 31),
+    lambda: correction_tradeoff(12, 0.7, 12),
+    lambda: cloning_tradeoff(4, 10, 8),
+    lambda: estimation_tradeoff("maxcoh", 11, 5),
+    lambda: estimation_tradeoff("qubits", 6, 5),
+])
+def test_each_app_call_runs_the_protocol_once(protocol_calls, call):
+    call()
+    assert len(protocol_calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff", "--input", "p.json", "--target", "q.json", "--rounds", "8"],
+    ["estimate", "--mode", "maxcoh", "--n", "11", "--rounds", "5"],
+    ["estimate", "--mode", "qubits", "--n", "6"],
+    ["clone", "--n", "4", "--m", "10", "--rounds", "8"],
+    ["amplify", "--r1", "1", "--r2", "1.5", "--cutoff", "30", "--rounds", "31"],
+    ["correct", "--d", "12", "--mu", "0.7", "--rounds", "12"],
+])
+def test_each_curve_subcommand_runs_the_protocol_once(tmp_path, protocol_calls, argv):
+    (tmp_path / "p.json").write_text(uniform_profile(5).to_json())
+    (tmp_path / "q.json").write_text(sine_profile(4).to_json())
+    assert run_cli(tmp_path, *argv, "--out", "out.csv") == 0
+    assert len(protocol_calls) == 1
+
+
 def test_missing_required_flag_exits_2(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(tmp_path, "clone", "--n", "3", "--out", "c.csv")
@@ -187,3 +293,56 @@ def test_manifest_records_invocation(tmp_path):
     assert "ratio_grouping_rel" in doc["tolerances"]
     assert doc["version"]
     assert "T" in doc["timestamp"]
+
+
+#: The README data invocations and the files each one writes (manifests
+#: aside: they carry a timestamp).
+README_INVOCATIONS = (
+    (["tradeoff", "--input", "p.json", "--target", "q.json", "--rounds", "32",
+      "--out", "curve.csv"], ["curve.csv"]),
+    (["estimate", "--mode", "maxcoh", "--n", "61", "--rounds", "30",
+      "--out", "est.csv"], ["est.csv"]),
+    (["estimate", "--mode", "qubits", "--n", "8", "--out", "qubits.csv"],
+     ["qubits.csv"]),
+    (["clone", "--n", "80", "--m", "400", "--rounds", "41", "--out", "clone.csv"],
+     ["clone.csv"]),
+    (["amplify", "--r1", "1", "--r2", "1.5", "--cutoff", "80", "--rounds", "81",
+      "--out", "amp.csv"], ["amp.csv"]),
+    (["correct", "--d", "100", "--mu", "0.9", "--rounds", "100",
+      "--out", "corr.csv"], ["corr.csv"]),
+    (["purify", "--n", "5", "--beta", "0.8", "--out", "purify.csv"],
+     ["purify.csv", "purify.sectors.json"]),
+)
+
+#: sha256 of every README output, captured from the per-sector dict engine
+#: that preceded the prefix-sum engine.
+README_GOLDEN = {
+    "curve.csv": "816798f33d3b3b279ca7bb0956a9af3c3364ea72031caf037cb78ffd4df9816e",
+    "est.csv": "3deecc6c2af40d680690faae5b1eccf4d6339cd1e76d563d4d0c31ec26c2a7f6",
+    "qubits.csv": "adb8eaeff361c5d6e5f07892c3758fa51280b4669429b3736240ab6d475caa2a",
+    "clone.csv": "98ad089e36147e1978f84cb16366ecc072ea43dd9028669da3f3b983008a882d",
+    "amp.csv": "c86a997d98e812302ceecf91145303e88e6ab9ff1ad5564c8da65b401d204a60",
+    "corr.csv": "e16086671f4759e51817a6745c92e4afe727dc0ea5e44007734bb954588c38c1",
+    "purify.csv": "f5b0150592b75777745b27228bc2f5ede2a2e05a6f500084d848564651bbab4f",
+    "purify.sectors.json": "1252255bece6c0c957ad15dbbfcf28f9ef547c5d0cf9fe0c52c3e596094fc0c0",
+}
+
+
+def readme_output_digests(tmp_path):
+    """Run every README data invocation; map each output file to its sha256."""
+    rng = np.random.default_rng(2015)
+    for name, n in (("p.json", 40), ("q.json", 42)):
+        weights = rng.dirichlet(np.ones(n))
+        doc = {"energies": [{"index": i, "value": float(i), "weight": float(w)}
+                            for i, w in enumerate(weights)]}
+        (tmp_path / name).write_text(json.dumps(doc))
+    digests = {}
+    for argv, outputs in README_INVOCATIONS:
+        assert run_cli(tmp_path, *argv) == 0, argv
+        for name in outputs:
+            digests[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    return digests
+
+
+def test_readme_invocations_write_golden_bytes(tmp_path):
+    assert readme_output_digests(tmp_path) == README_GOLDEN

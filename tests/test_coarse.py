@@ -1,15 +1,19 @@
 """Merged filters and the two-column tradeoff curve."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
+from epops.apps.correction import damped_profile, uniform_levels
+from epops.apps.estimation import estimation_profiles
 from epops.channels import deterministic_fidelity, filter_success_probability
-from epops.coarse import coarse_fidelity, coarse_filter, tradeoff_curve
+from epops.coarse import coarse_fidelity, coarse_filter, curve_from_run, tradeoff_curve
 from epops.errors import RoundOutOfRange
+from epops.oracle import MERGE_TOLERANCES, merge_residuals
 from epops.recursive import cumulative, run_protocol
-from epops.spectra import build_profile
+from epops.spectra import binomial_profile, build_profile, poisson_profile
 
 
 def two_sector():
@@ -121,3 +125,62 @@ def test_csv_six_significant_digits():
     curve = tradeoff_curve(p, q, 10)
     first = curve.to_csv().splitlines()[1].split(",")
     assert "e" in first[1] or float(first[1]) < 1e-6
+
+
+def dirichlet_profile(rng, n):
+    weights = rng.dirichlet(np.ones(n))
+    return build_profile([(i, float(i), float(w)) for i, w in enumerate(weights)])
+
+
+def readme_family_runs():
+    """Protocol runs of the profile pairs behind the README invocations."""
+    rng = np.random.default_rng(2015)
+    pairs = [
+        (poisson_profile(1.0, 80), poisson_profile(1.5, 80), 81),
+        (binomial_profile(80), binomial_profile(400), 41),
+        (damped_profile(100, 0.9), uniform_levels(100), 100),
+        estimation_profiles("maxcoh", 61) + (30,),
+        estimation_profiles("qubits", 8) + (32,),
+        (dirichlet_profile(rng, 40), dirichlet_profile(rng, 42), 32),
+    ]
+    return [run_protocol(p, q, K) for p, q, K in pairs]
+
+
+def random_runs():
+    rng = np.random.default_rng(83)
+    runs = []
+    for _ in range(30):
+        n = int(rng.integers(2, 9))
+        p, q = random_subset_pair(rng, n)
+        runs.append(run_protocol(p, q, 100))
+    return runs
+
+
+@pytest.mark.parametrize("family", ["readme", "random"])
+def test_closed_form_merged_filters_match_second_routes(family):
+    # Summed round filters, generic fidelity and generic success
+    # probability against the closed forms the curve is built from.
+    runs = readme_family_runs() if family == "readme" else random_runs()
+    for run in runs:
+        residuals = merge_residuals(run)
+        for name, tol in MERGE_TOLERANCES.items():
+            assert residuals[name] <= tol, (name, residuals[name])
+
+
+def test_curve_reads_no_round_objects():
+    p, q = random_subset_pair(np.random.default_rng(89), 6)
+    run = run_protocol(p, q, 100)
+    curve_from_run(run)
+    assert "rounds" not in vars(run)
+    first = run.rounds[0]
+    assert "kraus" not in vars(first) and "output" not in vars(first)
+
+
+def test_large_random_curve_stays_fast():
+    rng = np.random.default_rng(97)
+    p, q = random_subset_pair(rng, 1600)
+    start = time.perf_counter()
+    curve = tradeoff_curve(p, q, 1600)
+    assert time.perf_counter() - start < 2.0
+    assert len(curve.points) == 1600
+    assert curve.points[-1].p_succ == pytest.approx(1.0, abs=1e-10)

