@@ -31,7 +31,7 @@ class SectorFilter:
 
     Absent sectors transmit nothing.  Coefficients within 1e-12 outside
     [0, 1] are clipped (boundary solutions of the Lagrange optimum land at
-    1 up to roundoff); anything further out is rejected.
+    1 up to roundoff); anything further out, and NaN, is rejected.
     """
 
     coefficients: Mapping[int, float]
@@ -39,9 +39,9 @@ class SectorFilter:
     def __post_init__(self) -> None:
         cleaned: dict[int, float] = {}
         for index, x in self.coefficients.items():
-            if x < -_CLIP_SLACK or x > 1.0 + _CLIP_SLACK:
+            if not -_CLIP_SLACK <= x <= 1.0 + _CLIP_SLACK:
                 raise ValueError(
-                    f"filter coefficient {x!r} at sector {index} is outside [0, 1]"
+                    f"filter coefficient {x!r} at sector {index} is not in [0, 1]"
                 )
             cleaned[int(index)] = min(max(x, 0.0), 1.0)
         object.__setattr__(self, "coefficients", cleaned)

@@ -7,17 +7,25 @@ Removing the probability constraint, the best reachable fidelity is
 attained with success probability p_max = (min_E p_E/q_E) F_max by the
 filter x_E = (min ratio) q_E / p_E.
 
-At a fixed success probability, the optimal filter splits the common
-spectrum into a fully transmitted set S0 (x_E = 1) and its complement S1
-where x_E is proportional to q_E/p_E.  Choosing S0 reduces to maximizing
+At a fixed success probability the optimal filter maximizes
+sum_E sqrt(x_E p_E q_E) subject to sum_E p_E x_E = p_succ and
+0 <= x_E <= 1.  The objective is concave and the constraints are linear,
+so the KKT conditions are sufficient, and stationarity gives
+x_E = min(1, c q_E/p_E).  The fully transmitted set S0 = {E : p_E/q_E <= c}
+is therefore a prefix of the ratio order, and the rest S1 is filtered in
+proportion to q_E/p_E.  With S0 the first k sectors of that order, p_succ
+is reachable iff
 
-    Omega[S0] = sum_{S0} sqrt(p_E q_E) + sqrt((p_succ - p(S0)) q(S1)),
+    p(S0) <= p_succ <= B_k = p(S0) + (p/q)_{k+1} q(S1),
 
-and the fidelity of the winner is Omega^2 / p_succ.  Which S0 wins is not
-known in closed form, so the exhaustive mode enumerates every subset (the
-spectrum is capped at 24 sectors); the ratio-family mode tries only the
-nested prefix unions of the ratio table, the sets realized by coherent
-coarse-graining.
+and B_k never decreases in k, so the optimum takes the smallest k with
+B_k >= p_succ: a single scan, with no cap on the spectrum size.  Its
+fidelity is Omega^2 / p_succ with
+
+    Omega[S0] = sum_{S0} sqrt(p_E q_E) + sqrt((p_succ - p(S0)) q(S1)).
+
+The second route, an exhaustive search over every subset S0, is
+``oracle.exhaustive_tradeoff``, which the tests and ``epops verify`` run.
 """
 
 from __future__ import annotations
@@ -34,13 +42,11 @@ from .errors import (
     InfeasibleProbability,
     InvalidPartition,
     NoFeasiblePartition,
-    SpectrumTooLarge,
 )
 from .spectra import EnergyProfile, common_support, ratio_table
 
 _SLACK = 1e-12
-_EXHAUSTIVE_CAP = 24
-_CHUNK_BITS = 16
+_MODES = ("exhaustive", "ratio-family")
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,11 @@ def _coefficient(
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...], float]:
     """Validate the partition and return (s0, s1, c) with x_E = c q_E/p_E on s1."""
     common = common_support(p, q)
-    s0_t = tuple(sorted(set(s0)))
-    if any(i not in common for i in s0_t):
+    s0_set = set(s0)
+    s0_t = tuple(sorted(s0_set))
+    if not s0_set.issubset(common):
         raise InvalidPartition(f"s0 {s0_t} is not a subset of the common spectrum")
-    s1 = tuple(i for i in common if i not in set(s0_t))
+    s1 = tuple(i for i in common if i not in s0_set)
     p_s0 = math.fsum(p.weight(i) for i in s0_t)
     q_s1 = math.fsum(q.weight(i) for i in s1)
     excess = p_succ - p_s0
@@ -150,57 +157,6 @@ def omega(
     return aligned + math.sqrt(max(p_succ - p_s0, 0.0) * q_s1)
 
 
-def _best_subset_exhaustive(
-    pw: np.ndarray, qw: np.ndarray, spq: np.ndarray, ratios: np.ndarray, p_succ: float
-) -> Tuple[float, int] | None:
-    """Scan all subsets of the common spectrum; return (best Omega, best mask).
-
-    Vectorized in chunks of 2^16 bitmasks.  Ties resolve to the smallest
-    subset, then lexicographically by member positions.
-    """
-    n = len(pw)
-    bits = np.arange(n)
-    best_omega = -np.inf
-    best_members: Tuple[int, ...] | None = None
-    best_mask = 0
-    for start in range(0, 1 << n, 1 << _CHUNK_BITS):
-        stop = min(start + (1 << _CHUNK_BITS), 1 << n)
-        masks = np.arange(start, stop, dtype=np.int64)
-        member = ((masks[:, None] >> bits[None, :]) & 1).astype(bool)
-        p_s0 = member @ pw
-        q_s1 = (~member) @ qw
-        aligned = member @ spq
-        excess = p_succ - p_s0
-        min_ratio_s1 = np.where(member, np.inf, ratios[None, :]).min(axis=1)
-        c = excess / np.where(q_s1 > 0.0, q_s1, 1.0)
-        feasible = excess >= -_SLACK
-        feasible &= np.where(
-            q_s1 > 0.0,
-            c <= min_ratio_s1 * (1.0 + _SLACK),
-            np.abs(excess) <= 1e-10,
-        )
-        if not feasible.any():
-            continue
-        om = aligned + np.sqrt(np.clip(excess, 0.0, None) * q_s1)
-        om = np.where(feasible, om, -np.inf)
-        top = float(om.max())
-        if top < best_omega:
-            continue
-        for idx in np.nonzero(om == top)[0]:
-            members = tuple(int(b) for b in bits[member[idx]])
-            if (
-                best_members is None
-                or top > best_omega
-                or (len(members), members) < (len(best_members), best_members)
-            ):
-                best_omega = top
-                best_members = members
-                best_mask = int(masks[idx])
-    if best_members is None:
-        return None
-    return best_omega, best_mask
-
-
 def optimal_tradeoff_point(
     p: EnergyProfile,
     q: EnergyProfile,
@@ -209,53 +165,47 @@ def optimal_tradeoff_point(
 ) -> TradeoffPoint:
     """Best fidelity point at success probability ``p_succ``.
 
-    ``exhaustive`` enumerates every subset of the common spectrum (capped
-    at 24 sectors); ``ratio-family`` tries only the empty set and the
-    nested prefix unions of the ratio table.
+    One scan over the ratio order: S0 is the shortest prefix whose
+    boundary probability B_k reaches ``p_succ``.  Where a boundary sector
+    sits at x = 1 exactly (p_succ = B_k, or p_succ = 1), the prefixes with
+    and without it describe the same filter; the shorter one is returned
+    unless rounding puts that sector's coefficient above 1.  If no B_k
+    reaches ``p_succ``, the request is feasible only as the whole common
+    spectrum at p_succ = p(common) within 1e-10.
+
+    ``mode`` is accepted for compatibility: ``"exhaustive"`` and
+    ``"ratio-family"`` both run this scan, and any other name raises
+    ``ValueError``.
     """
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 < p_succ <= 1.0 + _SLACK:
         raise ValueError("p_succ must lie in (0, 1]")
-    common = common_support(p, q)
-    if not common:
-        raise DisjointSpectra("input and target profiles share no sector")
-
-    if mode == "exhaustive":
-        if len(common) > _EXHAUSTIVE_CAP:
-            raise SpectrumTooLarge(
-                f"{len(common)} common sectors exceed the exhaustive cap "
-                f"of {_EXHAUSTIVE_CAP}; use mode='ratio-family'"
-            )
-        pw = np.array([p.weight(i) for i in common])
-        qw = np.array([q.weight(i) for i in common])
-        found = _best_subset_exhaustive(pw, qw, np.sqrt(pw * qw), pw / qw, p_succ)
-        if found is None:
-            raise NoFeasiblePartition(
-                f"no subset of the common spectrum admits p_succ={p_succ}"
-            )
-        _, mask = found
-        s0 = tuple(common[b] for b in range(len(common)) if (mask >> b) & 1)
-    elif mode == "ratio-family":
-        table = ratio_table(p, q)
-        candidates: list[Tuple[int, ...]] = [()]
-        candidates.extend(table.unions)
-        viable: list[Tuple[float, int, Tuple[int, ...]]] = []
-        for cand in candidates:
-            try:
-                om = omega(p, q, cand, p_succ)
-            except (InfeasibleProbability, InvalidPartition):
-                continue
-            viable.append((om, -len(cand), cand))
-        if not viable:
-            raise NoFeasiblePartition(
-                f"no ratio-family partition admits p_succ={p_succ}"
-            )
-        best_om = max(v[0] for v in viable)
-        tied = [v for v in viable if v[0] == best_om]
-        s0 = min((len(c), c) for _, _, c in tied)[1]
+    order = ratio_table(p, q).order
+    pw = np.array([p.weight(i) for i in order])
+    qw = np.array([q.weight(i) for i in order])
+    # B_j for j = 0..n-1: p of the first j sectors plus the (j+1)-th ratio
+    # times q of sectors j+1..n (summed from the tail, as in ratio_table).
+    p_before = np.cumsum(np.append(0.0, pw[:-1]))
+    q_from = np.cumsum(qw[::-1])[::-1]
+    reached = np.flatnonzero(p_before + pw / qw * q_from >= p_succ)
+    if reached.size:
+        k = int(reached[0])
+    elif abs(p_succ - math.fsum(pw)) <= 1e-10:
+        k = len(order)
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    filt = lagrange_filter(p, q, s0, p_succ)
+        raise NoFeasiblePartition(
+            f"no partition of the common spectrum admits p_succ={p_succ}"
+        )
+    s0 = order[:k]
+    try:
+        filt = lagrange_filter(p, q, s0, p_succ)
+    except InfeasibleProbability:
+        # At p_succ = B_k the next sector sits at x = 1, and rounding can
+        # put it above 1 when its weight is small; the next prefix holds
+        # it at exactly 1.
+        s0 = order[: k + 1]
+        filt = lagrange_filter(p, q, s0, p_succ)
     om = omega(p, q, s0, p_succ)
     achieved = filter_success_probability(p, filt)
     return TradeoffPoint(

@@ -66,10 +66,13 @@ class EnergyProfile:
     """Normalized sector weights of a pure state.
 
     ``entries`` is ordered by strictly increasing label index, every weight
-    is positive, and the weights sum to one within 1e-12.
+    is positive, and the weights sum to one within 1e-12.  ``support``
+    lists the sector indices in that order and ``labels`` their labels.
     """
 
     entries: Tuple[Tuple[EnergyLabel, float], ...]
+    support: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    labels: Tuple[EnergyLabel, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         indices = [label.index for label, _ in self.entries]
@@ -86,15 +89,8 @@ class EnergyProfile:
         object.__setattr__(
             self, "_by_index", {label.index: w for label, w in self.entries}
         )
-
-    @property
-    def support(self) -> Tuple[int, ...]:
-        """Sector indices with nonzero weight, increasing."""
-        return tuple(label.index for label, _ in self.entries)
-
-    @property
-    def labels(self) -> Tuple[EnergyLabel, ...]:
-        return tuple(label for label, _ in self.entries)
+        object.__setattr__(self, "support", tuple(indices))
+        object.__setattr__(self, "labels", tuple(label for label, _ in self.entries))
 
     def weight(self, index: int) -> float:
         """Weight at sector ``index`` (zero if the sector is absent)."""
@@ -121,11 +117,14 @@ class EnergyProfile:
         """Load a profile from its JSON document.
 
         Weights need not be pre-normalized; they are cleaned up exactly like
-        :func:`build_profile` input.
+        :func:`build_profile` input.  Each ``index`` must be a JSON integer.
         """
         doc = json.loads(text)
+        for e in doc["energies"]:
+            if type(e["index"]) is not int:
+                raise ValueError(f"sector index in entry {e!r} is not an integer")
         pairs = [
-            (int(e["index"]), float(e.get("value", e["index"])), float(e["weight"]))
+            (e["index"], float(e.get("value", e["index"])), float(e["weight"]))
             for e in doc["energies"]
         ]
         return build_profile(pairs)

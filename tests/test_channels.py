@@ -126,3 +126,11 @@ def test_filter_json_round_trip():
     again = SectorFilter.from_json_dict(doc)
     assert again.coefficient(0) == 0.25
     assert again.coefficient(3) == 1.0
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+def test_filter_rejects_non_finite_coefficient(bad):
+    with pytest.raises(ValueError):
+        SectorFilter({0: float(bad)})
+    with pytest.raises(ValueError):
+        SectorFilter.from_json_dict({"x": {"0": bad}})

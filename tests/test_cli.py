@@ -167,6 +167,22 @@ def test_tradeoff_non_finite_weight_exits_3(tmp_path, capsys, bad):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("bad", ["1.5", "true"])
+def test_tradeoff_non_integer_index_exits_2(tmp_path, capsys, bad):
+    (tmp_path / "p.json").write_text(
+        '{"energies": [{"index": 0, "weight": 0.5}, {"index": %s, "weight": 0.5}]}' % bad
+    )
+    (tmp_path / "q.json").write_text(uniform_profile(2).to_json())
+    rc = run_cli(
+        tmp_path, "tradeoff", "--input", "p.json", "--target", "q.json",
+        "--out", "t.csv",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not an integer" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def run_cli_process(tmp_path, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

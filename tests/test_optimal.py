@@ -1,17 +1,22 @@
 """Ultimate optimum and the constrained fidelity-probability tradeoff."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
-from epops.channels import SectorFilter, filter_fidelity, filter_success_probability
+from epops.channels import (
+    SectorFilter,
+    deterministic_fidelity,
+    filter_fidelity,
+    filter_success_probability,
+)
 from epops.errors import (
     DisjointSpectra,
     InfeasibleProbability,
     InvalidPartition,
     NoFeasiblePartition,
-    SpectrumTooLarge,
 )
 from epops.optimal import (
     lagrange_filter,
@@ -19,6 +24,9 @@ from epops.optimal import (
     optimal_tradeoff_point,
     ultimate_optimum,
 )
+from epops.apps.correction import damped_profile, uniform_levels
+from epops.coarse import tradeoff_curve
+from epops.oracle import exhaustive_tradeoff
 from epops.spectra import build_profile, common_support
 
 
@@ -121,8 +129,8 @@ def test_tradeoff_point_endpoints():
     assert at_pmax.fidelity == pytest.approx(f_max, abs=1e-12)
     at_one = optimal_tradeoff_point(p, q, 1.0)
     assert at_one.fidelity == pytest.approx(0.9714045207910316, abs=1e-12)
-    # Sector 1 sits exactly on the x = 1 boundary, so the minimal
-    # representative (0,) ties with (0, 1) and wins on size.
+    # Sector 0 sits exactly on the x = 1 boundary, so the shortest prefix
+    # (1,) of the ratio order ties with (1, 0).
     assert at_one.filter.coefficient(0) == pytest.approx(1.0)
     assert at_one.filter.coefficient(1) == pytest.approx(1.0)
 
@@ -149,17 +157,104 @@ def test_tradeoff_point_beats_random_filters():
         assert best.fidelity >= achieved - 1e-10
 
 
-def test_ratio_family_matches_exhaustive_on_its_candidates():
-    # The exhaustive winner can only be at least as good; at probabilities
-    # hit by coarse-graining the two modes coincide for these instances.
+def boundary_probabilities(p, q):
+    """B_j for every prefix length j of the ratio order, summed directly."""
+    common = sorted(common_support(p, q), key=lambda i: p.weight(i) / q.weight(i))
+    pw = [p.weight(i) for i in common]
+    qw = [q.weight(i) for i in common]
+    return [
+        math.fsum(pw[:j]) + pw[j] / qw[j] * math.fsum(qw[j:])
+        for j in range(len(common))
+    ]
+
+
+def test_optimum_matches_exhaustive_subset_search():
     rng = np.random.default_rng(43)
+    points = 0
+    for _ in range(120):
+        # n common sectors; sector n may belong to p only, n + 1 to q only.
+        n = int(rng.integers(1, 13))
+        p_sectors = list(range(n)) + [n] * int(rng.integers(2))
+        q_sectors = list(range(n)) + [n + 1] * int(rng.integers(2))
+        pw = rng.dirichlet(np.ones(len(p_sectors)))
+        qw = rng.dirichlet(np.ones(len(q_sectors)))
+        p = build_profile([(i, float(i), float(w)) for i, w in zip(p_sectors, pw)])
+        q = build_profile([(i, float(i), float(w)) for i, w in zip(q_sectors, qw)])
+        p_common = math.fsum(p.weight(i) for i in common_support(p, q))
+        targets = boundary_probabilities(p, q) + [p_common, 1.0]
+        targets += rng.uniform(0.0, p_common, size=3).tolist()
+        for t in targets:
+            if not 0.0 < t <= p_common + 1e-10:
+                with pytest.raises(NoFeasiblePartition):
+                    optimal_tradeoff_point(p, q, t)
+                continue
+            pt = optimal_tradeoff_point(p, q, t)
+            best = exhaustive_tradeoff(p, q, t)
+            assert pt.fidelity == pytest.approx(best, abs=1e-12)
+            assert pt.p_succ == pytest.approx(t, abs=1e-10)
+            assert filter_fidelity(p, q, pt.filter) == pytest.approx(best, abs=1e-12)
+            points += 1
+    assert points > 1000
+
+
+def test_near_tied_ratios_regression():
+    # Ratios 1e-9 apart share one ratio group; the scan still sees both.
+    p = build_profile([(0, 0.0, 0.2), (1, 1.0, 0.2 * (1 + 4e-10)), (2, 2.0, 0.6)])
+    q = build_profile([(0, 0.0, 0.3), (1, 1.0, 0.3), (2, 2.0, 0.4)])
+    pt = optimal_tradeoff_point(p, q, 0.66666666674)
+    assert pt.fidelity == pytest.approx(
+        exhaustive_tradeoff(p, q, 0.66666666674), abs=1e-12
+    )
+    assert pt.p_succ == pytest.approx(0.66666666674, abs=1e-10)
+
+
+def test_full_transmission_with_a_small_last_sector():
+    # At p_succ = 1 the last sector of the ratio order sits at x = 1, and
+    # with p = 1e-9 its computed coefficient lands above 1 + 1e-12.
+    p = build_profile([(0, 0.0, 0.6), (1, 1.0, 0.4 - 1e-9), (2, 2.0, 1e-9)])
+    q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5 - 1e-11), (2, 2.0, 1e-11)])
+    pt = optimal_tradeoff_point(p, q, 1.0)
+    assert pt.s0 == (0, 1, 2)
+    assert pt.fidelity == pytest.approx(exhaustive_tradeoff(p, q, 1.0), abs=1e-12)
+    assert pt.fidelity == pytest.approx(deterministic_fidelity(p, q), abs=1e-12)
+
+
+def test_boundary_probability_takes_the_shortest_prefix():
+    # At p_succ = B_j the sector after the prefix sits at x = 1 exactly, so
+    # the prefixes of length j and j + 1 give the same filter.
+    p = build_profile([(0, 0.0, 0.1), (1, 1.0, 0.3), (2, 2.0, 0.6)])
+    q = build_profile([(0, 0.0, 0.4), (1, 1.0, 0.4), (2, 2.0, 0.2)])
+    order = (0, 1, 2)  # ratios 0.25, 0.75, 3
+    for j, b in enumerate(boundary_probabilities(p, q)):
+        pt = optimal_tradeoff_point(p, q, b)
+        assert pt.s0 == order[:j]
+        assert pt.filter.coefficient(order[j]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_both_mode_names_run_the_same_scan():
+    rng = np.random.default_rng(47)
     for _ in range(10):
-        p, q = random_pair(rng, int(rng.integers(2, 6)))
+        p, q = random_pair(rng, int(rng.integers(2, 9)), gap=bool(rng.integers(2)))
         _, p_max, _ = ultimate_optimum(p, q)
-        for t in np.linspace(p_max + 1e-9, 1.0, 5):
-            ex = optimal_tradeoff_point(p, q, float(t), mode="exhaustive")
-            rf = optimal_tradeoff_point(p, q, float(t), mode="ratio-family")
-            assert ex.fidelity >= rf.fidelity - 1e-12
+        t = float(rng.uniform(p_max, 1.0))
+        try:
+            expected = optimal_tradeoff_point(p, q, t, "exhaustive")
+        except NoFeasiblePartition:
+            with pytest.raises(NoFeasiblePartition):
+                optimal_tradeoff_point(p, q, t, "ratio-family")
+            continue
+        assert optimal_tradeoff_point(p, q, t, "ratio-family") == expected
+
+
+def test_optimum_on_1600_sectors_matches_merged_curve():
+    start = time.perf_counter()
+    p, q = damped_profile(1600, 0.9), uniform_levels(1600)
+    points = tradeoff_curve(p, q, 1600).points
+    for T in np.linspace(1, len(points), 20).round().astype(int):
+        pt = points[T - 1]
+        best = optimal_tradeoff_point(p, q, pt.p_succ)
+        assert best.fidelity == pytest.approx(pt.F_coarse, abs=1e-12)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_tradeoff_point_infeasible_probability():
@@ -178,11 +273,3 @@ def test_tradeoff_point_rejects_bad_arguments():
         optimal_tradeoff_point(p, q, 0.0)
     with pytest.raises(ValueError):
         optimal_tradeoff_point(p, q, 0.5, mode="bogus")
-
-
-def test_exhaustive_mode_caps_spectrum_size():
-    n = 26
-    p = build_profile([(i, float(i), 1.0) for i in range(n)])
-    q = build_profile([(i, float(i), float(i + 1)) for i in range(n)])
-    with pytest.raises(SpectrumTooLarge):
-        optimal_tradeoff_point(p, q, 0.9)

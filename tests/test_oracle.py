@@ -1,4 +1,6 @@
-"""Matrix-level oracle: simulation, channel checks, and the grid search."""
+"""Matrix-level oracle: simulation, channel checks, grid and subset searches."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,14 +12,17 @@ from epops.channels import (
 )
 from epops.errors import (
     DimensionMismatch,
+    NoFeasiblePartition,
     NotTraceNonIncreasing,
     SpectrumTooLarge,
     TooLarge,
 )
+import epops.optimal
 from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.oracle import (
     check_energy_preserving,
     embed_profile,
+    exhaustive_tradeoff,
     grid_search_tradeoff,
     hilbert_model,
     luders_identity_holds,
@@ -175,3 +180,44 @@ def test_verification_report():
     assert rep.passed
     assert len(rep.checks) == 6
     assert all(line.startswith("ok  ") for line in rep.lines())
+
+
+def test_exhaustive_tradeoff_two_sector():
+    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    q = build_profile([(0, 0.0, 1 / 3), (1, 1.0, 2 / 3)])
+    # The optima of test_optimal's two-sector cases.
+    assert exhaustive_tradeoff(p, q, 0.9) == pytest.approx(0.987004097802723, abs=1e-12)
+    assert exhaustive_tradeoff(p, q, 1.0) == pytest.approx(0.971404520791032, abs=1e-12)
+
+
+def test_exhaustive_tradeoff_caps_spectrum_size():
+    p = build_profile([(i, float(i), 1.0) for i in range(13)])
+    q = build_profile([(i, float(i), float(i + 1)) for i in range(13)])
+    with pytest.raises(SpectrumTooLarge):
+        exhaustive_tradeoff(p, q, 0.9)
+
+
+def test_exhaustive_tradeoff_infeasible_probability():
+    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
+    with pytest.raises(NoFeasiblePartition):
+        exhaustive_tradeoff(p, q, 0.9)
+
+
+def test_verification_catches_a_planted_wrong_optimum(monkeypatch):
+    # A fidelity 1e-9 short of the optimum hides inside twice the grid
+    # step; the exhaustive subset search still exposes it.
+    def short_of_optimal(p, q, p_succ, mode="exhaustive"):
+        point = optimal_tradeoff_point(p, q, p_succ, mode)
+        return dataclasses.replace(point, fidelity=point.fidelity - 1e-9)
+
+    monkeypatch.setattr(epops.optimal, "optimal_tradeoff_point", short_of_optimal)
+    lines = run_verification(seed=1, instances=2).lines()
+    assert [line.split(":")[0] for line in lines] == [
+        "ok   recursive-vs-simulation",
+        "ok   kraus-completeness",
+        "FAIL lagrange-vs-grid",
+        "ok   filter-optimality-bound",
+        "ok   deterministic-bound",
+        "ok   square-root-reduction",
+    ]

@@ -62,6 +62,22 @@ def test_from_json_rejects_non_finite_weight(bad):
         EnergyProfile.from_json(text)
 
 
+@pytest.mark.parametrize("bad", ["1.5", "true", "\"1\"", "null"])
+def test_from_json_rejects_non_integer_index(bad):
+    text = '{"energies": [{"index": 0, "weight": 0.5}, {"index": %s, "weight": 0.5}]}' % bad
+    with pytest.raises(ValueError, match="not an integer") as info:
+        EnergyProfile.from_json(text)
+    assert "'weight': 0.5" in str(info.value)
+
+
+def test_support_and_labels_are_built_once():
+    p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
+    assert p.support is p.support
+    assert p.labels is p.labels
+    assert p.support == (0, 3)
+    assert [label.value for label in p.labels] == [0.0, 1.5]
+
+
 def test_build_profile_rejects_all_zero():
     with pytest.raises(AllZeroWeights):
         build_profile([(0, 0.0, 0.0), (1, 1.0, 0.0)])
