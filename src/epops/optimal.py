@@ -92,10 +92,14 @@ def ultimate_optimum(
     return f_max, p_max, SectorFilter(coeffs)
 
 
-def _coefficient(
+def _two_regime(
     p: EnergyProfile, q: EnergyProfile, s0: Iterable[int], p_succ: float
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], float]:
-    """Validate the partition and return (s0, s1, c) with x_E = c q_E/p_E on s1."""
+) -> Tuple[Tuple[int, ...], dict, float]:
+    """Validate the partition once; return (sorted s0, coefficients, Omega).
+
+    x_E = 1 on s0 and x_E = c q_E/p_E on the rest s1 of the common
+    spectrum, with c = (p_succ - p(s0)) / q(s1).
+    """
     common = common_support(p, q)
     s0_set = set(s0)
     s0_t = tuple(sorted(s0_set))
@@ -115,9 +119,20 @@ def _coefficient(
                 f"s0 covers the whole common spectrum but transmits {p_s0}, "
                 f"not the requested {p_succ}"
             )
-        return s0_t, s1, 0.0
-    c = max(excess, 0.0) / q_s1
-    return s0_t, s1, c
+        c = 0.0
+    else:
+        c = max(excess, 0.0) / q_s1
+    coeffs = {i: 1.0 for i in s0_t}
+    for i in s1:
+        x = c * q.weight(i) / p.weight(i)
+        if x > 1.0 + _SLACK:
+            raise InfeasibleProbability(
+                f"coefficient {x} at sector {i} exceeds 1; "
+                f"p_succ={p_succ} is not reachable with this partition"
+            )
+        coeffs[i] = min(x, 1.0)
+    aligned = math.fsum(math.sqrt(p.weight(i) * q.weight(i)) for i in s0_t)
+    return s0_t, coeffs, aligned + math.sqrt(max(excess, 0.0) * q_s1)
 
 
 def lagrange_filter(
@@ -128,33 +143,14 @@ def lagrange_filter(
     x_E = 1 on s0 and x_E = c q_E/p_E on the rest of the common spectrum,
     with c chosen so the success probability equals ``p_succ``.
     """
-    s0_t, s1, c = _coefficient(p, q, s0, p_succ)
-    coeffs = {i: 1.0 for i in s0_t}
-    for i in s1:
-        x = c * q.weight(i) / p.weight(i)
-        if x > 1.0 + _SLACK:
-            raise InfeasibleProbability(
-                f"coefficient {x} at sector {i} exceeds 1; "
-                f"p_succ={p_succ} is not reachable with this partition"
-            )
-        coeffs[i] = min(x, 1.0)
-    return SectorFilter(coeffs)
+    return SectorFilter(_two_regime(p, q, s0, p_succ)[1])
 
 
 def omega(
     p: EnergyProfile, q: EnergyProfile, s0: Iterable[int], p_succ: float
 ) -> float:
     """The quantity Omega[S0] whose square over p_succ is the fidelity."""
-    s0_t, s1, c = _coefficient(p, q, s0, p_succ)
-    for i in s1:
-        if c * q.weight(i) / p.weight(i) > 1.0 + _SLACK:
-            raise InfeasibleProbability(
-                f"coefficient at sector {i} exceeds 1 for this partition"
-            )
-    aligned = math.fsum(math.sqrt(p.weight(i) * q.weight(i)) for i in s0_t)
-    q_s1 = math.fsum(q.weight(i) for i in s1)
-    p_s0 = math.fsum(p.weight(i) for i in s0_t)
-    return aligned + math.sqrt(max(p_succ - p_s0, 0.0) * q_s1)
+    return _two_regime(p, q, s0, p_succ)[2]
 
 
 def optimal_tradeoff_point(
@@ -197,17 +193,13 @@ def optimal_tradeoff_point(
         raise NoFeasiblePartition(
             f"no partition of the common spectrum admits p_succ={p_succ}"
         )
-    s0 = order[:k]
     try:
-        filt = lagrange_filter(p, q, s0, p_succ)
+        s0, coeffs, om = _two_regime(p, q, order[:k], p_succ)
     except InfeasibleProbability:
         # At p_succ = B_k the next sector sits at x = 1, and rounding can
         # put it above 1 when its weight is small; the next prefix holds
         # it at exactly 1.
-        s0 = order[: k + 1]
-        filt = lagrange_filter(p, q, s0, p_succ)
-    om = omega(p, q, s0, p_succ)
+        s0, coeffs, om = _two_regime(p, q, order[: k + 1], p_succ)
+    filt = SectorFilter(coeffs)
     achieved = filter_success_probability(p, filt)
-    return TradeoffPoint(
-        p_succ=achieved, fidelity=om * om / p_succ, filter=filt, s0=tuple(sorted(s0))
-    )
+    return TradeoffPoint(p_succ=achieved, fidelity=om * om / p_succ, filter=filt, s0=s0)

@@ -34,6 +34,7 @@ from .spectra import EnergyProfile, common_support
 _DIMENSION_CAP = 16
 _SUBSET_SECTOR_CAP = 12
 _GRID_POINT_CAP = 50_000_000
+_SLAB_POINTS = 1 << 20
 _ERODED_RELATIVE = 1e-12
 _ROUND_TOL = 1e-10
 _SUBSET_TOL = 1e-12
@@ -359,49 +360,96 @@ def grid_search_tradeoff(
 
     Scans every x in {0, resolution, ..., 1}^(number of input sectors),
     keeps the points whose success probability is within one resolution
-    step of the request, and maximizes fidelity at the actually achieved
-    probability.  Purely a cross-check for the Lagrange construction.
+    step of the request (and above zero), and maximizes the fidelity
+    amplitude^2 / probability at the actually achieved probability.
+    Purely a cross-check for the Lagrange construction: every grid point
+    is scored, with no shortcut along any axis.
+
+    Point k of the flat grid has coefficient ``axis[d_i]`` on sector i,
+    where d_i is the i-th base-``size`` digit of k, so sector 0 varies
+    fastest.  Each sector gets two tables over the axis, x p_i and
+    sqrt(x p_i q_i); broadcasting them against each other (tensor axis
+    n-1-i holds sector i) gives the probability and the amplitude of every
+    point in flat order, summed over the sectors in order 0..n-1.  A grid
+    of more than 2^20 points is scanned in contiguous slabs of at most
+    2^20 points: the low sectors in full, a block of values of the next,
+    and the sectors above fixed to one value each, added as scalars.
+    Ties keep the first maximum in flat order.
     """
     if not 0.0 < resolution <= 1.0:
         raise ValueError("resolution must lie in (0, 1]")
     support = p.support
-    steps = int(round(1.0 / resolution))
-    axis = np.linspace(0.0, 1.0, steps + 1)
+    size = int(round(1.0 / resolution)) + 1
+    axis = np.linspace(0.0, 1.0, size)
     n = len(support)
-    total_points = (steps + 1) ** n
+    total_points = size**n
     if total_points > _GRID_POINT_CAP:
         raise SpectrumTooLarge(
             f"grid of {total_points} points exceeds the cap {_GRID_POINT_CAP}"
         )
     pw = np.array([p.weight(i) for i in support])
     qw = np.array([q.weight(i) for i in support])
-    pq = pw * qw
+    prob_table = axis * pw[:, None]
+    amp_table = np.sqrt(axis * (pw * qw)[:, None])
+
+    # Slab layout: sectors below ``top`` in full, ``block`` values of
+    # sector ``top``, one value of each sector above.
+    top = 0
+    while top < n - 1 and size ** (top + 1) <= _SLAB_POINTS:
+        top += 1
+    stride = size**top
+    block = min(size, max(1, _SLAB_POINTS // stride))
 
     best_f = -1.0
-    best_x: np.ndarray | None = None
-    chunk = 1 << 20
-    divisors = (steps + 1) ** np.arange(n, dtype=np.int64)
-    for start in range(0, total_points, chunk):
-        stop = min(start + chunk, total_points)
-        flat = np.arange(start, stop, dtype=np.int64)
-        digits = (flat[:, None] // divisors[None, :]) % (steps + 1)
-        x = axis[digits]
-        achieved = x @ pw
-        feasible = np.abs(achieved - p_succ) <= resolution + 1e-12
-        feasible &= achieved > 0.0
-        if not feasible.any():
-            continue
-        amp = np.sqrt(x * pq[None, :]).sum(axis=1)
-        fid = np.where(feasible, amp * amp / np.where(feasible, achieved, 1.0), -1.0)
-        idx = int(fid.argmax())
-        if fid[idx] > best_f:
-            best_f = float(fid[idx])
-            best_x = x[idx].copy()
-    if best_x is None:
+    best_flat = -1
+    for high in range(size ** (n - 1 - top)):
+        fixed = [(high // size**k) % size for k in range(n - 1 - top)]
+        for first in range(0, size, block):
+            rows = slice(first, first + block)
+            achieved = _slab_sum(prob_table, top, rows, fixed).ravel()
+            # In place and freed before the amplitudes, so that at most
+            # two slab-sized float arrays are alive at once.
+            off = achieved - p_succ
+            np.abs(off, out=off)
+            feasible = off <= resolution + 1e-12
+            del off
+            feasible &= achieved > 0.0
+            idx = np.flatnonzero(feasible)
+            if not idx.size:
+                continue
+            achieved = achieved[idx]
+            amp = _slab_sum(amp_table, top, rows, fixed).ravel()[idx]
+            fid = amp * amp / achieved
+            k = int(fid.argmax())
+            if fid[k] > best_f:
+                best_f = float(fid[k])
+                best_flat = (high * size + first) * stride + int(idx[k])
+    if best_flat < 0:
         raise InfeasibleProbability(
             f"no grid point reaches p_succ={p_succ} within one step"
         )
-    return best_f, SectorFilter({i: float(v) for i, v in zip(support, best_x)})
+    return best_f, SectorFilter(
+        {i: float(axis[best_flat // size**k % size]) for k, i in enumerate(support)}
+    )
+
+
+def _slab_sum(
+    table: np.ndarray, top: int, rows: slice, fixed: Sequence[int]
+) -> np.ndarray:
+    """Per-point sum of ``table[i, d_i]`` over one slab, sectors in order 0..n-1.
+
+    The slab holds every value of the sectors below ``top``, the values
+    ``rows`` of sector ``top`` and the single values ``fixed`` of the
+    sectors above it.  The result has axis top-i for sector i, so its C
+    order is the flat grid order.
+    """
+    acc = table[0, rows] if top == 0 else table[0]
+    for i in range(1, top + 1):
+        column = table[i, rows] if i == top else table[i]
+        acc = acc + column.reshape((-1,) + (1,) * i)
+    for i, digit in enumerate(fixed, start=top + 1):
+        acc = acc + table[i, digit]
+    return acc
 
 
 def exhaustive_tradeoff(p: EnergyProfile, q: EnergyProfile, p_succ: float) -> float:
@@ -507,9 +555,14 @@ def random_profile_pair(
 def _random_model(
     rng: np.random.Generator, q: EnergyProfile
 ) -> HilbertModel:
+    """Random sector dimensions 1 or 2, or all 1 if those exceed the cap.
+
+    Beyond 16 target sectors even the all-1 model exceeds the cap, and
+    :func:`hilbert_model` raises ``TooLarge``.
+    """
     dims = {i: int(rng.integers(1, 3)) for i in q.support}
-    while sum(dims.values()) > _DIMENSION_CAP:
-        dims = {i: 1 for i in q.support}
+    if sum(dims.values()) > _DIMENSION_CAP:
+        dims = dict.fromkeys(q.support, 1)
     return hilbert_model(dims)
 
 
@@ -527,8 +580,11 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
     success probability, Kraus completeness, the Lagrange construction
     against a brute-force grid and against the exhaustive subset search,
     optimality bounds against random filters and random channels, and the
-    square-root reduction identity.
+    square-root reduction identity.  Raises ``ValueError`` unless
+    ``instances`` is at least 1: an empty run would pass every check.
     """
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
     from .channels import deterministic_fidelity
     from .coarse import coarse_filter
     from .optimal import optimal_tradeoff_point, ultimate_optimum

@@ -290,6 +290,15 @@ def test_verify_subcommand_passes(tmp_path, capsys):
     assert "fail" not in out
 
 
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_verify_without_instances_exits_2(tmp_path, capsys, instances):
+    rc = run_cli(tmp_path, "verify", "--seed", "11", "--instances", instances)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "instances" in captured.err
+
+
 def test_identical_commands_write_identical_bytes(tmp_path):
     argv = ["clone", "--n", "6", "--m", "10", "--rounds", "12"]
     assert run_cli(tmp_path, *argv, "--out", "one.csv") == 0

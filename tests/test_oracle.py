@@ -1,6 +1,8 @@
 """Matrix-level oracle: simulation, channel checks, grid and subset searches."""
 
 import dataclasses
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +20,10 @@ from epops.errors import (
     TooLarge,
 )
 import epops.optimal
+import epops.oracle
 from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.oracle import (
+    _random_model,
     check_energy_preserving,
     embed_profile,
     exhaustive_tradeoff,
@@ -175,11 +179,140 @@ def test_grid_search_point_cap():
         grid_search_tradeoff(p, q, 0.9, 0.001)
 
 
+def _dirichlet_pair(rng, n):
+    pw = rng.dirichlet(np.ones(n))
+    qw = rng.dirichlet(np.ones(n + 1))
+    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
+    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+    return p, q
+
+
+def _naive_grid(p, q, p_succ, resolution):
+    """Best (fidelity, coefficients) over the grid, one point at a time in flat order."""
+    axis = np.linspace(0.0, 1.0, int(round(1.0 / resolution)) + 1)
+    pw = [p.weight(i) for i in p.support]
+    pq = [w * q.weight(i) for w, i in zip(pw, p.support)]
+    best = (-1.0, None)
+    for reversed_x in itertools.product(axis, repeat=len(pw)):
+        x = reversed_x[::-1]  # sector 0 varies fastest
+        achieved = sum(xi * wi for xi, wi in zip(x, pw))
+        if abs(achieved - p_succ) <= resolution + 1e-12 and achieved > 0.0:
+            amp = sum(np.sqrt(xi * wi) for xi, wi in zip(x, pq))
+            if amp * amp / achieved > best[0]:
+                best = (amp * amp / achieved, x)
+    return best
+
+
+def _decoded_grid(p, q, p_succ, resolution, chunk=1 << 18):
+    """Best (fidelity, coefficients) with every point decoded from its flat index."""
+    size = int(round(1.0 / resolution)) + 1
+    axis = np.linspace(0.0, 1.0, size)
+    pw = np.array([p.weight(i) for i in p.support])
+    pq = pw * np.array([q.weight(i) for i in p.support])
+    n = len(pw)
+    best = (-1.0, None)
+    for start in range(0, size**n, chunk):
+        flat = np.arange(start, min(start + chunk, size**n))
+        x = axis[flat[:, None] // size ** np.arange(n) % size]
+        achieved = (x * pw).sum(axis=1)
+        ok = (np.abs(achieved - p_succ) <= resolution + 1e-12) & (achieved > 0.0)
+        fid = np.where(ok, np.sqrt(x * pq).sum(axis=1) ** 2 / np.where(ok, achieved, 1.0), -1.0)
+        k = int(fid.argmax())
+        if fid[k] > best[0]:
+            best = (float(fid[k]), tuple(x[k]))
+    return best
+
+
+def _coefficients(p, filt):
+    return tuple(filt.coefficients[i] for i in p.support)
+
+
+def test_grid_search_matches_naive_scan():
+    rng = np.random.default_rng(23)
+    for n, resolution in ((1, 0.01), (2, 0.05), (3, 0.1), (4, 0.2)):
+        for _ in range(4):
+            p, q = _dirichlet_pair(rng, n)
+            target = float(rng.uniform(0.2, 1.0))
+            f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
+            f_ref, x_ref = _naive_grid(p, q, target, resolution)
+            assert abs(f_grid - f_ref) <= 1e-14
+            assert _coefficients(p, filt) == x_ref
+
+
+def test_grid_search_slabs_match_naive_scan(monkeypatch):
+    # Slabs of at most 50 points: a block of the top tensor sector and
+    # fixed values of the sectors above it.
+    monkeypatch.setattr(epops.oracle, "_SLAB_POINTS", 50)
+    rng = np.random.default_rng(29)
+    for n, resolution in ((1, 0.01), (3, 0.1), (4, 0.2)):
+        p, q = _dirichlet_pair(rng, n)
+        target = float(rng.uniform(0.2, 1.0))
+        f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
+        f_ref, x_ref = _naive_grid(p, q, target, resolution)
+        assert abs(f_grid - f_ref) <= 1e-14
+        assert _coefficients(p, filt) == x_ref
+
+
+@pytest.mark.parametrize("slab_points", [1 << 20, 5])
+def test_grid_search_tie_keeps_first_point_in_flat_order(monkeypatch, slab_points):
+    # Sectors 0 and 1 carry equal weights, so (0.75, 0.5, 1) and
+    # (0.5, 0.75, 1) score exactly alike; sector 0 varies fastest, so the
+    # point with the larger x_0 comes first, also when the two points lie
+    # in different slabs.
+    monkeypatch.setattr(epops.oracle, "_SLAB_POINTS", slab_points)
+    p = build_profile([(0, 0.0, 0.3), (1, 1.0, 0.3), (2, 2.0, 0.4)])
+    q = build_profile([(0, 0.0, 0.2), (1, 1.0, 0.2), (2, 2.0, 0.6)])
+    f_grid, filt = grid_search_tradeoff(p, q, 1.0, 0.25)
+    assert _coefficients(p, filt) == (0.75, 0.5, 1.0)
+    f_ref, x_ref = _naive_grid(p, q, 1.0, 0.25)
+    assert (f_grid, x_ref) == (f_ref, (0.75, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.02)])
+def test_grid_search_one_tensor_and_slabs_match_decoded_scan(n, resolution):
+    # 101^3 points fit in one tensor; 51^4 (6.77M) need slabs.
+    rng = np.random.default_rng(31 + n)
+    p, q = _dirichlet_pair(rng, n)
+    _, p_max, _ = ultimate_optimum(p, q)
+    target = float(rng.uniform(p_max, 1.0))
+    f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
+    f_ref, x_ref = _decoded_grid(p, q, target, resolution)
+    assert abs(f_grid - f_ref) <= 1e-14
+    assert _coefficients(p, filt) == x_ref
+
+
+def test_grid_search_memory_stays_bounded():
+    rng = np.random.default_rng(37)
+    p, q = _dirichlet_pair(rng, 5)
+    tracemalloc.start()
+    try:
+        grid_search_tradeoff(p, q, 0.8, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
+
+
 def test_verification_report():
     rep = run_verification(seed=1, instances=5)
     assert rep.passed
     assert len(rep.checks) == 6
     assert all(line.startswith("ok  ") for line in rep.lines())
+
+
+@pytest.mark.parametrize("instances", [0, -3])
+def test_verification_needs_an_instance(instances):
+    with pytest.raises(ValueError):
+        run_verification(seed=1, instances=instances)
+
+
+def test_random_model_falls_back_to_unit_sectors():
+    rng = np.random.default_rng(41)
+    q = build_profile([(i, float(i), 1.0) for i in range(16)])
+    model = _random_model(rng, q)
+    assert model.dims == (1,) * 16
+    with pytest.raises(TooLarge):
+        _random_model(rng, build_profile([(i, float(i), 1.0) for i in range(17)]))
 
 
 def test_exhaustive_tradeoff_two_sector():
