@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Tuple
 
-import numpy as np
-
 from ..coarse import TradeoffCurve, curve_from_run
 from ..errors import ConsistencyError, CutoffTooSmall
 from ..recursive import run_protocol
@@ -87,8 +85,10 @@ def _log_normalizer(r: float, cutoff: int) -> float:
     """log of sum_{n <= cutoff} r^(2n)/n!, the truncated Poisson normalizer."""
     if r == 0.0:
         return 0.0
-    terms = 2.0 * np.arange(cutoff + 1) * math.log(r) - _log_factorials(cutoff)
-    return float(np.logaddexp.reduce(terms))
+    log_r = math.log(r)
+    terms = [2.0 * n * log_r - lf for n, lf in enumerate(_log_factorials(cutoff))]
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
 def _closed_rounds(
@@ -128,6 +128,8 @@ def amplification_tradeoff(
     1e-8, or 1e-6 on the logarithm below 1e-15) and every round fidelity
     against its Poisson-tail floor, raising ConsistencyError on a miss.
     """
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        raise ValueError(f"r1={r1} and r2={r2} must both be finite")
     if r1 < 0.0:
         raise ValueError("r1 must be nonnegative")
     if r2 < r1:

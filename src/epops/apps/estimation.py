@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from ..coarse import coarse_filter, curve_from_run
 from ..errors import NotNormalized, NotOdd
@@ -52,22 +51,22 @@ def holevo_gain(amplitudes: Sequence[float]) -> float:
     number sectors (insert zeros for missing sectors); their squares must
     sum to one within 1e-10.
     """
-    a = np.asarray(amplitudes, dtype=float)
-    if a.size == 0:
+    a = [float(x) for x in amplitudes]
+    if not a:
         raise NotNormalized("no amplitudes given")
-    if (a < -1e-12).any():
+    if any(x < -1e-12 for x in a):
         raise ValueError("amplitudes must be nonnegative")
-    total = float((a * a).sum())
+    total = math.fsum(x * x for x in a)
     if abs(total - 1.0) > _NORM_TOL:
         raise NotNormalized(f"squared amplitudes sum to {total}, expected 1")
-    return 0.5 + 0.5 * float((a[:-1] * a[1:]).sum())
+    return 0.5 + 0.5 * math.fsum(x * y for x, y in zip(a, a[1:]))
 
 
-def _dense_amplitudes(profile: EnergyProfile) -> np.ndarray:
+def _dense_amplitudes(profile: EnergyProfile) -> List[float]:
     lo, hi = profile.support[0], profile.support[-1]
-    a = np.zeros(hi - lo + 1)
-    for i, w in profile.as_dict().items():
-        a[i - lo] = math.sqrt(w)
+    a = [0.0] * (hi - lo + 1)
+    for label, w in profile.entries:
+        a[label.index - lo] = math.sqrt(w)
     return a
 
 
@@ -106,21 +105,21 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     p, q = estimation_profiles(mode, N)
     run = run_protocol(p, q, K)
     round_gains = [holevo_gain(_dense_amplitudes(r.output)) for r in run.rounds]
-    averaged = np.cumsum(run.probabilities * round_gains) / run.p_succ
+    weighted = accumulate(pr * g for pr, g in zip(run.probabilities, round_gains))
     lo, hi = p.support[0], p.support[-1]
     points = []
-    for cp, g_rec in zip(curve_from_run(run).points, averaged.tolist()):
+    for cp, g_sum in zip(curve_from_run(run).points, weighted):
         x = coarse_filter(run, cp.T).coefficients
-        merged = np.zeros(hi - lo + 1)
-        for i, w in p.as_dict().items():
-            merged[i - lo] = math.sqrt(w * x[i] / cp.p_succ)
+        merged = [0.0] * (hi - lo + 1)
+        for label, w in p.entries:
+            merged[label.index - lo] = math.sqrt(w * x[label.index] / cp.p_succ)
         points.append(
             GainPoint(
                 T=cp.T,
                 p_succ=cp.p_succ,
                 F_recursive=cp.F_recursive,
                 F_coarse=cp.F_coarse,
-                gain_recursive=g_rec,
+                gain_recursive=g_sum / cp.p_succ,
                 gain_coarse=holevo_gain(merged),
             )
         )

@@ -29,8 +29,6 @@ from .apps.correction import correction_tradeoff
 from .apps.estimation import estimation_tradeoff
 from .coarse import tradeoff_curve
 from .errors import ConsistencyError, EpopsError
-from .mixedstate import purification_report
-from .oracle import run_verification
 from .spectra import RATIO_TOLERANCE, EnergyProfile
 
 _TOLERANCES = {"ratio_grouping_rel": RATIO_TOLERANCE}
@@ -106,6 +104,9 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
 
 def _cmd_purify(args: argparse.Namespace) -> int:
+    # The matrix modules load numpy; only purify and verify need them.
+    from .mixedstate import purification_report
+
     report = purification_report(args.n, args.beta)
     out = Path(args.out)
     sidecar = out.with_name(out.stem + ".sectors.json")
@@ -116,6 +117,8 @@ def _cmd_purify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .oracle import run_verification
+
     report = run_verification(args.seed, args.instances)
     for line in report.lines():
         print(line)

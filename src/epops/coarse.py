@@ -15,10 +15,9 @@ compared in the tests and by ``epops verify``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Tuple
-
-import numpy as np
+from typing import List, Tuple
 
 from .channels import SectorFilter
 from .recursive import ProtocolRun, run_protocol
@@ -67,22 +66,25 @@ def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
     )
 
 
-def _merged_fidelities(table: RatioTable, n: int) -> np.ndarray:
+def _merged_fidelities(table: RatioTable, n: int) -> List[float]:
     """Merged-filter fidelities for T = 1..n.
 
     (sqrt(p q) summed over U_T + sqrt(r_T) q_rest)^2 / (p(U_T) + r_T q_rest),
     where q_rest is the target weight left outside U_T.
     """
-    r = np.array(table.ratios[:n])
-    rest = table.q_remaining[1 : n + 1]
-    numerator = table.aligned[1 : n + 1] + np.sqrt(r) * rest
-    return numerator * numerator / (table.p_eroded[1 : n + 1] + r * rest)
+    out = []
+    for r, aligned, eroded, rest in zip(
+        table.ratios[:n], table.aligned[1:], table.p_eroded[1:], table.q_remaining[1:]
+    ):
+        numerator = aligned + math.sqrt(r) * rest
+        out.append(numerator * numerator / (eroded + r * rest))
+    return out
 
 
 def coarse_fidelity(run: ProtocolRun, T: int) -> float:
     """Fidelity of the merged filter for rounds 1..T, in closed form."""
     run.check_round(T)
-    return float(_merged_fidelities(run.table, T)[T - 1])
+    return _merged_fidelities(run.table, T)[T - 1]
 
 
 def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
@@ -92,8 +94,7 @@ def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
         points=tuple(
             CurvePoint(T=T, p_succ=p, F_recursive=f_rec, F_coarse=f_co)
             for T, (p, f_rec, f_co) in enumerate(
-                zip(run.p_succ.tolist(), run.f_recursive.tolist(), f_coarse.tolist()),
-                start=1,
+                zip(run.p_succ, run.f_recursive, f_coarse), start=1
             )
         )
     )

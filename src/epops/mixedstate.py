@@ -36,6 +36,9 @@ _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _SUPPORT_CUT = 1e-12
 _DEGENERACY_TOL = 1e-9
+#: Bound on |log| of the thermal normalizer (2 cosh beta)^N and of the
+#: product of two l = 1/2 matrix elements, which keeps both normal doubles.
+_LOG_RANGE = 700.0
 
 
 @dataclass(frozen=True)
@@ -408,10 +411,16 @@ class SpinSector:
         return float(self.g[int(round(m + self.l)), int(round(m2 + self.l))])
 
 
-def spin_multiplicities(N: int) -> Dict[float, int]:
-    """Exact degeneracy of each total angular momentum l for odd N."""
+def _check_spin_count(N: int) -> None:
+    if N < 1:
+        raise ValueError(f"N={N} must be a positive odd integer")
     if N % 2 == 0:
         raise NotOdd(f"N={N} must be odd")
+
+
+def spin_multiplicities(N: int) -> Dict[float, int]:
+    """Exact degeneracy of each total angular momentum l for odd N."""
+    _check_spin_count(N)
     out = {}
     for j in range(1, N + 1, 2):
         count, rest = divmod((2 * j + 2) * math.comb(N, (N + j) // 2), N + j + 2)
@@ -427,11 +436,21 @@ def spin_sector_model(N: int, beta: float) -> Tuple[SpinSector, ...]:
     For each l the tridiagonal Jx restricted to the sector is
     exponentiated by eigendecomposition; at beta = 0 the identity is used
     directly so the off-diagonal elements vanish exactly.
+
+    The elements of the l = 1/2 sector are about (2 cosh beta)^-(N-1) / 2,
+    the smallest of all; a beta that would push the normalizer above, or
+    the product of two such elements below, e^700 or e^-700 raises
+    :class:`TooLarge` instead of returning rounded-away values.
     """
-    if N % 2 == 0:
-        raise NotOdd(f"N={N} must be odd")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    _check_spin_count(N)
+    if not 0.0 <= beta < math.inf:
+        raise ValueError(f"beta={beta} must be finite and nonnegative")
+    log_z = beta + math.log1p(math.exp(-2.0 * beta))
+    if max(N * log_z, 2.0 * ((N - 1) * log_z + math.log(2.0))) > _LOG_RANGE:
+        raise TooLarge(
+            f"beta={beta} puts the thermal weights of N={N} spins "
+            f"outside the double range"
+        )
     z = 2.0 * math.cosh(beta)
     norm = z**N
     sectors = []
@@ -466,8 +485,7 @@ def thermal_spin_block_density(N: int, beta: float) -> BlockDensity:
     Total dimension is 2^N, so N is capped at 9 here; the closed-form
     report has no such cap.
     """
-    if N % 2 == 0:
-        raise NotOdd(f"N={N} must be odd")
+    _check_spin_count(N)
     if N > 9:
         raise TooLarge(f"N={N} assembles a 2^{N} dimensional matrix; cap is 9")
     sectors = spin_sector_model(N, beta)
@@ -561,8 +579,7 @@ def purification_report(N: int, beta: float) -> PurificationReport:
     fidelity (within 1e-12 relative) resolve toward the larger
     probability.
     """
-    if N % 2 == 0:
-        raise NotOdd(f"N={N} must be odd")
+    _check_spin_count(N)
     if N > 21:
         raise TooLarge(f"N={N} exceeds the supported report range (21)")
     sectors = spin_sector_model(N, beta)

@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Tuple
-
-import numpy as np
 
 from .channels import SectorFilter, filter_success_probability
 from .errors import (
@@ -178,21 +177,21 @@ def optimal_tradeoff_point(
     if not 0.0 < p_succ <= 1.0 + _SLACK:
         raise ValueError("p_succ must lie in (0, 1]")
     order = ratio_table(p, q).order
-    pw = np.array([p.weight(i) for i in order])
-    qw = np.array([q.weight(i) for i in order])
+    pw = [p.weight(i) for i in order]
+    qw = [q.weight(i) for i in order]
     # B_j for j = 0..n-1: p of the first j sectors plus the (j+1)-th ratio
     # times q of sectors j+1..n (summed from the tail, as in ratio_table).
-    p_before = np.cumsum(np.append(0.0, pw[:-1]))
-    q_from = np.cumsum(qw[::-1])[::-1]
-    reached = np.flatnonzero(p_before + pw / qw * q_from >= p_succ)
-    if reached.size:
-        k = int(reached[0])
-    elif abs(p_succ - math.fsum(pw)) <= 1e-10:
-        k = len(order)
+    q_from = list(accumulate(reversed(qw)))[::-1]
+    boundaries = zip(accumulate(pw, initial=0.0), pw, qw, q_from)
+    for k, (before, a, b, rest) in enumerate(boundaries):
+        if before + a / b * rest >= p_succ:
+            break
     else:
-        raise NoFeasiblePartition(
-            f"no partition of the common spectrum admits p_succ={p_succ}"
-        )
+        if abs(p_succ - math.fsum(pw)) > 1e-10:
+            raise NoFeasiblePartition(
+                f"no partition of the common spectrum admits p_succ={p_succ}"
+            )
+        k = len(order)
     try:
         s0, coeffs, om = _two_regime(p, q, order[:k], p_succ)
     except InfeasibleProbability:

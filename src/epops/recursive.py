@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import Dict, Tuple
-
-import numpy as np
 
 from .errors import RoundOutOfRange
 from .spectra import EnergyProfile, RatioTable, _assemble, ratio_table
@@ -74,18 +73,16 @@ class ProtocolRun:
     input: EnergyProfile
     target: EnergyProfile
     table: RatioTable
-    fidelities: np.ndarray
-    probabilities: np.ndarray
-    p_succ: np.ndarray
-    f_recursive: np.ndarray
+    fidelities: Tuple[float, ...]
+    probabilities: Tuple[float, ...]
+    p_succ: Tuple[float, ...]
+    f_recursive: Tuple[float, ...]
 
     @cached_property
     def rounds(self) -> Tuple[ProtocolRound, ...]:
         return tuple(
             ProtocolRound(self, k, f, pr)
-            for k, (f, pr) in enumerate(
-                zip(self.fidelities.tolist(), self.probabilities.tolist()), start=1
-            )
+            for k, (f, pr) in enumerate(zip(self.fidelities, self.probabilities), start=1)
         )
 
     @property
@@ -110,9 +107,13 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
         raise ValueError("K must be at least 1")
     table = ratio_table(p, q)
     n = min(K, table.length)
+    ratios = table.ratios[:n]
     fidelities = table.q_remaining[:n]
-    probabilities = np.diff(table.ratios[:n], prepend=0.0) * fidelities
-    p_succ = np.cumsum(probabilities)
+    probabilities = tuple(
+        (r - before) * f for r, before, f in zip(ratios, (0.0,) + ratios, fidelities)
+    )
+    p_succ = tuple(accumulate(probabilities))
+    weighted = accumulate(pr * f for pr, f in zip(probabilities, fidelities))
     return ProtocolRun(
         input=p,
         target=q,
@@ -120,7 +121,7 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
         fidelities=fidelities,
         probabilities=probabilities,
         p_succ=p_succ,
-        f_recursive=np.cumsum(probabilities * fidelities) / p_succ,
+        f_recursive=tuple(w / s for w, s in zip(weighted, p_succ)),
     )
 
 
@@ -131,7 +132,7 @@ def cumulative(run: ProtocolRun, T: int) -> Tuple[float, float]:
     probability-weighted average of the round fidelities.
     """
     run.check_round(T)
-    return float(run.p_succ[T - 1]), float(run.f_recursive[T - 1])
+    return run.p_succ[T - 1], run.f_recursive[T - 1]
 
 
 def termination_time(p: EnergyProfile, q: EnergyProfile) -> int:

@@ -19,9 +19,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Tuple
-
-import numpy as np
+from itertools import accumulate
+from typing import Iterable, List, Tuple
 
 from .errors import (
     AllZeroWeights,
@@ -42,7 +41,7 @@ RATIO_TOLERANCE = 1e-9
 _NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class EnergyLabel:
     """Identifier of one energy sector.
 
@@ -61,7 +60,7 @@ class EnergyLabel:
         object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyProfile:
     """Normalized sector weights of a pure state.
 
@@ -73,6 +72,7 @@ class EnergyProfile:
     entries: Tuple[Tuple[EnergyLabel, float], ...]
     support: Tuple[int, ...] = field(init=False, repr=False, compare=False)
     labels: Tuple[EnergyLabel, ...] = field(init=False, repr=False, compare=False)
+    _by_index: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         indices = [label.index for label, _ in self.entries]
@@ -117,12 +117,17 @@ class EnergyProfile:
         """Load a profile from its JSON document.
 
         Weights need not be pre-normalized; they are cleaned up exactly like
-        :func:`build_profile` input.  Each ``index`` must be a JSON integer.
+        :func:`build_profile` input.  Each ``index`` must be a JSON integer,
+        and each ``weight`` and ``value`` a JSON number (not a boolean,
+        string or null).
         """
         doc = json.loads(text)
         for e in doc["energies"]:
             if type(e["index"]) is not int:
                 raise ValueError(f"sector index in entry {e!r} is not an integer")
+            for key in ("weight", "value"):
+                if key in e and type(e[key]) not in (int, float):
+                    raise ValueError(f"{key} in entry {e!r} is not a number")
         pairs = [
             (e["index"], float(e.get("value", e["index"])), float(e["weight"]))
             for e in doc["energies"]
@@ -178,9 +183,9 @@ class RatioTable:
     order: Tuple[int, ...]
     ends: Tuple[int, ...]
     ratios: Tuple[float, ...]
-    p_eroded: np.ndarray
-    aligned: np.ndarray
-    q_remaining: np.ndarray
+    p_eroded: Tuple[float, ...]
+    aligned: Tuple[float, ...]
+    q_remaining: Tuple[float, ...]
 
     @property
     def length(self) -> int:
@@ -223,11 +228,12 @@ def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
     common = common_support(p, q)
     if not common:
         raise DisjointSpectra("input and target profiles share no sector")
-    pw = np.array([p.weight(i) for i in common])
-    qw = np.array([q.weight(i) for i in common])
-    perm = np.argsort(pw / qw, kind="stable")
-    pw, qw = pw[perm], qw[perm]
-    raw = (pw / qw).tolist()
+    # A stable sort on the ratio alone: equal ratios keep index order.
+    rows = sorted(
+        ((p.weight(i) / q.weight(i), p.weight(i), q.weight(i), i) for i in common),
+        key=lambda row: row[0],
+    )
+    raw, pw, qw, order = zip(*rows)
 
     starts = [0]
     for j in range(1, len(raw)):
@@ -238,20 +244,23 @@ def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
     ratios = tuple(math.fsum(raw[a:b]) / (b - a) for a, b in zip(starts, ends))
 
     cuts = [0] + ends
+    p_eroded = list(accumulate(pw, initial=0.0))
+    aligned = list(accumulate((math.sqrt(a * b) for a, b in zip(pw, qw)), initial=0.0))
     # The q sums run from the tail so small remainders keep their precision.
+    q_remaining = list(accumulate(reversed(qw), initial=0.0))[::-1]
     return RatioTable(
-        order=tuple(common[j] for j in perm.tolist()),
+        order=order,
         ends=tuple(ends),
         ratios=ratios,
-        p_eroded=np.cumsum(np.append(0.0, pw))[cuts],
-        aligned=np.cumsum(np.append(0.0, np.sqrt(pw * qw)))[cuts],
-        q_remaining=np.cumsum(np.append(qw, 0.0)[::-1])[::-1][cuts],
+        p_eroded=tuple(p_eroded[c] for c in cuts),
+        aligned=tuple(aligned[c] for c in cuts),
+        q_remaining=tuple(q_remaining[c] for c in cuts),
     )
 
 
-def _log_factorials(n: int) -> np.ndarray:
+def _log_factorials(n: int) -> List[float]:
     """log k! for k = 0..n."""
-    return np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    return [math.lgamma(k + 1) for k in range(n + 1)]
 
 
 def binomial_profile(N: int) -> EnergyProfile:
@@ -262,14 +271,14 @@ def binomial_profile(N: int) -> EnergyProfile:
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    ms = np.arange(-N, N + 1, 2)
-    ks = (N - ms) // 2
     lf = _log_factorials(N)
-    logw = lf[N] - lf[ks] - lf[N - ks] - N * math.log(2.0)
-    weights = np.exp(logw)
-    weights /= weights.sum()
+    log_scale = N * math.log(2.0)
     return _assemble(
-        ((int(m), float(m), float(w)) for m, w in zip(ms, weights)), 0.0
+        (
+            (m, float(m), math.exp(lf[N] - lf[k] - lf[N - k] - log_scale))
+            for m, k in zip(range(-N, N + 1, 2), range(N, -1, -1))
+        ),
+        0.0,
     )
 
 
@@ -279,19 +288,17 @@ def poisson_profile(r: float, cutoff: int) -> EnergyProfile:
     Weights are proportional to e^(-r^2) r^(2n) / n! for n = 0..cutoff and
     renormalized over the truncated range.
     """
-    if r < 0.0:
-        raise ValueError("amplitude r must be nonnegative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"amplitude r={r} must be finite and nonnegative")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if r == 0.0:
         return _assemble([(0, 0.0, 1.0)], 0.0)
-    ns = np.arange(cutoff + 1)
-    logw = -r * r + 2.0 * ns * math.log(r) - _log_factorials(cutoff)
-    logw -= logw.max()
-    weights = np.exp(logw)
-    weights /= weights.sum()
+    log_r = math.log(r)
+    logw = [-r * r + 2.0 * n * log_r - lf for n, lf in enumerate(_log_factorials(cutoff))]
+    top = max(logw)
     return _assemble(
-        ((int(n), float(n), float(w)) for n, w in zip(ns, weights)), 0.0
+        ((n, float(n), math.exp(lw - top)) for n, lw in enumerate(logw)), 0.0
     )
 
 
@@ -310,10 +317,6 @@ def sine_profile(N: int) -> EnergyProfile:
     """
     if N < 1:
         raise ValueError("N must be a positive integer")
-    ns = np.arange(N + 1)
-    amp = np.sin(ns * math.pi / (N + 1))
-    weights = 2.0 / (N + 1) * amp * amp
-    weights /= weights.sum()
-    return _assemble(
-        ((int(n), float(n), float(w)) for n, w in zip(ns, weights) if w > 0.0), 0.0
-    )
+    scale = 2.0 / (N + 1)
+    amps = ((n, math.sin(n * math.pi / (N + 1))) for n in range(1, N + 1))
+    return _assemble(((n, float(n), scale * a * a) for n, a in amps), 0.0)

@@ -26,6 +26,14 @@ def test_amplitude_validation():
         amplification_tradeoff(0.0, 0.0, 10, 5)
 
 
+@pytest.mark.parametrize("r1, r2", [
+    (math.nan, 1.5), (1.0, math.nan), (1.0, math.inf), (math.inf, math.inf),
+])
+def test_non_finite_amplitudes_are_invalid(r1, r2):
+    with pytest.raises(ValueError, match="must both be finite"):
+        amplification_tradeoff(r1, r2, 80, 81)
+
+
 def test_equal_amplitudes_are_trivial():
     res = amplification_tradeoff(1.2, 1.2, 20, 5)
     assert len(res.curve.points) == 1

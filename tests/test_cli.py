@@ -183,6 +183,51 @@ def test_tradeoff_non_integer_index_exits_2(tmp_path, capsys, bad):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("key, bad", [
+    ("weight", "true"), ("weight", "\"0.5\""), ("weight", "null"),
+    ("value", "false"), ("value", "\"1\""), ("value", "null"),
+])
+def test_tradeoff_non_number_weight_or_value_exits_2(tmp_path, capsys, key, bad):
+    entry = '"index": 1, "weight": 0.5' if key == "value" else '"index": 1'
+    (tmp_path / "p.json").write_text(
+        '{"energies": [{"index": 0, "weight": 0.5}, {%s, "%s": %s}]}' % (entry, key, bad)
+    )
+    (tmp_path / "q.json").write_text(uniform_profile(2).to_json())
+    rc = run_cli(
+        tmp_path, "tradeoff", "--input", "p.json", "--target", "q.json",
+        "--out", "t.csv",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} in entry" in err and "not a number" in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("n, beta, code, message", [
+    ("-1", "1", 2, "positive odd integer"),
+    ("0", "1", 2, "positive odd integer"),
+    ("3", "nan", 2, "finite and nonnegative"),
+    ("3", "inf", 2, "finite and nonnegative"),
+    ("3", "400", 3, "outside the double range"),
+    ("3", "1000", 3, "outside the double range"),
+])
+def test_purify_bad_parameters_exit_cleanly(tmp_path, capsys, n, beta, code, message):
+    rc = run_cli(tmp_path, "purify", "--n", n, "--beta", beta, "--out", "p.csv")
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("r1, r2", [("nan", "1.5"), ("1", "nan"), ("1", "inf"), ("inf", "inf")])
+def test_amplify_non_finite_amplitude_exits_2(tmp_path, capsys, r1, r2):
+    rc = run_cli(tmp_path, "amplify", "--r1", r1, "--r2", r2, "--out", "a.csv")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must both be finite" in err
+    assert not (tmp_path / "a.csv").exists()
+
+
 def run_cli_process(tmp_path, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -215,6 +260,17 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "False"
+
+
+def test_package_and_cli_import_leave_numpy_unloaded(tmp_path):
+    proc = run_cli_process(
+        tmp_path, "-c",
+        "import sys, epops, epops.cli; "
+        "print(sorted(m for m in ('numpy', 'epops.oracle', 'epops.mixedstate') "
+        "if m in sys.modules))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.fixture
@@ -353,14 +409,19 @@ README_GOLDEN = {
 }
 
 
-def readme_output_digests(tmp_path):
-    """Run every README data invocation; map each output file to its sha256."""
+def write_readme_profiles(tmp_path):
+    """Write the ``p.json`` and ``q.json`` read by the README ``tradeoff``."""
     rng = np.random.default_rng(2015)
     for name, n in (("p.json", 40), ("q.json", 42)):
         weights = rng.dirichlet(np.ones(n))
         doc = {"energies": [{"index": i, "value": float(i), "weight": float(w)}
                             for i, w in enumerate(weights)]}
         (tmp_path / name).write_text(json.dumps(doc))
+
+
+def readme_output_digests(tmp_path):
+    """Run every README data invocation; map each output file to its sha256."""
+    write_readme_profiles(tmp_path)
     digests = {}
     for argv, outputs in README_INVOCATIONS:
         assert run_cli(tmp_path, *argv) == 0, argv
@@ -371,3 +432,27 @@ def readme_output_digests(tmp_path):
 
 def test_readme_invocations_write_golden_bytes(tmp_path):
     assert readme_output_digests(tmp_path) == README_GOLDEN
+
+
+#: The six README data invocations that use no matrix (all but purify).
+README_CURVE_INVOCATIONS = [case for case in README_INVOCATIONS if case[0][0] != "purify"]
+
+
+@pytest.mark.parametrize(
+    "argv, outputs", README_CURVE_INVOCATIONS,
+    ids=[outputs[0] for _, outputs in README_CURVE_INVOCATIONS],
+)
+def test_readme_curve_invocations_run_without_numpy(tmp_path, argv, outputs):
+    # numpy set to None in sys.modules makes any import of it fail, so a
+    # golden output proves the curve subcommands never touch it.
+    write_readme_profiles(tmp_path)
+    proc = run_cli_process(
+        tmp_path, "-c",
+        "import sys; sys.modules['numpy'] = None; "
+        "from epops.cli import main; sys.exit(main(sys.argv[1:]))",
+        *argv,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in outputs:
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == README_GOLDEN[name]

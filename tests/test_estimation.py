@@ -29,6 +29,14 @@ def test_uniform_amplitudes_match_inverse_level_count():
     assert holevo_gain(a) == pytest.approx(1.0 - 1.0 / (2 * N), abs=1e-12)
 
 
+def test_gain_accepts_any_sequence_of_amplitudes():
+    a = _dense_amplitudes(sine_profile(12))
+    expected = holevo_gain(a)
+    assert holevo_gain(tuple(a)) == expected
+    assert holevo_gain(np.array(a)) == expected
+    assert holevo_gain(x for x in a) == expected
+
+
 def test_sine_amplitudes_reach_heisenberg_scaling():
     M = 61
     gain = holevo_gain(_dense_amplitudes(sine_profile(M)))

@@ -247,6 +247,37 @@ def test_purification_validates_input():
         thermal_spin_block_density(11, 0.5)
 
 
+@pytest.mark.parametrize("N", [0, -1, -2, -3])
+def test_purification_rejects_nonpositive_counts(N):
+    with pytest.raises(ValueError, match="positive odd integer"):
+        purification_report(N, 1.0)
+    with pytest.raises(ValueError, match="positive odd integer"):
+        thermal_spin_block_density(N, 1.0)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_purification_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        purification_report(3, beta)
+
+
+@pytest.mark.parametrize("N, beta", [(3, 175.0), (3, 400.0), (3, 1000.0), (21, 19.0), (1, 701.0)])
+def test_purification_beyond_double_range_is_typed(N, beta):
+    with pytest.raises(TooLarge, match="outside the double range"):
+        purification_report(N, beta)
+
+
+@pytest.mark.parametrize("N, beta", [(3, 170.0), (21, 17.0), (1, 700.0)])
+def test_purification_large_beta_inside_range_is_finite(N, beta):
+    # Near beta -> infinity every spin aligns, so each sector's fidelity
+    # tends to one and the report settles; values stay finite at the edge.
+    rep = purification_report(N, beta)
+    values = (rep.F_det, rep.F_prob, rep.p_max)
+    assert all(math.isfinite(v) and 0.0 < v <= 1.0 + 1e-12 for v in values)
+    assert rep.F_prob == pytest.approx(1.0, abs=1e-12)
+    assert rep.p_max == pytest.approx(purification_report(N, 0.9 * beta).p_max, rel=1e-9)
+
+
 @pytest.mark.parametrize("N", [1, 3, 5, 7])
 def test_purification_closed_form_matches_generic_path(N):
     beta = 0.8

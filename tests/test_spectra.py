@@ -70,12 +70,43 @@ def test_from_json_rejects_non_integer_index(bad):
     assert "'weight': 0.5" in str(info.value)
 
 
+@pytest.mark.parametrize("key", ["weight", "value"])
+@pytest.mark.parametrize("bad", ["true", "false", "\"0.5\"", "null"])
+def test_from_json_rejects_non_number_weight_and_value(key, bad):
+    entry = {"index": 1, "weight": 0.5}
+    entry[key] = json.loads(bad)
+    text = json.dumps({"energies": [{"index": 0, "weight": 0.5}, entry]})
+    with pytest.raises(ValueError, match=f"{key} in entry .* is not a number") as info:
+        EnergyProfile.from_json(text)
+    assert "'index': 1" in str(info.value)
+
+
+def test_from_json_accepts_integer_weight_and_value():
+    text = '{"energies": [{"index": 0, "value": 2, "weight": 1}, {"index": 1, "weight": 3}]}'
+    p = EnergyProfile.from_json(text)
+    assert p.weight(0) == 0.25 and p.weight(1) == 0.75
+    assert [label.value for label in p.labels] == [2.0, 1.0]
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
+def test_poisson_profile_rejects_bad_amplitude(r):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        poisson_profile(r, 10)
+
+
 def test_support_and_labels_are_built_once():
     p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
     assert p.support is p.support
     assert p.labels is p.labels
     assert p.support == (0, 3)
     assert [label.value for label in p.labels] == [0.0, 1.5]
+
+
+def test_labels_and_profiles_carry_no_instance_dict():
+    # Slots keep a held profile at a tuple, a label and a float per sector.
+    p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
+    assert not hasattr(p, "__dict__")
+    assert not hasattr(p.labels[0], "__dict__")
 
 
 def test_build_profile_rejects_all_zero():
