@@ -11,35 +11,42 @@ dimensions.
 
 from __future__ import annotations
 
-from .channels import (
-    SectorFilter,
-    deterministic_fidelity,
-    filter_fidelity,
-    filter_success_probability,
-    filtered_profile,
-)
-from .coarse import CurvePoint, TradeoffCurve, coarse_fidelity, coarse_filter, tradeoff_curve
-from .errors import EpopsError
-from .optimal import TradeoffPoint, lagrange_filter, omega, optimal_tradeoff_point, ultimate_optimum
-from .recursive import (
-    ProtocolRound,
-    ProtocolRun,
-    cumulative,
-    run_protocol,
-    termination_time,
-)
-from .spectra import (
-    EnergyLabel,
-    EnergyProfile,
-    RatioTable,
-    binomial_profile,
-    build_profile,
-    common_support,
-    poisson_profile,
-    ratio_table,
-    sine_profile,
-    uniform_profile,
-)
+from importlib import import_module
+
+
+def _lazy_exports(namespace: dict, modules: dict):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for the package ``namespace``.
+
+    ``modules`` maps each submodule to the public names it defines, as one
+    space-separated string.  A name resolves by importing its submodule on
+    first access and then stays in the package namespace, so importing the
+    package itself loads no submodule.
+    """
+    package = namespace["__name__"]
+    exports = {name: module for module, names in modules.items() for name in names.split()}
+
+    def __getattr__(name: str):
+        if name not in exports:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module("." + exports[name], package), name)
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | exports.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "channels": "SectorFilter deterministic_fidelity filter_fidelity "
+                "filter_success_probability filtered_profile",
+    "coarse": "CurvePoint TradeoffCurve coarse_fidelity coarse_filter tradeoff_curve",
+    "errors": "EpopsError",
+    "optimal": "TradeoffPoint lagrange_filter omega optimal_tradeoff_point ultimate_optimum",
+    "recursive": "ProtocolRound ProtocolRun cumulative run_protocol termination_time",
+    "spectra": "EnergyLabel EnergyProfile RatioTable binomial_profile build_profile "
+               "common_support poisson_profile ratio_table sine_profile uniform_profile",
+})
 
 __version__ = "0.1.0"
 

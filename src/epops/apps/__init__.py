@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-from .amplification import AmplificationResult, amplification_tradeoff
-from .cloning import cloning_tradeoff, first_round_fidelity
-from .correction import CorrectionResult, correction_tradeoff, haar_average_fidelity
-from .estimation import (
-    GainPoint,
-    asymptotic_gain,
-    deterministic_gain,
-    estimation_profiles,
-    estimation_tradeoff,
-    holevo_gain,
-)
+from .. import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "amplification": "AmplificationResult amplification_tradeoff",
+    "cloning": "cloning_tradeoff first_round_fidelity",
+    "correction": "CorrectionResult correction_tradeoff haar_average_fidelity",
+    "estimation": "GainPoint asymptotic_gain deterministic_gain estimation_profiles "
+                  "estimation_tradeoff holevo_gain",
+})
 
 __all__ = [
     "AmplificationResult",

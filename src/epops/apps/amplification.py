@@ -13,9 +13,8 @@ raises :class:`~epops.errors.ConsistencyError`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from ..coarse import TradeoffCurve, curve_from_run
 from ..errors import ConsistencyError, CutoffTooSmall
@@ -27,8 +26,7 @@ _LOG_TOL = 1e-6
 _TINY = 1e-15
 
 
-@dataclass(frozen=True)
-class RoundAudit:
+class RoundAudit(NamedTuple):
     """One protocol round next to its closed-form prediction."""
 
     k: int
@@ -38,8 +36,7 @@ class RoundAudit:
     floor: Optional[float]
 
 
-@dataclass(frozen=True)
-class AmplificationResult:
+class AmplificationResult(NamedTuple):
     r1: float
     r2: float
     cutoff: int

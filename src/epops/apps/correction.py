@@ -11,8 +11,7 @@ commutes with mixing rounds together.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple
 
 from ..coarse import CurvePoint, TradeoffCurve, curve_from_run
 from ..errors import ConsistencyError
@@ -22,8 +21,7 @@ from ..spectra import EnergyProfile, _assemble
 _CLOSED_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CorrectionResult:
+class CorrectionResult(NamedTuple):
     d: int
     mu: float
     sector_curve: TradeoffCurve

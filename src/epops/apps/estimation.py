@@ -12,9 +12,8 @@ matching range, whose gain is optimal for its size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import List, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from ..coarse import coarse_filter, curve_from_run
 from ..errors import NotNormalized, NotOdd
@@ -32,8 +31,7 @@ _NORM_TOL = 1e-10
 MODES = ("maxcoh", "qubits")
 
 
-@dataclass(frozen=True)
-class GainPoint:
+class GainPoint(NamedTuple):
     """Fidelities and estimation gains after T rounds, averaged and coarse-grained."""
 
     T: int

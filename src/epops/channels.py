@@ -16,17 +16,15 @@ and the filtered fidelity
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Tuple
 
 from .errors import ZeroSuccessProbability
-from .spectra import EnergyProfile, build_profile, common_support
+from .spectra import EnergyProfile, Frozen, build_profile, common_support
 
 _CLIP_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class SectorFilter:
+class SectorFilter(Frozen):
     """Per-sector transmission probabilities x_E of a pure filter.
 
     Absent sectors transmit nothing.  Coefficients within 1e-12 outside
@@ -34,17 +32,20 @@ class SectorFilter:
     1 up to roundoff); anything further out, and NaN, is rejected.
     """
 
-    coefficients: Mapping[int, float]
-
-    def __post_init__(self) -> None:
+    def __init__(self, coefficients: Mapping[int, float]) -> None:
         cleaned: dict[int, float] = {}
-        for index, x in self.coefficients.items():
+        for index, x in coefficients.items():
             if not -_CLIP_SLACK <= x <= 1.0 + _CLIP_SLACK:
                 raise ValueError(
                     f"filter coefficient {x!r} at sector {index} is not in [0, 1]"
                 )
             cleaned[int(index)] = min(max(x, 0.0), 1.0)
-        object.__setattr__(self, "coefficients", cleaned)
+        self._init(coefficients=cleaned)
+
+    def __eq__(self, other):
+        if type(other) is not SectorFilter:
+            return NotImplemented
+        return self.coefficients == other.coefficients
 
     def coefficient(self, index: int) -> float:
         return self.coefficients.get(index, 0.0)

@@ -23,10 +23,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .apps.amplification import amplification_tradeoff
-from .apps.cloning import cloning_tradeoff
-from .apps.correction import correction_tradeoff
-from .apps.estimation import estimation_tradeoff
 from .coarse import tradeoff_curve
 from .errors import ConsistencyError, EpopsError
 from .spectra import RATIO_TOLERANCE, EnergyProfile
@@ -40,14 +36,15 @@ _NOT_PARAMETERS = {"command", "func", "out", "raw_argv"}
 
 
 def _write_output(args: argparse.Namespace, text: str, tolerances: dict,
-                  **extra) -> int:
-    """Write ``text`` to ``--out`` and the manifest beside it.
+                  sidecars: tuple = (), **extra) -> int:
+    """Write each sidecar, then ``text`` to ``--out``, then the manifest.
 
-    The manifest's parameters are the subcommand's own arguments plus
-    ``extra``, the derived values worth recording.
+    ``sidecars`` holds (file-name suffix, text) pairs of files written
+    beside ``--out``.  The manifest's parameters are the subcommand's own
+    arguments plus ``extra``, the derived values worth recording.  A file
+    that cannot be written ends the command with exit code 2.
     """
     out = Path(args.out)
-    out.write_text(text)
     parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     doc = {
         "command": args.command,
@@ -58,8 +55,14 @@ def _write_output(args: argparse.Namespace, text: str, tolerances: dict,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    manifest = out.with_name(out.stem + ".manifest.json")
-    manifest.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    manifest = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    for suffix, body in (*sidecars, ("", text), (".manifest.json", manifest)):
+        path = out.with_name(out.stem + suffix) if suffix else out
+        try:
+            path.write_text(body)
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0
 
 
@@ -73,7 +76,13 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     return _write_output(args, tradeoff_curve(p, q, args.rounds).to_csv(), _TOLERANCES)
 
 
+# Each _cmd_* function imports the modules only its own subcommand runs,
+# so a cold call loads nothing another subcommand needs.
+
+
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    from .apps.estimation import estimation_tradeoff
+
     lines = ["T,p_succ,F_recursive,F_coarse,G_recursive,G_coarse"]
     for gp in estimation_tradeoff(args.mode, args.n, args.rounds):
         lines.append(
@@ -85,11 +94,15 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_clone(args: argparse.Namespace) -> int:
+    from .apps.cloning import cloning_tradeoff
+
     curve = cloning_tradeoff(args.n, args.m, args.rounds)
     return _write_output(args, curve.to_csv(), _TOLERANCES)
 
 
 def _cmd_amplify(args: argparse.Namespace) -> int:
+    from .apps.amplification import amplification_tradeoff
+
     result = amplification_tradeoff(args.r1, args.r2, args.cutoff, args.rounds)
     tolerances = {**_TOLERANCES, "closed_form_rel": _CLOSED_FORM_REL,
                   "closed_form_log": _CLOSED_FORM_LOG}
@@ -98,22 +111,22 @@ def _cmd_amplify(args: argparse.Namespace) -> int:
 
 
 def _cmd_correct(args: argparse.Namespace) -> int:
+    from .apps.correction import correction_tradeoff
+
     result = correction_tradeoff(args.d, args.mu, args.rounds)
     tolerances = {**_TOLERANCES, "closed_form_abs": _CLOSED_FORM_ABS}
     return _write_output(args, result.average_curve.to_csv(), tolerances)
 
 
 def _cmd_purify(args: argparse.Namespace) -> int:
-    # The matrix modules load numpy; only purify and verify need them.
     from .mixedstate import purification_report
 
     report = purification_report(args.n, args.beta)
-    out = Path(args.out)
-    sidecar = out.with_name(out.stem + ".sectors.json")
-    sidecar.write_text(json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    sectors = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     text = "N,beta,F_det,F_prob,p_max\n%d,%.6g,%.6g,%.6g,%.6g\n" % (
         report.N, report.beta, report.F_det, report.F_prob, report.p_max)
-    return _write_output(args, text, {"fidelity_tie_rel": 1e-12})
+    return _write_output(args, text, {"fidelity_tie_rel": 1e-12},
+                         sidecars=((".sectors.json", sectors),))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -16,16 +16,14 @@ compared in the tests and by ``epops verify``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .channels import SectorFilter
 from .recursive import ProtocolRun, run_protocol
 from .spectra import EnergyProfile, RatioTable
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One cut of the tradeoff curve at termination round T."""
 
     T: int
@@ -34,8 +32,7 @@ class CurvePoint:
     F_coarse: float
 
 
-@dataclass(frozen=True)
-class TradeoffCurve:
+class TradeoffCurve(NamedTuple):
     """Tradeoff points for T = 1..K, ordered by increasing probability."""
 
     points: Tuple[CurvePoint, ...]

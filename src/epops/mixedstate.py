@@ -17,8 +17,7 @@ momentum blocks invariant, so everything reduces to small per-l matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
     NotOdd,
     TooLarge,
 )
-from .spectra import EnergyLabel, EnergyProfile, build_profile
+from .spectra import EnergyLabel, EnergyProfile, Frozen, build_profile
 
 _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -41,8 +40,7 @@ _DEGENERACY_TOL = 1e-9
 _LOG_RANGE = 700.0
 
 
-@dataclass(frozen=True)
-class BlockDensity:
+class BlockDensity(Frozen):
     """A density matrix stored as sector blocks.
 
     ``sectors`` holds (label, dimension) pairs in increasing label order;
@@ -52,10 +50,9 @@ class BlockDensity:
     Hermitian, positive semidefinite within 1e-10, and of unit trace.
     """
 
-    sectors: Tuple[Tuple[EnergyLabel, int], ...]
-    blocks: Mapping[Tuple[int, int], np.ndarray]
-
-    def __post_init__(self) -> None:
+    def __init__(self, sectors: Tuple[Tuple[EnergyLabel, int], ...],
+                 blocks: Mapping[Tuple[int, int], np.ndarray]) -> None:
+        self._init(sectors=sectors, blocks=blocks)
         indices = [label.index for label, _ in self.sectors]
         if sorted(set(indices)) != indices:
             raise DimensionMismatch("sector labels must be distinct and sorted")
@@ -196,8 +193,7 @@ def det_fidelity_bound(rho: BlockDensity, q: EnergyProfile) -> float:
     return total
 
 
-@dataclass(frozen=True)
-class BlockPositivity:
+class BlockPositivity(NamedTuple):
     """Outcome of the block positivity test in the stored sector bases.
 
     ``certified`` True means every block is, up to its leading square
@@ -275,8 +271,7 @@ def _support_inverse_root(block: np.ndarray) -> np.ndarray:
     return (vecs * inv) @ vecs.conj().T
 
 
-@dataclass(frozen=True)
-class _Alignment:
+class _Alignment(NamedTuple):
     sector_order: Tuple[int, ...]
     ranges: Dict[int, Tuple[int, int]]
     whiteners: Dict[int, np.ndarray]
@@ -322,8 +317,7 @@ def ultimate_mixed_fidelity(rho: BlockDensity, q: EnergyProfile) -> float:
     return float(np.linalg.eigvalsh(a.matrix).max())
 
 
-@dataclass(frozen=True)
-class MixedProbabilityResult:
+class MixedProbabilityResult(NamedTuple):
     """Largest success probability compatible with the ultimate fidelity.
 
     ``exact`` is True when the top eigenspace is one-dimensional and the
@@ -399,8 +393,7 @@ def ultimate_mixed_probability(
 # --- Collective spin sectors and thermal purification -----------------------
 
 
-@dataclass(frozen=True)
-class SpinSector:
+class SpinSector(NamedTuple):
     """One total-angular-momentum sector of N spin-1/2 systems."""
 
     l: float
@@ -525,8 +518,7 @@ def thermal_spin_block_density(N: int, beta: float) -> BlockDensity:
     return block_density(layout, blocks)
 
 
-@dataclass(frozen=True)
-class PurificationSector:
+class PurificationSector(NamedTuple):
     """Closed-form per-l data of the thermal purification."""
 
     l: float
@@ -536,8 +528,7 @@ class PurificationSector:
     probability: float
 
 
-@dataclass(frozen=True)
-class PurificationReport:
+class PurificationReport(NamedTuple):
     """Closed-form purification summary for N thermal spins."""
 
     N: int

@@ -31,9 +31,8 @@ The second route, an exhaustive search over every subset S0, is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Tuple
+from typing import Iterable, NamedTuple, Tuple
 
 from .channels import SectorFilter, filter_success_probability
 from .errors import (
@@ -48,8 +47,7 @@ _SLACK = 1e-12
 _MODES = ("exhaustive", "ratio-family")
 
 
-@dataclass(frozen=True)
-class TradeoffPoint:
+class TradeoffPoint(NamedTuple):
     """One point of the fidelity-probability tradeoff.
 
     ``s0`` is the fully transmitted sector set; the filter follows the

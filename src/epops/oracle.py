@@ -13,8 +13,7 @@ coefficients and by an exhaustive search over the fully transmitted set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .recursive import ProtocolRun, cumulative
-from .spectra import EnergyProfile, common_support
+from .spectra import EnergyProfile, Frozen, common_support
 
 _DIMENSION_CAP = 16
 _SUBSET_SECTOR_CAP = 12
@@ -43,8 +42,7 @@ _SUBSET_TOL = 1e-12
 MERGE_TOLERANCES = {"kraus": 1e-12, "fidelity": 1e-12, "probability": 1e-10}
 
 
-@dataclass(frozen=True)
-class HilbertModel:
+class HilbertModel(Frozen):
     """A finite space split into labeled energy sectors.
 
     ``dims[i]`` is the dimension of the sector labeled ``labels[i]``;
@@ -52,29 +50,24 @@ class HilbertModel:
     exhaustive matrix checks stay cheap.
     """
 
-    labels: Tuple[int, ...]
-    values: Tuple[float, ...]
-    dims: Tuple[int, ...]
-    offsets: Tuple[int, ...] = field(init=False)
-    dimension: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
+    def __init__(self, labels: Tuple[int, ...], values: Tuple[float, ...],
+                 dims: Tuple[int, ...]) -> None:
+        if len(set(labels)) != len(labels):
             raise DimensionMismatch("sector labels must be distinct")
-        if any(d < 1 for d in self.dims):
+        if any(d < 1 for d in dims):
             raise DimensionMismatch("sector dimensions must be positive")
-        total = sum(self.dims)
+        total = sum(dims)
         if total > _DIMENSION_CAP:
             raise TooLarge(
                 f"total dimension {total} exceeds the oracle cap {_DIMENSION_CAP}"
             )
         offsets = []
         at = 0
-        for d in self.dims:
+        for d in dims:
             offsets.append(at)
             at += d
-        object.__setattr__(self, "offsets", tuple(offsets))
-        object.__setattr__(self, "dimension", total)
+        self._init(labels=labels, values=values, dims=dims,
+                   offsets=tuple(offsets), dimension=total)
 
     def sector_slice(self, label: int) -> slice:
         i = self.labels.index(label)
@@ -231,8 +224,7 @@ def random_density(dimension: int, rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-@dataclass(frozen=True)
-class SimulatedRound:
+class SimulatedRound(NamedTuple):
     """One greedy round re-derived from matrices."""
 
     k: int
@@ -242,8 +234,7 @@ class SimulatedRound:
     operator: np.ndarray
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     """Greedy matrix-level protocol run."""
 
     rounds: Tuple[SimulatedRound, ...]
@@ -511,15 +502,13 @@ def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
     return dict(zip(MERGE_TOLERANCES, np.max(gaps, axis=0).tolist()))
 
 
-@dataclass(frozen=True)
-class VerificationCheck:
+class VerificationCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of the oracle cross-check suite."""
 
     seed: int
@@ -581,10 +570,13 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
     against a brute-force grid and against the exhaustive subset search,
     optimality bounds against random filters and random channels, and the
     square-root reduction identity.  Raises ``ValueError`` unless
-    ``instances`` is at least 1: an empty run would pass every check.
+    ``instances`` is at least 1 (an empty run would pass every check) and
+    ``seed`` is nonnegative.
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     from .channels import deterministic_fidelity
     from .coarse import coarse_filter
     from .optimal import optimal_tradeoff_point, ultimate_optimum

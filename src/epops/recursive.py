@@ -14,23 +14,20 @@ The per-round filters and output profiles are built only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from typing import Dict, Tuple
 
 from .errors import RoundOutOfRange
-from .spectra import EnergyProfile, RatioTable, _assemble, ratio_table
+from .spectra import EnergyProfile, Frozen, RatioTable, _assemble, ratio_table
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolRound:
+class ProtocolRound(Frozen):
     """One protocol round: its fidelity and probability, filter and output."""
 
-    run: "ProtocolRun" = field(repr=False)
-    k: int
-    fidelity: float
-    probability: float
+    def __init__(self, run: "ProtocolRun", k: int, fidelity: float,
+                 probability: float) -> None:
+        self._init(run=run, k=k, fidelity=fidelity, probability=probability)
 
     @cached_property
     def kraus(self) -> Dict[int, float]:
@@ -61,8 +58,7 @@ class ProtocolRound:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolRun:
+class ProtocolRun(Frozen):
     """A protocol execution: the ratio table and the first K rounds.
 
     ``fidelities`` and ``probabilities`` hold the per-round values;
@@ -70,13 +66,11 @@ class ProtocolRun:
     fidelity after keeping rounds 1..T.
     """
 
-    input: EnergyProfile
-    target: EnergyProfile
-    table: RatioTable
-    fidelities: Tuple[float, ...]
-    probabilities: Tuple[float, ...]
-    p_succ: Tuple[float, ...]
-    f_recursive: Tuple[float, ...]
+    def __init__(self, input: EnergyProfile, target: EnergyProfile, table: RatioTable,
+                 fidelities: Tuple[float, ...], probabilities: Tuple[float, ...],
+                 p_succ: Tuple[float, ...], f_recursive: Tuple[float, ...]) -> None:
+        self._init(input=input, target=target, table=table, fidelities=fidelities,
+                   probabilities=probabilities, p_succ=p_succ, f_recursive=f_recursive)
 
     @cached_property
     def rounds(self) -> Tuple[ProtocolRound, ...]:

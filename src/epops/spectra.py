@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from functools import total_ordering
 from itertools import accumulate
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .errors import (
     AllZeroWeights,
@@ -41,44 +41,73 @@ RATIO_TOLERANCE = 1e-9
 _NORMALIZATION_TOL = 1e-12
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class EnergyLabel:
+class Frozen:
+    """Base of the validating value types: ``_init`` sets each field once.
+
+    Any later assignment or deletion raises ``AttributeError``.
+    """
+
+    __slots__ = ()
+
+    def _init(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __setstate__(self, state) -> None:
+        # copy and pickle restore the fields here, not through __setattr__.
+        self._init(**(state[1] if isinstance(state, tuple) else state))
+
+
+@total_ordering
+class EnergyLabel(Frozen):
     """Identifier of one energy sector.
 
     The integer ``index`` is the identity: labels compare (and hash) equal
-    iff their indices are equal.  ``value`` is the displayed energy and
-    plays no role in any formula.
+    iff their indices are equal, and order by index.  ``value`` is the
+    displayed energy and plays no role in any formula; it defaults to the
+    index.
     """
 
-    index: int
-    value: float = field(default=math.nan, compare=False)
+    __slots__ = ("index", "value")
 
-    def __post_init__(self) -> None:
-        value = float(self.value)
-        if math.isnan(value):
-            value = float(self.index)
-        object.__setattr__(self, "value", value)
+    def __init__(self, index: int, value: float = math.nan) -> None:
+        value = float(value)
+        self._init(index=index, value=float(index) if math.isnan(value) else value)
+
+    def __eq__(self, other):
+        return self.index == other.index if type(other) is EnergyLabel else NotImplemented
+
+    def __lt__(self, other):
+        return self.index < other.index if type(other) is EnergyLabel else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.index,))
+
+    def __repr__(self) -> str:
+        return f"EnergyLabel(index={self.index!r}, value={self.value!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class EnergyProfile:
+class EnergyProfile(Frozen):
     """Normalized sector weights of a pure state.
 
     ``entries`` is ordered by strictly increasing label index, every weight
     is positive, and the weights sum to one within 1e-12.  ``support``
     lists the sector indices in that order and ``labels`` their labels.
+    Profiles compare and hash by ``entries``.
     """
 
-    entries: Tuple[Tuple[EnergyLabel, float], ...]
-    support: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    labels: Tuple[EnergyLabel, ...] = field(init=False, repr=False, compare=False)
-    _by_index: dict[int, float] = field(init=False, repr=False, compare=False)
+    __slots__ = ("entries", "support", "labels", "_by_index")
 
-    def __post_init__(self) -> None:
-        indices = [label.index for label, _ in self.entries]
+    def __init__(self, entries: Tuple[Tuple[EnergyLabel, float], ...]) -> None:
+        indices = [label.index for label, _ in entries]
         if any(b <= a for a, b in zip(indices, indices[1:])):
             raise DuplicateLabel("labels must be strictly increasing by index")
-        weights = [w for _, w in self.entries]
+        weights = [w for _, w in entries]
         if any(w < 0.0 for w in weights):
             raise NegativeWeight("profile weights must be nonnegative")
         total = math.fsum(weights)
@@ -86,11 +115,23 @@ class EnergyProfile:
             raise ValueError(
                 f"profile weights sum to {total!r}, expected 1 within {_NORMALIZATION_TOL}"
             )
-        object.__setattr__(
-            self, "_by_index", {label.index: w for label, w in self.entries}
+        self._init(
+            entries=entries,
+            support=tuple(indices),
+            labels=tuple(label for label, _ in entries),
+            _by_index={label.index: w for label, w in entries},
         )
-        object.__setattr__(self, "support", tuple(indices))
-        object.__setattr__(self, "labels", tuple(label for label, _ in self.entries))
+
+    def __eq__(self, other):
+        if type(other) is not EnergyProfile:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"EnergyProfile(entries={self.entries!r})"
 
     def weight(self, index: int) -> float:
         """Weight at sector ``index`` (zero if the sector is absent)."""
@@ -167,8 +208,7 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
     return _assemble(pairs, ZERO_THRESHOLD)
 
 
-@dataclass(frozen=True, eq=False)
-class RatioTable:
+class RatioTable(NamedTuple):
     """The common spectrum sorted by p_E/q_E, grouped by distinct ratio.
 
     ``order`` lists the common sectors by increasing ratio (ties by index);

@@ -114,6 +114,22 @@ def test_purify_writes_summary_and_sector_sidecar(tmp_path):
     assert len(doc["sectors"]) > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["clone", "--n", "8", "--m", "40"],
+    ["purify", "--n", "5", "--beta", "0.8"],
+], ids=["clone", "purify"])
+@pytest.mark.parametrize("out", ["missing/x.csv", "taken"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, out):
+    # A missing directory fails on the first file written (purify's
+    # sidecar); an existing directory fails on the CSV itself.
+    (tmp_path / "taken").mkdir()
+    rc = run_cli(tmp_path, *argv, "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_purify_even_count_is_infeasible(tmp_path):
     rc = run_cli(tmp_path, "purify", "--n", "4", "--beta", "0.5", "--out", "p.csv")
     assert rc == 3
@@ -263,14 +279,17 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
 
 
 def test_package_and_cli_import_leave_numpy_unloaded(tmp_path):
+    # A bare package import loads no submodule; its exports resolve lazily.
     proc = run_cli_process(
         tmp_path, "-c",
-        "import sys, epops, epops.cli; "
+        "import sys, epops; "
+        "print(sorted(m for m in sys.modules if m.startswith('epops.'))); "
+        "import epops.cli; "
         "print(sorted(m for m in ('numpy', 'epops.oracle', 'epops.mixedstate') "
         "if m in sys.modules))",
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 @pytest.fixture
@@ -346,13 +365,17 @@ def test_verify_subcommand_passes(tmp_path, capsys):
     assert "fail" not in out
 
 
-@pytest.mark.parametrize("instances", ["0", "-3"])
-def test_verify_without_instances_exits_2(tmp_path, capsys, instances):
-    rc = run_cli(tmp_path, "verify", "--seed", "11", "--instances", instances)
+@pytest.mark.parametrize("seed, instances, option", [
+    pytest.param("11", "0", "instances", id="0"),
+    pytest.param("11", "-3", "instances", id="-3"),
+    pytest.param("-1", "4", "seed", id="seed-1"),
+])
+def test_verify_without_instances_exits_2(tmp_path, capsys, seed, instances, option):
+    rc = run_cli(tmp_path, "verify", "--seed", seed, "--instances", instances)
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:") and "instances" in captured.err
+    assert captured.err.startswith("error:") and option in captured.err
 
 
 def test_identical_commands_write_identical_bytes(tmp_path):
@@ -438,21 +461,51 @@ def test_readme_invocations_write_golden_bytes(tmp_path):
 README_CURVE_INVOCATIONS = [case for case in README_INVOCATIONS if case[0][0] != "purify"]
 
 
+#: The app module each curve subcommand runs (``tradeoff`` runs none).
+APP_MODULES = {
+    "estimate": "epops.apps.estimation",
+    "clone": "epops.apps.cloning",
+    "amplify": "epops.apps.amplification",
+    "correct": "epops.apps.correction",
+}
+
+#: Prints the modules a CLI call loaded (beyond what the interpreter had
+#: at start) as a JSON list, then exits with the call's exit code.
+LOADED_BY_CLI = (
+    "import json, sys; before = set(sys.modules); {setup}"
+    "from epops.cli import main; rc = main(sys.argv[1:]); "
+    "print(json.dumps(sorted(set(sys.modules) - before))); sys.exit(rc)"
+)
+
+
 @pytest.mark.parametrize(
     "argv, outputs", README_CURVE_INVOCATIONS,
     ids=[outputs[0] for _, outputs in README_CURVE_INVOCATIONS],
 )
 def test_readme_curve_invocations_run_without_numpy(tmp_path, argv, outputs):
     # numpy set to None in sys.modules makes any import of it fail, so a
-    # golden output proves the curve subcommands never touch it.
+    # golden output proves the curve subcommands never touch it.  Each
+    # subcommand also loads only its own modules.
     write_readme_profiles(tmp_path)
     proc = run_cli_process(
-        tmp_path, "-c",
-        "import sys; sys.modules['numpy'] = None; "
-        "from epops.cli import main; sys.exit(main(sys.argv[1:]))",
-        *argv,
+        tmp_path, "-c", LOADED_BY_CLI.format(setup="sys.modules['numpy'] = None; "), *argv,
     )
     assert proc.returncode == 0, proc.stderr
+    others = set(APP_MODULES.values()) - {APP_MODULES.get(argv[0])}
+    budget = {"dataclasses", "inspect", "epops.optimal", "epops.oracle",
+              "epops.mixedstate"} | others
+    assert budget.isdisjoint(json.loads(proc.stdout))
     for name in outputs:
         digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
         assert digest == README_GOLDEN[name]
+
+
+@pytest.mark.parametrize("argv", [
+    ["purify", "--n", "5", "--beta", "0.8", "--out", "p.csv"],
+    ["verify", "--seed", "3", "--instances", "1"],
+], ids=["purify", "verify"])
+def test_matrix_subcommands_load_no_dataclasses(tmp_path, argv):
+    proc = run_cli_process(tmp_path, "-c", LOADED_BY_CLI.format(setup=""), *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "numpy" in loaded and "dataclasses" not in loaded

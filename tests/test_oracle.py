@@ -1,6 +1,5 @@
 """Matrix-level oracle: simulation, channel checks, grid and subset searches."""
 
-import dataclasses
 import itertools
 import tracemalloc
 
@@ -342,7 +341,7 @@ def test_verification_catches_a_planted_wrong_optimum(monkeypatch):
     # step; the exhaustive subset search still exposes it.
     def short_of_optimal(p, q, p_succ, mode="exhaustive"):
         point = optimal_tradeoff_point(p, q, p_succ, mode)
-        return dataclasses.replace(point, fidelity=point.fidelity - 1e-9)
+        return point._replace(fidelity=point.fidelity - 1e-9)
 
     monkeypatch.setattr(epops.optimal, "optimal_tradeoff_point", short_of_optimal)
     lines = run_verification(seed=1, instances=2).lines()

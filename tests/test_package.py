@@ -1,0 +1,71 @@
+"""The package surface: lazy exports and read-only result and value types."""
+
+import numpy as np
+import pytest
+
+import epops
+import epops.apps
+from epops.apps import amplification_tradeoff, correction_tradeoff, estimation_tradeoff
+from epops.channels import SectorFilter
+from epops.coarse import tradeoff_curve
+from epops.mixedstate import (
+    _alignment,
+    is_block_positive,
+    pure_block_density,
+    purification_report,
+    spin_sector_model,
+    ultimate_mixed_probability,
+)
+from epops.optimal import optimal_tradeoff_point
+from epops.oracle import hilbert_model, run_verification, simulate_protocol
+from epops.recursive import run_protocol
+from epops.spectra import ratio_table, sine_profile, uniform_profile
+
+
+@pytest.mark.parametrize("package", [epops, epops.apps], ids=["epops", "epops.apps"])
+def test_every_export_resolves_and_is_listed(package):
+    listed = dir(package)
+    for name in package.__all__:
+        assert getattr(package, name) is not None
+        assert name in listed
+
+
+@pytest.mark.parametrize("package", [epops, epops.apps], ids=["epops", "epops.apps"])
+def test_unknown_attribute_raises_attribute_error(package):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        package.no_such_name
+    assert not hasattr(package, "no_such_name")
+
+
+def read_only_objects():
+    """(object, one of its fields) for every record and value type."""
+    p, q = uniform_profile(3), sine_profile(3)
+    run = run_protocol(p, q, 4)
+    amp = amplification_tradeoff(1.0, 1.5, 20, 21)
+    corr = correction_tradeoff(6, 0.5, 6)
+    model = hilbert_model({i: 1 for i in set(p.support) | set(q.support)})
+    sim = simulate_protocol(model, p, q, 4, np.random.default_rng(0))
+    report = run_verification(1, 1)
+    rho = pure_block_density(p)
+    purified = purification_report(3, 0.5)
+    return [
+        (p.labels[0], "index"), (p, "entries"), (ratio_table(p, q), "order"),
+        (SectorFilter({0: 1.0}), "coefficients"), (run, "table"), (run.rounds[0], "k"),
+        (amp, "curve"), (amp.audits[0], "floor"), (corr, "average_curve"),
+        (tradeoff_curve(p, q, 4), "points"), (corr.average_curve.points[0], "p_succ"),
+        (optimal_tradeoff_point(p, q, 0.5), "fidelity"),
+        (estimation_tradeoff("maxcoh", 5, 2)[0], "gain_coarse"),
+        (model, "dims"), (sim, "rounds"), (sim.rounds[0], "fidelity"),
+        (report, "checks"), (report.checks[0], "passed"),
+        (rho, "blocks"), (is_block_positive(rho), "certified"), (_alignment(rho, q), "matrix"),
+        (ultimate_mixed_probability(rho, q), "value"), (spin_sector_model(3, 0.5)[0], "g"),
+        (purified, "F_det"), (purified.sectors[0], "alignment"),
+    ]
+
+
+def test_fields_cannot_be_assigned():
+    for obj, name in read_only_objects():
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        assert getattr(obj, name) is not None, type(obj).__name__
+

@@ -96,6 +96,17 @@ def test_fidelity_strictly_decreases():
         )
 
 
+def test_rounds_and_their_filters_are_built_once_on_first_read():
+    p, q = two_sector()
+    run = run_protocol(p, q, 8)
+    assert "rounds" not in vars(run)
+    first = run.rounds[0]
+    assert run.rounds is run.rounds
+    assert "kraus" not in vars(first) and "output" not in vars(first)
+    assert first.kraus is first.kraus
+    assert first.output is first.output
+
+
 def test_kraus_weights_partition_unity_on_input_support():
     rng = np.random.default_rng(37)
     for _ in range(25):

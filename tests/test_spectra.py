@@ -107,6 +107,16 @@ def test_labels_and_profiles_carry_no_instance_dict():
     p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
     assert not hasattr(p, "__dict__")
     assert not hasattr(p.labels[0], "__dict__")
+    assert len(p) == 2
+    assert isinstance(EnergyProfile.__dict__["from_json"], classmethod)
+
+
+def test_profiles_compare_and_hash_by_entries():
+    p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
+    same = EnergyProfile.from_json(p.to_json())
+    assert p == same and hash(p) == hash(same)
+    assert p != build_profile([(0, 0.0, 0.5), (3, 1.5, 0.5)])
+    assert p != p.entries
 
 
 def test_build_profile_rejects_all_zero():
@@ -118,6 +128,10 @@ def test_label_identity_ignores_value():
     assert EnergyLabel(3, 1.0) == EnergyLabel(3, 2.0)
     assert EnergyLabel(2) < EnergyLabel(3)
     assert EnergyLabel(4).value == 4.0
+    a, b = EnergyLabel(1, 2.0), EnergyLabel(1, 5.0)
+    assert a == b and hash(a) == hash(b)
+    assert EnergyLabel(1, 9.0) < EnergyLabel(2, 0.0) <= EnergyLabel(2, 3.0)
+    assert sorted([EnergyLabel(3), EnergyLabel(1)]) == [EnergyLabel(1), EnergyLabel(3)]
 
 
 def test_weight_of_absent_sector_is_zero():
