@@ -7,10 +7,16 @@ always be traced back to the exact invocation that produced it.  The
 ``verify`` subcommand runs the independent matrix-oracle suites instead
 and reports pass or fail per check.
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 infeasible parameters (domain errors such as disjoint spectra, a parity
-mismatch or a non-finite weight), 4 an internal consistency check failed
-(two routes to the same number disagreed beyond their tolerance).
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
+output file that cannot be written, 3 infeasible parameters (domain
+errors such as disjoint spectra, a parity mismatch or a non-finite
+weight), 4 an internal consistency check failed (two routes to the same
+number disagreed beyond their tolerance).
+
+Every call runs in a cold interpreter, so imports count: this module
+imports at its top only what several subcommands run, and each ``_cmd_*``
+function imports the modules only its own subcommand runs (its app, the
+oracle, the mixed-state module).
 """
 
 from __future__ import annotations
@@ -74,10 +80,6 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
         print(f"error: cannot load profile: {exc}", file=sys.stderr)
         return 2
     return _write_output(args, tradeoff_curve(p, q, args.rounds).to_csv(), _TOLERANCES)
-
-
-# Each _cmd_* function imports the modules only its own subcommand runs,
-# so a cold call loads nothing another subcommand needs.
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:

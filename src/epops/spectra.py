@@ -77,7 +77,10 @@ class EnergyLabel(Frozen):
 
     def __init__(self, index: int, value: float = math.nan) -> None:
         value = float(value)
-        self._init(index=index, value=float(index) if math.isnan(value) else value)
+        # Set directly, without _init's keyword dict: every profile builds
+        # one label per sector.
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "value", float(index) if math.isnan(value) else value)
 
     def __eq__(self, other):
         return self.index == other.index if type(other) is EnergyLabel else NotImplemented
