@@ -43,12 +43,14 @@ _NOT_PARAMETERS = {"command", "func", "out", "raw_argv"}
 
 def _write_output(args: argparse.Namespace, text: str, tolerances: dict,
                   sidecars: tuple = (), **extra) -> int:
-    """Write each sidecar, then ``text`` to ``--out``, then the manifest.
+    """Write ``text`` to ``--out``, then each sidecar, then the manifest.
 
     ``sidecars`` holds (file-name suffix, text) pairs of files written
     beside ``--out``.  The manifest's parameters are the subcommand's own
     arguments plus ``extra``, the derived values worth recording.  A file
-    that cannot be written ends the command with exit code 2.
+    that cannot be written ends the command with exit code 2; ``--out``
+    goes first, so a path that is a directory or lies in a missing one
+    leaves no file behind.
     """
     out = Path(args.out)
     parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
@@ -62,7 +64,7 @@ def _write_output(args: argparse.Namespace, text: str, tolerances: dict,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     manifest = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    for suffix, body in (*sidecars, ("", text), (".manifest.json", manifest)):
+    for suffix, body in (("", text), *sidecars, (".manifest.json", manifest)):
         path = out.with_name(out.stem + suffix) if suffix else out
         try:
             path.write_text(body)

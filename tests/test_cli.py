@@ -120,14 +120,14 @@ def test_purify_writes_summary_and_sector_sidecar(tmp_path):
 ], ids=["clone", "purify"])
 @pytest.mark.parametrize("out", ["missing/x.csv", "taken"])
 def test_unwritable_out_exits_2(tmp_path, capsys, argv, out):
-    # A missing directory fails on the first file written (purify's
-    # sidecar); an existing directory fails on the CSV itself.
+    # The CSV is written first, so its failure leaves no sidecar or
+    # manifest behind.
     (tmp_path / "taken").mkdir()
     rc = run_cli(tmp_path, *argv, "--out", out)
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: cannot write ") and "Traceback" not in err
-    assert not (tmp_path / "missing").exists()
+    assert err.startswith(f"error: cannot write {out}: ") and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_purify_even_count_is_infeasible(tmp_path):
