@@ -16,6 +16,7 @@ and the filtered fidelity
 from __future__ import annotations
 
 import math
+import operator
 from typing import Mapping, Tuple
 
 from .errors import ZeroSuccessProbability
@@ -24,22 +25,36 @@ from .spectra import EnergyProfile, Frozen, build_profile, common_support
 _CLIP_SLACK = 1e-12
 
 
+def _sector_index(key) -> int:
+    """A filter key that is not an ``int``, as a sector index."""
+    if not isinstance(key, bool):
+        try:
+            return operator.index(key)
+        except TypeError:
+            pass
+    raise ValueError(f"filter key {key!r} is not an integer sector index")
+
+
 class SectorFilter(Frozen):
     """Per-sector transmission probabilities x_E of a pure filter.
 
     Absent sectors transmit nothing.  Coefficients within 1e-12 outside
     [0, 1] are clipped (boundary solutions of the Lagrange optimum land at
-    1 up to roundoff); anything further out, and NaN, is rejected.
+    1 up to roundoff); anything further out, and NaN, is rejected.  Keys
+    are integer sector indices (ints or numpy integers); a bool or a
+    float key is rejected, not truncated.
     """
 
     def __init__(self, coefficients: Mapping[int, float]) -> None:
         cleaned: dict[int, float] = {}
         for index, x in coefficients.items():
+            if type(index) is not int:
+                index = _sector_index(index)
             if not -_CLIP_SLACK <= x <= 1.0 + _CLIP_SLACK:
                 raise ValueError(
                     f"filter coefficient {x!r} at sector {index} is not in [0, 1]"
                 )
-            cleaned[int(index)] = min(max(x, 0.0), 1.0)
+            cleaned[index] = min(max(x, 0.0), 1.0)
         self._init(coefficients=cleaned)
 
     def __eq__(self, other):

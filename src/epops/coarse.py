@@ -88,12 +88,12 @@ def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
     """Recursive and merged fidelities of ``run`` against success probability."""
     f_coarse = _merged_fidelities(run.table, len(run.fidelities))
     return TradeoffCurve(
-        points=tuple(
+        points=tuple([
             CurvePoint(T=T, p_succ=p, F_recursive=f_rec, F_coarse=f_co)
             for T, (p, f_rec, f_co) in enumerate(
                 zip(run.p_succ, run.f_recursive, f_coarse), start=1
             )
-        )
+        ])
     )
 
 

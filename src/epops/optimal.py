@@ -31,17 +31,13 @@ The second route, an exhaustive search over every subset S0, is
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import mul
 from typing import Iterable, NamedTuple, Tuple
 
-from .channels import SectorFilter, filter_success_probability
-from .errors import (
-    DisjointSpectra,
-    InfeasibleProbability,
-    InvalidPartition,
-    NoFeasiblePartition,
-)
-from .spectra import EnergyProfile, common_support, ratio_table
+from .channels import SectorFilter
+from .errors import InfeasibleProbability, InvalidPartition, NoFeasiblePartition
+from .spectra import EnergyProfile, _ratio_columns, common_support
 
 _SLACK = 1e-12
 _MODES = ("exhaustive", "ratio-family")
@@ -79,57 +75,62 @@ def ultimate_optimum(
     transmits each common sector with x_E = (min ratio) q_E/p_E, which is
     exactly 1 at the ratio-minimizing sector.
     """
-    common = common_support(p, q)
-    if not common:
-        raise DisjointSpectra("input and target profiles share no sector")
-    f_max = math.fsum(q.weight(i) for i in common)
-    r_min = min(p.weight(i) / q.weight(i) for i in common)
-    p_max = r_min * f_max
-    coeffs = {i: r_min * q.weight(i) / p.weight(i) for i in common}
-    return f_max, p_max, SectorFilter(coeffs)
+    order, ratios, pw, qw = _ratio_columns(p, q)
+    f_max = math.fsum(qw)
+    r_min = ratios[0]
+    coeffs = {i: r_min * b / a for i, a, b in zip(order, pw, qw)}
+    return f_max, r_min * f_max, SectorFilter(coeffs)
 
 
-def _two_regime(
-    p: EnergyProfile, q: EnergyProfile, s0: Iterable[int], p_succ: float
-) -> Tuple[Tuple[int, ...], dict, float]:
-    """Validate the partition once; return (sorted s0, coefficients, Omega).
+def _two_regime_columns(p0, q0, s1, p1, q1, p_succ: float) -> Tuple[list, float]:
+    """The two-regime filter from weight columns: (x on s1, Omega).
 
-    x_E = 1 on s0 and x_E = c q_E/p_E on the rest s1 of the common
-    spectrum, with c = (p_succ - p(s0)) / q(s1).
+    x_E = 1 on s0 (weights ``p0``, ``q0``) and x_E = c q_E/p_E on the
+    sectors ``s1`` (weights ``p1``, ``q1``), c = (p_succ - p(s0)) / q(s1).
+    Every sum is an ``fsum``, so the column order does not matter.
     """
-    common = common_support(p, q)
-    s0_set = set(s0)
-    s0_t = tuple(sorted(s0_set))
-    if not s0_set.issubset(common):
-        raise InvalidPartition(f"s0 {s0_t} is not a subset of the common spectrum")
-    s1 = tuple(i for i in common if i not in s0_set)
-    p_s0 = math.fsum(p.weight(i) for i in s0_t)
-    q_s1 = math.fsum(q.weight(i) for i in s1)
+    p_s0 = math.fsum(p0)
+    q_s1 = math.fsum(q1)
     excess = p_succ - p_s0
     if excess < -_SLACK * max(1.0, p_succ):
         raise InfeasibleProbability(
             f"requested p_succ={p_succ} is below the weight {p_s0} of s0"
         )
-    if not s1:
-        if abs(excess) > 1e-10:
-            raise InfeasibleProbability(
-                f"s0 covers the whole common spectrum but transmits {p_s0}, "
-                f"not the requested {p_succ}"
-            )
-        c = 0.0
-    else:
-        c = max(excess, 0.0) / q_s1
-    coeffs = {i: 1.0 for i in s0_t}
-    for i in s1:
-        x = c * q.weight(i) / p.weight(i)
+    if not s1 and abs(excess) > 1e-10:
+        raise InfeasibleProbability(
+            f"s0 covers the whole common spectrum but transmits {p_s0}, "
+            f"not the requested {p_succ}"
+        )
+    c = max(excess, 0.0) / q_s1 if s1 else 0.0
+    xs = [c * b / a for a, b in zip(p1, q1)]
+    for i, x in zip(s1, xs):
         if x > 1.0 + _SLACK:
             raise InfeasibleProbability(
                 f"coefficient {x} at sector {i} exceeds 1; "
                 f"p_succ={p_succ} is not reachable with this partition"
             )
-        coeffs[i] = min(x, 1.0)
-    aligned = math.fsum(math.sqrt(p.weight(i) * q.weight(i)) for i in s0_t)
-    return s0_t, coeffs, aligned + math.sqrt(max(excess, 0.0) * q_s1)
+    aligned = math.fsum(map(math.sqrt, map(mul, p0, q0)))
+    return [min(x, 1.0) for x in xs], aligned + math.sqrt(max(excess, 0.0) * q_s1)
+
+
+def _two_regime(
+    p: EnergyProfile, q: EnergyProfile, s0: Iterable[int], p_succ: float
+) -> Tuple[Tuple[int, ...], dict, float]:
+    """Validate the partition once; return (sorted s0, coefficients, Omega)."""
+    common = common_support(p, q)
+    s0_set = set(s0)
+    s0_t = tuple(sorted(s0_set))
+    if not s0_set.issubset(common):
+        raise InvalidPartition(f"s0 {s0_t} is not a subset of the common spectrum")
+    s1 = [i for i in common if i not in s0_set]
+    pd, qd = p._by_index, q._by_index
+    xs, om = _two_regime_columns(
+        [pd[i] for i in s0_t], [qd[i] for i in s0_t],
+        s1, [pd[i] for i in s1], [qd[i] for i in s1], p_succ,
+    )
+    coeffs = dict.fromkeys(s0_t, 1.0)
+    coeffs.update(zip(s1, xs))
+    return s0_t, coeffs, om
 
 
 def lagrange_filter(
@@ -151,10 +152,7 @@ def omega(
 
 
 def optimal_tradeoff_point(
-    p: EnergyProfile,
-    q: EnergyProfile,
-    p_succ: float,
-    mode: str = "exhaustive",
+    p: EnergyProfile, q: EnergyProfile, p_succ: float, mode: str = "exhaustive"
 ) -> TradeoffPoint:
     """Best fidelity point at success probability ``p_succ``.
 
@@ -174,15 +172,13 @@ def optimal_tradeoff_point(
         raise ValueError(f"unknown mode {mode!r}")
     if not 0.0 < p_succ <= 1.0 + _SLACK:
         raise ValueError("p_succ must lie in (0, 1]")
-    order = ratio_table(p, q).order
-    pw = [p.weight(i) for i in order]
-    qw = [q.weight(i) for i in order]
+    order, ratios, pw, qw = _ratio_columns(p, q)
     # B_j for j = 0..n-1: p of the first j sectors plus the (j+1)-th ratio
     # times q of sectors j+1..n (summed from the tail, as in ratio_table).
     q_from = list(accumulate(reversed(qw)))[::-1]
-    boundaries = zip(accumulate(pw, initial=0.0), pw, qw, q_from)
-    for k, (before, a, b, rest) in enumerate(boundaries):
-        if before + a / b * rest >= p_succ:
+    boundaries = zip(accumulate(pw, initial=0.0), ratios, q_from)
+    for k, (before, r, rest) in enumerate(boundaries):
+        if before + r * rest >= p_succ:
             break
     else:
         if abs(p_succ - math.fsum(pw)) > 1e-10:
@@ -191,12 +187,16 @@ def optimal_tradeoff_point(
             )
         k = len(order)
     try:
-        s0, coeffs, om = _two_regime(p, q, order[:k], p_succ)
+        xs, om = _two_regime_columns(pw[:k], qw[:k], order[k:], pw[k:], qw[k:], p_succ)
     except InfeasibleProbability:
         # At p_succ = B_k the next sector sits at x = 1, and rounding can
         # put it above 1 when its weight is small; the next prefix holds
         # it at exactly 1.
-        s0, coeffs, om = _two_regime(p, q, order[: k + 1], p_succ)
-    filt = SectorFilter(coeffs)
-    achieved = filter_success_probability(p, filt)
-    return TradeoffPoint(p_succ=achieved, fidelity=om * om / p_succ, filter=filt, s0=s0)
+        k += 1
+        xs, om = _two_regime_columns(pw[:k], qw[:k], order[k:], pw[k:], qw[k:], p_succ)
+    coeffs = dict.fromkeys(order[:k], 1.0)
+    coeffs.update(zip(order[k:], xs))
+    achieved = math.fsum(chain(pw[:k], map(mul, pw[k:], xs)))
+    return TradeoffPoint(
+        achieved, om * om / p_succ, SectorFilter(coeffs), tuple(sorted(order[:k]))
+    )

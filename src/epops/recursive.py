@@ -74,10 +74,10 @@ class ProtocolRun(Frozen):
 
     @cached_property
     def rounds(self) -> Tuple[ProtocolRound, ...]:
-        return tuple(
+        return tuple([
             ProtocolRound(self, k, f, pr)
             for k, (f, pr) in enumerate(zip(self.fidelities, self.probabilities), start=1)
-        )
+        ])
 
     @property
     def terminated(self) -> bool:
@@ -104,9 +104,9 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     ratios = table.ratios[:n]
     fidelities = table.q_remaining[:n]
     probabilities = tuple(
-        (r - before) * f for r, before, f in zip(ratios, (0.0,) + ratios, fidelities)
+        [(r - before) * f for r, before, f in zip(ratios, (0.0,) + ratios, fidelities)]
     )
-    p_succ = tuple(accumulate(probabilities))
+    p_succ = tuple(list(accumulate(probabilities)))
     weighted = accumulate(pr * f for pr, f in zip(probabilities, fidelities))
     return ProtocolRun(
         input=p,
@@ -115,7 +115,7 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
         fidelities=fidelities,
         probabilities=probabilities,
         p_succ=p_succ,
-        f_recursive=tuple(w / s for w, s in zip(weighted, p_succ)),
+        f_recursive=tuple([w / s for w, s in zip(weighted, p_succ)]),
     )
 
 

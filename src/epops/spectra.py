@@ -12,6 +12,13 @@ coarse-graining read every number.  It is the only place that sorts.
 Weights for large parameters are computed in the log domain (log-gamma),
 so quantities like the weight 2^-400 at the edge of a 400-copy binomial
 profile stay finite and positive instead of underflowing.
+
+The profile, the ratio table, the protocol columns and the curve points
+copy their tuples from finished lists, ``tuple([...])``, and never build
+them from a generator.  CPython sizes a tuple taken from a list once; a
+tuple grown from a generator is resized, which strands a tuple of another
+size on the interpreter's free lists each time, and in a process that
+builds many small tables those lists grew by about 4 MB.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ import json
 import math
 from functools import total_ordering
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Tuple
 
 from .errors import (
@@ -121,7 +129,7 @@ class EnergyProfile(Frozen):
         self._init(
             entries=entries,
             support=tuple(indices),
-            labels=tuple(label for label, _ in entries),
+            labels=tuple([label for label, _ in entries]),
             _by_index={label.index: w for label, w in entries},
         )
 
@@ -163,7 +171,8 @@ class EnergyProfile(Frozen):
         Weights need not be pre-normalized; they are cleaned up exactly like
         :func:`build_profile` input.  Each ``index`` must be a JSON integer,
         and each ``weight`` and ``value`` a JSON number (not a boolean,
-        string or null).
+        string or null); a NaN or infinite ``value``, or an integer one
+        beyond the double range, raises ``ValueError``.
         """
         doc = json.loads(text)
         for e in doc["energies"]:
@@ -173,10 +182,19 @@ class EnergyProfile(Frozen):
                 if key in e and type(e[key]) not in (int, float):
                     raise ValueError(f"{key} in entry {e!r} is not a number")
         pairs = [
-            (e["index"], float(e.get("value", e["index"])), float(e["weight"]))
+            (e["index"], _json_float(e.get("value", e["index"])),
+             _json_float(e["weight"]))
             for e in doc["energies"]
         ]
         return build_profile(pairs)
+
+
+def _json_float(x) -> float:
+    """A JSON number as a float; an integer beyond the double range is infinite."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _assemble(
@@ -187,6 +205,9 @@ def _assemble(
     for index, value, weight in pairs:
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"energy value {value!r} at sector {index} is not finite")
         if not math.isfinite(weight):
             raise NonFiniteWeight(f"weight {weight!r} at sector {index} is not finite")
         if weight < -1e-12:
@@ -197,7 +218,7 @@ def _assemble(
     if total <= 0.0:
         raise AllZeroWeights("every weight is zero (or below the zero threshold)")
     entries = tuple(
-        (EnergyLabel(i, kept[i][0]), kept[i][1] / total) for i in sorted(kept)
+        [(EnergyLabel(i, kept[i][0]), kept[i][1] / total) for i in sorted(kept)]
     )
     return EnergyProfile(entries)
 
@@ -206,7 +227,8 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
     """Build a profile from ``(index, energy value, weight)`` triples.
 
     Weights are normalized to sum one; sectors with weight at or below
-    :data:`ZERO_THRESHOLD` are removed.
+    :data:`ZERO_THRESHOLD` are removed.  A NaN or infinite energy value
+    raises ``ValueError``.
     """
     return _assemble(pairs, ZERO_THRESHOLD)
 
@@ -257,7 +279,27 @@ class RatioTable(NamedTuple):
 def common_support(p: EnergyProfile, q: EnergyProfile) -> Tuple[int, ...]:
     """Sorted sector indices carrying weight in both profiles."""
     qs = set(q.support)
-    return tuple(i for i in p.support if i in qs)
+    return tuple([i for i in p.support if i in qs])
+
+
+def _ratio_columns(
+    p: EnergyProfile, q: EnergyProfile
+) -> Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
+    """The common spectrum in ratio order: ``(order, ratios, pw, qw)``.
+
+    One stable sort on p_E/q_E, so equal ratios keep index order; the
+    exact per-sector ratios and both weights form columns aligned with
+    ``order``.  Every reader of the ratio order starts here.
+    """
+    pd, qd = p._by_index, q._by_index
+    rows = sorted(
+        ((pd[i] / qd[i], pd[i], qd[i], i) for i in p.support if i in qd),
+        key=itemgetter(0),
+    )
+    if not rows:
+        raise DisjointSpectra("input and target profiles share no sector")
+    raw, pw, qw, order = zip(*rows)
+    return order, raw, pw, qw
 
 
 def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
@@ -268,15 +310,7 @@ def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
     ratio is the group mean); this keeps analytically equal ratios, e.g.
     from a symmetric binomial profile, from inflating the round count.
     """
-    common = common_support(p, q)
-    if not common:
-        raise DisjointSpectra("input and target profiles share no sector")
-    # A stable sort on the ratio alone: equal ratios keep index order.
-    rows = sorted(
-        ((p.weight(i) / q.weight(i), p.weight(i), q.weight(i), i) for i in common),
-        key=lambda row: row[0],
-    )
-    raw, pw, qw, order = zip(*rows)
+    order, raw, pw, qw = _ratio_columns(p, q)
 
     starts = [0]
     for j in range(1, len(raw)):
@@ -284,7 +318,7 @@ def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
         if raw[j] - first > RATIO_TOLERANCE * first:
             starts.append(j)
     ends = starts[1:] + [len(raw)]
-    ratios = tuple(math.fsum(raw[a:b]) / (b - a) for a, b in zip(starts, ends))
+    ratios = tuple([math.fsum(raw[a:b]) / (b - a) for a, b in zip(starts, ends)])
 
     cuts = [0] + ends
     p_eroded = list(accumulate(pw, initial=0.0))
@@ -295,9 +329,9 @@ def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
         order=order,
         ends=tuple(ends),
         ratios=ratios,
-        p_eroded=tuple(p_eroded[c] for c in cuts),
-        aligned=tuple(aligned[c] for c in cuts),
-        q_remaining=tuple(q_remaining[c] for c in cuts),
+        p_eroded=tuple([p_eroded[c] for c in cuts]),
+        aligned=tuple([aligned[c] for c in cuts]),
+        q_remaining=tuple([q_remaining[c] for c in cuts]),
     )
 
 

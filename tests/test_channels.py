@@ -128,6 +128,22 @@ def test_filter_json_round_trip():
     assert again.coefficient(3) == 1.0
 
 
+@pytest.mark.parametrize(
+    "key",
+    [1.7, 1.0, True, np.True_, np.float64(1.0), "1"],
+    ids=["float", "integral-float", "bool", "numpy-bool", "numpy-float", "str"],
+)
+def test_filter_rejects_non_integer_keys(key):
+    with pytest.raises(ValueError, match="filter key .* is not an integer"):
+        SectorFilter({0: 0.5, key: 0.5})
+
+
+def test_filter_accepts_numpy_integer_keys():
+    f = SectorFilter({np.int64(3): 0.5, np.int32(1): 1.0, 0: 0.25})
+    assert f.coefficients == {3: 0.5, 1: 1.0, 0: 0.25}
+    assert all(type(i) is int for i in f.coefficients)
+
+
 @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
 def test_filter_rejects_non_finite_coefficient(bad):
     with pytest.raises(ValueError):

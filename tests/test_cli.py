@@ -168,7 +168,9 @@ def test_tradeoff_malformed_json_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+@pytest.mark.parametrize(
+    "bad", ["NaN", "Infinity", "1" + "0" * 400], ids=["NaN", "Infinity", "1e400-integer"]
+)
 def test_tradeoff_non_finite_weight_exits_3(tmp_path, capsys, bad):
     (tmp_path / "p.json").write_text(
         '{"energies": [{"index": 0, "weight": 0.5}, {"index": 1, "weight": %s}]}' % bad
@@ -180,6 +182,26 @@ def test_tradeoff_non_finite_weight_exits_3(tmp_path, capsys, bad):
     )
     assert rc == 3
     assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad", ["NaN", "Infinity", "-Infinity", "-1" + "0" * 400],
+    ids=["NaN", "Infinity", "-Infinity", "-1e400-integer"],
+)
+def test_tradeoff_non_finite_energy_value_exits_2(tmp_path, capsys, bad):
+    (tmp_path / "p.json").write_text(
+        '{"energies": [{"index": 0, "weight": 0.5}, {"index": 1, "value": %s, "weight": 0.5}]}'
+        % bad
+    )
+    (tmp_path / "q.json").write_text(uniform_profile(2).to_json())
+    rc = run_cli(
+        tmp_path, "tradeoff", "--input", "p.json", "--target", "q.json",
+        "--out", "t.csv",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "at sector 1 is not finite" in err
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -1,0 +1,133 @@
+"""Property tests of the fixed-p_succ optimum on random profile pairs.
+
+Pairs have 1..16 common sectors, optional sectors that only one profile
+carries, and weights drawn partly from a few small integers, so that
+exactly tied ratios p_E/q_E are common.  Targets are random fractions of
+the common input weight p(common), the boundary probabilities B_j, and
+p(common) itself.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from epops.channels import SectorFilter, filter_fidelity, filter_success_probability
+from epops.optimal import _two_regime, optimal_tradeoff_point
+from epops.oracle import exhaustive_tradeoff
+from epops.spectra import build_profile, common_support
+
+#: Fixed example sequences keep the suite deterministic.
+PROPERTY_SETTINGS = settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+#: Integer weights repeat often, so equal (p, q) pairs tie their ratios exactly.
+WEIGHTS = st.one_of(st.integers(1, 4).map(float), st.floats(1e-3, 1.0))
+
+
+@st.composite
+def pairs(draw, max_common=16):
+    """(p, q): n common sectors 0..n-1, then up to two sectors of p alone
+    and up to two of q alone."""
+    n = draw(st.integers(1, max_common))
+    p_only = draw(st.integers(0, 2))
+    q_only = draw(st.integers(0, 2))
+    pw = draw(st.lists(WEIGHTS, min_size=n + p_only, max_size=n + p_only))
+    qw = draw(st.lists(WEIGHTS, min_size=n + q_only, max_size=n + q_only))
+    p_sectors = list(range(n + p_only))
+    q_sectors = list(range(n)) + list(range(n + p_only, n + p_only + q_only))
+    p = build_profile([(i, float(i), w) for i, w in zip(p_sectors, pw)])
+    q = build_profile([(i, float(i), w) for i, w in zip(q_sectors, qw)])
+    return p, q
+
+
+def p_common(p, q):
+    return math.fsum(p.weight(i) for i in common_support(p, q))
+
+
+def boundary_probabilities(p, q):
+    """B_j for every prefix length j of the ratio order, summed directly."""
+    common = sorted(common_support(p, q), key=lambda i: p.weight(i) / q.weight(i))
+    pw = [p.weight(i) for i in common]
+    qw = [q.weight(i) for i in common]
+    return [
+        math.fsum(pw[:j]) + pw[j] / qw[j] * math.fsum(qw[j:])
+        for j in range(len(common))
+    ]
+
+
+@st.composite
+def pairs_and_target(draw, max_common=16):
+    p, q = draw(pairs(max_common))
+    top = p_common(p, q)
+    kind = draw(st.sampled_from(["fraction", "boundary", "all"]))
+    if kind == "fraction":
+        target = draw(st.floats(1e-9, 1.0)) * top
+    elif kind == "boundary":
+        target = draw(st.sampled_from(boundary_probabilities(p, q)))
+    else:
+        target = top
+    return p, q, min(target, 1.0)
+
+
+@PROPERTY_SETTINGS
+@given(pairs_and_target())
+def test_optimum_is_the_two_regime_filter_of_its_prefix(case):
+    p, q, target = case
+    pt = optimal_tradeoff_point(p, q, target)
+    s0, coeffs, om = _two_regime(p, q, pt.s0, target)
+    filt = SectorFilter(coeffs)
+    assert s0 == pt.s0
+    assert filt == pt.filter
+    assert om * om / target == pt.fidelity
+    assert filter_success_probability(p, filt) == pt.p_succ
+
+
+@PROPERTY_SETTINGS
+@given(pairs_and_target())
+def test_optimum_reproduces_the_requested_probability(case):
+    p, q, target = case
+    pt = optimal_tradeoff_point(p, q, target)
+    assert abs(pt.p_succ - target) <= 1e-10
+    assert filter_fidelity(p, q, pt.filter) == pytest.approx(pt.fidelity, abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(pairs(), st.lists(st.floats(1e-9, 1.0), min_size=2, max_size=6))
+def test_optimum_never_gains_fidelity_as_p_succ_grows(pair, fractions):
+    p, q = pair
+    top = p_common(p, q)
+    targets = sorted(min(f * top, 1.0) for f in fractions)
+    fids = [optimal_tradeoff_point(p, q, t).fidelity for t in targets]
+    assert all(b <= a + 1e-12 for a, b in zip(fids, fids[1:]))
+
+
+@PROPERTY_SETTINGS
+@given(pairs(), st.data())
+def test_optimum_is_at_least_any_filter_at_its_probability(pair, data):
+    p, q = pair
+    common = common_support(p, q)
+    x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(common), max_size=len(common)))
+    filt = SectorFilter(dict(zip(common, x)))
+    achieved = filter_success_probability(p, filt)
+    if achieved <= 0.0:
+        return
+    best = optimal_tradeoff_point(p, q, achieved)
+    assert best.fidelity >= filter_fidelity(p, q, filt) - 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(pairs_and_target(max_common=12))
+def test_optimum_equals_the_exhaustive_subset_search(case):
+    # The subset search enumerates 2^n prefixes; it caps n at 12.
+    p, q, target = case
+    pt = optimal_tradeoff_point(p, q, target)
+    assert pt.fidelity == pytest.approx(exhaustive_tradeoff(p, q, target), abs=1e-12)

@@ -55,10 +55,29 @@ def test_build_profile_rejects_non_finite_weight(bad):
         build_profile([(0, 0.0, 0.5), (1, 1.0, bad)])
 
 
-@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize(
+    "bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+    ids=["NaN", "Infinity", "-Infinity", "1e400-integer"],
+)
 def test_from_json_rejects_non_finite_weight(bad):
     text = '{"energies": [{"index": 0, "weight": 0.5}, {"index": 1, "weight": %s}]}' % bad
     with pytest.raises(NonFiniteWeight):
+        EnergyProfile.from_json(text)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_profile_rejects_non_finite_energy_value(bad):
+    with pytest.raises(ValueError, match="energy value .* at sector 1 is not finite"):
+        build_profile([(0, 0.0, 0.5), (1, bad, 0.5)])
+
+
+@pytest.mark.parametrize(
+    "bad", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400],
+    ids=["NaN", "Infinity", "-Infinity", "1e400-integer"],
+)
+def test_from_json_rejects_non_finite_energy_value(bad):
+    text = '{"energies": [{"index": 0, "weight": 0.5}, {"index": 1, "value": %s, "weight": 0.5}]}' % bad
+    with pytest.raises(ValueError, match="at sector 1 is not finite"):
         EnergyProfile.from_json(text)
 
 
