@@ -34,9 +34,6 @@ from .errors import ConsistencyError, EpopsError
 from .spectra import RATIO_TOLERANCE, EnergyProfile
 
 _TOLERANCES = {"ratio_grouping_rel": RATIO_TOLERANCE}
-_CLOSED_FORM_ABS = 1e-10
-_CLOSED_FORM_REL = 1e-8
-_CLOSED_FORM_LOG = 1e-6
 #: Parsed attributes that are not parameters of the computation.
 _NOT_PARAMETERS = {"command", "func", "out", "raw_argv"}
 
@@ -105,20 +102,19 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_amplify(args: argparse.Namespace) -> int:
-    from .apps.amplification import amplification_tradeoff
+    from .apps.amplification import _LOG_TOL, _REL_TOL, amplification_tradeoff
 
     result = amplification_tradeoff(args.r1, args.r2, args.cutoff, args.rounds)
-    tolerances = {**_TOLERANCES, "closed_form_rel": _CLOSED_FORM_REL,
-                  "closed_form_log": _CLOSED_FORM_LOG}
+    tolerances = {**_TOLERANCES, "closed_form_rel": _REL_TOL, "closed_form_log": _LOG_TOL}
     return _write_output(args, result.curve.to_csv(), tolerances,
                          tail_bound=result.tail_bound)
 
 
 def _cmd_correct(args: argparse.Namespace) -> int:
-    from .apps.correction import correction_tradeoff
+    from .apps.correction import _CLOSED_TOL, correction_tradeoff
 
     result = correction_tradeoff(args.d, args.mu, args.rounds)
-    tolerances = {**_TOLERANCES, "closed_form_abs": _CLOSED_FORM_ABS}
+    tolerances = {**_TOLERANCES, "closed_form_abs": _CLOSED_TOL}
     return _write_output(args, result.average_curve.to_csv(), tolerances)
 
 

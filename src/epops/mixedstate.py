@@ -17,6 +17,7 @@ momentum blocks invariant, so everything reduces to small per-l matrices.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, combinations_with_replacement
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -40,34 +41,37 @@ _DEGENERACY_TOL = 1e-9
 _LOG_RANGE = 700.0
 
 
+def _layout(sectors: Sequence[Tuple[EnergyLabel, int]]) -> Dict[int, slice]:
+    """Each sector's row range when the rows are grouped in the given order."""
+    indices = [label.index for label, _ in sectors]
+    if sorted(set(indices)) != indices:
+        raise DimensionMismatch("sector labels must be distinct and sorted")
+    if any(d < 1 for _, d in sectors):
+        raise DimensionMismatch("sector dimensions must be positive")
+    bounds = list(accumulate((d for _, d in sectors), initial=0))
+    return {label.index: slice(a, b) for (label, _), a, b in zip(sectors, bounds, bounds[1:])}
+
+
 class BlockDensity(Frozen):
-    """A density matrix stored as sector blocks.
+    """A density matrix with a labeled sector layout.
 
     ``sectors`` holds (label, dimension) pairs in increasing label order;
-    ``blocks`` maps (row label index, column label index) to the
-    corresponding block.  Only one of (i, j) / (j, i) needs to be stored;
-    the other is the conjugate transpose.  The assembled matrix must be
-    Hermitian, positive semidefinite within 1e-10, and of unit trace.
+    ``matrix`` is the read-only density matrix with its rows and columns
+    grouped by sector in that order, and ``slices`` maps each label index
+    to its row range, so block (i, j) is ``matrix[slices[i], slices[j]]``.
+    The matrix must be Hermitian, positive semidefinite within 1e-10, and
+    of unit trace.
     """
 
     def __init__(self, sectors: Tuple[Tuple[EnergyLabel, int], ...],
-                 blocks: Mapping[Tuple[int, int], np.ndarray]) -> None:
-        self._init(sectors=sectors, blocks=blocks)
-        indices = [label.index for label, _ in self.sectors]
-        if sorted(set(indices)) != indices:
-            raise DimensionMismatch("sector labels must be distinct and sorted")
-        if any(d < 1 for _, d in self.sectors):
-            raise DimensionMismatch("sector dimensions must be positive")
-        dims = dict(self.dims_by_index())
-        for (i, j), b in self.blocks.items():
-            if i not in dims or j not in dims:
-                raise DimensionMismatch(f"block ({i}, {j}) names an unknown sector")
-            if b.shape != (dims[i], dims[j]):
-                raise DimensionMismatch(
-                    f"block ({i}, {j}) has shape {b.shape}, "
-                    f"expected {(dims[i], dims[j])}"
-                )
-        full = self.assemble()
+                 matrix: np.ndarray) -> None:
+        slices = _layout(sectors)
+        total = sum(d for _, d in sectors)
+        full = np.array(matrix, dtype=complex)
+        if full.shape != (total, total):
+            raise DimensionMismatch(
+                f"matrix of shape {full.shape} does not match total dimension {total}"
+            )
         if np.abs(full - full.conj().T).max() > _HERMITICITY_TOL:
             raise DimensionMismatch("assembled matrix is not Hermitian")
         trace = float(np.trace(full).real)
@@ -76,25 +80,19 @@ class BlockDensity(Frozen):
         low = float(np.linalg.eigvalsh((full + full.conj().T) / 2).min())
         if low < -_TRACE_TOL:
             raise ValueError(f"assembled matrix has negative eigenvalue {low}")
-
-    def dims_by_index(self) -> Tuple[Tuple[int, int], ...]:
-        return tuple((label.index, d) for label, d in self.sectors)
+        full.flags.writeable = False
+        self._init(sectors=tuple(sectors), matrix=full, slices=slices)
 
     @property
     def labels(self) -> Tuple[int, ...]:
-        return tuple(label.index for label, _ in self.sectors)
+        return tuple(self.slices)
 
     @property
     def dimension(self) -> int:
-        return sum(d for _, d in self.sectors)
+        return self.matrix.shape[0]
 
     def block(self, i: int, j: int) -> np.ndarray:
-        dims = dict(self.dims_by_index())
-        if (i, j) in self.blocks:
-            return np.asarray(self.blocks[(i, j)])
-        if (j, i) in self.blocks:
-            return np.asarray(self.blocks[(j, i)]).conj().T
-        return np.zeros((dims[i], dims[j]), dtype=complex)
+        return self.matrix[self.slices[i], self.slices[j]]
 
     def diag_block(self, i: int) -> np.ndarray:
         return self.block(i, i)
@@ -103,71 +101,57 @@ class BlockDensity(Frozen):
         return float(np.trace(self.diag_block(i)).real)
 
     def assemble(self) -> np.ndarray:
-        offsets = {}
-        at = 0
-        for label, d in self.sectors:
-            offsets[label.index] = (at, at + d)
-            at += d
-        full = np.zeros((at, at), dtype=complex)
-        for i in self.labels:
-            for j in self.labels:
-                r0, r1 = offsets[i]
-                c0, c1 = offsets[j]
-                full[r0:r1, c0:c1] = self.block(i, j)
-        return full
+        """A writable copy of the full matrix."""
+        return self.matrix.copy()
+
+
+def _labeled(sectors: Sequence[Tuple[int, float, int]]) -> List[Tuple[EnergyLabel, int]]:
+    """(index, energy value, dimension) triples as (label, dimension), by index."""
+    return [
+        (EnergyLabel(int(i), float(v)), int(d))
+        for i, v, d in sorted(sectors, key=lambda s: s[0])
+    ]
 
 
 def block_density(
     sectors: Sequence[Tuple[int, float, int]],
     blocks: Mapping[Tuple[int, int], np.ndarray],
 ) -> BlockDensity:
-    """Build a block density from (index, energy value, dimension) sectors."""
-    secs = tuple(
-        (EnergyLabel(int(i), float(v)), int(d))
-        for i, v, d in sorted(sectors, key=lambda s: s[0])
-    )
-    cleaned = {
-        (int(i), int(j)): np.asarray(b, dtype=complex) for (i, j), b in blocks.items()
-    }
-    return BlockDensity(sectors=secs, blocks=cleaned)
+    """Build a block density from (index, energy value, dimension) sectors.
+
+    Block (j, i) defaults to the conjugate transpose of a given block
+    (i, j); a pair given neither way is zero.
+    """
+    secs = _labeled(sectors)
+    slices = _layout(secs)
+    total = sum(d for _, d in secs)
+    full = np.zeros((total, total), dtype=complex)
+    cleaned = {(int(i), int(j)): np.asarray(b, dtype=complex) for (i, j), b in blocks.items()}
+    for (i, j), b in cleaned.items():
+        if i not in slices or j not in slices:
+            raise DimensionMismatch(f"block ({i}, {j}) names an unknown sector")
+        shape = (slices[i].stop - slices[i].start, slices[j].stop - slices[j].start)
+        if b.shape != shape:
+            raise DimensionMismatch(
+                f"block ({i}, {j}) has shape {b.shape}, expected {shape}"
+            )
+        full[slices[i], slices[j]] = b
+        if (j, i) not in cleaned:
+            full[slices[j], slices[i]] = b.conj().T
+    return BlockDensity(secs, full)
 
 
 def pure_block_density(p: EnergyProfile) -> BlockDensity:
     """The rank-one block density of a pure state with profile ``p``."""
-    secs = [(label.index, label.value, 1) for label, _ in p.entries]
-    blocks = {}
-    for i in p.support:
-        for j in p.support:
-            if i <= j:
-                blocks[(i, j)] = np.array(
-                    [[math.sqrt(p.weight(i) * p.weight(j))]], dtype=complex
-                )
-    return block_density(secs, blocks)
+    w = [w for _, w in p.entries]
+    return BlockDensity([(label, 1) for label, _ in p.entries], np.sqrt(np.outer(w, w)))
 
 
 def block_density_from_matrix(
     rho: np.ndarray, sectors: Sequence[Tuple[int, float, int]]
 ) -> BlockDensity:
-    """Slice a full density matrix into labeled sector blocks."""
-    ordered = sorted(sectors, key=lambda s: s[0])
-    total = sum(d for _, _, d in ordered)
-    if rho.shape != (total, total):
-        raise DimensionMismatch(
-            f"matrix of shape {rho.shape} does not match total dimension {total}"
-        )
-    offsets = {}
-    at = 0
-    for i, _, d in ordered:
-        offsets[i] = (at, at + d)
-        at += d
-    blocks = {}
-    for i, _, _ in ordered:
-        for j, _, _ in ordered:
-            if i <= j:
-                r0, r1 = offsets[i]
-                c0, c1 = offsets[j]
-                blocks[(i, j)] = np.asarray(rho[r0:r1, c0:c1], dtype=complex)
-    return block_density(ordered, blocks)
+    """A full density matrix, its rows grouped by sector in index order."""
+    return BlockDensity(_labeled(sectors), rho)
 
 
 def _trace_norm(block: np.ndarray) -> float:
@@ -206,34 +190,33 @@ class BlockPositivity(NamedTuple):
 
 
 def is_block_positive(rho: BlockDensity, tol: float = 1e-10) -> BlockPositivity:
-    """Test block positivity of every sector pair in the stored bases."""
-    for i in rho.labels:
-        for j in rho.labels:
-            b = rho.block(i, j)
-            s = min(b.shape)
-            square = b[:s, :s]
-            if b.shape[0] > s and np.abs(b[s:, :]).max() > tol:
-                return BlockPositivity(
-                    False,
-                    f"block ({i}, {j}) has weight outside its leading square",
-                )
-            if b.shape[1] > s and np.abs(b[:, s:]).max() > tol:
-                return BlockPositivity(
-                    False,
-                    f"block ({i}, {j}) has weight outside its leading square",
-                )
-            if np.abs(square - square.conj().T).max() > tol:
-                return BlockPositivity(
-                    False, f"block ({i}, {j}) is not Hermitian in the stored basis"
-                )
-            low = float(
-                np.linalg.eigvalsh((square + square.conj().T) / 2).min()
+    """Test block positivity of every sector pair in the stored bases.
+
+    Block (j, i) is the conjugate transpose of block (i, j), so each
+    unordered pair is tested once.
+    """
+    for i, j in combinations_with_replacement(rho.labels, 2):
+        b = rho.block(i, j)
+        s = min(b.shape)
+        square = b[:s, :s]
+        outside = b[s:, :] if b.shape[0] > s else b[:, s:]
+        if outside.size and np.abs(outside).max() > tol:
+            return BlockPositivity(
+                False,
+                f"block ({i}, {j}) has weight outside its leading square",
             )
-            if low < -tol:
-                return BlockPositivity(
-                    False,
-                    f"block ({i}, {j}) has negative eigenvalue {low:.2e}",
-                )
+        if np.abs(square - square.conj().T).max() > tol:
+            return BlockPositivity(
+                False, f"block ({i}, {j}) is not Hermitian in the stored basis"
+            )
+        low = float(
+            np.linalg.eigvalsh((square + square.conj().T) / 2).min()
+        )
+        if low < -tol:
+            return BlockPositivity(
+                False,
+                f"block ({i}, {j}) has negative eigenvalue {low:.2e}",
+            )
     return BlockPositivity(True, "all blocks positive in the stored bases")
 
 
@@ -273,37 +256,33 @@ def _support_inverse_root(block: np.ndarray) -> np.ndarray:
 
 class _Alignment(NamedTuple):
     sector_order: Tuple[int, ...]
-    ranges: Dict[int, Tuple[int, int]]
+    ranges: Dict[int, slice]
     whiteners: Dict[int, np.ndarray]
     matrix: np.ndarray
 
 
 def _alignment(rho: BlockDensity, q: EnergyProfile) -> _Alignment:
-    order = [
-        i
-        for i in rho.labels
-        if q.weight(i) > 0.0 and rho.sector_trace(i) > _SUPPORT_CUT
+    kept = [
+        (label, d)
+        for label, d in rho.sectors
+        if q.weight(label.index) > 0.0 and rho.sector_trace(label.index) > _SUPPORT_CUT
     ]
-    if not order:
+    if not kept:
         raise DisjointSpectra("state and target profiles share no sector")
-    dims = dict(rho.dims_by_index())
-    ranges = {}
-    at = 0
-    for i in order:
-        ranges[i] = (at, at + dims[i])
-        at += dims[i]
+    order = tuple(label.index for label, _ in kept)
+    ranges = _layout(kept)
+    rows = np.r_[tuple(rho.slices[i] for i in order)]
+    # The alignment matrix whitens the transpose of rho, which for a
+    # Hermitian matrix is its conjugate.
+    kept_rho = np.conj(rho.matrix[np.ix_(rows, rows)])
     whiteners = {i: _support_inverse_root(rho.diag_block(i)) for i in order}
-    matrix = np.zeros((at, at), dtype=complex)
-    for i in order:
-        for j in order:
-            # Block (i, j) of the full transpose is the conjugate of the
-            # stored block, not its blockwise transpose.
-            k = whiteners[i] @ np.conj(rho.block(i, j)) @ whiteners[j]
-            r0, r1 = ranges[i]
-            c0, c1 = ranges[j]
-            matrix[r0:r1, c0:c1] = math.sqrt(q.weight(i) * q.weight(j)) * k
+    whiten = np.zeros_like(kept_rho)
+    for i, r in ranges.items():
+        whiten[r, r] = whiteners[i]
+    qw = np.repeat([q.weight(i) for i in order], [d for _, d in kept])
+    matrix = np.sqrt(np.outer(qw, qw)) * (whiten @ kept_rho @ whiten)
     return _Alignment(
-        sector_order=tuple(order), ranges=ranges, whiteners=whiteners, matrix=matrix
+        sector_order=order, ranges=ranges, whiteners=whiteners, matrix=matrix
     )
 
 
@@ -335,8 +314,8 @@ def _probability_of(
 ) -> float:
     worst = np.inf
     for i in a.sector_order:
-        r0, r1 = a.ranges[i]
-        sub = sigma[r0:r1, r0:r1]
+        r = a.ranges[i]
+        sub = sigma[r, r]
         if float(np.trace(sub).real) <= 1e-14:
             continue
         t = a.whiteners[i]
@@ -481,41 +460,24 @@ def thermal_spin_block_density(N: int, beta: float) -> BlockDensity:
     _check_spin_count(N)
     if N > 9:
         raise TooLarge(f"N={N} assembles a 2^{N} dimensional matrix; cap is 9")
-    sectors = spin_sector_model(N, beta)
-    by_l = {s.l: s for s in sectors}
-    ls = sorted(by_l, reverse=True)
-    layout = []
-    for twice_m in range(-N, N + 1, 2):
-        m = twice_m / 2.0
-        dim = sum(by_l[l].multiplicity for l in ls if l >= abs(m) - 1e-9)
-        layout.append((twice_m, m, dim))
-    blocks = {}
-    for ti, mi, _ in layout:
-        for tj, mj, _ in layout:
-            if ti > tj:
-                continue
-            rows = [l for l in ls if l >= abs(mi) - 1e-9]
-            cols = [l for l in ls if l >= abs(mj) - 1e-9]
-            entries = np.zeros(
-                (
-                    sum(by_l[l].multiplicity for l in rows),
-                    sum(by_l[l].multiplicity for l in cols),
-                )
-            )
-            r = 0
-            for lr in rows:
-                c = 0
-                dr = by_l[lr].multiplicity
-                for lc in cols:
-                    dc = by_l[lc].multiplicity
-                    if lr == lc:
-                        entries[r : r + dr, c : c + dc] = (
-                            by_l[lr].element(mi, mj) * np.eye(dr)
-                        )
-                    c += dc
-                r += dr
-            blocks[(ti, tj)] = entries
-    return block_density(layout, blocks)
+    sectors = spin_sector_model(N, beta)[::-1]
+    secs = _labeled([
+        (twice_m, twice_m / 2.0,
+         sum(s.multiplicity for s in sectors if s.l >= abs(twice_m) / 2.0 - 1e-9))
+        for twice_m in range(-N, N + 1, 2)
+    ])
+    slices = _layout(secs)
+    full = np.zeros((2**N, 2**N))
+    # The rows of (l, copy) sit at the same offset in every sector 2m with
+    # |m| <= l: the multiplicities of the larger l come first.
+    at = 0
+    for s in sectors:
+        twice_l = int(round(2 * s.l))
+        for copy in range(at, at + s.multiplicity):
+            rows = [slices[twice_m].start + copy for twice_m in range(-twice_l, twice_l + 1, 2)]
+            full[np.ix_(rows, rows)] = s.g
+        at += s.multiplicity
+    return BlockDensity(secs, full)
 
 
 class PurificationSector(NamedTuple):

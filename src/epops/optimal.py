@@ -151,6 +151,29 @@ def omega(
     return _two_regime(p, q, s0, p_succ)[2]
 
 
+def _beyond_common(
+    p: EnergyProfile, order, pw, qw, p_succ: float, excess: float
+) -> TradeoffPoint:
+    """The optimum above p(common): x = 1 on the common spectrum and
+    x = excess / p(input-only) on every sector of ``p`` outside it."""
+    common = set(order)
+    extra = {i: w for i, w in p._by_index.items() if i not in common}
+    p_extra = math.fsum(extra.values())
+    if excess > p_extra * (1.0 + _SLACK):
+        raise NoFeasiblePartition(
+            f"p_succ={p_succ} exceeds the weight of the common spectrum plus "
+            f"the {p_extra} of the input-only sectors"
+        )
+    x = min(excess / p_extra, 1.0)
+    coeffs = dict.fromkeys(order, 1.0)
+    coeffs.update(dict.fromkeys(extra, x))
+    om = math.fsum(map(math.sqrt, map(mul, pw, qw)))
+    achieved = math.fsum(chain(pw, (w * x for w in extra.values())))
+    return TradeoffPoint(
+        achieved, om * om / p_succ, SectorFilter(coeffs), tuple(sorted(order))
+    )
+
+
 def optimal_tradeoff_point(
     p: EnergyProfile, q: EnergyProfile, p_succ: float, mode: str = "exhaustive"
 ) -> TradeoffPoint:
@@ -161,8 +184,9 @@ def optimal_tradeoff_point(
     sits at x = 1 exactly (p_succ = B_k, or p_succ = 1), the prefixes with
     and without it describe the same filter; the shorter one is returned
     unless rounding puts that sector's coefficient above 1.  If no B_k
-    reaches ``p_succ``, the request is feasible only as the whole common
-    spectrum at p_succ = p(common) within 1e-10.
+    reaches ``p_succ``, the whole common spectrum is transmitted: at
+    p_succ = p(common) within 1e-10 alone, and above it together with the
+    sectors of ``p`` outside ``q``, which add probability but no overlap.
 
     ``mode`` is accepted for compatibility: ``"exhaustive"`` and
     ``"ratio-family"`` both run this scan, and any other name raises
@@ -181,7 +205,10 @@ def optimal_tradeoff_point(
         if before + r * rest >= p_succ:
             break
     else:
-        if abs(p_succ - math.fsum(pw)) > 1e-10:
+        excess = p_succ - math.fsum(pw)
+        if excess > 1e-10:
+            return _beyond_common(p, order, pw, qw, p_succ, excess)
+        if excess < -1e-10:
             raise NoFeasiblePartition(
                 f"no partition of the common spectrum admits p_succ={p_succ}"
             )

@@ -448,9 +448,12 @@ def exhaustive_tradeoff(p: EnergyProfile, q: EnergyProfile, p_succ: float) -> fl
 
     For each subset S0 of the n common sectors, x_E = 1 on S0 and
     x_E = c q_E/p_E elsewhere, with c fixed by ``p_succ``; a subset counts
-    if every x_E stays within [0, 1].  The best Omega^2 / p_succ is the
-    optimum that ``optimal_tradeoff_point`` reads off the ratio order, found
-    here without assuming S0 is a prefix of it.  At most 12 common sectors.
+    if every x_E stays within [0, 1].  When S0 is the whole common spectrum,
+    the sectors of ``p`` outside ``q`` may take up an excess up to their
+    weight: they add probability but no overlap.  The best Omega^2 / p_succ
+    is the optimum that ``optimal_tradeoff_point`` reads off the ratio
+    order, found here without assuming S0 is a prefix of it.  At most 12
+    common sectors.
     """
     common = common_support(p, q)
     n = len(common)
@@ -466,8 +469,10 @@ def exhaustive_tradeoff(p: EnergyProfile, q: EnergyProfile, p_succ: float) -> fl
     excess = p_succ - p_s0
     c = excess / np.where(q_s1 > 0.0, q_s1, 1.0)
     min_ratio_s1 = np.where(member, np.inf, (pw / qw)[None, :]).min(axis=1)
+    p_extra = math.fsum(p.weight(i) for i in p.support if i not in common)
     feasible = (excess >= -1e-12) & np.where(
-        q_s1 > 0.0, c <= min_ratio_s1 * (1.0 + 1e-12), np.abs(excess) <= 1e-10
+        q_s1 > 0.0, c <= min_ratio_s1 * (1.0 + 1e-12),
+        excess <= max(1e-10, p_extra * (1.0 + 1e-12)),
     )
     if not feasible.any():
         raise NoFeasiblePartition(

@@ -182,15 +182,14 @@ class EnergyProfile(Frozen):
                 if key in e and type(e[key]) not in (int, float):
                     raise ValueError(f"{key} in entry {e!r} is not a number")
         pairs = [
-            (e["index"], _json_float(e.get("value", e["index"])),
-             _json_float(e["weight"]))
+            (e["index"], e.get("value", e["index"]), e["weight"])
             for e in doc["energies"]
         ]
         return build_profile(pairs)
 
 
 def _json_float(x) -> float:
-    """A JSON number as a float; an integer beyond the double range is infinite."""
+    """A number as a float; an integer beyond the double range is infinite."""
     try:
         return float(x)
     except OverflowError:
@@ -205,7 +204,10 @@ def _assemble(
     for index, value, weight in pairs:
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
-        value = float(value)
+        try:
+            value, weight = float(value), float(weight)
+        except OverflowError:
+            value, weight = _json_float(value), _json_float(weight)
         if not math.isfinite(value):
             raise ValueError(f"energy value {value!r} at sector {index} is not finite")
         if not math.isfinite(weight):
@@ -227,8 +229,9 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
     """Build a profile from ``(index, energy value, weight)`` triples.
 
     Weights are normalized to sum one; sectors with weight at or below
-    :data:`ZERO_THRESHOLD` are removed.  A NaN or infinite energy value
-    raises ``ValueError``.
+    :data:`ZERO_THRESHOLD` are removed.  A NaN or infinite energy value,
+    or an integer one beyond the double range, raises ``ValueError``; such
+    a weight raises :class:`NonFiniteWeight`.
     """
     return _assemble(pairs, ZERO_THRESHOLD)
 

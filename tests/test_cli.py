@@ -15,6 +15,7 @@ import pytest
 
 import epops
 import epops.recursive
+from epops.apps import amplification, correction
 from epops.apps import (
     amplification_tradeoff,
     cloning_tradeoff,
@@ -22,7 +23,7 @@ from epops.apps import (
     estimation_tradeoff,
 )
 from epops.cli import main
-from epops.spectra import sine_profile, uniform_profile
+from epops.spectra import RATIO_TOLERANCE, sine_profile, uniform_profile
 
 SRC_DIR = str(Path(epops.__file__).resolve().parent.parent)
 
@@ -398,6 +399,20 @@ def test_verify_without_instances_exits_2(tmp_path, capsys, seed, instances, opt
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and option in captured.err
+
+
+def test_closed_form_tolerances_in_manifests_are_the_apps_own(tmp_path):
+    expected = {
+        "amplify": ({"closed_form_rel": amplification._REL_TOL,
+                     "closed_form_log": amplification._LOG_TOL},
+                    ["--r1", "1", "--r2", "1.5", "--cutoff", "20", "--rounds", "5"]),
+        "correct": ({"closed_form_abs": correction._CLOSED_TOL},
+                    ["--d", "6", "--mu", "0.4", "--rounds", "6"]),
+    }
+    for command, (tolerances, options) in expected.items():
+        assert run_cli(tmp_path, command, *options, "--out", f"{command}.csv") == 0
+        doc = json.loads((tmp_path / f"{command}.manifest.json").read_text())
+        assert doc["tolerances"] == {"ratio_grouping_rel": RATIO_TOLERANCE, **tolerances}
 
 
 def test_identical_commands_write_identical_bytes(tmp_path):

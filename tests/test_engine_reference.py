@@ -102,10 +102,21 @@ def numpy_boundary_probabilities(p, q):
 def numpy_optimal_point(p, q, p_succ):
     order, pw, boundaries = numpy_boundary_probabilities(p, q)
     reached = np.flatnonzero(boundaries >= p_succ)
+    excess = p_succ - math.fsum(pw)
+    extra = [i for i in p.support if i not in order]
     if reached.size:
         k = int(reached[0])
-    elif abs(p_succ - math.fsum(pw)) <= 1e-10:
+    elif abs(excess) <= 1e-10:
         k = len(order)
+    elif excess > 0.0 and extra:
+        # The whole common spectrum, and the input-only sectors share the rest.
+        x = excess / math.fsum(p.weight(i) for i in extra)
+        if x > 1.0 + 1e-12:
+            raise NoFeasiblePartition(p_succ)
+        filt = SectorFilter({**dict.fromkeys(order, 1.0), **dict.fromkeys(extra, min(x, 1.0))})
+        om = math.fsum(np.sqrt(pw * np.array([q.weight(i) for i in order])).tolist())
+        achieved = filter_success_probability(p, filt)
+        return TradeoffPoint(achieved, om * om / p_succ, filt, tuple(sorted(order)))
     else:
         raise NoFeasiblePartition(p_succ)
     try:

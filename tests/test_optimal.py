@@ -183,11 +183,8 @@ def test_optimum_matches_exhaustive_subset_search():
         p_common = math.fsum(p.weight(i) for i in common_support(p, q))
         targets = boundary_probabilities(p, q) + [p_common, 1.0]
         targets += rng.uniform(0.0, p_common, size=3).tolist()
+        # Above p(common), t = 1 is reached through the input-only sector n.
         for t in targets:
-            if not 0.0 < t <= p_common + 1e-10:
-                with pytest.raises(NoFeasiblePartition):
-                    optimal_tradeoff_point(p, q, t)
-                continue
             pt = optimal_tradeoff_point(p, q, t)
             best = exhaustive_tradeoff(p, q, t)
             assert pt.fidelity == pytest.approx(best, abs=1e-12)
@@ -260,11 +257,15 @@ def test_optimum_on_1600_sectors_matches_merged_curve():
 def test_tradeoff_point_infeasible_probability():
     p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
     q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
-    # Only sector 1 is common, so no filter reaches p_succ above 1/2.
-    with pytest.raises(NoFeasiblePartition):
-        optimal_tradeoff_point(p, q, 0.9)
-    with pytest.raises(NoFeasiblePartition):
-        optimal_tradeoff_point(p, q, 0.9, mode="ratio-family")
+    # Only sector 1 is common, so above p_succ = 1/2 the filter transmits
+    # it whole and makes up the rest from sector 0, which only p carries.
+    for mode in ("exhaustive", "ratio-family"):
+        pt = optimal_tradeoff_point(p, q, 0.9, mode)
+        assert pt.s0 == (1,)
+        assert pt.filter.coefficients == pytest.approx({0: 0.8, 1: 1.0}, abs=1e-15)
+        assert pt.p_succ == pytest.approx(0.9, abs=1e-15)
+        assert pt.fidelity == pytest.approx(0.25 / 0.9, abs=1e-12)
+        assert pt.fidelity == pytest.approx(exhaustive_tradeoff(p, q, 0.9), abs=1e-12)
 
 
 def test_tradeoff_point_rejects_bad_arguments():

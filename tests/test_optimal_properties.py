@@ -4,7 +4,8 @@ Pairs have 1..16 common sectors, optional sectors that only one profile
 carries, and weights drawn partly from a few small integers, so that
 exactly tied ratios p_E/q_E are common.  Targets are random fractions of
 the common input weight p(common), the boundary probabilities B_j, and
-p(common) itself.
+p(common) itself, or the success probability of a random filter on the
+whole input support, which passes p(common) when p has sectors of its own.
 """
 
 from __future__ import annotations
@@ -131,3 +132,18 @@ def test_optimum_equals_the_exhaustive_subset_search(case):
     p, q, target = case
     pt = optimal_tradeoff_point(p, q, target)
     assert pt.fidelity == pytest.approx(exhaustive_tradeoff(p, q, target), abs=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(pairs(max_common=12), st.data())
+def test_optimum_is_at_least_any_filter_on_the_input_support(pair, data):
+    # Transmitting sectors of p outside q adds probability but no overlap.
+    p, q = pair
+    x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(p.support), max_size=len(p.support)))
+    filt = SectorFilter(dict(zip(p.support, x)))
+    achieved = filter_success_probability(p, filt)
+    if achieved <= 0.0:
+        return
+    best = optimal_tradeoff_point(p, q, achieved)
+    assert best.fidelity >= filter_fidelity(p, q, filt) - 1e-12
+    assert best.fidelity == pytest.approx(exhaustive_tradeoff(p, q, achieved), abs=1e-12)

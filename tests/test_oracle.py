@@ -332,8 +332,10 @@ def test_exhaustive_tradeoff_caps_spectrum_size():
 def test_exhaustive_tradeoff_infeasible_probability():
     p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
     q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
+    # The input-only sector 0 takes up at most its own weight above p(common).
+    assert exhaustive_tradeoff(p, q, 0.9) == pytest.approx(0.25 / 0.9, abs=1e-12)
     with pytest.raises(NoFeasiblePartition):
-        exhaustive_tradeoff(p, q, 0.9)
+        exhaustive_tradeoff(p, q, 1.1)
 
 
 def test_verification_catches_a_planted_wrong_optimum(monkeypatch):

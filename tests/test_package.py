@@ -1,4 +1,7 @@
-"""The package surface: lazy exports and read-only result and value types."""
+"""The package surface: lazy exports, read-only types, and no bare asserts."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +60,7 @@ def read_only_objects():
         (estimation_tradeoff("maxcoh", 5, 2)[0], "gain_coarse"),
         (model, "dims"), (sim, "rounds"), (sim.rounds[0], "fidelity"),
         (report, "checks"), (report.checks[0], "passed"),
-        (rho, "blocks"), (is_block_positive(rho), "certified"), (_alignment(rho, q), "matrix"),
+        (rho, "matrix"), (is_block_positive(rho), "certified"), (_alignment(rho, q), "matrix"),
         (ultimate_mixed_probability(rho, q), "value"), (spin_sector_model(3, 0.5)[0], "g"),
         (purified, "F_det"), (purified.sectors[0], "alignment"),
     ]
@@ -69,3 +72,14 @@ def test_fields_cannot_be_assigned():
             setattr(obj, name, None)
         assert getattr(obj, name) is not None, type(obj).__name__
 
+
+def test_no_module_checks_with_assert():
+    # ``python -O`` strips assert statements, so every check must raise.
+    root = Path(epops.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, found

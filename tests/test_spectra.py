@@ -49,7 +49,9 @@ def test_build_profile_rejects_negative_weight():
         build_profile([(0, 0.0, 0.5), (1, 1.0, -0.1)])
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="1e400-integer")]
+)
 def test_build_profile_rejects_non_finite_weight(bad):
     with pytest.raises(NonFiniteWeight):
         build_profile([(0, 0.0, 0.5), (1, 1.0, bad)])
@@ -65,7 +67,9 @@ def test_from_json_rejects_non_finite_weight(bad):
         EnergyProfile.from_json(text)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="1e400-integer")]
+)
 def test_build_profile_rejects_non_finite_energy_value(bad):
     with pytest.raises(ValueError, match="energy value .* at sector 1 is not finite"):
         build_profile([(0, 0.0, 0.5), (1, bad, 0.5)])
