@@ -44,14 +44,13 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "errors": "EpopsError",
     "optimal": "TradeoffPoint lagrange_filter omega optimal_tradeoff_point ultimate_optimum",
     "recursive": "ProtocolRound ProtocolRun cumulative run_protocol termination_time",
-    "spectra": "EnergyLabel EnergyProfile RatioTable binomial_profile build_profile "
+    "spectra": "EnergyProfile RatioTable binomial_profile build_profile "
                "common_support poisson_profile ratio_table sine_profile uniform_profile",
 })
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EnergyLabel",
     "EnergyProfile",
     "EpopsError",
     "RatioTable",

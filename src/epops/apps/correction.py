@@ -84,7 +84,7 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
                 r.fidelity, cf, _CLOSED_TOL,
             )
     curve = curve_from_run(run)
-    mapped = tuple(
+    mapped = tuple([
         CurvePoint(
             T=pt.T,
             p_succ=pt.p_succ,
@@ -92,7 +92,7 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
             F_coarse=haar_average_fidelity(pt.F_coarse, d),
         )
         for pt in curve.points
-    )
+    ])
     return CorrectionResult(
         d=d,
         mu=mu,

@@ -19,7 +19,6 @@ from ..coarse import coarse_filter, curve_from_run
 from ..errors import NotNormalized, NotOdd
 from ..recursive import run_protocol
 from ..spectra import (
-    EnergyLabel,
     EnergyProfile,
     binomial_profile,
     sine_profile,
@@ -63,8 +62,8 @@ def holevo_gain(amplitudes: Sequence[float]) -> float:
 def _dense_amplitudes(profile: EnergyProfile) -> List[float]:
     lo, hi = profile.support[0], profile.support[-1]
     a = [0.0] * (hi - lo + 1)
-    for label, w in profile.entries:
-        a[label.index - lo] = math.sqrt(w)
+    for i, w in zip(profile.support, profile.weights):
+        a[i - lo] = math.sqrt(w)
     return a
 
 
@@ -81,9 +80,9 @@ def estimation_profiles(mode: str, N: int) -> Tuple[EnergyProfile, EnergyProfile
         return uniform_profile(N), sine_profile(N - 1)
     if mode == "qubits":
         # Excitation numbers n = (m + N)/2 of N symmetric qubits along x.
-        spins = binomial_profile(N).entries
-        qubits = EnergyProfile(tuple((EnergyLabel((m.index + N) // 2), w) for m, w in spins))
-        return qubits, sine_profile(N)
+        spins = binomial_profile(N)
+        n = [(m + N) // 2 for m in spins.support]
+        return EnergyProfile(n, [float(k) for k in n], spins.weights), sine_profile(N)
     raise ValueError(f"unknown estimation mode {mode!r}; pick one of {MODES}")
 
 
@@ -109,8 +108,8 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     for cp, g_sum in zip(curve_from_run(run).points, weighted):
         x = coarse_filter(run, cp.T).coefficients
         merged = [0.0] * (hi - lo + 1)
-        for label, w in p.entries:
-            merged[label.index - lo] = math.sqrt(w * x[label.index] / cp.p_succ)
+        for i, w in zip(p.support, p.weights):
+            merged[i - lo] = math.sqrt(w * x[i] / cp.p_succ)
         points.append(
             GainPoint(
                 T=cp.T,

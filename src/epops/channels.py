@@ -99,10 +99,10 @@ def filtered_profile(p: EnergyProfile, f: SectorFilter) -> EnergyProfile:
     if p_succ <= 0.0:
         raise ZeroSuccessProbability("the filter transmits nothing of this profile")
     pairs = []
-    for label, w in p.entries:
-        x = f.coefficient(label.index)
+    for i, v, w in zip(p.support, p.values, p.weights):
+        x = f.coefficient(i)
         if x > 0.0:
-            pairs.append((label.index, label.value, w * x / p_succ))
+            pairs.append((i, v, w * x / p_succ))
     return build_profile(pairs)
 
 

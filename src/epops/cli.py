@@ -75,7 +75,7 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
     try:
         p = EnergyProfile.from_json(Path(args.input).read_text())
         q = EnergyProfile.from_json(Path(args.target).read_text())
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, RecursionError) as exc:
         print(f"error: cannot load profile: {exc}", file=sys.stderr)
         return 2
     return _write_output(args, tradeoff_curve(p, q, args.rounds).to_csv(), _TOLERANCES)

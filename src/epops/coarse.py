@@ -57,8 +57,8 @@ def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
     r_t = run.table.ratios[T - 1]
     return SectorFilter(
         {
-            i.index: 1.0 if i.index in u_t else r_t * run.target.weight(i.index) / w
-            for i, w in run.input.entries
+            i: 1.0 if i in u_t else r_t * run.target.weight(i) / w
+            for i, w in zip(run.input.support, run.input.weights)
         }
     )
 

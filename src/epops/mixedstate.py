@@ -17,7 +17,8 @@ momentum blocks invariant, so everything reduces to small per-l matrices.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
+from operator import itemgetter
 from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (
     NotOdd,
     TooLarge,
 )
-from .spectra import EnergyLabel, EnergyProfile, Frozen, build_profile
+from .spectra import EnergyProfile, Frozen, _layout, build_profile
 
 _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -41,32 +42,22 @@ _DEGENERACY_TOL = 1e-9
 _LOG_RANGE = 700.0
 
 
-def _layout(sectors: Sequence[Tuple[EnergyLabel, int]]) -> Dict[int, slice]:
-    """Each sector's row range when the rows are grouped in the given order."""
-    indices = [label.index for label, _ in sectors]
-    if sorted(set(indices)) != indices:
-        raise DimensionMismatch("sector labels must be distinct and sorted")
-    if any(d < 1 for _, d in sectors):
-        raise DimensionMismatch("sector dimensions must be positive")
-    bounds = list(accumulate((d for _, d in sectors), initial=0))
-    return {label.index: slice(a, b) for (label, _), a, b in zip(sectors, bounds, bounds[1:])}
-
-
 class BlockDensity(Frozen):
     """A density matrix with a labeled sector layout.
 
-    ``sectors`` holds (label, dimension) pairs in increasing label order;
-    ``matrix`` is the read-only density matrix with its rows and columns
-    grouped by sector in that order, and ``slices`` maps each label index
-    to its row range, so block (i, j) is ``matrix[slices[i], slices[j]]``.
+    ``sectors`` holds (index, energy value, dimension) triples in
+    increasing index order; ``matrix`` is the read-only density matrix
+    with its rows and columns grouped by sector in that order, and
+    ``slices`` maps each index to its row range, so block (i, j) is
+    ``matrix[slices[i], slices[j]]``.
     The matrix must be Hermitian, positive semidefinite within 1e-10, and
     of unit trace.
     """
 
-    def __init__(self, sectors: Tuple[Tuple[EnergyLabel, int], ...],
+    def __init__(self, sectors: Sequence[Tuple[int, float, int]],
                  matrix: np.ndarray) -> None:
         slices = _layout(sectors)
-        total = sum(d for _, d in sectors)
+        total = sum(d for _, _, d in sectors)
         full = np.array(matrix, dtype=complex)
         if full.shape != (total, total):
             raise DimensionMismatch(
@@ -105,12 +96,9 @@ class BlockDensity(Frozen):
         return self.matrix.copy()
 
 
-def _labeled(sectors: Sequence[Tuple[int, float, int]]) -> List[Tuple[EnergyLabel, int]]:
-    """(index, energy value, dimension) triples as (label, dimension), by index."""
-    return [
-        (EnergyLabel(int(i), float(v)), int(d))
-        for i, v, d in sorted(sectors, key=lambda s: s[0])
-    ]
+def _labeled(sectors: Sequence[Tuple[int, float, int]]) -> List[Tuple[int, float, int]]:
+    """(index, energy value, dimension) triples as ints and floats, by index."""
+    return [(int(i), float(v), int(d)) for i, v, d in sorted(sectors, key=itemgetter(0))]
 
 
 def block_density(
@@ -124,7 +112,7 @@ def block_density(
     """
     secs = _labeled(sectors)
     slices = _layout(secs)
-    total = sum(d for _, d in secs)
+    total = sum(d for _, _, d in secs)
     full = np.zeros((total, total), dtype=complex)
     cleaned = {(int(i), int(j)): np.asarray(b, dtype=complex) for (i, j), b in blocks.items()}
     for (i, j), b in cleaned.items():
@@ -143,8 +131,8 @@ def block_density(
 
 def pure_block_density(p: EnergyProfile) -> BlockDensity:
     """The rank-one block density of a pure state with profile ``p``."""
-    w = [w for _, w in p.entries]
-    return BlockDensity([(label, 1) for label, _ in p.entries], np.sqrt(np.outer(w, w)))
+    sectors = [(i, v, 1) for i, v in zip(p.support, p.values)]
+    return BlockDensity(sectors, np.sqrt(np.outer(p.weights, p.weights)))
 
 
 def block_density_from_matrix(
@@ -263,13 +251,13 @@ class _Alignment(NamedTuple):
 
 def _alignment(rho: BlockDensity, q: EnergyProfile) -> _Alignment:
     kept = [
-        (label, d)
-        for label, d in rho.sectors
-        if q.weight(label.index) > 0.0 and rho.sector_trace(label.index) > _SUPPORT_CUT
+        (i, v, d)
+        for i, v, d in rho.sectors
+        if q.weight(i) > 0.0 and rho.sector_trace(i) > _SUPPORT_CUT
     ]
     if not kept:
         raise DisjointSpectra("state and target profiles share no sector")
-    order = tuple(label.index for label, _ in kept)
+    order = tuple([i for i, _, _ in kept])
     ranges = _layout(kept)
     rows = np.r_[tuple(rho.slices[i] for i in order)]
     # The alignment matrix whitens the transpose of rho, which for a
@@ -279,7 +267,7 @@ def _alignment(rho: BlockDensity, q: EnergyProfile) -> _Alignment:
     whiten = np.zeros_like(kept_rho)
     for i, r in ranges.items():
         whiten[r, r] = whiteners[i]
-    qw = np.repeat([q.weight(i) for i in order], [d for _, d in kept])
+    qw = np.repeat([q.weight(i) for i in order], [d for _, _, d in kept])
     matrix = np.sqrt(np.outer(qw, qw)) * (whiten @ kept_rho @ whiten)
     return _Alignment(
         sector_order=order, ranges=ranges, whiteners=whiteners, matrix=matrix
@@ -352,20 +340,17 @@ def ultimate_mixed_probability(
         )
     rng = np.random.default_rng(seed)
     d = len(members)
-    candidates: List[np.ndarray] = []
-    for c in range(d):
-        v = basis[:, c]
-        candidates.append(np.outer(v, v.conj()))
-    candidates.append(basis @ basis.conj().T / d)
+    # Each candidate is scored as it is drawn, so one matrix is held at a time.
+    best = max(_probability_of(a, np.outer(v, v.conj())) for v in basis.T)
+    best = max(best, _probability_of(a, basis @ basis.conj().T / d))
     for _ in range(draws // 2):
         weights = rng.dirichlet(np.ones(d))
-        candidates.append((basis * weights) @ basis.conj().T)
+        best = max(best, _probability_of(a, (basis * weights) @ basis.conj().T))
     for _ in range(draws - draws // 2):
         coeff = rng.normal(size=d) + 1j * rng.normal(size=d)
         coeff /= np.linalg.norm(coeff)
         v = basis @ coeff
-        candidates.append(np.outer(v, v.conj()))
-    best = max(_probability_of(a, sigma) for sigma in candidates)
+        best = max(best, _probability_of(a, np.outer(v, v.conj())))
     return MixedProbabilityResult(value=best, fidelity=top, exact=False)
 
 

@@ -28,7 +28,7 @@ from .errors import (
     TooLarge,
 )
 from .recursive import ProtocolRun, cumulative
-from .spectra import EnergyProfile, Frozen, common_support
+from .spectra import EnergyProfile, Frozen, _layout, common_support
 
 _DIMENSION_CAP = 16
 _SUBSET_SECTOR_CAP = 12
@@ -46,32 +46,24 @@ class HilbertModel(Frozen):
     """A finite space split into labeled energy sectors.
 
     ``dims[i]`` is the dimension of the sector labeled ``labels[i]``;
-    ``values[i]`` its energy.  Total dimension is capped at 16 so that
+    ``values[i]`` its energy.  The labels increase, and ``slices`` maps
+    each to its row range.  Total dimension is capped at 16 so that
     exhaustive matrix checks stay cheap.
     """
 
     def __init__(self, labels: Tuple[int, ...], values: Tuple[float, ...],
                  dims: Tuple[int, ...]) -> None:
-        if len(set(labels)) != len(labels):
-            raise DimensionMismatch("sector labels must be distinct")
-        if any(d < 1 for d in dims):
-            raise DimensionMismatch("sector dimensions must be positive")
+        slices = _layout(list(zip(labels, values, dims)))
         total = sum(dims)
         if total > _DIMENSION_CAP:
             raise TooLarge(
                 f"total dimension {total} exceeds the oracle cap {_DIMENSION_CAP}"
             )
-        offsets = []
-        at = 0
-        for d in dims:
-            offsets.append(at)
-            at += d
-        self._init(labels=labels, values=values, dims=dims,
-                   offsets=tuple(offsets), dimension=total)
+        self._init(labels=labels, values=values, dims=dims, slices=slices,
+                   dimension=total)
 
     def sector_slice(self, label: int) -> slice:
-        i = self.labels.index(label)
-        return slice(self.offsets[i], self.offsets[i] + self.dims[i])
+        return self.slices[label]
 
     def projector(self, label: int) -> np.ndarray:
         pr = np.zeros((self.dimension, self.dimension))

@@ -42,18 +42,18 @@ class ProtocolRound(Frozen):
         increment = ratios[k - 1] - (ratios[k - 2] if k >= 2 else 0.0)
         q = run.target
         return {
-            i.index: 0.0 if i.index in eroded else increment * q.weight(i.index) / w
-            for i, w in run.input.entries
+            i: 0.0 if i in eroded else increment * q.weight(i) / w
+            for i, w in zip(run.input.support, run.input.weights)
         }
 
     @cached_property
     def output(self) -> EnergyProfile:
         """The target profile renormalized on the uneroded common spectrum."""
-        table = self.run.table
+        table, q = self.run.table, self.run.target
         active = set(table.order) - set(table.prefix(self.k - 1))
         return _assemble(
-            [(i.index, i.value, w / self.fidelity)
-             for i, w in self.run.target.entries if i.index in active],
+            [(i, v, w / self.fidelity)
+             for i, v, w in zip(q.support, q.values, q.weights) if i in active],
             0.0,
         )
 

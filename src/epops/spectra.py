@@ -9,6 +9,11 @@ p_E/q_E, grouped into the distinct ratios r_1 < ... < r_L, with the prefix
 sums at the group boundaries from which the recursive protocol and its
 coarse-graining read every number.  It is the only place that sorts.
 
+A sector is its integer index.  A profile holds three aligned columns:
+the indices, the energy values (shown, never used in a formula) and the
+weights.  The matrix modules (``oracle``, ``mixedstate``) group their rows
+by sector; ``_layout`` gives each index its row range there.
+
 Weights for large parameters are computed in the log domain (log-gamma),
 so quantities like the weight 2^-400 at the edge of a 400-copy binomial
 profile stay finite and positive instead of underflowing.
@@ -25,13 +30,13 @@ from __future__ import annotations
 
 import json
 import math
-from functools import total_ordering
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
     AllZeroWeights,
+    DimensionMismatch,
     DisjointSpectra,
     DuplicateLabel,
     NegativeWeight,
@@ -71,54 +76,25 @@ class Frozen:
         self._init(**(state[1] if isinstance(state, tuple) else state))
 
 
-@total_ordering
-class EnergyLabel(Frozen):
-    """Identifier of one energy sector.
-
-    The integer ``index`` is the identity: labels compare (and hash) equal
-    iff their indices are equal, and order by index.  ``value`` is the
-    displayed energy and plays no role in any formula; it defaults to the
-    index.
-    """
-
-    __slots__ = ("index", "value")
-
-    def __init__(self, index: int, value: float = math.nan) -> None:
-        value = float(value)
-        # Set directly, without _init's keyword dict: every profile builds
-        # one label per sector.
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "value", float(index) if math.isnan(value) else value)
-
-    def __eq__(self, other):
-        return self.index == other.index if type(other) is EnergyLabel else NotImplemented
-
-    def __lt__(self, other):
-        return self.index < other.index if type(other) is EnergyLabel else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.index,))
-
-    def __repr__(self) -> str:
-        return f"EnergyLabel(index={self.index!r}, value={self.value!r})"
-
-
 class EnergyProfile(Frozen):
-    """Normalized sector weights of a pure state.
+    """Normalized sector weights of a pure state, held as three columns.
 
-    ``entries`` is ordered by strictly increasing label index, every weight
-    is positive, and the weights sum to one within 1e-12.  ``support``
-    lists the sector indices in that order and ``labels`` their labels.
-    Profiles compare and hash by ``entries``.
+    ``support`` lists the sector indices in strictly increasing order,
+    ``values`` the energy shown for each sector and ``weights`` its
+    nonnegative weight; the weights sum to one within 1e-12.  The index
+    is a sector's only identity: its energy value enters no formula, so
+    profiles compare and hash by ``(support, weights)``.
     """
 
-    __slots__ = ("entries", "support", "labels", "_by_index")
+    __slots__ = ("support", "values", "weights", "_by_index")
 
-    def __init__(self, entries: Tuple[Tuple[EnergyLabel, float], ...]) -> None:
-        indices = [label.index for label, _ in entries]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise DuplicateLabel("labels must be strictly increasing by index")
-        weights = [w for _, w in entries]
+    def __init__(self, support: Sequence[int], values: Sequence[float],
+                 weights: Sequence[float]) -> None:
+        support, values, weights = tuple(support), tuple(values), tuple(weights)
+        if not len(support) == len(values) == len(weights):
+            raise ValueError("support, values and weights must have equal length")
+        if any(b <= a for a, b in zip(support, support[1:])):
+            raise DuplicateLabel("sector indices must be strictly increasing")
         if any(w < 0.0 for w in weights):
             raise NegativeWeight("profile weights must be nonnegative")
         total = math.fsum(weights)
@@ -126,40 +102,37 @@ class EnergyProfile(Frozen):
             raise ValueError(
                 f"profile weights sum to {total!r}, expected 1 within {_NORMALIZATION_TOL}"
             )
-        self._init(
-            entries=entries,
-            support=tuple(indices),
-            labels=tuple([label for label, _ in entries]),
-            _by_index={label.index: w for label, w in entries},
-        )
+        self._init(support=support, values=values, weights=weights,
+                   _by_index=dict(zip(support, weights)))
 
     def __eq__(self, other):
         if type(other) is not EnergyProfile:
             return NotImplemented
-        return self.entries == other.entries
+        return self.support == other.support and self.weights == other.weights
 
     def __hash__(self) -> int:
-        return hash((self.entries,))
+        return hash((self.support, self.weights))
 
     def __repr__(self) -> str:
-        return f"EnergyProfile(entries={self.entries!r})"
+        return (f"EnergyProfile(support={self.support!r}, values={self.values!r}, "
+                f"weights={self.weights!r})")
 
     def weight(self, index: int) -> float:
         """Weight at sector ``index`` (zero if the sector is absent)."""
         return self._by_index.get(index, 0.0)
 
     def as_dict(self) -> dict[int, float]:
-        return {label.index: w for label, w in self.entries}
+        return dict(self._by_index)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.support)
 
     def to_json(self) -> str:
         """Serialize as ``{"energies": [{"index", "value", "weight"}, ...]}``."""
         doc = {
             "energies": [
-                {"index": label.index, "value": label.value, "weight": w}
-                for label, w in self.entries
+                {"index": i, "value": v, "weight": w}
+                for i, v, w in zip(self.support, self.values, self.weights)
             ]
         }
         return json.dumps(doc, indent=2)
@@ -219,10 +192,10 @@ def _assemble(
     total = math.fsum(vw[1] for vw in kept.values())
     if total <= 0.0:
         raise AllZeroWeights("every weight is zero (or below the zero threshold)")
-    entries = tuple(
-        [(EnergyLabel(i, kept[i][0]), kept[i][1] / total) for i in sorted(kept)]
+    support = sorted(kept)
+    return EnergyProfile(
+        support, [kept[i][0] for i in support], [kept[i][1] / total for i in support]
     )
-    return EnergyProfile(entries)
 
 
 def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
@@ -234,6 +207,22 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
     a weight raises :class:`NonFiniteWeight`.
     """
     return _assemble(pairs, ZERO_THRESHOLD)
+
+
+def _layout(sectors: Sequence[Tuple[int, float, int]]) -> Dict[int, slice]:
+    """Each sector's row range when a matrix groups its rows by sector.
+
+    ``sectors`` holds (index, energy value, dimension) triples in the row
+    order; the indices must be distinct and increasing and every
+    dimension positive.
+    """
+    indices = [i for i, _, _ in sectors]
+    if sorted(set(indices)) != indices:
+        raise DimensionMismatch("sector labels must be distinct and sorted")
+    if any(d < 1 for _, _, d in sectors):
+        raise DimensionMismatch("sector dimensions must be positive")
+    bounds = list(accumulate((d for _, _, d in sectors), initial=0))
+    return {i: slice(a, b) for (i, _, _), a, b in zip(sectors, bounds, bounds[1:])}
 
 
 class RatioTable(NamedTuple):
@@ -267,12 +256,12 @@ class RatioTable(NamedTuple):
     def groups(self) -> Tuple[Tuple[int, ...], ...]:
         """The sector sets R_k sharing each ratio, each sorted by index."""
         starts = (0,) + self.ends[:-1]
-        return tuple(tuple(sorted(self.order[a:b])) for a, b in zip(starts, self.ends))
+        return tuple([tuple(sorted(self.order[a:b])) for a, b in zip(starts, self.ends)])
 
     @property
     def unions(self) -> Tuple[Tuple[int, ...], ...]:
         """The prefix unions U_k, each sorted by index."""
-        return tuple(tuple(sorted(self.prefix(k))) for k in range(1, self.length + 1))
+        return tuple([tuple(sorted(self.prefix(k))) for k in range(1, self.length + 1)])
 
     def union_before(self, k: int) -> Tuple[int, ...]:
         """U_{k-1}, the sectors eroded before round k (empty for k=1)."""

@@ -169,6 +169,19 @@ def test_tradeoff_malformed_json_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_tradeoff_deeply_nested_json_exits_2(tmp_path, capsys):
+    # The decoder gives up on deep nesting with a RecursionError.
+    (tmp_path / "p.json").write_text("[" * 200_000)
+    (tmp_path / "q.json").write_text("{}")
+    rc = run_cli(
+        tmp_path, "tradeoff", "--input", "p.json", "--target", "q.json",
+        "--out", "t.csv",
+    )
+    assert rc == 2
+    assert "error: cannot load profile" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize(
     "bad", ["NaN", "Infinity", "1" + "0" * 400], ids=["NaN", "Infinity", "1e400-integer"]
 )

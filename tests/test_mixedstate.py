@@ -1,6 +1,7 @@
 """Block densities, mixed-state bounds, and thermal spin purification."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,24 @@ def test_ultimate_mixed_fidelity_bounded_by_one():
         f = ultimate_mixed_fidelity(bd, q)
         assert 0.0 <= f <= 1.0 + 1e-10
         assert f >= det_fidelity_bound(bd, q) - 1e-10
+
+
+def test_degenerate_probability_search_holds_one_candidate_at_a_time():
+    # The maximally mixed state of two 10-dimensional sectors has a 20-fold
+    # top eigenspace toward equal target weights; its 1000 random candidates
+    # take 6.4 KB each.
+    d = 10
+    rho = block_density_from_matrix(np.eye(2 * d) / (2 * d), [(0, 0.0, d), (1, 1.0, d)])
+    q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    ultimate_mixed_probability(rho, q, draws=2)
+    tracemalloc.start()
+    try:
+        res = ultimate_mixed_probability(rho, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not res.exact and res.fidelity == pytest.approx(0.5, abs=1e-12)
+    assert peak < 1_000_000, peak
 
 
 def test_ultimate_mixed_requires_overlap():

@@ -22,6 +22,7 @@ import epops.optimal
 import epops.oracle
 from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.oracle import (
+    HilbertModel,
     _random_model,
     check_energy_preserving,
     embed_profile,
@@ -58,6 +59,12 @@ def test_model_caps_dimension():
 def test_model_rejects_bad_dims():
     with pytest.raises(DimensionMismatch):
         hilbert_model({0: 0})
+
+
+@pytest.mark.parametrize("labels", [(0, 0), (1, 0)], ids=["repeated", "unsorted"])
+def test_model_rejects_repeated_or_unsorted_labels(labels):
+    with pytest.raises(DimensionMismatch):
+        HilbertModel(labels, (0.0, 1.0), (1, 1))
 
 
 def test_embed_profile_reproduces_weights():

@@ -52,7 +52,7 @@ def read_only_objects():
     rho = pure_block_density(p)
     purified = purification_report(3, 0.5)
     return [
-        (p.labels[0], "index"), (p, "entries"), (ratio_table(p, q), "order"),
+        (p, "weights"), (ratio_table(p, q), "order"),
         (SectorFilter({0: 1.0}), "coefficients"), (run, "table"), (run.rounds[0], "k"),
         (amp, "curve"), (amp.audits[0], "floor"), (corr, "average_curve"),
         (tradeoff_curve(p, q, 4), "points"), (corr.average_curve.points[0], "p_succ"),
@@ -71,6 +71,23 @@ def test_fields_cannot_be_assigned():
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         assert getattr(obj, name) is not None, type(obj).__name__
+
+
+def test_engine_builds_no_tuple_from_a_generator():
+    # The reason is in the epops.spectra docstring: a tuple grown from a
+    # generator strands resized tuples on the interpreter's free lists.
+    root = Path(epops.__file__).parent
+    engine = ("spectra", "channels", "recursive", "coarse", "optimal")
+    paths = [root / f"{name}.py" for name in engine] + sorted((root / "apps").glob("*.py"))
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple" and node.args
+        and isinstance(node.args[0], ast.GeneratorExp)
+    ]
+    assert not found, found
 
 
 def test_no_module_checks_with_assert():

@@ -14,7 +14,6 @@ from epops.errors import (
     NonFiniteWeight,
 )
 from epops.spectra import (
-    EnergyLabel,
     EnergyProfile,
     binomial_profile,
     build_profile,
@@ -30,7 +29,7 @@ def test_build_profile_normalizes_and_sorts():
     p = build_profile([(2, 2.0, 2.0), (0, 0.0, 1.0), (1, 1.0, 1.0)])
     assert p.support == (0, 1, 2)
     assert p.weight(2) == pytest.approx(0.5)
-    assert math.fsum(w for _, w in p.entries) == pytest.approx(1.0, abs=1e-15)
+    assert math.fsum(p.weights) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_build_profile_drops_zero_weights():
@@ -108,7 +107,7 @@ def test_from_json_accepts_integer_weight_and_value():
     text = '{"energies": [{"index": 0, "value": 2, "weight": 1}, {"index": 1, "weight": 3}]}'
     p = EnergyProfile.from_json(text)
     assert p.weight(0) == 0.25 and p.weight(1) == 0.75
-    assert [label.value for label in p.labels] == [2.0, 1.0]
+    assert p.values == (2.0, 1.0)
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
@@ -120,41 +119,44 @@ def test_poisson_profile_rejects_bad_amplitude(r):
 def test_support_and_labels_are_built_once():
     p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
     assert p.support is p.support
-    assert p.labels is p.labels
+    assert p.values is p.values
     assert p.support == (0, 3)
-    assert [label.value for label in p.labels] == [0.0, 1.5]
+    assert p.values == (0.0, 1.5)
 
 
 def test_labels_and_profiles_carry_no_instance_dict():
-    # Slots keep a held profile at a tuple, a label and a float per sector.
+    # Slots keep a held profile at three tuples and a dict.
     p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
     assert not hasattr(p, "__dict__")
-    assert not hasattr(p.labels[0], "__dict__")
+    assert type(p.support) is type(p.values) is type(p.weights) is tuple
     assert len(p) == 2
     assert isinstance(EnergyProfile.__dict__["from_json"], classmethod)
 
 
-def test_profiles_compare_and_hash_by_entries():
+def test_profiles_compare_and_hash_by_support_and_weights():
     p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
-    same = EnergyProfile.from_json(p.to_json())
-    assert p == same and hash(p) == hash(same)
+    # The energy values are shown, never compared: the index is the identity.
+    relabeled = EnergyProfile(p.support, (7.0, -2.0), p.weights)
+    for same in (EnergyProfile.from_json(p.to_json()), relabeled):
+        assert p == same and hash(p) == hash(same)
     assert p != build_profile([(0, 0.0, 0.5), (3, 1.5, 0.5)])
-    assert p != p.entries
+    assert p != build_profile([(0, 0.0, 0.25), (2, 1.5, 0.75)])
+    assert p != (p.support, p.weights)
+
+
+@pytest.mark.parametrize("columns", [
+    ((0, 3), (0.0,), (0.25, 0.75)),
+    ((0, 3), (0.0, 1.0), (1.0,)),
+    ((0,), (0.0, 1.0), (0.25, 0.75)),
+])
+def test_profile_rejects_columns_of_unequal_length(columns):
+    with pytest.raises(ValueError, match="equal length"):
+        EnergyProfile(*columns)
 
 
 def test_build_profile_rejects_all_zero():
     with pytest.raises(AllZeroWeights):
         build_profile([(0, 0.0, 0.0), (1, 1.0, 0.0)])
-
-
-def test_label_identity_ignores_value():
-    assert EnergyLabel(3, 1.0) == EnergyLabel(3, 2.0)
-    assert EnergyLabel(2) < EnergyLabel(3)
-    assert EnergyLabel(4).value == 4.0
-    a, b = EnergyLabel(1, 2.0), EnergyLabel(1, 5.0)
-    assert a == b and hash(a) == hash(b)
-    assert EnergyLabel(1, 9.0) < EnergyLabel(2, 0.0) <= EnergyLabel(2, 3.0)
-    assert sorted([EnergyLabel(3), EnergyLabel(1)]) == [EnergyLabel(1), EnergyLabel(3)]
 
 
 def test_weight_of_absent_sector_is_zero():
@@ -168,7 +170,7 @@ def test_json_round_trip():
     assert [e["index"] for e in doc["energies"]] == [0, 3]
     again = EnergyProfile.from_json(p.to_json())
     assert again.as_dict() == pytest.approx(p.as_dict())
-    assert again.labels[1].value == 1.5
+    assert again.values[1] == 1.5
 
 
 def test_ratio_table_two_sectors():
@@ -220,7 +222,7 @@ def test_binomial_profile_small():
     assert p.support == (-2, 0, 2)
     assert p.weight(-2) == pytest.approx(0.25)
     assert p.weight(0) == pytest.approx(0.5)
-    assert p.labels[0].value == -2.0
+    assert p.values[0] == -2.0
 
 
 def test_binomial_profile_deep_tail_stays_positive():
@@ -257,4 +259,4 @@ def test_sine_profile_drops_zero_sector():
 @pytest.mark.parametrize("n", [1, 2, 5, 60])
 def test_sine_profile_normalized(n):
     q = sine_profile(n)
-    assert math.fsum(w for _, w in q.entries) == pytest.approx(1.0, abs=1e-12)
+    assert math.fsum(q.weights) == pytest.approx(1.0, abs=1e-12)
