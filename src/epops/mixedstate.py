@@ -7,7 +7,9 @@ exactly when every block is positive semidefinite in a common sector
 basis.  Dropping the trace-preservation requirement, the best fidelity at
 any nonzero success probability is the top eigenvalue of an alignment
 matrix assembled from whitened blocks, and the largest probability
-attaining it follows from the top eigenspace.
+attaining it follows from the top eigenspace.  When that eigenspace is
+degenerate, the probability returned is that of the uniform mixture over
+it, flagged as a lower bound.
 
 The concrete application is purifying N thermal spin-1/2 copies toward a
 coherent two-level target: collective rotations leave total angular
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from itertools import combinations_with_replacement
 from operator import itemgetter
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -45,17 +47,19 @@ _LOG_RANGE = 700.0
 class BlockDensity(Frozen):
     """A density matrix with a labeled sector layout.
 
-    ``sectors`` holds (index, energy value, dimension) triples in
-    increasing index order; ``matrix`` is the read-only density matrix
-    with its rows and columns grouped by sector in that order, and
-    ``slices`` maps each index to its row range, so block (i, j) is
-    ``matrix[slices[i], slices[j]]``.
+    ``sectors`` holds (index, energy value, dimension) triples, stored
+    as ints and floats in increasing index order; ``matrix`` is the
+    read-only density matrix with its rows and columns grouped by sector
+    in that order, and ``slices`` maps each index to its row range, so
+    block (i, j) is ``matrix[slices[i], slices[j]]``.
     The matrix must be Hermitian, positive semidefinite within 1e-10, and
     of unit trace.
     """
 
     def __init__(self, sectors: Sequence[Tuple[int, float, int]],
                  matrix: np.ndarray) -> None:
+        sectors = tuple([(int(i), float(v), int(d))
+                         for i, v, d in sorted(sectors, key=itemgetter(0))])
         slices = _layout(sectors)
         total = sum(d for _, _, d in sectors)
         full = np.array(matrix, dtype=complex)
@@ -72,7 +76,7 @@ class BlockDensity(Frozen):
         if low < -_TRACE_TOL:
             raise ValueError(f"assembled matrix has negative eigenvalue {low}")
         full.flags.writeable = False
-        self._init(sectors=tuple(sectors), matrix=full, slices=slices)
+        self._init(sectors=sectors, matrix=full, slices=slices)
 
     @property
     def labels(self) -> Tuple[int, ...]:
@@ -85,21 +89,6 @@ class BlockDensity(Frozen):
     def block(self, i: int, j: int) -> np.ndarray:
         return self.matrix[self.slices[i], self.slices[j]]
 
-    def diag_block(self, i: int) -> np.ndarray:
-        return self.block(i, i)
-
-    def sector_trace(self, i: int) -> float:
-        return float(np.trace(self.diag_block(i)).real)
-
-    def assemble(self) -> np.ndarray:
-        """A writable copy of the full matrix."""
-        return self.matrix.copy()
-
-
-def _labeled(sectors: Sequence[Tuple[int, float, int]]) -> List[Tuple[int, float, int]]:
-    """(index, energy value, dimension) triples as ints and floats, by index."""
-    return [(int(i), float(v), int(d)) for i, v, d in sorted(sectors, key=itemgetter(0))]
-
 
 def block_density(
     sectors: Sequence[Tuple[int, float, int]],
@@ -110,7 +99,7 @@ def block_density(
     Block (j, i) defaults to the conjugate transpose of a given block
     (i, j); a pair given neither way is zero.
     """
-    secs = _labeled(sectors)
+    secs = sorted(sectors, key=itemgetter(0))
     slices = _layout(secs)
     total = sum(d for _, _, d in secs)
     full = np.zeros((total, total), dtype=complex)
@@ -135,15 +124,25 @@ def pure_block_density(p: EnergyProfile) -> BlockDensity:
     return BlockDensity(sectors, np.sqrt(np.outer(p.weights, p.weights)))
 
 
-def block_density_from_matrix(
-    rho: np.ndarray, sectors: Sequence[Tuple[int, float, int]]
-) -> BlockDensity:
-    """A full density matrix, its rows grouped by sector in index order."""
-    return BlockDensity(_labeled(sectors), rho)
-
-
 def _trace_norm(block: np.ndarray) -> float:
     return float(np.linalg.svd(block, compute_uv=False).sum())
+
+
+def _square_trace(block: np.ndarray) -> float:
+    s = min(block.shape)
+    return float(np.trace(block[:s, :s]).real)
+
+
+def _weighted_block_sum(
+    rho: BlockDensity, q: EnergyProfile, f: Callable[[np.ndarray], float]
+) -> float:
+    """Sum of sqrt(q_E q_E') f(block (E, E')) over the sectors q weights."""
+    weighted = [(i, q.weight(i)) for i in rho.labels if q.weight(i) != 0.0]
+    total = 0.0
+    for i, qi in weighted:
+        for j, qj in weighted:
+            total += math.sqrt(qi * qj) * f(rho.block(i, j))
+    return total
 
 
 def det_fidelity_bound(rho: BlockDensity, q: EnergyProfile) -> float:
@@ -152,17 +151,7 @@ def det_fidelity_bound(rho: BlockDensity, q: EnergyProfile) -> float:
     Sums sqrt(q_E q_E') times the trace norm of every block; attained
     exactly when the state is block positive.
     """
-    total = 0.0
-    for i in rho.labels:
-        qi = q.weight(i)
-        if qi == 0.0:
-            continue
-        for j in rho.labels:
-            qj = q.weight(j)
-            if qj == 0.0:
-                continue
-            total += math.sqrt(qi * qj) * _trace_norm(rho.block(i, j))
-    return total
+    return _weighted_block_sum(rho, q, _trace_norm)
 
 
 class BlockPositivity(NamedTuple):
@@ -218,19 +207,7 @@ def mixed_alignment_fidelity(rho: BlockDensity, q: EnergyProfile) -> float:
     cert = is_block_positive(rho)
     if not cert.certified:
         raise NotBlockPositive(cert.note)
-    total = 0.0
-    for i in rho.labels:
-        qi = q.weight(i)
-        if qi == 0.0:
-            continue
-        for j in rho.labels:
-            qj = q.weight(j)
-            if qj == 0.0:
-                continue
-            b = rho.block(i, j)
-            s = min(b.shape)
-            total += math.sqrt(qi * qj) * float(np.trace(b[:s, :s]).real)
-    return total
+    return _weighted_block_sum(rho, q, _square_trace)
 
 
 def _support_inverse_root(block: np.ndarray) -> np.ndarray:
@@ -243,8 +220,7 @@ def _support_inverse_root(block: np.ndarray) -> np.ndarray:
 
 
 class _Alignment(NamedTuple):
-    sector_order: Tuple[int, ...]
-    ranges: Dict[int, slice]
+    ranges: Dict[int, slice]  # each kept sector's rows, in index order
     whiteners: Dict[int, np.ndarray]
     matrix: np.ndarray
 
@@ -253,25 +229,22 @@ def _alignment(rho: BlockDensity, q: EnergyProfile) -> _Alignment:
     kept = [
         (i, v, d)
         for i, v, d in rho.sectors
-        if q.weight(i) > 0.0 and rho.sector_trace(i) > _SUPPORT_CUT
+        if q.weight(i) > 0.0 and float(np.trace(rho.block(i, i)).real) > _SUPPORT_CUT
     ]
     if not kept:
         raise DisjointSpectra("state and target profiles share no sector")
-    order = tuple([i for i, _, _ in kept])
     ranges = _layout(kept)
-    rows = np.r_[tuple(rho.slices[i] for i in order)]
+    rows = np.r_[tuple(rho.slices[i] for i in ranges)]
     # The alignment matrix whitens the transpose of rho, which for a
     # Hermitian matrix is its conjugate.
     kept_rho = np.conj(rho.matrix[np.ix_(rows, rows)])
-    whiteners = {i: _support_inverse_root(rho.diag_block(i)) for i in order}
+    whiteners = {i: _support_inverse_root(rho.block(i, i)) for i in ranges}
     whiten = np.zeros_like(kept_rho)
     for i, r in ranges.items():
         whiten[r, r] = whiteners[i]
-    qw = np.repeat([q.weight(i) for i in order], [d for _, _, d in kept])
+    qw = np.repeat([q.weight(i) for i in ranges], [d for _, _, d in kept])
     matrix = np.sqrt(np.outer(qw, qw)) * (whiten @ kept_rho @ whiten)
-    return _Alignment(
-        sector_order=order, ranges=ranges, whiteners=whiteners, matrix=matrix
-    )
+    return _Alignment(ranges=ranges, whiteners=whiteners, matrix=matrix)
 
 
 def ultimate_mixed_fidelity(rho: BlockDensity, q: EnergyProfile) -> float:
@@ -280,16 +253,15 @@ def ultimate_mixed_fidelity(rho: BlockDensity, q: EnergyProfile) -> float:
     Top eigenvalue of the whitened alignment matrix; reduces to the pure
     ultimate optimum when every sector is one-dimensional.
     """
-    a = _alignment(rho, q)
-    return float(np.linalg.eigvalsh(a.matrix).max())
+    return float(np.linalg.eigvalsh(_alignment(rho, q).matrix).max())
 
 
 class MixedProbabilityResult(NamedTuple):
     """Largest success probability compatible with the ultimate fidelity.
 
     ``exact`` is True when the top eigenspace is one-dimensional and the
-    value is the true maximum; otherwise the value is the best over a
-    sampled family of eigenspace states and is only a lower bound.
+    value is the true maximum; otherwise the value is the probability of
+    the uniform mixture over the eigenspace and is only a lower bound.
     """
 
     value: float
@@ -297,12 +269,9 @@ class MixedProbabilityResult(NamedTuple):
     exact: bool
 
 
-def _probability_of(
-    a: _Alignment, sigma: np.ndarray
-) -> float:
+def _probability_of(a: _Alignment, sigma: np.ndarray) -> float:
     worst = np.inf
-    for i in a.sector_order:
-        r = a.ranges[i]
+    for i, r in a.ranges.items():
         sub = sigma[r, r]
         if float(np.trace(sub).real) <= 1e-14:
             continue
@@ -315,43 +284,24 @@ def _probability_of(
 
 
 def ultimate_mixed_probability(
-    rho: BlockDensity,
-    q: EnergyProfile,
-    draws: int = 1000,
-    seed: int = 0,
+    rho: BlockDensity, q: EnergyProfile
 ) -> MixedProbabilityResult:
     """Probability of the ultimate fidelity point.
 
-    With a non-degenerate top eigenvector the answer is closed-form
-    (and flagged exact); a degenerate eigenspace is searched over its
-    eigenprojectors, the uniform mixture, random mixtures, and random
-    pure combinations, giving a certified lower bound.
+    Scores the uniform mixture over the top eigenspace of the alignment
+    matrix.  With a one-dimensional eigenspace that is the top
+    eigenvector, the closed-form optimum, flagged exact; a degenerate
+    eigenspace gives a lower bound.
     """
     a = _alignment(rho, q)
     vals, vecs = np.linalg.eigh(a.matrix)
     top = float(vals.max())
-    members = np.nonzero(vals >= top * (1.0 - _DEGENERACY_TOL))[0]
-    basis = vecs[:, members]
-    if len(members) == 1:
-        v = basis[:, 0]
-        sigma = np.outer(v, v.conj())
-        return MixedProbabilityResult(
-            value=_probability_of(a, sigma), fidelity=top, exact=True
-        )
-    rng = np.random.default_rng(seed)
-    d = len(members)
-    # Each candidate is scored as it is drawn, so one matrix is held at a time.
-    best = max(_probability_of(a, np.outer(v, v.conj())) for v in basis.T)
-    best = max(best, _probability_of(a, basis @ basis.conj().T / d))
-    for _ in range(draws // 2):
-        weights = rng.dirichlet(np.ones(d))
-        best = max(best, _probability_of(a, (basis * weights) @ basis.conj().T))
-    for _ in range(draws - draws // 2):
-        coeff = rng.normal(size=d) + 1j * rng.normal(size=d)
-        coeff /= np.linalg.norm(coeff)
-        v = basis @ coeff
-        best = max(best, _probability_of(a, np.outer(v, v.conj())))
-    return MixedProbabilityResult(value=best, fidelity=top, exact=False)
+    basis = vecs[:, vals >= top * (1.0 - _DEGENERACY_TOL)]
+    d = basis.shape[1]
+    # Summing the projectors keeps d = 1 bit-identical to the top
+    # eigenvector's projector; basis @ basis^H rounds differently.
+    sigma = sum(np.outer(v, v.conj()) for v in basis.T) / d
+    return MixedProbabilityResult(_probability_of(a, sigma), top, exact=d == 1)
 
 
 # --- Collective spin sectors and thermal purification -----------------------
@@ -446,11 +396,11 @@ def thermal_spin_block_density(N: int, beta: float) -> BlockDensity:
     if N > 9:
         raise TooLarge(f"N={N} assembles a 2^{N} dimensional matrix; cap is 9")
     sectors = spin_sector_model(N, beta)[::-1]
-    secs = _labeled([
+    secs = [
         (twice_m, twice_m / 2.0,
          sum(s.multiplicity for s in sectors if s.l >= abs(twice_m) / 2.0 - 1e-9))
         for twice_m in range(-N, N + 1, 2)
-    ])
+    ]
     slices = _layout(secs)
     full = np.zeros((2**N, 2**N))
     # The rows of (l, copy) sit at the same offset in every sector 2m with
@@ -487,24 +437,7 @@ class PurificationReport(NamedTuple):
     sectors: Tuple[PurificationSector, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "beta": self.beta,
-            "F_det": self.F_det,
-            "F_prob": self.F_prob,
-            "p_max": self.p_max,
-            "best_l": self.best_l,
-            "sectors": [
-                {
-                    "l": s.l,
-                    "multiplicity": s.multiplicity,
-                    "alignment": s.alignment,
-                    "fidelity": s.fidelity,
-                    "probability": s.probability,
-                }
-                for s in self.sectors
-            ],
-        }
+        return {**self._asdict(), "sectors": [s._asdict() for s in self.sectors]}
 
 
 def purification_report(N: int, beta: float) -> PurificationReport:
@@ -540,9 +473,7 @@ def purification_report(N: int, beta: float) -> PurificationReport:
         )
     best = rows[0]
     for row in rows[1:]:
-        if row.fidelity > best.fidelity * (1.0 + 1e-12):
-            best = row
-        elif (
+        if row.fidelity > best.fidelity * (1.0 + 1e-12) or (
             abs(row.fidelity - best.fidelity) <= 1e-12 * max(best.fidelity, 1.0)
             and row.probability > best.probability
         ):

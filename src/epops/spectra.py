@@ -98,7 +98,9 @@ class EnergyProfile(Frozen):
         if any(w < 0.0 for w in weights):
             raise NegativeWeight("profile weights must be nonnegative")
         total = math.fsum(weights)
-        if abs(total - 1.0) > _NORMALIZATION_TOL:
+        if not math.isfinite(total):
+            raise NonFiniteWeight(f"profile weights sum to {total!r}")
+        if not abs(total - 1.0) <= _NORMALIZATION_TOL:
             raise ValueError(
                 f"profile weights sum to {total!r}, expected 1 within {_NORMALIZATION_TOL}"
             )

@@ -8,9 +8,9 @@ import pytest
 
 from epops.errors import DimensionMismatch, DisjointSpectra, NotBlockPositive, NotOdd, TooLarge
 from epops.mixedstate import (
+    BlockDensity,
     BlockPositivity,
     block_density,
-    block_density_from_matrix,
     coherent_target_profile,
     det_fidelity_bound,
     is_block_positive,
@@ -33,7 +33,7 @@ def random_block_density(rng, dims):
     g = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    return block_density_from_matrix(rho, dims)
+    return BlockDensity(dims, rho)
 
 
 def test_block_density_validation():
@@ -48,7 +48,7 @@ def test_block_density_validation():
         {(0, 0): np.array([[0.5]]), (1, 1): np.array([[0.5]])},
     )
     assert bd.dimension == 2
-    assert bd.sector_trace(1) == pytest.approx(0.5)
+    assert np.trace(bd.block(1, 1)).real == pytest.approx(0.5)
 
 
 def test_missing_blocks_default_to_zero():
@@ -64,7 +64,7 @@ def test_block_transposes_are_consistent():
     rng = np.random.default_rng(3)
     bd = random_block_density(rng, [(0, 0.0, 2), (1, 1.0, 2)])
     assert np.allclose(bd.block(1, 0), bd.block(0, 1).conj().T)
-    full = bd.assemble()
+    full = bd.matrix
     assert np.allclose(full, full.conj().T)
     assert np.trace(full).real == pytest.approx(1.0, abs=1e-12)
 
@@ -72,10 +72,9 @@ def test_block_transposes_are_consistent():
 def test_pure_block_density_round_trip():
     p = build_profile([(0, 0.0, 0.3), (2, 2.0, 0.7)])
     bd = pure_block_density(p)
-    assert bd.diag_block(0)[0, 0] == pytest.approx(0.3)
+    assert bd.block(0, 0)[0, 0] == pytest.approx(0.3)
     assert bd.block(0, 2)[0, 0] == pytest.approx(math.sqrt(0.21))
-    full = bd.assemble()
-    vals = np.linalg.eigvalsh(full)
+    vals = np.linalg.eigvalsh(bd.matrix)
     assert vals.max() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -168,7 +167,7 @@ def test_rank_one_state_with_wide_sectors_recovers_pure_optimum():
         ]
     )
     rho = np.outer(phi, phi.conj())
-    bd = block_density_from_matrix(rho, dims)
+    bd = BlockDensity(dims, rho)
     f_max, p_max, _ = ultimate_optimum(p, q)
     assert ultimate_mixed_fidelity(bd, q) == pytest.approx(f_max, abs=1e-10)
     res = ultimate_mixed_probability(bd, q)
@@ -191,14 +190,14 @@ def test_ultimate_mixed_fidelity_bounded_by_one():
         assert f >= det_fidelity_bound(bd, q) - 1e-10
 
 
-def test_degenerate_probability_search_holds_one_candidate_at_a_time():
+def test_degenerate_probability_holds_one_projector_at_a_time():
     # The maximally mixed state of two 10-dimensional sectors has a 20-fold
-    # top eigenspace toward equal target weights; its 1000 random candidates
-    # take 6.4 KB each.
+    # top eigenspace toward equal target weights; the uniform mixture over
+    # it sums 20 projectors of 6.4 KB each.
     d = 10
-    rho = block_density_from_matrix(np.eye(2 * d) / (2 * d), [(0, 0.0, d), (1, 1.0, d)])
+    rho = BlockDensity([(0, 0.0, d), (1, 1.0, d)], np.eye(2 * d) / (2 * d))
     q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    ultimate_mixed_probability(rho, q, draws=2)
+    ultimate_mixed_probability(rho, q)
     tracemalloc.start()
     try:
         res = ultimate_mixed_probability(rho, q)
@@ -207,6 +206,18 @@ def test_degenerate_probability_search_holds_one_candidate_at_a_time():
         tracemalloc.stop()
     assert not res.exact and res.fidelity == pytest.approx(0.5, abs=1e-12)
     assert peak < 1_000_000, peak
+
+
+@pytest.mark.parametrize("N", [1, 3, 5])
+def test_degenerate_thermal_state_takes_the_uniform_mixture(N):
+    # At beta = 0 the state is the identity over 2^N, the top eigenspace
+    # toward the coherent target is degenerate, and the uniform mixture over
+    # it is optimal: it passes the sectors m = +-1/2 whole, whose weight is
+    # 2 C(N, (N-1)/2) / 2^N.
+    res = ultimate_mixed_probability(thermal_spin_block_density(N, 0.0),
+                                     coherent_target_profile())
+    assert not res.exact
+    assert res.value == pytest.approx(2 * math.comb(N, (N - 1) // 2) / 2**N)
 
 
 def test_ultimate_mixed_requires_overlap():

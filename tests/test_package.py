@@ -1,4 +1,4 @@
-"""The package surface: lazy exports, read-only types, and no bare asserts."""
+"""The package surface: lazy exports, read-only types, no bare asserts, no sampling."""
 
 import ast
 from pathlib import Path
@@ -98,5 +98,31 @@ def test_no_module_checks_with_assert():
         for path in sorted(root.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert not found, found
+
+
+
+def test_only_the_oracle_samples():
+    # The library is exact; only ``epops verify`` draws random instances.
+    root = Path(epops.__file__).parent
+    draws = {"default_rng", "dirichlet", "normal"}
+
+    def samples(node):
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "attr", getattr(node.func, "id", None)) in draws
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            return False
+        return any("random" in name.split(".") for name in names)
+
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py")) if path.name != "oracle.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if samples(node)
     ]
     assert not found, found

@@ -144,6 +144,13 @@ def test_profiles_compare_and_hash_by_support_and_weights():
     assert p != (p.support, p.weights)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_profile_constructor_rejects_non_finite_weight(bad):
+    # A NaN total fails every comparison, so the sum check alone let it in.
+    with pytest.raises(NonFiniteWeight):
+        EnergyProfile((0, 1), (0.0, 1.0), (1.0, bad))
+
+
 @pytest.mark.parametrize("columns", [
     ((0, 3), (0.0,), (0.25, 0.75)),
     ((0, 3), (0.0, 1.0), (1.0,)),
