@@ -8,6 +8,10 @@ simulation recomputes each round's filter from the evolving state, so
 agreement with the profile engine is a genuine two-route check.  The
 optimum at fixed success probability is checked by a grid over filter
 coefficients and by an exhaustive search over the fully transmitted set.
+The grid sorts the partial sums of its low sectors by probability once;
+each value of the sectors above them then has its feasible points in one
+slice of that order, and every feasible point is scored, ties keeping
+the first maximum in flat order.
 """
 
 from __future__ import annotations
@@ -33,7 +37,12 @@ from .spectra import EnergyProfile, Frozen, _layout, common_support
 _DIMENSION_CAP = 16
 _SUBSET_SECTOR_CAP = 12
 _GRID_POINT_CAP = 50_000_000
-_SLAB_POINTS = 1 << 20
+#: Most partial sums :func:`grid_search_tradeoff` builds and sorts at once.
+_SORTED_POINTS = 1 << 18
+# A point within the band sums to at most about 2, so rounding moves its
+# probability by well under 1e-15: widened by this margin, each searched
+# slice holds every feasible point.
+_BAND_MARGIN = 1e-14
 _ERODED_RELATIVE = 1e-12
 _ROUND_TOL = 1e-10
 _SUBSET_TOL = 1e-12
@@ -341,23 +350,25 @@ def grid_search_tradeoff(
 ) -> Tuple[float, SectorFilter]:
     """Brute-force the best filter near ``p_succ`` on a coefficient grid.
 
-    Scans every x in {0, resolution, ..., 1}^(number of input sectors),
-    keeps the points whose success probability is within one resolution
+    Searches every x in {0, resolution, ..., 1}^(number of input sectors)
+    for the points whose success probability is within one resolution
     step of the request (and above zero), and maximizes the fidelity
     amplitude^2 / probability at the actually achieved probability.
-    Purely a cross-check for the Lagrange construction: every grid point
-    is scored, with no shortcut along any axis.
+    Purely a cross-check for the Lagrange construction: every feasible
+    point is scored, with no shortcut along any axis.
 
     Point k of the flat grid has coefficient ``axis[d_i]`` on sector i,
     where d_i is the i-th base-``size`` digit of k, so sector 0 varies
-    fastest.  Each sector gets two tables over the axis, x p_i and
-    sqrt(x p_i q_i); broadcasting them against each other (tensor axis
-    n-1-i holds sector i) gives the probability and the amplitude of every
-    point in flat order, summed over the sectors in order 0..n-1.  A grid
-    of more than 2^20 points is scanned in contiguous slabs of at most
-    2^20 points: the low sectors in full, a block of values of the next,
-    and the sectors above fixed to one value each, added as scalars.
-    Ties keep the first maximum in flat order.
+    fastest.  The probability and the amplitude of a point are summed
+    over the sectors in order 0..n-1 from per-sector tables x p_i and
+    sqrt(x p_i q_i).  The partial sums over the low sectors, as many of
+    them as give at most 2^18 points (at least sector 0, and all of them
+    on a small grid), are built once and sorted by probability.  Each
+    value of the remaining sectors then adds the same terms to every
+    partial sum, so its feasible points form one slice of the sorted
+    order: a binary search finds the slice, widened by a margin far above
+    the rounding of these sums, and the exact feasibility test is applied
+    inside it.  Ties keep the first maximum in flat order.
     """
     if not 0.0 < resolution <= 1.0:
         raise ValueError("resolution must lie in (0, 1]")
@@ -374,39 +385,46 @@ def grid_search_tradeoff(
     qw = np.array([q.weight(i) for i in support])
     prob_table = axis * pw[:, None]
     amp_table = np.sqrt(axis * (pw * qw)[:, None])
+    band = resolution + 1e-12
 
-    # Slab layout: sectors below ``top`` in full, ``block`` values of
-    # sector ``top``, one value of each sector above.
-    top = 0
-    while top < n - 1 and size ** (top + 1) <= _SLAB_POINTS:
-        top += 1
-    stride = size**top
-    block = min(size, max(1, _SLAB_POINTS // stride))
+    low = n
+    while low > 1 and size**low > _SORTED_POINTS:
+        low -= 1
+    prob = prob_table[0]
+    amp = amp_table[0]
+    for i in range(1, low):
+        prob = (prob + prob_table[i, :, None]).ravel()
+        amp = (amp + amp_table[i, :, None]).ravel()
+    order = np.argsort(prob)
+    prob = prob[order]
 
     best_f = -1.0
     best_flat = -1
-    for high in range(size ** (n - 1 - top)):
-        fixed = [(high // size**k) % size for k in range(n - 1 - top)]
-        for first in range(0, size, block):
-            rows = slice(first, first + block)
-            achieved = _slab_sum(prob_table, top, rows, fixed).ravel()
-            # In place and freed before the amplitudes, so that at most
-            # two slab-sized float arrays are alive at once.
-            off = achieved - p_succ
-            np.abs(off, out=off)
-            feasible = off <= resolution + 1e-12
-            del off
-            feasible &= achieved > 0.0
-            idx = np.flatnonzero(feasible)
-            if not idx.size:
-                continue
-            achieved = achieved[idx]
-            amp = _slab_sum(amp_table, top, rows, fixed).ravel()[idx]
-            fid = amp * amp / achieved
-            k = int(fid.argmax())
-            if fid[k] > best_f:
-                best_f = float(fid[k])
-                best_flat = (high * size + first) * stride + int(idx[k])
+    for high in range(size ** (n - low)):
+        digits = [(i, high // size ** (i - low) % size) for i in range(low, n)]
+        shift = sum(prob_table[i, d] for i, d in digits)
+        first, last = np.searchsorted(prob, (
+            p_succ - band - shift - _BAND_MARGIN,
+            p_succ + band - shift + _BAND_MARGIN,
+        ))
+        achieved = prob[first:last]
+        for i, d in digits:
+            achieved = achieved + prob_table[i, d]
+        feasible = (np.abs(achieved - p_succ) <= band) & (achieved > 0.0)
+        if not feasible.any():
+            continue
+        rows = order[first:last][feasible]
+        achieved = achieved[feasible]
+        a = amp[rows]
+        for i, d in digits:
+            a = a + amp_table[i, d]
+        fid = a * a / achieved
+        top = fid.max()
+        if top > best_f:
+            # The slice is in probability order; a tie goes to the
+            # smallest flat index.
+            best_f = float(top)
+            best_flat = high * size**low + int(rows[fid == top].min())
     if best_flat < 0:
         raise InfeasibleProbability(
             f"no grid point reaches p_succ={p_succ} within one step"
@@ -414,25 +432,6 @@ def grid_search_tradeoff(
     return best_f, SectorFilter(
         {i: float(axis[best_flat // size**k % size]) for k, i in enumerate(support)}
     )
-
-
-def _slab_sum(
-    table: np.ndarray, top: int, rows: slice, fixed: Sequence[int]
-) -> np.ndarray:
-    """Per-point sum of ``table[i, d_i]`` over one slab, sectors in order 0..n-1.
-
-    The slab holds every value of the sectors below ``top``, the values
-    ``rows`` of sector ``top`` and the single values ``fixed`` of the
-    sectors above it.  The result has axis top-i for sector i, so its C
-    order is the flat grid order.
-    """
-    acc = table[0, rows] if top == 0 else table[0]
-    for i in range(1, top + 1):
-        column = table[i, rows] if i == top else table[i]
-        acc = acc + column.reshape((-1,) + (1,) * i)
-    for i, digit in enumerate(fixed, start=top + 1):
-        acc = acc + table[i, digit]
-    return acc
 
 
 def exhaustive_tradeoff(p: EnergyProfile, q: EnergyProfile, p_succ: float) -> float:

@@ -97,7 +97,7 @@ class EnergyProfile(Frozen):
             raise DuplicateLabel("sector indices must be strictly increasing")
         if any(w < 0.0 for w in weights):
             raise NegativeWeight("profile weights must be nonnegative")
-        total = math.fsum(weights)
+        total = _weight_sum(weights)
         if not math.isfinite(total):
             raise NonFiniteWeight(f"profile weights sum to {total!r}")
         if not abs(total - 1.0) <= _NORMALIZATION_TOL:
@@ -171,6 +171,16 @@ def _json_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _weight_sum(weights: Iterable[float]) -> float:
+    """``math.fsum`` of the weights; a sum past the double range is not finite."""
+    try:
+        return math.fsum(weights)
+    except OverflowError:
+        raise NonFiniteWeight(
+            "profile weights sum past the double range, so their total is not finite"
+        ) from None
+
+
 def _assemble(
     pairs: Iterable[Tuple[int, float, float]], drop_tol: float
 ) -> EnergyProfile:
@@ -191,7 +201,7 @@ def _assemble(
             raise NegativeWeight(f"weight {weight!r} at sector {index} is negative")
         seen[index] = (value, max(weight, 0.0))
     kept = {i: vw for i, vw in seen.items() if vw[1] > drop_tol}
-    total = math.fsum(vw[1] for vw in kept.values())
+    total = _weight_sum(vw[1] for vw in kept.values())
     if total <= 0.0:
         raise AllZeroWeights("every weight is zero (or below the zero threshold)")
     support = sorted(kept)

@@ -199,6 +199,21 @@ def test_tradeoff_non_finite_weight_exits_3(tmp_path, capsys, bad):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_tradeoff_weights_summing_past_double_range_exit_3(tmp_path, capsys):
+    (tmp_path / "p.json").write_text(
+        '{"energies": [{"index": 0, "weight": 1e308}, {"index": 1, "weight": 1e308}]}'
+    )
+    (tmp_path / "q.json").write_text(uniform_profile(2).to_json())
+    rc = run_cli(
+        tmp_path, "tradeoff", "--input", "p.json", "--target", "q.json",
+        "--out", "t.csv",
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.parametrize(
     "bad", ["NaN", "Infinity", "-Infinity", "-1" + "0" * 400],
     ids=["NaN", "Infinity", "-Infinity", "-1e400-integer"],

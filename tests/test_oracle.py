@@ -36,7 +36,7 @@ from epops.oracle import (
     simulate_protocol,
 )
 from epops.recursive import run_protocol
-from epops.spectra import build_profile
+from epops.spectra import EnergyProfile, build_profile
 
 
 def test_model_layout():
@@ -245,38 +245,74 @@ def test_grid_search_matches_naive_scan():
             assert _coefficients(p, filt) == x_ref
 
 
-def test_grid_search_slabs_match_naive_scan(monkeypatch):
-    # Slabs of at most 50 points: a block of the top tensor sector and
-    # fixed values of the sectors above it.
-    monkeypatch.setattr(epops.oracle, "_SLAB_POINTS", 50)
+def _profile(weights):
+    """A profile on sectors 0..n-1 with exactly these weights (no normalization)."""
+    n = len(weights)
+    return EnergyProfile(range(n), [float(i) for i in range(n)], weights)
+
+
+@pytest.mark.parametrize("case", ["edge-1.0", "edge-0.5", "tiny-last", "tiny-first"])
+def test_grid_search_band_edges_match_naive_scan(case):
+    # Uniform weights at resolution 0.25 put grid points on the band
+    # edges, up to rounding.  A last sector of weight 1e-17 adds less than one ulp to
+    # most partial sums, so many values of it share one slice.  A first
+    # sector near 1e-300 makes many partial sums and fidelities equal, so
+    # the tie rule, not the sort order, must pick among them.
+    uniform = build_profile([(i, float(i), 1.0) for i in range(3)])
+    rng = np.random.default_rng(41)
+    w = rng.dirichlet(np.ones(4)).tolist()
+    q3 = _profile([0.25, 0.25, 0.5])
+    q4 = _profile([0.25, 0.25, 0.25, 0.25])
+    p, q, target, resolution = {
+        "edge-1.0": (uniform, q3, 1.0, 0.25),
+        "edge-0.5": (uniform, q3, 0.5, 0.25),
+        "tiny-last": (_profile([w[0], 1.0 - w[0], 1e-17]), q3, 0.6, 0.05),
+        "tiny-first": (_profile([1e-300, w[1], w[2], 1.0 - w[1] - w[2]]), q4, 0.6, 0.1),
+    }[case]
+    f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
+    assert (f_grid, _coefficients(p, filt)) == _naive_grid(p, q, target, resolution)
+
+
+def test_grid_search_small_sorted_block_matches_naive_scan(monkeypatch):
+    # With at most 50 sorted partial sums, the low block holds fewer than
+    # n - 1 sectors and each value of the sectors above it picks a slice.
+    monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", 50)
     rng = np.random.default_rng(29)
     for n, resolution in ((1, 0.01), (3, 0.1), (4, 0.2)):
         p, q = _dirichlet_pair(rng, n)
         target = float(rng.uniform(0.2, 1.0))
         f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
-        f_ref, x_ref = _naive_grid(p, q, target, resolution)
-        assert abs(f_grid - f_ref) <= 1e-14
-        assert _coefficients(p, filt) == x_ref
+        assert (f_grid, _coefficients(p, filt)) == _naive_grid(p, q, target, resolution)
 
 
-@pytest.mark.parametrize("slab_points", [1 << 20, 5])
-def test_grid_search_tie_keeps_first_point_in_flat_order(monkeypatch, slab_points):
+@pytest.mark.parametrize("p_weights, q_weights, first", [
     # Sectors 0 and 1 carry equal weights, so (0.75, 0.5, 1) and
-    # (0.5, 0.75, 1) score exactly alike; sector 0 varies fastest, so the
-    # point with the larger x_0 comes first, also when the two points lie
-    # in different slabs.
-    monkeypatch.setattr(epops.oracle, "_SLAB_POINTS", slab_points)
-    p = build_profile([(0, 0.0, 0.3), (1, 1.0, 0.3), (2, 2.0, 0.4)])
-    q = build_profile([(0, 0.0, 0.2), (1, 1.0, 0.2), (2, 2.0, 0.6)])
+    # (0.5, 0.75, 1) score exactly alike with the same last coefficient;
+    # sector 0 varies fastest, so the point with the larger x_0 comes first.
+    ((0.3, 0.3, 0.4), (0.2, 0.2, 0.6), (0.75, 0.5, 1.0)),
+    # Sectors 1 and 2 carry equal weights: (1, 0.75, 0.5) and (1, 0.5,
+    # 0.75) tie exactly with different last coefficients, and the smaller
+    # last coefficient comes first.
+    ((0.4, 0.3, 0.3), (0.6, 0.2, 0.2), (1.0, 0.75, 0.5)),
+], ids=["one-slice", "two-slices"])
+def test_grid_search_tie_keeps_first_point_in_flat_order(
+    monkeypatch, p_weights, q_weights, first
+):
+    # 25 sorted partial sums: sectors 0 and 1 form the sorted block, and
+    # each value of sector 2 has its own slice.
+    monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", 25)
+    p = build_profile([(i, float(i), w) for i, w in enumerate(p_weights)])
+    q = build_profile([(i, float(i), w) for i, w in enumerate(q_weights)])
     f_grid, filt = grid_search_tradeoff(p, q, 1.0, 0.25)
-    assert _coefficients(p, filt) == (0.75, 0.5, 1.0)
+    assert _coefficients(p, filt) == first
     f_ref, x_ref = _naive_grid(p, q, 1.0, 0.25)
-    assert (f_grid, x_ref) == (f_ref, (0.75, 0.5, 1.0))
+    assert (f_grid, x_ref) == (f_ref, first)
 
 
 @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.02)])
-def test_grid_search_one_tensor_and_slabs_match_decoded_scan(n, resolution):
-    # 101^3 points fit in one tensor; 51^4 (6.77M) need slabs.
+def test_grid_search_matches_decoded_scan(n, resolution):
+    # 101^3 and 51^4 (6.77M) points, from 10,201 and 132,651 sorted
+    # partial sums.
     rng = np.random.default_rng(31 + n)
     p, q = _dirichlet_pair(rng, n)
     _, p_max, _ = ultimate_optimum(p, q)

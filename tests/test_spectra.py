@@ -151,6 +151,13 @@ def test_profile_constructor_rejects_non_finite_weight(bad):
         EnergyProfile((0, 1), (0.0, 1.0), (1.0, bad))
 
 
+def test_weights_summing_past_double_range_raise_non_finite_weight():
+    with pytest.raises(NonFiniteWeight, match="past the double range"):
+        build_profile([(0, 0.0, 1e308), (1, 1.0, 1e308)])
+    with pytest.raises(NonFiniteWeight, match="past the double range"):
+        EnergyProfile((0, 1), (0.0, 1.0), (1e308, 1e308))
+
+
 @pytest.mark.parametrize("columns", [
     ((0, 3), (0.0,), (0.25, 0.75)),
     ((0, 3), (0.0, 1.0), (1.0,)),
