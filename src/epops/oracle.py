@@ -8,10 +8,11 @@ simulation recomputes each round's filter from the evolving state, so
 agreement with the profile engine is a genuine two-route check.  The
 optimum at fixed success probability is checked by a grid over filter
 coefficients and by an exhaustive search over the fully transmitted set.
-The grid sorts the partial sums of its low sectors by probability once;
-each value of the sectors above them then has its feasible points in one
-slice of that order, and every feasible point is scored, ties keeping
-the first maximum in flat order.
+The grid sorts by probability, once, the partial sums of its low sectors
+that some value of the sectors above them can make feasible; each such
+value shifts that order by a constant, so its feasible points form one
+contiguous run of it, found by bisection.  Every feasible point is
+scored, ties keeping the first maximum in flat order.
 """
 
 from __future__ import annotations
@@ -363,12 +364,14 @@ def grid_search_tradeoff(
     over the sectors in order 0..n-1 from per-sector tables x p_i and
     sqrt(x p_i q_i).  The partial sums over the low sectors, as many of
     them as give at most 2^18 points (at least sector 0, and all of them
-    on a small grid), are built once and sorted by probability.  Each
-    value of the remaining sectors then adds the same terms to every
-    partial sum, so its feasible points form one slice of the sorted
-    order: a binary search finds the slice, widened by a margin far above
-    the rounding of these sums, and the exact feasibility test is applied
-    inside it.  Ties keep the first maximum in flat order.
+    on a small grid), are built once.  Each value of the remaining sectors
+    adds the same terms to every partial sum, so its feasible points lie
+    in one window of probability, widened by a margin far above rounding.
+    The partial sums inside some window are sorted by probability, which
+    the added terms keep, so bisection (of the gap to ``p_succ`` at the
+    band edges, of the probability at zero) finds each window's feasible
+    points as one run, the only points scored.  Ties keep the first
+    maximum in flat order.
     """
     if not 0.0 < resolution <= 1.0:
         raise ValueError("resolution must lie in (0, 1]")
@@ -395,36 +398,46 @@ def grid_search_tradeoff(
     for i in range(1, low):
         prob = (prob + prob_table[i, :, None]).ravel()
         amp = (amp + amp_table[i, :, None]).ravel()
-    order = np.argsort(prob)
-    prob = prob[order]
+    # One window per value of the high sectors, laid out as the low block;
+    # a partial sum outside every window is never sorted.
+    shift = np.zeros(1)
+    for i in range(low, n):
+        shift = (shift + prob_table[i, :, None]).ravel()
+    lows = p_succ - band - shift - _BAND_MARGIN
+    highs = p_succ + band - shift + _BAND_MARGIN
+    rows = np.flatnonzero((prob >= lows.min()) & (prob < highs.max()))
+    order = rows[np.argsort(prob[rows])]
+    prob, amp = prob[order], amp[order]
+    firsts, lasts = prob.searchsorted(lows), prob.searchsorted(highs)
+    achieved_buf, gap_buf, fid_buf = (np.empty(len(prob)) for _ in range(3))
 
     best_f = -1.0
     best_flat = -1
-    for high in range(size ** (n - low)):
+    for high in np.flatnonzero(firsts < lasts).tolist():
         digits = [(i, high // size ** (i - low) % size) for i in range(low, n)]
-        shift = sum(prob_table[i, d] for i, d in digits)
-        first, last = np.searchsorted(prob, (
-            p_succ - band - shift - _BAND_MARGIN,
-            p_succ + band - shift + _BAND_MARGIN,
-        ))
+        first, last = firsts[high], lasts[high]
         achieved = prob[first:last]
         for i, d in digits:
-            achieved = achieved + prob_table[i, d]
-        feasible = (np.abs(achieved - p_succ) <= band) & (achieved > 0.0)
-        if not feasible.any():
+            achieved = np.add(achieved, prob_table[i, d], out=achieved_buf[first:last])
+        # The shifted slice stays nondecreasing, and so do its gaps to
+        # p_succ: its feasible points are one run, past the zero points.
+        gap = np.subtract(achieved, p_succ, out=gap_buf[first:last])
+        start = max(gap.searchsorted(-band), achieved.searchsorted(0.0, "right"))
+        stop = gap.searchsorted(band, "right")
+        if start >= stop:
             continue
-        rows = order[first:last][feasible]
-        achieved = achieved[feasible]
-        a = amp[rows]
+        run = slice(first + start, first + stop)
+        a = amp[run]
+        fid = fid_buf[run]
         for i, d in digits:
-            a = a + amp_table[i, d]
-        fid = a * a / achieved
+            a = np.add(a, amp_table[i, d], out=fid)
+        np.multiply(a, a, out=fid)
+        np.divide(fid, achieved[start:stop], out=fid)
         top = fid.max()
         if top > best_f:
-            # The slice is in probability order; a tie goes to the
-            # smallest flat index.
+            # A tie within the run goes to the smallest flat index.
             best_f = float(top)
-            best_flat = high * size**low + int(rows[fid == top].min())
+            best_flat = high * size**low + int(order[run][fid == top].min())
     if best_flat < 0:
         raise InfeasibleProbability(
             f"no grid point reaches p_succ={p_succ} within one step"

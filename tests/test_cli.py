@@ -416,6 +416,19 @@ def test_verify_subcommand_passes(tmp_path, capsys):
     assert "fail" not in out
 
 
+#: sha256 of ``epops verify --seed 4 --instances 6`` stdout, whose
+#: instances have 2, 3, 4, 4, 5 and 5 input sectors; captured before the
+#: grid scored each slice's feasible points as one run.
+VERIFY_SEED_4_SHA256 = "f086bbf1b35af6790aaca1595c7f15cc47454058493868fe246c63938247c2b3"
+
+
+def test_verify_output_is_pinned(tmp_path, capsys):
+    rc = run_cli(tmp_path, "verify", "--seed", "4", "--instances", "6")
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SEED_4_SHA256
+
+
 @pytest.mark.parametrize("seed, instances, option", [
     pytest.param("11", "0", "instances", id="0"),
     pytest.param("11", "-3", "instances", id="-3"),

@@ -23,6 +23,7 @@ import epops.oracle
 from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.oracle import (
     HilbertModel,
+    _grid_resolution,
     _random_model,
     check_energy_preserving,
     embed_profile,
@@ -241,7 +242,7 @@ def test_grid_search_matches_naive_scan():
             target = float(rng.uniform(0.2, 1.0))
             f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
             f_ref, x_ref = _naive_grid(p, q, target, resolution)
-            assert abs(f_grid - f_ref) <= 1e-14
+            assert f_grid == f_ref
             assert _coefficients(p, filt) == x_ref
 
 
@@ -283,6 +284,60 @@ def test_grid_search_small_sorted_block_matches_naive_scan(monkeypatch):
         target = float(rng.uniform(0.2, 1.0))
         f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
         assert (f_grid, _coefficients(p, filt)) == _naive_grid(p, q, target, resolution)
+
+
+def _run_edge_case(case):
+    """(p, q, p_succ, resolution) for a grid whose runs end at a test's edge."""
+    if case.startswith("below-step"):
+        # Under one step of 0.05 from the request, the zero-probability
+        # points pass the band test and only ``achieved > 0`` drops them.
+        p, q = _dirichlet_pair(np.random.default_rng(47), 3)
+        return p, q, float(case.split("-")[-1]), 0.05
+    if case == "one-sector":
+        p, q = _dirichlet_pair(np.random.default_rng(53), 1)
+        return p, q, 0.37, 0.05
+    band = 0.25 + 1e-12
+    if case.endswith("band-edge"):
+        # The points reaching 0.375 sit exactly on the band's upper or
+        # lower edge, and they score best: the run must keep them.
+        target = 0.375 - band if case == "upper-band-edge" else 0.375 + band
+        assert abs(0.375 - target) == band
+        return _profile([0.5, 0.5]), _profile([0.3, 0.7]), target, 0.25
+    # Two sectors of weight 0.5 at resolution 0.25: the point (0, 1) reaches
+    # 0.5, which lies a few ulps above the band of this request but within
+    # the margin, so a slice holding only that point has no feasible point.
+    p = build_profile([(0, 0.0, 1.0), (1, 1.0, 1.0)])
+    target = 0.5 - band - 5e-15
+    assert band < 0.5 - target <= band + epops.oracle._BAND_MARGIN
+    return p, _profile([0.25, 0.75]), target, 0.25
+
+
+@pytest.mark.parametrize("sorted_points", [None, 5], ids=["default-block", "small-block"])
+@pytest.mark.parametrize("case", [
+    "below-step-0.004", "below-step-0.01", "below-step-0.02",
+    "upper-band-edge", "lower-band-edge", "empty-widened-slice", "one-sector",
+])
+def test_grid_search_run_edges_match_naive_scan(monkeypatch, case, sorted_points):
+    # With at most 5 sorted partial sums, the block is sector 0 alone and
+    # each value of the sectors above it picks a run that starts mid-block.
+    if sorted_points is not None:
+        monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", sorted_points)
+    p, q, target, resolution = _run_edge_case(case)
+    f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
+    assert (f_grid, _coefficients(p, filt)) == _naive_grid(p, q, target, resolution)
+
+
+def test_grid_search_scores_no_zero_probability_point():
+    # A point of probability 0 scores 0/0: with floating-point errors
+    # raised, a run that let one in fails here instead of skipping it.
+    rng = np.random.default_rng(43)
+    for n in range(2, 6):
+        p, q = _dirichlet_pair(rng, n)
+        resolution = _grid_resolution(n)
+        _, p_max, _ = ultimate_optimum(p, q)
+        for target in (float(rng.uniform(p_max, 1.0)), resolution / 5, resolution / 2):
+            with np.errstate(all="raise"):
+                grid_search_tradeoff(p, q, target, resolution)
 
 
 @pytest.mark.parametrize("p_weights, q_weights, first", [
