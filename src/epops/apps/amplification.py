@@ -17,13 +17,15 @@ from itertools import accumulate
 from typing import NamedTuple, Optional, Tuple
 
 from ..coarse import TradeoffCurve, curve_from_run
-from ..errors import ConsistencyError, CutoffTooSmall
+from ..errors import ConsistencyError, CutoffTooSmall, TooLarge
 from ..recursive import run_protocol
 from ..spectra import EnergyProfile, _log_factorials, poisson_profile
 
 _REL_TOL = 1e-8
 _LOG_TOL = 1e-6
 _TINY = 1e-15
+#: Largest number cutoff: a call at it runs for about 10 s.
+_CUTOFF_CAP = 2_000_000
 
 
 class RoundAudit(NamedTuple):
@@ -133,6 +135,8 @@ def amplification_tradeoff(
         raise ValueError("r2 must be at least r1")
     if r2 == 0.0:
         raise ValueError("r2 must be positive")
+    if cutoff > _CUTOFF_CAP:
+        raise TooLarge(f"cutoff {cutoff} exceeds the cap {_CUTOFF_CAP}")
     if cutoff <= r2 * r2:
         raise CutoffTooSmall(
             f"cutoff {cutoff} does not exceed r2^2 = {r2 * r2:g}; "

@@ -12,8 +12,11 @@ from __future__ import annotations
 import math
 
 from ..coarse import TradeoffCurve, tradeoff_curve
-from ..errors import ParityMismatch
+from ..errors import ParityMismatch, TooLarge
 from ..spectra import binomial_profile
+
+#: Largest spin count N or M: a call at it runs for about 10 s.
+_SPIN_CAP = 3_000_000
 
 
 def _validate(N: int, M: int) -> None:
@@ -21,6 +24,8 @@ def _validate(N: int, M: int) -> None:
         raise ValueError("N and M must be positive")
     if M < N:
         raise ValueError(f"cannot clone {N} spins down to {M}")
+    if M > _SPIN_CAP:
+        raise TooLarge(f"spin count {M} exceeds the cap {_SPIN_CAP}")
     if (M - N) % 2 != 0:
         raise ParityMismatch(
             f"magnetization parities differ for N={N}, M={M}; "

@@ -14,11 +14,13 @@ import math
 from typing import NamedTuple
 
 from ..coarse import CurvePoint, TradeoffCurve, curve_from_run
-from ..errors import ConsistencyError
+from ..errors import ConsistencyError, TooLarge
 from ..recursive import run_protocol
 from ..spectra import EnergyProfile, _assemble
 
 _CLOSED_TOL = 1e-10
+#: Largest level count d: a call at it runs for about 10 s.
+_LEVEL_CAP = 2_000_000
 
 
 class CorrectionResult(NamedTuple):
@@ -65,6 +67,8 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
     """
     if d < 2:
         raise ValueError("d must be at least 2")
+    if d > _LEVEL_CAP:
+        raise TooLarge(f"level count d={d} exceeds the cap {_LEVEL_CAP}")
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie strictly between 0 and 1")
     p = damped_profile(d, mu)

@@ -16,7 +16,7 @@ from itertools import accumulate
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..coarse import coarse_filter, curve_from_run
-from ..errors import NotNormalized, NotOdd
+from ..errors import NotNormalized, NotOdd, TooLarge
 from ..recursive import run_protocol
 from ..spectra import (
     EnergyProfile,
@@ -26,6 +26,8 @@ from ..spectra import (
 )
 
 _NORM_TOL = 1e-10
+#: Largest level or qubit count N: a ``maxcoh`` call at it runs for about 10 s.
+_LEVEL_CAP = 100_000
 
 MODES = ("maxcoh", "qubits")
 
@@ -76,6 +78,8 @@ def estimation_profiles(mode: str, N: int) -> Tuple[EnergyProfile, EnergyProfile
     """
     if N < 2:
         raise ValueError("N must be at least 2")
+    if N > _LEVEL_CAP:
+        raise TooLarge(f"N={N} exceeds the cap {_LEVEL_CAP}")
     if mode == "maxcoh":
         return uniform_profile(N), sine_profile(N - 1)
     if mode == "qubits":

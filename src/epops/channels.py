@@ -23,6 +23,8 @@ from .errors import ZeroSuccessProbability
 from .spectra import EnergyProfile, Frozen, build_profile, common_support
 
 _CLIP_SLACK = 1e-12
+_INT = frozenset([int])
+_REAL = frozenset([int, float])
 
 
 def _sector_index(key) -> int:
@@ -33,6 +35,20 @@ def _sector_index(key) -> int:
         except TypeError:
             pass
     raise ValueError(f"filter key {key!r} is not an integer sector index")
+
+
+def _clean_each(coefficients: Mapping[int, float]) -> dict[int, float]:
+    """Validate, convert and clip the coefficients one sector at a time."""
+    cleaned: dict[int, float] = {}
+    for index, x in coefficients.items():
+        if type(index) is not int:
+            index = _sector_index(index)
+        if not -_CLIP_SLACK <= x <= 1.0 + _CLIP_SLACK:
+            raise ValueError(
+                f"filter coefficient {x!r} at sector {index} is not in [0, 1]"
+            )
+        cleaned[index] = min(max(x, 0.0), 1.0)
+    return cleaned
 
 
 class SectorFilter(Frozen):
@@ -46,15 +62,16 @@ class SectorFilter(Frozen):
     """
 
     def __init__(self, coefficients: Mapping[int, float]) -> None:
-        cleaned: dict[int, float] = {}
-        for index, x in coefficients.items():
-            if type(index) is not int:
-                index = _sector_index(index)
-            if not -_CLIP_SLACK <= x <= 1.0 + _CLIP_SLACK:
-                raise ValueError(
-                    f"filter coefficient {x!r} at sector {index} is not in [0, 1]"
-                )
-            cleaned[index] = min(max(x, 0.0), 1.0)
+        values = coefficients.values()
+        # The common case, int keys and float or int values in [0, 1] (no
+        # NaN), needs no conversion or clipping, so it is checked in C-level
+        # passes and copied; anything else goes through ``_clean_each``.
+        if (_INT.issuperset(map(type, coefficients))
+                and _REAL.issuperset(map(type, values))
+                and all(map((0.0).__le__, values)) and all(map((1.0).__ge__, values))):
+            cleaned = dict(coefficients)
+        else:
+            cleaned = _clean_each(coefficients)
         self._init(coefficients=cleaned)
 
     def __eq__(self, other):

@@ -10,8 +10,8 @@ and reports pass or fail per check.
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments or an
 output file that cannot be written, 3 infeasible parameters (domain
 errors such as disjoint spectra, a parity mismatch or a non-finite
-weight), 4 an internal consistency check failed (two routes to the same
-number disagreed beyond their tolerance).
+weight, and a size above its cap), 4 an internal consistency check
+failed (two routes to the same number disagreed beyond their tolerance).
 
 Every call runs in a cold interpreter, so imports count: this module
 imports at its top only what several subcommands run, and each ``_cmd_*``

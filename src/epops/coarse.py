@@ -39,12 +39,8 @@ class TradeoffCurve(NamedTuple):
 
     def to_csv(self) -> str:
         """Render as CSV with six significant digits per value."""
-        lines = ["T,p_succ,F_recursive,F_coarse"]
-        for pt in self.points:
-            lines.append(
-                "%d,%.6g,%.6g,%.6g" % (pt.T, pt.p_succ, pt.F_recursive, pt.F_coarse)
-            )
-        return "\n".join(lines) + "\n"
+        rows = map("%d,%.6g,%.6g,%.6g".__mod__, self.points)
+        return "\n".join(["T,p_succ,F_recursive,F_coarse", *rows]) + "\n"
 
 
 def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
@@ -87,13 +83,9 @@ def coarse_fidelity(run: ProtocolRun, T: int) -> float:
 def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
     """Recursive and merged fidelities of ``run`` against success probability."""
     f_coarse = _merged_fidelities(run.table, len(run.fidelities))
+    rounds = range(1, len(f_coarse) + 1)
     return TradeoffCurve(
-        points=tuple([
-            CurvePoint(T=T, p_succ=p, F_recursive=f_rec, F_coarse=f_co)
-            for T, (p, f_rec, f_co) in enumerate(
-                zip(run.p_succ, run.f_recursive, f_coarse), start=1
-            )
-        ])
+        points=tuple(list(map(CurvePoint, rounds, run.p_succ, run.f_recursive, f_coarse)))
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import accumulate
+from operator import mul, sub, truediv
 from typing import Dict, Tuple
 
 from .errors import RoundOutOfRange
@@ -103,11 +104,9 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     n = min(K, table.length)
     ratios = table.ratios[:n]
     fidelities = table.q_remaining[:n]
-    probabilities = tuple(
-        [(r - before) * f for r, before, f in zip(ratios, (0.0,) + ratios, fidelities)]
-    )
+    probabilities = tuple(list(map(mul, map(sub, ratios, (0.0,) + ratios), fidelities)))
     p_succ = tuple(list(accumulate(probabilities)))
-    weighted = accumulate(pr * f for pr, f in zip(probabilities, fidelities))
+    weighted = accumulate(map(mul, probabilities, fidelities))
     return ProtocolRun(
         input=p,
         target=q,
@@ -115,7 +114,7 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
         fidelities=fidelities,
         probabilities=probabilities,
         p_succ=p_succ,
-        f_recursive=tuple([w / s for w, s in zip(weighted, p_succ)]),
+        f_recursive=tuple(list(map(truediv, weighted, p_succ))),
     )
 
 

@@ -19,11 +19,14 @@ so quantities like the weight 2^-400 at the edge of a 400-copy binomial
 profile stay finite and positive instead of underflowing.
 
 The profile, the ratio table, the protocol columns and the curve points
-copy their tuples from finished lists, ``tuple([...])``, and never build
-them from a generator.  CPython sizes a tuple taken from a list once; a
-tuple grown from a generator is resized, which strands a tuple of another
-size on the interpreter's free lists each time, and in a process that
-builds many small tables those lists grew by about 4 MB.
+copy their tuples from finished lists, ``tuple([...])`` or
+``tuple(list(map(...)))``, and never build them from a generator or from
+an iterator without a length hint (``map``, ``filter``, ``zip``,
+``enumerate``, ``starmap``, ``accumulate``, ``chain``).  CPython sizes a
+tuple taken from a list once; a tuple grown from an unsized iterator is
+resized, which strands a tuple of another size on the interpreter's free
+lists each time, and in a process that builds many small tables those
+lists grew by about 4 MB.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import accumulate
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
@@ -317,16 +320,21 @@ def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
     order, raw, pw, qw = _ratio_columns(p, q)
 
     starts = [0]
+    first = raw[0]
     for j in range(1, len(raw)):
-        first = raw[starts[-1]]
         if raw[j] - first > RATIO_TOLERANCE * first:
             starts.append(j)
+            first = raw[j]
     ends = starts[1:] + [len(raw)]
-    ratios = tuple([math.fsum(raw[a:b]) / (b - a) for a, b in zip(starts, ends)])
+    # A one-sector group keeps its ratio: fsum([r]) / 1 == r.
+    ratios = tuple([
+        raw[a] if b - a == 1 else math.fsum(raw[a:b]) / (b - a)
+        for a, b in zip(starts, ends)
+    ])
 
     cuts = [0] + ends
     p_eroded = list(accumulate(pw, initial=0.0))
-    aligned = list(accumulate((math.sqrt(a * b) for a, b in zip(pw, qw)), initial=0.0))
+    aligned = list(accumulate(map(math.sqrt, map(mul, pw, qw)), initial=0.0))
     # The q sums run from the tail so small remainders keep their precision.
     q_remaining = list(accumulate(reversed(qw), initial=0.0))[::-1]
     return RatioTable(

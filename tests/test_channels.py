@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epops.channels import (
     SectorFilter,
+    _clean_each,
     deterministic_fidelity,
     filter_fidelity,
     filter_success_probability,
@@ -150,3 +153,68 @@ def test_filter_rejects_non_finite_coefficient(bad):
         SectorFilter({0: float(bad)})
     with pytest.raises(ValueError):
         SectorFilter.from_json_dict({"x": {"0": bad}})
+
+
+# SectorFilter checks its common case (int keys, float or int values in
+# [0, 1]) in C-level passes and sends the rest through ``_clean_each``;
+# both must store the same dict, down to each value's type and sign, or
+# raise the same exception type.
+SPECIAL_VALUES = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1e-12, 1.0 - 1e-12,
+    1.0 + 1e-12, 1.0 + 2e-12, -2e-12, 0, 1, 2, -1, True, False,
+    np.float64(0.5), np.float64(math.nan), np.float64(1.0 + 1e-12),
+    np.float32(0.25), np.float32(-0.0), np.float32(1.5), np.float32(math.nan),
+    np.int64(1), np.int64(0), np.int64(2), np.bool_(True),
+]
+SPECIAL_KEYS = [
+    3, -1, np.int64(3), np.int32(3), True, False, 1.0, 2.5, np.float64(3.0), np.bool_(False),
+]
+FILTER_VALUES = st.one_of(
+    st.sampled_from(SPECIAL_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e-11, 1.0 + 1e-11),
+)
+FILTER_KEYS = st.one_of(st.integers(-3, 20), st.sampled_from(SPECIAL_KEYS))
+#: Coefficients that take the C-level check: int keys, values in [0, 1].
+PLAIN_FILTERS = st.dictionaries(
+    st.integers(-3, 20),
+    st.one_of(st.floats(0.0, 1.0), st.sampled_from([0, 1, -0.0, 1.0 - 1e-12])),
+    max_size=8,
+)
+
+
+@st.composite
+def filter_coefficients(draw):
+    """A plain filter with up to two entries from the wider key and value sets."""
+    coefficients = draw(PLAIN_FILTERS)
+    for _ in range(draw(st.integers(0, 2))):
+        coefficients[draw(FILTER_KEYS)] = draw(FILTER_VALUES)
+    return coefficients
+
+
+def _stored(coefficients):
+    return [(k, type(k), repr(v), type(v)) for k, v in coefficients.items()]
+
+
+def _outcome(build, coefficients):
+    try:
+        return _stored(build(coefficients))
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(filter_coefficients())
+def test_filter_fast_check_matches_per_item_loop(coefficients):
+    fast = _outcome(lambda c: SectorFilter(c).coefficients, coefficients)
+    assert fast == _outcome(_clean_each, coefficients)
+
+
+@pytest.mark.parametrize("key", SPECIAL_KEYS, ids=repr)
+def test_filter_fast_check_matches_per_item_loop_on_each_special_value(key):
+    # Every special key and value, whatever examples the installed
+    # hypothesis version happens to draw.
+    for value in SPECIAL_VALUES:
+        for coefficients in ({key: value}, {0: 0.5, key: value}, {key: 0.5, 7: value}):
+            fast = _outcome(lambda c: SectorFilter(c).coefficients, coefficients)
+            assert fast == _outcome(_clean_each, coefficients), coefficients

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import epops
 import epops.recursive
-from epops.apps import amplification, correction
+from epops.apps import amplification, cloning, correction, estimation
 from epops.apps import (
     amplification_tradeoff,
     cloning_tradeoff,
@@ -406,6 +407,31 @@ def test_amplify_small_cutoff_is_infeasible(tmp_path, capsys):
     )
     assert rc == 3
     assert "cutoff" in capsys.readouterr().err
+
+
+def _above_cap(module, cap):
+    return str(getattr(module, cap) + 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["amplify", "--r1", "1", "--r2", "1.5",
+     "--cutoff", _above_cap(amplification, "_CUTOFF_CAP")],
+    ["estimate", "--mode", "maxcoh", "--n", _above_cap(estimation, "_LEVEL_CAP")],
+    ["estimate", "--mode", "qubits", "--n", _above_cap(estimation, "_LEVEL_CAP")],
+    ["clone", "--n", _above_cap(cloning, "_SPIN_CAP"), "--m", _above_cap(cloning, "_SPIN_CAP")],
+    ["clone", "--n", "1", "--m", _above_cap(cloning, "_SPIN_CAP")],
+    ["correct", "--d", _above_cap(correction, "_LEVEL_CAP"), "--mu", "0.9"],
+], ids=["amplify-cutoff", "estimate-maxcoh-n", "estimate-qubits-n", "clone-n", "clone-m",
+        "correct-d"])
+def test_size_above_its_cap_exits_3_at_once(tmp_path, capsys, argv):
+    start = time.perf_counter()
+    rc = run_cli(tmp_path, *argv, "--out", "big.csv")
+    elapsed = time.perf_counter() - start
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "exceeds the cap" in err[0]
+    assert elapsed < 0.5
+    assert not (tmp_path / "big.csv").exists()
 
 
 def test_verify_subcommand_passes(tmp_path, capsys):

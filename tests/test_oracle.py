@@ -327,6 +327,24 @@ def test_grid_search_run_edges_match_naive_scan(monkeypatch, case, sorted_points
     assert (f_grid, _coefficients(p, filt)) == _naive_grid(p, q, target, resolution)
 
 
+def test_grid_search_margin_keeps_point_rounding_into_band(monkeypatch):
+    # With a block of sector 0 alone, the best feasible point (0.5, 0.75)
+    # has a partial sum just below its slice's unwidened window, p_succ -
+    # band - shift, yet its full sum rounds to within the band of p_succ:
+    # only the margin keeps it in the sorted run.
+    monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", 5)
+    p = _profile([0.5165220342982723, 0.48347796570172774])
+    q = _profile([0.392753429981466, 0.607246570018534])
+    target, resolution = 0.870869491426432, 0.25
+    band = resolution + 1e-12
+    partial, shift = 0.5 * p.weight(0), 0.75 * p.weight(1)
+    assert partial < target - band - shift
+    assert partial + shift - target >= -band
+    f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
+    assert _coefficients(p, filt) == (0.5, 0.75)
+    assert (f_grid, (0.5, 0.75)) == _naive_grid(p, q, target, resolution)
+
+
 def test_grid_search_scores_no_zero_probability_point():
     # A point of probability 0 scores 0/0: with floating-point errors
     # raised, a run that let one in fails here instead of skipping it.

@@ -73,9 +73,28 @@ def test_fields_cannot_be_assigned():
         assert getattr(obj, name) is not None, type(obj).__name__
 
 
+#: Iterator builders with no length hint: a tuple taken from one grows
+#: by resizing, just as from a generator.
+UNSIZED_ITERATORS = {"map", "filter", "zip", "enumerate", "starmap", "accumulate", "chain"}
+
+
+def _unsized(arg) -> bool:
+    if isinstance(arg, ast.GeneratorExp):
+        return True
+    if not isinstance(arg, ast.Call):
+        return False
+    # ``map(...)``, ``itertools.chain(...)`` and ``chain.from_iterable(...)``.
+    func = arg.func.value if (
+        isinstance(arg.func, ast.Attribute) and arg.func.attr == "from_iterable"
+    ) else arg.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name in UNSIZED_ITERATORS
+
+
 def test_engine_builds_no_tuple_from_a_generator():
     # The reason is in the epops.spectra docstring: a tuple grown from a
-    # generator strands resized tuples on the interpreter's free lists.
+    # generator, or from an iterator without a length hint, strands
+    # resized tuples on the interpreter's free lists.
     root = Path(epops.__file__).parent
     engine = ("spectra", "channels", "recursive", "coarse", "optimal")
     paths = [root / f"{name}.py" for name in engine] + sorted((root / "apps").glob("*.py"))
@@ -84,10 +103,28 @@ def test_engine_builds_no_tuple_from_a_generator():
         for path in paths
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "tuple" and node.args
-        and isinstance(node.args[0], ast.GeneratorExp)
+        and node.func.id == "tuple" and node.args and _unsized(node.args[0])
     ]
     assert not found, found
+
+
+@pytest.mark.parametrize("source, flagged", [
+    ("tuple(x for x in y)", True),
+    ("tuple(map(f, y))", True),
+    ("tuple(filter(None, y))", True),
+    ("tuple(zip(a, b))", True),
+    ("tuple(enumerate(y))", True),
+    ("tuple(itertools.starmap(f, y))", True),
+    ("tuple(accumulate(y))", True),
+    ("tuple(chain(a, b))", True),
+    ("tuple(chain.from_iterable(y))", True),
+    ("tuple(list(map(f, y)))", False),
+    ("tuple([x for x in y])", False),
+    ("tuple(sorted(y))", False),
+    ("tuple(y)", False),
+])
+def test_tuple_guard_flags_unsized_iterators(source, flagged):
+    assert _unsized(ast.parse(source, mode="eval").body.args[0]) is flagged
 
 
 def test_no_module_checks_with_assert():
