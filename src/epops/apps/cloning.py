@@ -13,7 +13,7 @@ import math
 
 from ..coarse import TradeoffCurve, tradeoff_curve
 from ..errors import ParityMismatch, TooLarge
-from ..spectra import binomial_profile
+from ..spectra import EnergyProfile, _binomial_weight, binomial_profile
 
 #: Largest spin count N or M: a call at it runs for about 10 s.
 _SPIN_CAP = 3_000_000
@@ -41,20 +41,33 @@ def first_round_fidelity(N: int, M: int) -> float:
     log domain so wide-M tails come out right.
     """
     _validate(N, M)
-    log_half_m = -M * math.log(2.0)
-    total = 0.0
-    for n in range(-N, N + 1, 2):
-        k = (M - n) // 2
-        total += math.exp(
-            log_half_m + math.lgamma(M + 1)
-            - math.lgamma(k + 1) - math.lgamma(M - k + 1)
-        )
-    return total
+    weight = _binomial_weight(M)
+    return math.fsum([weight((M - n) // 2) for n in range(-N, N + 1, 2)])
+
+
+def _shared_target(N: int, M: int) -> EnergyProfile:
+    """The M-spin target on the N + 1 sectors it shares with the input.
+
+    Each shared weight has the bits ``binomial_profile(M)`` gives it: the
+    same weight over the same ``fsum`` of all M + 1 weights, streamed
+    rather than stored, and a weight that underflows to 0.0 is dropped
+    as there.  The weight left over sits on sector N + 2, which the
+    curve, reading the common spectrum only, never reads.
+    """
+    weight = _binomial_weight(M)
+    total = math.fsum(map(weight, range(M + 1)))
+    shared = [(m, weight((M - m) // 2)) for m in range(-N, N + 1, 2)]
+    shared = [(m, w) for m, w in shared if w > 0.0]
+    support = [m for m, _ in shared]
+    weights = [w / total for _, w in shared]
+    rest = 1.0 - math.fsum(weights)
+    if rest > 0.0:
+        support.append(N + 2)
+        weights.append(rest)
+    return EnergyProfile(support, [float(m) for m in support], weights)
 
 
 def cloning_tradeoff(N: int, M: int, K: int) -> TradeoffCurve:
     """Fidelity-probability curve for cloning N spins into M."""
     _validate(N, M)
-    p = binomial_profile(N)
-    q = binomial_profile(M)
-    return tradeoff_curve(p, q, K)
+    return tradeoff_curve(binomial_profile(N), _shared_target(N, M), K)

@@ -16,25 +16,13 @@ and the filtered fidelity
 from __future__ import annotations
 
 import math
-import operator
 from typing import Mapping, Tuple
 
 from .errors import ZeroSuccessProbability
-from .spectra import EnergyProfile, Frozen, build_profile, common_support
+from .spectra import _INT, EnergyProfile, Frozen, _sector_index, build_profile, common_support
 
 _CLIP_SLACK = 1e-12
-_INT = frozenset([int])
 _REAL = frozenset([int, float])
-
-
-def _sector_index(key) -> int:
-    """A filter key that is not an ``int``, as a sector index."""
-    if not isinstance(key, bool):
-        try:
-            return operator.index(key)
-        except TypeError:
-            pass
-    raise ValueError(f"filter key {key!r} is not an integer sector index")
 
 
 def _clean_each(coefficients: Mapping[int, float]) -> dict[int, float]:
@@ -42,7 +30,7 @@ def _clean_each(coefficients: Mapping[int, float]) -> dict[int, float]:
     cleaned: dict[int, float] = {}
     for index, x in coefficients.items():
         if type(index) is not int:
-            index = _sector_index(index)
+            index = _sector_index(index, "filter key")
         if not -_CLIP_SLACK <= x <= 1.0 + _CLIP_SLACK:
             raise ValueError(
                 f"filter coefficient {x!r} at sector {index} is not in [0, 1]"

@@ -59,16 +59,16 @@ def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
     )
 
 
-def _merged_fidelities(table: RatioTable, n: int) -> List[float]:
-    """Merged-filter fidelities for T = 1..n.
+def _merged_fidelities(table: RatioTable, n: int, first: int = 1) -> List[float]:
+    """Merged-filter fidelities for T = first..n.
 
     (sqrt(p q) summed over U_T + sqrt(r_T) q_rest)^2 / (p(U_T) + r_T q_rest),
     where q_rest is the target weight left outside U_T.
     """
     out = []
-    for r, aligned, eroded, rest in zip(
-        table.ratios[:n], table.aligned[1:], table.p_eroded[1:], table.q_remaining[1:]
-    ):
+    cut = slice(first, n + 1)
+    for r, aligned, eroded, rest in zip(table.ratios[first - 1:n], table.aligned[cut],
+                                        table.p_eroded[cut], table.q_remaining[cut]):
         numerator = aligned + math.sqrt(r) * rest
         out.append(numerator * numerator / (eroded + r * rest))
     return out
@@ -77,7 +77,7 @@ def _merged_fidelities(table: RatioTable, n: int) -> List[float]:
 def coarse_fidelity(run: ProtocolRun, T: int) -> float:
     """Fidelity of the merged filter for rounds 1..T, in closed form."""
     run.check_round(T)
-    return _merged_fidelities(run.table, T)[T - 1]
+    return _merged_fidelities(run.table, T, T)[0]
 
 
 def curve_from_run(run: ProtocolRun) -> TradeoffCurve:

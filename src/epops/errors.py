@@ -27,6 +27,10 @@ class NonFiniteWeight(EpopsError):
     """A weight is NaN or infinite."""
 
 
+class RatioOverflow(EpopsError):
+    """A weight ratio p_E/q_E leaves the double range."""
+
+
 class ConsistencyError(EpopsError):
     """Two routes to one quantity disagree by more than ``tolerance``."""
 

@@ -18,8 +18,8 @@ is reachable iff
 
     p(S0) <= p_succ <= B_k = p(S0) + (p/q)_{k+1} q(S1),
 
-and B_k never decreases in k, so the optimum takes the smallest k with
-B_k >= p_succ: a single scan, with no cap on the spectrum size.  Its
+and the optimum takes the smallest k with B_k >= p_succ: a bisection on
+the running maximum of B_k, with no cap on the spectrum size.  Its
 fidelity is Omega^2 / p_succ with
 
     Omega[S0] = sum_{S0} sqrt(p_E q_E) + sqrt((p_succ - p(S0)) q(S1)).
@@ -31,13 +31,14 @@ The second route, an exhaustive search over every subset S0, is
 from __future__ import annotations
 
 import math
-from itertools import accumulate, chain
+from bisect import bisect_left
+from itertools import chain
 from operator import mul
 from typing import Iterable, NamedTuple, Tuple
 
 from .channels import SectorFilter
 from .errors import InfeasibleProbability, InvalidPartition, NoFeasiblePartition
-from .spectra import EnergyProfile, _ratio_columns, common_support
+from .spectra import EnergyProfile, RatioColumns, _ratio_columns, common_support
 
 _SLACK = 1e-12
 _MODES = ("exhaustive", "ratio-family")
@@ -75,10 +76,10 @@ def ultimate_optimum(
     transmits each common sector with x_E = (min ratio) q_E/p_E, which is
     exactly 1 at the ratio-minimizing sector.
     """
-    order, ratios, pw, qw = _ratio_columns(p, q)
-    f_max = math.fsum(qw)
-    r_min = ratios[0]
-    coeffs = {i: r_min * b / a for i, a, b in zip(order, pw, qw)}
+    cols = _ratio_columns(p, q)
+    f_max = math.fsum(cols.qw)
+    r_min = cols.ratios[0]
+    coeffs = {i: r_min * b / a for i, a, b in zip(cols.order, cols.pw, cols.qw)}
     return f_max, r_min * f_max, SectorFilter(coeffs)
 
 
@@ -103,14 +104,16 @@ def _two_regime_columns(p0, q0, s1, p1, q1, p_succ: float) -> Tuple[list, float]
         )
     c = max(excess, 0.0) / q_s1 if s1 else 0.0
     xs = [c * b / a for a, b in zip(p1, q1)]
-    for i, x in zip(s1, xs):
-        if x > 1.0 + _SLACK:
-            raise InfeasibleProbability(
-                f"coefficient {x} at sector {i} exceeds 1; "
-                f"p_succ={p_succ} is not reachable with this partition"
-            )
+    if xs and max(xs) > 1.0:
+        for i, x in zip(s1, xs):
+            if x > 1.0 + _SLACK:
+                raise InfeasibleProbability(
+                    f"coefficient {x} at sector {i} exceeds 1; "
+                    f"p_succ={p_succ} is not reachable with this partition"
+                )
+        xs = [min(x, 1.0) for x in xs]
     aligned = math.fsum(map(math.sqrt, map(mul, p0, q0)))
-    return [min(x, 1.0) for x in xs], aligned + math.sqrt(max(excess, 0.0) * q_s1)
+    return xs, aligned + math.sqrt(max(excess, 0.0) * q_s1)
 
 
 def _two_regime(
@@ -174,56 +177,68 @@ def _beyond_common(
     )
 
 
+class Frontier(NamedTuple):
+    """The optimal fidelity of one pair at every success probability."""
+
+    cols: RatioColumns
+
+    def fidelity(self, p_succ: float) -> float:
+        """(A_k + sqrt((p_succ - P_k) Q_k))^2 / p_succ in O(log n), from the prefix
+        sums of sqrt(pq) and p over S0 and of q past it; :meth:`point` is exact."""
+        if not 0.0 < p_succ <= 1.0 + _SLACK:
+            raise ValueError("p_succ must lie in (0, 1]")
+        c = self.cols
+        k = bisect_left(c.b_max, p_succ)
+        om = c.aligned[k] + math.sqrt(max(p_succ - c.p_before[k], 0.0) * c.q_from[k])
+        return om * om / p_succ
+
+    def point(self, p_succ: float) -> TradeoffPoint:
+        """Best fidelity point at ``p_succ``.  Where a boundary sector sits at
+        x = 1 exactly (p_succ = B_k, or p_succ = 1), the prefixes with and
+        without it describe the same filter; the shorter one is returned
+        unless rounding puts that sector's coefficient above 1.  If no B_k
+        reaches ``p_succ``, the whole common spectrum is transmitted: at
+        p_succ = p(common) within 1e-10 alone, and above it together with
+        the sectors of ``p`` outside ``q``, which add probability but no
+        overlap."""
+        if not 0.0 < p_succ <= 1.0 + _SLACK:
+            raise ValueError("p_succ must lie in (0, 1]")
+        order, pw, qw = self.cols.order, self.cols.pw, self.cols.qw
+        k = bisect_left(self.cols.b_max, p_succ)
+        if k == len(order):
+            excess = p_succ - math.fsum(pw)
+            if excess > 1e-10:
+                return _beyond_common(self.cols.p, order, pw, qw, p_succ, excess)
+            if excess < -1e-10:
+                raise NoFeasiblePartition(
+                    f"no partition of the common spectrum admits p_succ={p_succ}"
+                )
+        try:
+            xs, om = _two_regime_columns(pw[:k], qw[:k], order[k:], pw[k:], qw[k:], p_succ)
+        except InfeasibleProbability:
+            # At p_succ = B_k the next sector sits at x = 1, and rounding can
+            # put it above 1 when its weight is small; the next prefix holds
+            # it at exactly 1.
+            k += 1
+            xs, om = _two_regime_columns(pw[:k], qw[:k], order[k:], pw[k:], qw[k:], p_succ)
+        coeffs = dict.fromkeys(order[:k], 1.0)
+        coeffs.update(zip(order[k:], xs))
+        achieved = math.fsum(chain(pw[:k], map(mul, pw[k:], xs)))
+        return TradeoffPoint(
+            achieved, om * om / p_succ, SectorFilter(coeffs), tuple(sorted(order[:k]))
+        )
+
+
+def frontier(p: EnergyProfile, q: EnergyProfile) -> Frontier:
+    """The optimal frontier of ``p`` to ``q``, read off one ratio sort."""
+    return Frontier(_ratio_columns(p, q))
+
+
 def optimal_tradeoff_point(
     p: EnergyProfile, q: EnergyProfile, p_succ: float, mode: str = "exhaustive"
 ) -> TradeoffPoint:
-    """Best fidelity point at success probability ``p_succ``.
-
-    One scan over the ratio order: S0 is the shortest prefix whose
-    boundary probability B_k reaches ``p_succ``.  Where a boundary sector
-    sits at x = 1 exactly (p_succ = B_k, or p_succ = 1), the prefixes with
-    and without it describe the same filter; the shorter one is returned
-    unless rounding puts that sector's coefficient above 1.  If no B_k
-    reaches ``p_succ``, the whole common spectrum is transmitted: at
-    p_succ = p(common) within 1e-10 alone, and above it together with the
-    sectors of ``p`` outside ``q``, which add probability but no overlap.
-
-    ``mode`` is accepted for compatibility: ``"exhaustive"`` and
-    ``"ratio-family"`` both run this scan, and any other name raises
-    ``ValueError``.
-    """
+    """``frontier(p, q).point(p_succ)``.  ``mode`` is kept for compatibility:
+    ``"exhaustive"`` and ``"ratio-family"`` both read the frontier."""
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if not 0.0 < p_succ <= 1.0 + _SLACK:
-        raise ValueError("p_succ must lie in (0, 1]")
-    order, ratios, pw, qw = _ratio_columns(p, q)
-    # B_j for j = 0..n-1: p of the first j sectors plus the (j+1)-th ratio
-    # times q of sectors j+1..n (summed from the tail, as in ratio_table).
-    q_from = list(accumulate(reversed(qw)))[::-1]
-    boundaries = zip(accumulate(pw, initial=0.0), ratios, q_from)
-    for k, (before, r, rest) in enumerate(boundaries):
-        if before + r * rest >= p_succ:
-            break
-    else:
-        excess = p_succ - math.fsum(pw)
-        if excess > 1e-10:
-            return _beyond_common(p, order, pw, qw, p_succ, excess)
-        if excess < -1e-10:
-            raise NoFeasiblePartition(
-                f"no partition of the common spectrum admits p_succ={p_succ}"
-            )
-        k = len(order)
-    try:
-        xs, om = _two_regime_columns(pw[:k], qw[:k], order[k:], pw[k:], qw[k:], p_succ)
-    except InfeasibleProbability:
-        # At p_succ = B_k the next sector sits at x = 1, and rounding can
-        # put it above 1 when its weight is small; the next prefix holds
-        # it at exactly 1.
-        k += 1
-        xs, om = _two_regime_columns(pw[:k], qw[:k], order[k:], pw[k:], qw[k:], p_succ)
-    coeffs = dict.fromkeys(order[:k], 1.0)
-    coeffs.update(zip(order[k:], xs))
-    achieved = math.fsum(chain(pw[:k], map(mul, pw[k:], xs)))
-    return TradeoffPoint(
-        achieved, om * om / p_succ, SectorFilter(coeffs), tuple(sorted(order[:k]))
-    )
+    return frontier(p, q).point(p_succ)

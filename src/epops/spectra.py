@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from functools import cached_property
 from itertools import accumulate
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
@@ -44,6 +46,7 @@ from .errors import (
     DuplicateLabel,
     NegativeWeight,
     NonFiniteWeight,
+    RatioOverflow,
 )
 
 #: Weights at or below this value are treated as exactly zero by the generic
@@ -55,6 +58,18 @@ ZERO_THRESHOLD = 1e-15
 RATIO_TOLERANCE = 1e-9
 
 _NORMALIZATION_TOL = 1e-12
+
+_INT = frozenset([int])
+
+
+def _sector_index(key, what: str = "sector index") -> int:
+    """``key`` as an ``int`` sector index; a bool, float or string raises."""
+    if not isinstance(key, bool):
+        try:
+            return operator.index(key)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {key!r} is not an integer sector index")
 
 
 class Frozen:
@@ -82,11 +97,11 @@ class Frozen:
 class EnergyProfile(Frozen):
     """Normalized sector weights of a pure state, held as three columns.
 
-    ``support`` lists the sector indices in strictly increasing order,
-    ``values`` the energy shown for each sector and ``weights`` its
-    nonnegative weight; the weights sum to one within 1e-12.  The index
-    is a sector's only identity: its energy value enters no formula, so
-    profiles compare and hash by ``(support, weights)``.
+    ``support`` lists the sector indices (``int``s, strictly increasing; a
+    numpy integer is converted), ``values`` the energy shown for each sector
+    and ``weights`` its positive weight; the weights sum to one within
+    1e-12.  The index is a sector's only identity: its energy value enters
+    no formula, so profiles compare and hash by ``(support, weights)``.
     """
 
     __slots__ = ("support", "values", "weights", "_by_index")
@@ -96,10 +111,14 @@ class EnergyProfile(Frozen):
         support, values, weights = tuple(support), tuple(values), tuple(weights)
         if not len(support) == len(values) == len(weights):
             raise ValueError("support, values and weights must have equal length")
+        if not _INT.issuperset(map(type, support)):
+            support = tuple([_sector_index(i) for i in support])
         if any(b <= a for a, b in zip(support, support[1:])):
             raise DuplicateLabel("sector indices must be strictly increasing")
         if any(w < 0.0 for w in weights):
             raise NegativeWeight("profile weights must be nonnegative")
+        if 0.0 in weights:
+            raise ValueError(f"sector {support[weights.index(0.0)]} has weight zero")
         total = _weight_sum(weights)
         if not math.isfinite(total):
             raise NonFiniteWeight(f"profile weights sum to {total!r}")
@@ -289,24 +308,49 @@ def common_support(p: EnergyProfile, q: EnergyProfile) -> Tuple[int, ...]:
     return tuple([i for i in p.support if i in qs])
 
 
-def _ratio_columns(
-    p: EnergyProfile, q: EnergyProfile
-) -> Tuple[Tuple[int, ...], Tuple[float, ...], Tuple[float, ...], Tuple[float, ...]]:
-    """The common spectrum in ratio order: ``(order, ratios, pw, qw)``.
+class RatioColumns(Frozen):
+    """A pair's common spectrum in ratio order, read-only: the profiles ``p``
+    and ``q``, the sector ``order``, the ``ratios`` p_E/q_E and the weight
+    columns ``pw`` and ``qw``; for j = 0..n, ``p_before[j]`` and ``aligned[j]``
+    sum p_E and sqrt(p_E q_E) over the first j sectors, and ``q_from[j]`` sums
+    q_E over the rest from the tail."""
 
-    One stable sort on p_E/q_E, so equal ratios keep index order; the
-    exact per-sector ratios and both weights form columns aligned with
-    ``order``.  Every reader of the ratio order starts here.
-    """
+    def __init__(self, **columns) -> None:
+        self.__dict__.update(columns)
+
+    @cached_property
+    def b_max(self) -> Tuple[float, ...]:
+        """The running maximum of p_before[j] + ratios[j] q_from[j], built on
+        the first read, which only the optimum makes: a curve never pays for it."""
+        B = map(add, self.p_before, map(mul, self.ratios, self.q_from))
+        return tuple(list(accumulate(B, max)))
+
+
+#: The latest pair's columns; immutable profiles make its identity a key.
+_last = None
+
+
+def _ratio_columns(p: EnergyProfile, q: EnergyProfile) -> RatioColumns:
+    """The one stable sort by p_E/q_E (ties keep index order), kept in
+    ``_last`` until another pair is sorted; an infinite ratio raises."""
+    global _last
+    if _last is not None and _last.p is p and _last.q is q:
+        return _last
     pd, qd = p._by_index, q._by_index
-    rows = sorted(
-        ((pd[i] / qd[i], pd[i], qd[i], i) for i in p.support if i in qd),
-        key=itemgetter(0),
-    )
+    rows = sorted(((pd[i] / qd[i], pd[i], qd[i], i) for i in p.support if i in qd),
+                  key=itemgetter(0))
     if not rows:
         raise DisjointSpectra("input and target profiles share no sector")
-    raw, pw, qw, order = zip(*rows)
-    return order, raw, pw, qw
+    if not rows[-1][0] < math.inf:
+        raise RatioOverflow(f"the ratio p/q at sector {rows[-1][3]} is not finite")
+    ratios, pw, qw, order = zip(*rows)
+    p_before = list(accumulate(pw, initial=0.0))
+    aligned = list(accumulate(map(math.sqrt, map(mul, pw, qw)), initial=0.0))
+    q_from = list(accumulate(reversed(qw), initial=0.0))[::-1]
+    _last = cols = RatioColumns(p=p, q=q, order=order, ratios=ratios, pw=pw, qw=qw,
+                                p_before=tuple(p_before), aligned=tuple(aligned),
+                                q_from=tuple(q_from))
+    return cols
 
 
 def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
@@ -317,8 +361,8 @@ def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
     ratio is the group mean); this keeps analytically equal ratios, e.g.
     from a symmetric binomial profile, from inflating the round count.
     """
-    order, raw, pw, qw = _ratio_columns(p, q)
-
+    cols = _ratio_columns(p, q)
+    raw = cols.ratios
     starts = [0]
     first = raw[0]
     for j in range(1, len(raw)):
@@ -332,18 +376,14 @@ def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
         for a, b in zip(starts, ends)
     ])
 
-    cuts = [0] + ends
-    p_eroded = list(accumulate(pw, initial=0.0))
-    aligned = list(accumulate(map(math.sqrt, map(mul, pw, qw)), initial=0.0))
-    # The q sums run from the tail so small remainders keep their precision.
-    q_remaining = list(accumulate(reversed(qw), initial=0.0))[::-1]
+    cut = itemgetter(0, *ends)
     return RatioTable(
-        order=order,
+        order=cols.order,
         ends=tuple(ends),
         ratios=ratios,
-        p_eroded=tuple([p_eroded[c] for c in cuts]),
-        aligned=tuple([aligned[c] for c in cuts]),
-        q_remaining=tuple([q_remaining[c] for c in cuts]),
+        p_eroded=cut(cols.p_before),
+        aligned=cut(cols.aligned),
+        q_remaining=cut(cols.q_from),
     )
 
 
@@ -352,23 +392,19 @@ def _log_factorials(n: int) -> List[float]:
     return [math.lgamma(k + 1) for k in range(n + 1)]
 
 
-def binomial_profile(N: int) -> EnergyProfile:
-    """Profile of N aligned spins: labels m = -N, -N+2, ..., N.
+def _binomial_weight(N: int):
+    """k -> C(N, k) / 2^N through log-gamma: the one source of binomial weights."""
+    lf_n, log_scale = math.lgamma(N + 1), N * math.log(2.0)
+    return lambda k: math.exp(lf_n - math.lgamma(k + 1) - math.lgamma(N - k + 1) - log_scale)
 
-    The weight at m is C(N, (N-m)/2) / 2^N, evaluated through log-gamma so
-    the tails stay positive for large N.
-    """
+
+def binomial_profile(N: int) -> EnergyProfile:
+    """Profile of N aligned spins: labels m = -N, -N+2, ..., N with weight
+    C(N, (N-m)/2) / 2^N; a tail weight that underflows to 0.0 is dropped."""
     if N < 1:
         raise ValueError("N must be a positive integer")
-    lf = _log_factorials(N)
-    log_scale = N * math.log(2.0)
-    return _assemble(
-        (
-            (m, float(m), math.exp(lf[N] - lf[k] - lf[N - k] - log_scale))
-            for m, k in zip(range(-N, N + 1, 2), range(N, -1, -1))
-        ),
-        0.0,
-    )
+    weight = _binomial_weight(N)
+    return _assemble(((m, float(m), weight((N - m) // 2)) for m in range(-N, N + 1, 2)), 0.0)
 
 
 def poisson_profile(r: float, cutoff: int) -> EnergyProfile:

@@ -74,6 +74,15 @@ def test_clone_small_example_values(tmp_path):
     assert float(rows[-1][1]) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("n, m", [("1100", "1100"), ("1100", "1102"), ("20000", "20002")])
+def test_clone_with_underflowing_shared_sectors(tmp_path, n, m):
+    # Past N = 1074 the outer shared sectors of the M-spin target underflow to 0.
+    rc = run_cli(tmp_path, "clone", "--n", n, "--m", m, "--out", "c.csv")
+    assert rc == 0
+    _, rows = read_rows(tmp_path / "c.csv")
+    assert rows and all(0.0 < float(x) <= 1.0 for row in rows for x in row[1:])
+
+
 def test_estimate_joins_fidelity_and_gain_columns(tmp_path):
     rc = run_cli(
         tmp_path, "estimate", "--mode", "maxcoh", "--n", "21",
@@ -212,6 +221,23 @@ def test_tradeoff_weights_summing_past_double_range_exit_3(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "error:" in err and "not finite" in err and "Traceback" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_tradeoff_ratio_past_double_range_exits_3(tmp_path, capsys):
+    # Normalized, the target's second weight is 1e-314, and 0.5 / 1e-314
+    # is infinite; the curve used to print rows of inf and nan.
+    (tmp_path / "p.json").write_text(uniform_profile(2).to_json())
+    (tmp_path / "q.json").write_text(
+        '{"energies": [{"index": 0, "weight": 1e300}, {"index": 1, "weight": 1e-14}]}'
+    )
+    rc = run_cli(
+        tmp_path, "tradeoff", "--input", "p.json", "--target", "q.json",
+        "--out", "t.csv",
+    )
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "error:" in err and "at sector 1 is not finite" in err and "Traceback" not in err
     assert not (tmp_path / "t.csv").exists()
 
 

@@ -7,7 +7,9 @@ import math
 import pytest
 
 from epops.apps import cloning_tradeoff, first_round_fidelity
+from epops.coarse import tradeoff_curve
 from epops.errors import ParityMismatch
+from epops.spectra import binomial_profile
 
 
 def test_parity_mismatch_rejected():
@@ -74,3 +76,13 @@ def test_monotone_tradeoff():
     assert all(b.F_recursive < a.F_recursive for a, b in zip(pts, pts[1:]))
     for pt in pts:
         assert pt.F_coarse >= pt.F_recursive - 1e-12
+
+
+@pytest.mark.parametrize("N, M", [(1, 1), (5, 5), (2, 4), (10, 12), (80, 400), (3, 3001),
+                                  (1000, 1500), (1100, 1100), (1100, 1102)])
+def test_curve_equals_the_curve_on_the_whole_binomial_target(N, M):
+    # The target is built on the shared sectors alone; every bit must stay.
+    # At M = 3001 and 1500 the far tails of the whole target underflow to 0,
+    # and at N = 1100 so do shared sectors, which both targets drop.
+    whole = tradeoff_curve(binomial_profile(N), binomial_profile(M), 64)
+    assert cloning_tradeoff(N, M, 64) == whole

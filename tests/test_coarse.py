@@ -71,6 +71,15 @@ def test_coarse_fidelity_dominates_recursive():
             assert coarse_fidelity(run, T) >= f_rec - 1e-12
 
 
+def test_coarse_fidelity_is_the_curve_value_bit_for_bit():
+    rng = np.random.default_rng(61)
+    for _ in range(10):
+        p, q = random_subset_pair(rng, int(rng.integers(2, 9)))
+        run = run_protocol(p, q, 100)
+        curve = [pt.F_coarse for pt in curve_from_run(run).points]
+        assert [coarse_fidelity(run, T) for T in range(1, len(curve) + 1)] == curve
+
+
 def test_coarse_endpoint_is_deterministic_fidelity():
     # At full termination the merged filter transmits everything, so the
     # coarse fidelity collapses to the deterministic one.

@@ -16,10 +16,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from epops import spectra
 from epops.channels import SectorFilter, filter_fidelity, filter_success_probability
-from epops.optimal import _two_regime, optimal_tradeoff_point
+from epops.coarse import tradeoff_curve
+from epops.errors import DisjointSpectra
+from epops.optimal import _two_regime, frontier, optimal_tradeoff_point, ultimate_optimum
 from epops.oracle import exhaustive_tradeoff
-from epops.spectra import build_profile, common_support
+from epops.spectra import build_profile, common_support, ratio_table
 
 #: Fixed example sequences keep the suite deterministic.
 PROPERTY_SETTINGS = settings(
@@ -147,3 +150,76 @@ def test_optimum_is_at_least_any_filter_on_the_input_support(pair, data):
     best = optimal_tradeoff_point(p, q, achieved)
     assert best.fidelity >= filter_fidelity(p, q, filt) - 1e-12
     assert best.fidelity == pytest.approx(exhaustive_tradeoff(p, q, achieved), abs=1e-12)
+
+
+@st.composite
+def pairs_and_any_target(draw):
+    """A pair and a target from ``pairs_and_target``, or one above p(common)
+    that the sectors only the input carries can still reach."""
+    p, q, target = draw(pairs_and_target())
+    extra = 1.0 - p_common(p, q)
+    if extra > 1e-9 and draw(st.booleans()):
+        target = min(p_common(p, q) + draw(st.floats(0.01, 1.0)) * extra, 1.0)
+    return p, q, target
+
+
+@PROPERTY_SETTINGS
+@given(pairs_and_any_target())
+def test_frontier_fidelity_matches_the_optimum(case):
+    p, q, target = case
+    pt = optimal_tradeoff_point(p, q, target)
+    assert frontier(p, q).fidelity(target) == pytest.approx(pt.fidelity, rel=1e-12, abs=0.0)
+    assert frontier(p, q).point(target) == pt
+
+
+def results(p, q, target):
+    """Everything read off the pair's ratio sort, at one target."""
+    return (tradeoff_curve(p, q, 64), ratio_table(p, q), ultimate_optimum(p, q),
+            optimal_tradeoff_point(p, q, target), frontier(p, q).fidelity(target))
+
+
+def fresh_results(p, q, target):
+    """``results`` computed with the pair slot emptied first."""
+    spectra._last = None
+    return results(p, q, target)
+
+
+def copy_of(p):
+    return spectra.EnergyProfile(list(p.support), list(p.values), list(p.weights))
+
+
+@PROPERTY_SETTINGS
+@given(pairs_and_target(), pairs_and_target())
+def test_results_do_not_depend_on_the_pair_slot(a, b):
+    (p, q, s), (p2, q2, s2) = a, b
+    want_a, want_b = fresh_results(p, q, s), fresh_results(p2, q2, s2)
+    rev = min(p_common(q, p), 1.0) / 2
+    want_rev = fresh_results(q, p, rev)
+    results(p, q, s)
+    assert results(p2, q2, s2) == want_b
+    assert results(p, q, s) == want_a
+    assert results(q, p, rev) == want_rev
+    assert results(copy_of(p), copy_of(q), s) == want_a
+    disjoint = build_profile([(100, 100.0, 1.0)])
+    with pytest.raises(DisjointSpectra):
+        results(p, disjoint, s)
+    assert results(p, q, s) == want_a
+    spectra._last = None
+
+
+def test_a_curve_and_two_optima_sort_the_pair_once(monkeypatch):
+    sorts = []
+
+    def counting_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    p = build_profile([(i, float(i), w) for i, w in enumerate([1, 3, 2, 5, 4])])
+    q = build_profile([(i, float(i), w) for i, w in enumerate([2, 2, 3, 1, 4])])
+    monkeypatch.setattr(spectra, "_last", None)
+    monkeypatch.setattr(spectra, "sorted", counting_sorted, raising=False)
+    tradeoff_curve(p, q, 64)
+    assert "b_max" not in vars(spectra._last)  # a curve alone never builds it
+    optimal_tradeoff_point(p, q, 0.5)
+    optimal_tradeoff_point(p, q, 0.8, "ratio-family")
+    assert len(sorts) == 1

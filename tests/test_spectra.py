@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from epops.errors import (
     DuplicateLabel,
     NegativeWeight,
     NonFiniteWeight,
+    RatioOverflow,
 )
+from epops.coarse import tradeoff_curve
+from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.spectra import (
     EnergyProfile,
     binomial_profile,
@@ -156,6 +160,42 @@ def test_weights_summing_past_double_range_raise_non_finite_weight():
         build_profile([(0, 0.0, 1e308), (1, 1.0, 1e308)])
     with pytest.raises(NonFiniteWeight, match="past the double range"):
         EnergyProfile((0, 1), (0.0, 1.0), (1e308, 1e308))
+
+
+def test_profile_constructor_rejects_zero_weight():
+    # A zero weight divides by zero in the ratio sort, as p_E/q_E or q_E/p_E.
+    with pytest.raises(ValueError, match="sector 0 has weight zero"):
+        EnergyProfile((0, 1), (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("index", [0.5, 2.0, True, "0", np.float64(1.0)],
+                         ids=["float", "integral-float", "bool", "string", "numpy-float"])
+def test_profile_rejects_non_integer_index(index):
+    with pytest.raises(ValueError, match=re.escape(f"sector index {index!r} is not an integer")):
+        EnergyProfile((index, 5), (0.0, 1.0), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("index", [0.5, True])
+def test_build_profile_rejects_non_integer_index(index):
+    # 0.5 used to build a curve whose optimum then rejected its filter key.
+    with pytest.raises(ValueError, match=re.escape(f"sector index {index!r} is not an integer")):
+        build_profile([(index, 0.0, 1.0), (5, 1.0, 1.0)])
+
+
+def test_profile_converts_numpy_integer_indices():
+    p = EnergyProfile((np.int64(0), np.int32(3)), (0.0, 1.0), (0.25, 0.75))
+    assert p.support == (0, 3) and all(type(i) is int for i in p.support)
+    assert p == build_profile([(0, 0.0, 0.25), (3, 1.0, 0.75)])
+
+
+def test_ratio_past_double_range_raises_ratio_overflow():
+    # 0.5 / 5e-324 is infinite; the curve used to print a row of inf and nan.
+    p = EnergyProfile((0, 1), (0.0, 1.0), (0.5, 0.5))
+    q = EnergyProfile((0, 1), (0.0, 1.0), (5e-324, 1.0))
+    for call in (lambda: tradeoff_curve(p, q, 4), lambda: ultimate_optimum(p, q),
+                 lambda: optimal_tradeoff_point(p, q, 0.5), lambda: ratio_table(p, q)):
+        with pytest.raises(RatioOverflow, match="sector 0"):
+            call()
 
 
 @pytest.mark.parametrize("columns", [
