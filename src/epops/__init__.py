@@ -39,11 +39,11 @@ def _lazy_exports(namespace: dict, modules: dict):
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "channels": "SectorFilter deterministic_fidelity filter_fidelity "
-                "filter_success_probability filtered_profile",
-    "coarse": "CurvePoint TradeoffCurve coarse_fidelity coarse_filter tradeoff_curve",
+                "filter_success_probability",
+    "coarse": "CurvePoint TradeoffCurve coarse_filter tradeoff_curve",
     "errors": "EpopsError",
-    "optimal": "TradeoffPoint lagrange_filter omega optimal_tradeoff_point ultimate_optimum",
-    "recursive": "ProtocolRound ProtocolRun cumulative run_protocol termination_time",
+    "optimal": "TradeoffPoint optimal_tradeoff_point ultimate_optimum",
+    "recursive": "ProtocolRound ProtocolRun cumulative run_protocol",
     "spectra": "EnergyProfile RatioTable binomial_profile build_profile "
                "common_support poisson_profile ratio_table sine_profile uniform_profile",
 })
@@ -62,22 +62,17 @@ __all__ = [
     "ProtocolRun",
     "binomial_profile",
     "build_profile",
-    "coarse_fidelity",
     "coarse_filter",
     "common_support",
     "cumulative",
     "deterministic_fidelity",
     "filter_fidelity",
     "filter_success_probability",
-    "filtered_profile",
-    "lagrange_filter",
-    "omega",
     "optimal_tradeoff_point",
     "poisson_profile",
     "ratio_table",
     "run_protocol",
     "sine_profile",
-    "termination_time",
     "tradeoff_curve",
     "ultimate_optimum",
     "uniform_profile",

@@ -10,6 +10,7 @@ protocol trades probability for fidelity along the full curve.
 from __future__ import annotations
 
 import math
+from itertools import chain, takewhile
 
 from ..coarse import TradeoffCurve, tradeoff_curve
 from ..errors import ParityMismatch, TooLarge
@@ -45,17 +46,26 @@ def first_round_fidelity(N: int, M: int) -> float:
     return math.fsum([weight((M - n) // 2) for n in range(-N, N + 1, 2)])
 
 
+def _binomial_total(weight, M: int) -> float:
+    """``fsum`` of ``weight(k)`` over k = 0..M, walked outward from k = M // 2
+    up to the first 0.0 on each side.  The log-weight is concave, so every
+    weight past it is 0.0 too, and ``fsum`` is exact, so those add nothing."""
+    below = takewhile(bool, map(weight, range(M // 2, -1, -1)))
+    above = takewhile(bool, map(weight, range(M // 2 + 1, M + 1)))
+    return math.fsum(chain(below, above))
+
+
 def _shared_target(N: int, M: int) -> EnergyProfile:
     """The M-spin target on the N + 1 sectors it shares with the input.
 
     Each shared weight has the bits ``binomial_profile(M)`` gives it: the
-    same weight over the same ``fsum`` of all M + 1 weights, streamed
-    rather than stored, and a weight that underflows to 0.0 is dropped
-    as there.  The weight left over sits on sector N + 2, which the
-    curve, reading the common spectrum only, never reads.
+    same weight over the same ``fsum`` of all M + 1 weights, and a weight
+    that underflows to 0.0 is dropped as there.  The weight left over sits
+    on sector N + 2, which the curve, reading the common spectrum only,
+    never reads.
     """
     weight = _binomial_weight(M)
-    total = math.fsum(map(weight, range(M + 1)))
+    total = _binomial_total(weight, M)
     shared = [(m, weight((M - m) // 2)) for m in range(-N, N + 1, 2)]
     shared = [(m, w) for m, w in shared if w > 0.0]
     support = [m for m, _ in shared]

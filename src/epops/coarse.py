@@ -8,9 +8,11 @@ rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
 
 The merged filter and its fidelity are evaluated in closed form only,
-from the prefix sums of the ratio table.  Their second routes (summing the
-round filters, the generic filter fidelity and success probability) are
-compared in the tests and by ``epops verify``.
+from the prefix sums of the ratio table.  Their second routes live in
+``oracle.merge_residuals``, which ``epops verify`` and the tests run: the
+round filter weights of ``oracle.round_filter_weights`` summed over
+rounds 1..T, and the generic filter fidelity and success probability of
+``channels``.
 """
 
 from __future__ import annotations
@@ -59,25 +61,19 @@ def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
     )
 
 
-def _merged_fidelities(table: RatioTable, n: int, first: int = 1) -> List[float]:
-    """Merged-filter fidelities for T = first..n.
+def _merged_fidelities(table: RatioTable, n: int) -> List[float]:
+    """Merged-filter fidelities for T = 1..n.
 
     (sqrt(p q) summed over U_T + sqrt(r_T) q_rest)^2 / (p(U_T) + r_T q_rest),
     where q_rest is the target weight left outside U_T.
     """
     out = []
-    cut = slice(first, n + 1)
-    for r, aligned, eroded, rest in zip(table.ratios[first - 1:n], table.aligned[cut],
+    cut = slice(1, n + 1)
+    for r, aligned, eroded, rest in zip(table.ratios[:n], table.aligned[cut],
                                         table.p_eroded[cut], table.q_remaining[cut]):
         numerator = aligned + math.sqrt(r) * rest
         out.append(numerator * numerator / (eroded + r * rest))
     return out
-
-
-def coarse_fidelity(run: ProtocolRun, T: int) -> float:
-    """Fidelity of the merged filter for rounds 1..T, in closed form."""
-    run.check_round(T)
-    return _merged_fidelities(run.table, T, T)[0]
 
 
 def curve_from_run(run: ProtocolRun) -> TradeoffCurve:

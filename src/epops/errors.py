@@ -55,10 +55,6 @@ class InfeasibleProbability(EpopsError):
     """No valid filter coefficients reach the requested success probability."""
 
 
-class InvalidPartition(EpopsError):
-    """The fully-transmitted set is not a subset of the common spectrum."""
-
-
 class NoFeasiblePartition(EpopsError):
     """No partition of the common spectrum admits the requested probability."""
 

@@ -25,7 +25,9 @@ fidelity is Omega^2 / p_succ with
     Omega[S0] = sum_{S0} sqrt(p_E q_E) + sqrt((p_succ - p(S0)) q(S1)).
 
 The second route, an exhaustive search over every subset S0, is
-``oracle.exhaustive_tradeoff``, which the tests and ``epops verify`` run.
+``oracle.exhaustive_tradeoff``, which the tests and ``epops verify`` run;
+the tests also build the filter of any given S0 from
+``_two_regime_columns`` and compare the optimum with it bit for bit.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import math
 from bisect import bisect_left
 from itertools import chain
 from operator import mul
-from typing import Iterable, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .channels import SectorFilter
-from .errors import InfeasibleProbability, InvalidPartition, NoFeasiblePartition
-from .spectra import EnergyProfile, RatioColumns, _ratio_columns, common_support
+from .errors import InfeasibleProbability, NoFeasiblePartition
+from .spectra import EnergyProfile, RatioColumns, _ratio_columns
 
 _SLACK = 1e-12
 _MODES = ("exhaustive", "ratio-family")
@@ -56,15 +58,6 @@ class TradeoffPoint(NamedTuple):
     fidelity: float
     filter: SectorFilter
     s0: Tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        doc = {
-            "p_succ": self.p_succ,
-            "fidelity": self.fidelity,
-            "s0": list(self.s0),
-        }
-        doc.update(self.filter.to_json_dict())
-        return doc
 
 
 def ultimate_optimum(
@@ -114,44 +107,6 @@ def _two_regime_columns(p0, q0, s1, p1, q1, p_succ: float) -> Tuple[list, float]
         xs = [min(x, 1.0) for x in xs]
     aligned = math.fsum(map(math.sqrt, map(mul, p0, q0)))
     return xs, aligned + math.sqrt(max(excess, 0.0) * q_s1)
-
-
-def _two_regime(
-    p: EnergyProfile, q: EnergyProfile, s0: Iterable[int], p_succ: float
-) -> Tuple[Tuple[int, ...], dict, float]:
-    """Validate the partition once; return (sorted s0, coefficients, Omega)."""
-    common = common_support(p, q)
-    s0_set = set(s0)
-    s0_t = tuple(sorted(s0_set))
-    if not s0_set.issubset(common):
-        raise InvalidPartition(f"s0 {s0_t} is not a subset of the common spectrum")
-    s1 = [i for i in common if i not in s0_set]
-    pd, qd = p._by_index, q._by_index
-    xs, om = _two_regime_columns(
-        [pd[i] for i in s0_t], [qd[i] for i in s0_t],
-        s1, [pd[i] for i in s1], [qd[i] for i in s1], p_succ,
-    )
-    coeffs = dict.fromkeys(s0_t, 1.0)
-    coeffs.update(zip(s1, xs))
-    return s0_t, coeffs, om
-
-
-def lagrange_filter(
-    p: EnergyProfile, q: EnergyProfile, s0: Iterable[int], p_succ: float
-) -> SectorFilter:
-    """The two-regime optimal filter for the partition ``s0`` at ``p_succ``.
-
-    x_E = 1 on s0 and x_E = c q_E/p_E on the rest of the common spectrum,
-    with c chosen so the success probability equals ``p_succ``.
-    """
-    return SectorFilter(_two_regime(p, q, s0, p_succ)[1])
-
-
-def omega(
-    p: EnergyProfile, q: EnergyProfile, s0: Iterable[int], p_succ: float
-) -> float:
-    """The quantity Omega[S0] whose square over p_succ is the fidelity."""
-    return _two_regime(p, q, s0, p_succ)[2]
 
 
 def _beyond_common(

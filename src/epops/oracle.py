@@ -13,6 +13,11 @@ that some value of the sectors above them can make feasible; each such
 value shifts that order by a constant, so its feasible points form one
 contiguous run of it, found by bisection.  Every feasible point is
 scored, ties keeping the first maximum in flat order.
+
+The profile engine's own second routes that ``verify`` reads live here
+too: ``round_filter_weights`` rebuilds each round's filter weights, and
+``merge_residuals`` compares their running sums, the generic filter
+fidelity and the success probability with each merged filter.
 """
 
 from __future__ import annotations
@@ -487,25 +492,47 @@ def exhaustive_tradeoff(p: EnergyProfile, q: EnergyProfile, p_succ: float) -> fl
     return best * best / p_succ
 
 
+def round_filter_weights(run: ProtocolRun) -> List[Dict[int, float]]:
+    """The filter weight m_E of each round of ``run`` on each input sector.
+
+    Round k weighs the sectors eroded by earlier rounds by zero and the
+    rest by (r_k - r_{k-1}) q_E / p_E; the engine never builds these.
+    """
+    table, q = run.table, run.target
+    ratios = (0.0,) + table.ratios
+    out = []
+    for k in range(1, len(run.fidelities) + 1):
+        eroded = set(table.prefix(k - 1))
+        increment = ratios[k] - ratios[k - 1]
+        out.append({
+            i: 0.0 if i in eroded else increment * q.weight(i) / w
+            for i, w in zip(run.input.support, run.input.weights)
+        })
+    return out
+
+
 def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
     """Worst gap between each closed-form merged filter and its second routes.
 
     For every T of ``run``: ``kraus`` compares the round filter weights
     summed over rounds 1..T with ``coarse_filter(run, T)``, ``fidelity``
-    compares ``coarse_fidelity`` with the generic fidelity of that filter,
-    and ``probability`` compares the filter's success probability with the
-    cumulative one.  :data:`MERGE_TOLERANCES` holds the allowed gaps.
+    compares the curve's merged fidelity with the generic fidelity of that
+    filter, and ``probability`` compares the filter's success probability
+    with the cumulative one.  :data:`MERGE_TOLERANCES` holds the allowed
+    gaps.
     """
-    from .coarse import coarse_fidelity, coarse_filter
+    from .coarse import coarse_filter, curve_from_run
 
     p, q = run.input, run.target
-    summed = np.cumsum([[r.kraus[i] for i in p.support] for r in run.rounds], axis=0)
+    weights = round_filter_weights(run)
+    summed = np.cumsum([[m[i] for i in p.support] for m in weights], axis=0)
+    curve = curve_from_run(run).points
     gaps = []
     for T, row in enumerate(summed, start=1):
         merged = coarse_filter(run, T)
         gaps.append((
             max(abs(x - merged.coefficients[i]) for i, x in zip(p.support, row)),
-            abs(coarse_fidelity(run, T) - filter_fidelity(p, q, merged)),
+            abs(curve[T - 1].F_coarse - filter_fidelity(p, q, merged)),
             abs(filter_success_probability(p, merged) - cumulative(run, T)[0]),
         ))
     return dict(zip(MERGE_TOLERANCES, np.max(gaps, axis=0).tolist()))
@@ -613,14 +640,12 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
         sim = simulate_protocol(model, p, q, 64, rng)
         if len(run.rounds) != len(sim.rounds):
             rounds_ok = False
-        for a, b in zip(run.rounds, sim.rounds):
+        for a, m, b in zip(run.rounds, round_filter_weights(run), sim.rounds):
             rounds_checked += 1
             dev = max(
                 abs(a.fidelity - b.fidelity),
                 abs(a.probability - b.probability),
-                max(
-                    abs(a.kraus[i] - b.kraus_weights[i]) for i in p.support
-                ),
+                max(abs(m[i] - b.kraus_weights[i]) for i in p.support),
             )
             worst_round = max(worst_round, dev)
         for name, gap in merge_residuals(run).items():

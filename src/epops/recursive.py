@@ -9,43 +9,30 @@ Every column comes from the prefix sums of the ratio table.  The round
 fidelity is the target weight remaining on the uneroded spectrum, and the
 round success probability is the ratio increment r_k - r_{k-1} times that
 fidelity; the cumulative probability and fidelity are their running sums.
-The per-round filters and output profiles are built only when read.
+The per-round output profiles are built only when read.  The second route
+to the round filters, their weights m_E per input sector, lives in
+``oracle.round_filter_weights``, which ``epops verify`` compares with a
+matrix simulation and with the merged filters.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from itertools import accumulate
 from operator import mul, sub, truediv
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .errors import RoundOutOfRange
 from .spectra import EnergyProfile, Frozen, RatioTable, _assemble, ratio_table
 
 
 class ProtocolRound(Frozen):
-    """One protocol round: its fidelity and probability, filter and output."""
+    """One protocol round: its fidelity and probability, and its output."""
 
     def __init__(self, run: "ProtocolRun", k: int, fidelity: float,
                  probability: float) -> None:
         self._init(run=run, k=k, fidelity=fidelity, probability=probability)
-
-    @cached_property
-    def kraus(self) -> Dict[int, float]:
-        """Filter weight m_E of each input sector.
-
-        Zero on sectors eroded by earlier rounds, (r_k - r_{k-1}) q_E / p_E
-        on the rest.
-        """
-        run, k = self.run, self.k
-        eroded = set(run.table.prefix(k - 1))
-        ratios = run.table.ratios
-        increment = ratios[k - 1] - (ratios[k - 2] if k >= 2 else 0.0)
-        q = run.target
-        return {
-            i: 0.0 if i in eroded else increment * q.weight(i) / w
-            for i, w in zip(run.input.support, run.input.weights)
-        }
 
     @cached_property
     def output(self) -> EnergyProfile:
@@ -80,11 +67,6 @@ class ProtocolRun(Frozen):
             for k, (f, pr) in enumerate(zip(self.fidelities, self.probabilities), start=1)
         ])
 
-    @property
-    def terminated(self) -> bool:
-        """True when every distinct ratio has had its round."""
-        return len(self.fidelities) == self.table.length
-
     def check_round(self, T: int) -> None:
         """Raise :class:`RoundOutOfRange` unless 1 <= T <= the rounds run."""
         if not 1 <= T <= len(self.fidelities):
@@ -96,8 +78,12 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
 
     Round k transmits the previously eroded sectors untouched and filters
     the remainder down by r_k q_E / p_E relative to the original weights,
-    which erodes the k-th ratio group completely.
+    which erodes the k-th ratio group completely.  ``K`` must be an integer
+    of at least 1; a bool, float or string raises ``ValueError``.
     """
+    if isinstance(K, bool) or not hasattr(type(K), "__index__"):
+        raise ValueError(f"round count K={K!r} is not an integer")
+    K = operator.index(K)
     if K < 1:
         raise ValueError("K must be at least 1")
     table = ratio_table(p, q)
@@ -127,7 +113,3 @@ def cumulative(run: ProtocolRun, T: int) -> Tuple[float, float]:
     run.check_round(T)
     return run.p_succ[T - 1], run.f_recursive[T - 1]
 
-
-def termination_time(p: EnergyProfile, q: EnergyProfile) -> int:
-    """Number of rounds until nothing is left to erode."""
-    return ratio_table(p, q).length

@@ -145,9 +145,6 @@ class EnergyProfile(Frozen):
         """Weight at sector ``index`` (zero if the sector is absent)."""
         return self._by_index.get(index, 0.0)
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self._by_index)
-
     def __len__(self) -> int:
         return len(self.support)
 
@@ -206,9 +203,12 @@ def _weight_sum(weights: Iterable[float]) -> float:
 def _assemble(
     pairs: Iterable[Tuple[int, float, float]], drop_tol: float
 ) -> EnergyProfile:
-    """Normalize, drop (near-)zero sectors, sort by index."""
+    """Normalize, drop (near-)zero sectors, sort by index.  Each index is checked
+    first, so a non-integer one raises ``ValueError`` naming it, not ``TypeError``."""
     seen: dict[int, Tuple[float, float]] = {}
     for index, value, weight in pairs:
+        if type(index) is not int:
+            index = _sector_index(index)
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
         try:
@@ -285,21 +285,6 @@ class RatioTable(NamedTuple):
     def prefix(self, k: int) -> Tuple[int, ...]:
         """U_k in ratio order (empty for k = 0)."""
         return self.order[: self.ends[k - 1]] if k else ()
-
-    @property
-    def groups(self) -> Tuple[Tuple[int, ...], ...]:
-        """The sector sets R_k sharing each ratio, each sorted by index."""
-        starts = (0,) + self.ends[:-1]
-        return tuple([tuple(sorted(self.order[a:b])) for a, b in zip(starts, self.ends)])
-
-    @property
-    def unions(self) -> Tuple[Tuple[int, ...], ...]:
-        """The prefix unions U_k, each sorted by index."""
-        return tuple([tuple(sorted(self.prefix(k))) for k in range(1, self.length + 1)])
-
-    def union_before(self, k: int) -> Tuple[int, ...]:
-        """U_{k-1}, the sectors eroded before round k (empty for k=1)."""
-        return tuple(sorted(self.prefix(k - 1)))
 
 
 def common_support(p: EnergyProfile, q: EnergyProfile) -> Tuple[int, ...]:

@@ -47,7 +47,7 @@ def test_ratio_table_is_geometric_with_singleton_groups():
     r1, r2, cutoff = 0.8, 1.3, 25
     table = ratio_table(poisson_profile(r1, cutoff), poisson_profile(r2, cutoff))
     assert table.length == cutoff + 1
-    assert all(len(group) == 1 for group in table.groups)
+    assert table.ends == tuple(range(1, len(table.order) + 1))
     scale = math.exp(r2 * r2 - r1 * r1)
     base = (r1 / r2) ** 2
     expected = sorted(scale * base**n for n in range(cutoff + 1))

@@ -7,9 +7,18 @@ import math
 import pytest
 
 from epops.apps import cloning_tradeoff, first_round_fidelity
+from epops.apps.cloning import _binomial_total
 from epops.coarse import tradeoff_curve
 from epops.errors import ParityMismatch
-from epops.spectra import binomial_profile
+from epops.spectra import _binomial_weight, binomial_profile
+
+
+@pytest.mark.parametrize("M", [100_000, 100_001])
+def test_normalizer_skips_only_the_zero_tails(M):
+    # The walk from the centre stops early, at weights that are exactly 0.0.
+    weight = _binomial_weight(M)
+    assert weight(0) == weight(M) == 0.0
+    assert _binomial_total(weight, M) == math.fsum(map(weight, range(M + 1)))
 
 
 def test_parity_mismatch_rejected():

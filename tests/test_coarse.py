@@ -9,7 +9,7 @@ import pytest
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.apps.estimation import estimation_profiles
 from epops.channels import deterministic_fidelity, filter_success_probability
-from epops.coarse import coarse_fidelity, coarse_filter, curve_from_run, tradeoff_curve
+from epops.coarse import coarse_filter, curve_from_run, tradeoff_curve
 from epops.errors import RoundOutOfRange
 from epops.oracle import MERGE_TOLERANCES, merge_residuals
 from epops.recursive import cumulative, run_protocol
@@ -66,18 +66,8 @@ def test_coarse_fidelity_dominates_recursive():
     for _ in range(20):
         p, q = random_subset_pair(rng, int(rng.integers(2, 7)))
         run = run_protocol(p, q, 100)
-        for T in range(1, len(run.rounds) + 1):
-            _, f_rec = cumulative(run, T)
-            assert coarse_fidelity(run, T) >= f_rec - 1e-12
-
-
-def test_coarse_fidelity_is_the_curve_value_bit_for_bit():
-    rng = np.random.default_rng(61)
-    for _ in range(10):
-        p, q = random_subset_pair(rng, int(rng.integers(2, 9)))
-        run = run_protocol(p, q, 100)
-        curve = [pt.F_coarse for pt in curve_from_run(run).points]
-        assert [coarse_fidelity(run, T) for T in range(1, len(curve) + 1)] == curve
+        for pt in curve_from_run(run).points:
+            assert pt.F_coarse >= cumulative(run, pt.T)[1] - 1e-12
 
 
 def test_coarse_endpoint_is_deterministic_fidelity():
@@ -88,7 +78,7 @@ def test_coarse_endpoint_is_deterministic_fidelity():
         p, q = random_subset_pair(rng, int(rng.integers(2, 6)))
         run = run_protocol(p, q, 100)
         L = len(run.rounds)
-        assert coarse_fidelity(run, L) == pytest.approx(
+        assert curve_from_run(run).points[L - 1].F_coarse == pytest.approx(
             deterministic_fidelity(p, q), abs=1e-12
         )
         merged = coarse_filter(run, L)
@@ -182,7 +172,7 @@ def test_curve_reads_no_round_objects():
     curve_from_run(run)
     assert "rounds" not in vars(run)
     first = run.rounds[0]
-    assert "kraus" not in vars(first) and "output" not in vars(first)
+    assert "output" not in vars(first)
 
 
 def test_large_random_curve_stays_fast():

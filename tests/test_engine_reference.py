@@ -23,7 +23,7 @@ from epops.apps.correction import damped_profile, uniform_levels
 from epops.apps.estimation import estimation_profiles
 from epops.coarse import _merged_fidelities
 from epops.errors import InfeasibleProbability, NoFeasiblePartition
-from epops.optimal import TradeoffPoint, _two_regime, optimal_tradeoff_point
+from epops.optimal import TradeoffPoint, optimal_tradeoff_point
 from epops.channels import SectorFilter, filter_success_probability
 from epops.recursive import run_protocol
 from epops.spectra import (
@@ -38,6 +38,7 @@ from epops.spectra import (
     ratio_table,
     sine_profile,
 )
+from reference_routes import two_regime
 
 #: Builder weights may differ from the numpy route by this many ulps.
 _BUILDER_ULPS = 4
@@ -120,9 +121,9 @@ def numpy_optimal_point(p, q, p_succ):
     else:
         raise NoFeasiblePartition(p_succ)
     try:
-        s0, coeffs, om = _two_regime(p, q, order[:k], p_succ)
+        s0, coeffs, om = two_regime(p, q, order[:k], p_succ)
     except InfeasibleProbability:
-        s0, coeffs, om = _two_regime(p, q, order[: k + 1], p_succ)
+        s0, coeffs, om = two_regime(p, q, order[: k + 1], p_succ)
     filt = SectorFilter(coeffs)
     achieved = filter_success_probability(p, filt)
     return TradeoffPoint(p_succ=achieved, fidelity=om * om / p_succ, filter=filt, s0=s0)

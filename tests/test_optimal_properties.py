@@ -20,9 +20,10 @@ from epops import spectra
 from epops.channels import SectorFilter, filter_fidelity, filter_success_probability
 from epops.coarse import tradeoff_curve
 from epops.errors import DisjointSpectra
-from epops.optimal import _two_regime, frontier, optimal_tradeoff_point, ultimate_optimum
+from epops.optimal import frontier, optimal_tradeoff_point, ultimate_optimum
 from epops.oracle import exhaustive_tradeoff
 from epops.spectra import build_profile, common_support, ratio_table
+from reference_routes import two_regime
 
 #: Fixed example sequences keep the suite deterministic.
 PROPERTY_SETTINGS = settings(
@@ -87,7 +88,7 @@ def pairs_and_target(draw, max_common=16):
 def test_optimum_is_the_two_regime_filter_of_its_prefix(case):
     p, q, target = case
     pt = optimal_tradeoff_point(p, q, target)
-    s0, coeffs, om = _two_regime(p, q, pt.s0, target)
+    s0, coeffs, om = two_regime(p, q, pt.s0, target)
     filt = SectorFilter(coeffs)
     assert s0 == pt.s0
     assert filt == pt.filter

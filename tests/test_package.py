@@ -73,6 +73,70 @@ def test_fields_cannot_be_assigned():
         assert getattr(obj, name) is not None, type(obj).__name__
 
 
+ENGINE = ("spectra", "channels", "recursive", "coarse", "optimal")
+
+#: Read by no module, but the README documents it as the writer of the
+#: ``tradeoff`` input format.
+DOCUMENTED_UNREAD = {"EnergyProfile.to_json"}
+
+
+def _engine_functions(root):
+    """(qualified name, name, module, def line) of each module-level
+    function and each non-dunder method or property of the curve modules."""
+    for module in ENGINE:
+        for node in ast.parse((root / f"{module}.py").read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.name, node.name, module, node.lineno
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        yield f"{node.name}.{item.name}", item.name, module, item.lineno
+
+
+def _reads(tree, strings):
+    """(name, enclosing defs) of each variable or attribute read in ``tree``,
+    and with ``strings`` each string constant that is an identifier."""
+    found = []
+
+    def walk(node, defs):
+        if isinstance(node, ast.FunctionDef):
+            defs = defs | {node.lineno}
+        if isinstance(node, ast.Name):
+            found.append((node.id, defs))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, defs))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.append((node.value, defs))
+        for child in ast.iter_child_nodes(node):
+            walk(child, defs)
+
+    walk(tree, frozenset())
+    return found
+
+
+def test_engine_has_no_test_only_functions():
+    # Every function of the curve engine has a reader in the package or
+    # the benchmark; a second route read only by tests lives in the tests.
+    # Strings count only in perfbench, whose tracer names its targets;
+    # the package's lazy export lists are strings too, and do not count.
+    root = Path(epops.__file__).parent
+    bench = Path(__file__).parents[1] / "perfbench"
+    sources = [(path, False) for path in sorted(root.rglob("*.py"))]
+    sources += [(path, True) for path in sorted(bench.glob("*.py"))]
+    reads = {}
+    for path, strings in sources:
+        module = path.stem if path.parent == root else None
+        for name, defs in _reads(ast.parse(path.read_text(), str(path)), strings):
+            reads.setdefault(name, []).append((module, defs))
+    unread = [
+        qualified for qualified, name, module, line in _engine_functions(root)
+        if qualified not in DOCUMENTED_UNREAD
+        and all(m == module and line in defs for m, defs in reads.get(name, []))
+    ]
+    assert not unread, unread
+
+
 #: Iterator builders with no length hint: a tuple taken from one grows
 #: by resizing, just as from a generator.
 UNSIZED_ITERATORS = {"map", "filter", "zip", "enumerate", "starmap", "accumulate", "chain"}

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from epops.coarse import tradeoff_curve
 from epops.errors import RoundOutOfRange
-from epops.recursive import cumulative, run_protocol, termination_time
+from epops.oracle import round_filter_weights
+from epops.recursive import cumulative, run_protocol
 from epops.spectra import build_profile, ratio_table
 
 
@@ -29,24 +31,34 @@ def random_subset_pair(rng, n):
 def test_two_sector_rounds():
     p, q = two_sector()
     run = run_protocol(p, q, 10)
-    assert len(run.rounds) == 2
-    assert run.terminated
+    assert len(run.rounds) == 2 == run.table.length
     r1, r2 = run.rounds
+    m1, m2 = round_filter_weights(run)
     assert r1.fidelity == pytest.approx(1.0)
     assert r1.probability == pytest.approx(0.75)
-    assert r1.kraus == pytest.approx({0: 0.5, 1: 1.0})
-    assert r1.output.as_dict() == pytest.approx({0: 1 / 3, 1: 2 / 3})
+    assert m1 == pytest.approx({0: 0.5, 1: 1.0})
+    assert r1.output.support == (0, 1)
+    assert r1.output.weights == pytest.approx((1 / 3, 2 / 3))
     assert r2.fidelity == pytest.approx(1 / 3)
     assert r2.probability == pytest.approx(0.25)
-    assert r2.kraus == pytest.approx({0: 0.5, 1: 0.0})
-    assert r2.output.as_dict() == pytest.approx({0: 1.0})
+    assert m2 == pytest.approx({0: 0.5, 1: 0.0})
+    assert r2.output.support == (0,) and r2.output.weights == pytest.approx((1.0,))
 
 
 def test_round_cap_by_k():
     p, q = two_sector()
     run = run_protocol(p, q, 1)
-    assert len(run.rounds) == 1
-    assert not run.terminated
+    assert len(run.rounds) == 1 < run.table.length
+
+
+@pytest.mark.parametrize("K", [float("nan"), 2.0, "3", True, None],
+                         ids=["nan", "float", "string", "bool", "none"])
+def test_round_count_must_be_an_integer(K):
+    # NaN, 2.0 and "3" used to raise a bare TypeError, and True ran one round.
+    p, q = two_sector()
+    with pytest.raises(ValueError, match=f"round count K={K!r} is not an integer"):
+        tradeoff_curve(p, q, K)
+    assert len(tradeoff_curve(p, q, np.int64(1)).points) == 1
 
 
 def test_cumulative_two_sector():
@@ -71,7 +83,7 @@ def test_termination_time_is_number_of_distinct_ratios():
     rng = np.random.default_rng(3)
     for _ in range(20):
         p, q = random_subset_pair(rng, int(rng.integers(2, 7)))
-        assert termination_time(p, q) == ratio_table(p, q).length
+        assert len(run_protocol(p, q, 10_000).rounds) == ratio_table(p, q).length
 
 
 def test_probabilities_sum_to_one_when_support_is_contained():
@@ -79,7 +91,7 @@ def test_probabilities_sum_to_one_when_support_is_contained():
     for _ in range(25):
         p, q = random_subset_pair(rng, int(rng.integers(2, 7)))
         run = run_protocol(p, q, 100)
-        assert run.terminated
+        assert len(run.rounds) == run.table.length
         total = math.fsum(r.probability for r in run.rounds)
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -96,14 +108,13 @@ def test_fidelity_strictly_decreases():
         )
 
 
-def test_rounds_and_their_filters_are_built_once_on_first_read():
+def test_rounds_and_their_outputs_are_built_once_on_first_read():
     p, q = two_sector()
     run = run_protocol(p, q, 8)
     assert "rounds" not in vars(run)
     first = run.rounds[0]
     assert run.rounds is run.rounds
-    assert "kraus" not in vars(first) and "output" not in vars(first)
-    assert first.kraus is first.kraus
+    assert "output" not in vars(first)
     assert first.output is first.output
 
 
@@ -112,13 +123,14 @@ def test_kraus_weights_partition_unity_on_input_support():
     for _ in range(25):
         p, q = random_subset_pair(rng, int(rng.integers(2, 7)))
         run = run_protocol(p, q, 100)
+        weights = round_filter_weights(run)
         for i in p.support:
-            total = math.fsum(r.kraus[i] for r in run.rounds)
+            total = math.fsum(m[i] for m in weights)
             assert total == pytest.approx(1.0, abs=1e-10)
-        for r in run.rounds:
-            eroded = set(run.table.union_before(r.k))
-            assert all(r.kraus[i] == 0.0 for i in eroded)
-            assert all(r.kraus[i] > 0.0 for i in p.support if i not in eroded)
+        for k, m in enumerate(weights, start=1):
+            eroded = set(run.table.prefix(k - 1))
+            assert all(m[i] == 0.0 for i in eroded)
+            assert all(m[i] > 0.0 for i in p.support if i not in eroded)
 
 
 def test_round_outputs_are_renormalized_target_tails():
@@ -126,7 +138,7 @@ def test_round_outputs_are_renormalized_target_tails():
     p, q = random_subset_pair(rng, 5)
     run = run_protocol(p, q, 100)
     for r in run.rounds:
-        eroded = set(run.table.union_before(r.k))
+        eroded = set(run.table.prefix(r.k - 1))
         for i in r.output.support:
             assert i not in eroded
             assert r.output.weight(i) == pytest.approx(
@@ -143,7 +155,7 @@ def test_closed_form_probability_matches_summation():
         run = run_protocol(p, q, 100)
         for T in range(1, len(run.rounds) + 1):
             summed, _ = cumulative(run, T)
-            eroded = math.fsum(p.weight(i) for i in run.table.union_before(T))
+            eroded = math.fsum(p.weight(i) for i in run.table.prefix(T - 1))
             closed = eroded + run.table.ratios[T - 1] * run.rounds[T - 1].fidelity
             assert closed == pytest.approx(summed, abs=1e-10)
 
@@ -154,6 +166,6 @@ def test_probability_tops_out_at_common_weight():
     p = build_profile([(0, 0.0, 0.2), (1, 1.0, 0.4), (2, 2.0, 0.4)])
     q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
     run = run_protocol(p, q, 100)
-    assert run.terminated
+    assert len(run.rounds) == run.table.length
     total = math.fsum(r.probability for r in run.rounds)
     assert total == pytest.approx(0.8, abs=1e-12)

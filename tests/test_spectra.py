@@ -175,9 +175,10 @@ def test_profile_rejects_non_integer_index(index):
         EnergyProfile((index, 5), (0.0, 1.0), (0.5, 0.5))
 
 
-@pytest.mark.parametrize("index", [0.5, True])
+@pytest.mark.parametrize("index", [0.5, True, "0", None, pytest.param([1], id="list")])
 def test_build_profile_rejects_non_integer_index(index):
-    # 0.5 used to build a curve whose optimum then rejected its filter key.
+    # 0.5 used to build a curve whose optimum then rejected its filter key;
+    # sorting "0" or None against 5, or hashing [1], raised a bare TypeError.
     with pytest.raises(ValueError, match=re.escape(f"sector index {index!r} is not an integer")):
         build_profile([(index, 0.0, 1.0), (5, 1.0, 1.0)])
 
@@ -223,7 +224,7 @@ def test_json_round_trip():
     doc = json.loads(p.to_json())
     assert [e["index"] for e in doc["energies"]] == [0, 3]
     again = EnergyProfile.from_json(p.to_json())
-    assert again.as_dict() == pytest.approx(p.as_dict())
+    assert again.support == p.support and again.weights == pytest.approx(p.weights)
     assert again.values[1] == 1.5
 
 
@@ -232,19 +233,19 @@ def test_ratio_table_two_sectors():
     q = build_profile([(0, 0.0, 1 / 3), (1, 1.0, 2 / 3)])
     t = ratio_table(p, q)
     assert t.ratios == pytest.approx((0.75, 1.5))
-    assert t.groups == ((1,), (0,))
-    assert t.unions == ((1,), (0, 1))
+    assert t.order == (1, 0) and t.ends == (1, 2)
     assert t.length == 2
-    assert t.union_before(1) == ()
-    assert t.union_before(2) == (1,)
+    assert t.prefix(0) == ()
+    assert t.prefix(1) == (1,)
+    assert sorted(t.prefix(2)) == [0, 1]
 
 
 def test_ratio_table_groups_equal_ratios():
     # Symmetric binomial profiles give bitwise-equal ratios at +-m.
     t = ratio_table(binomial_profile(2), binomial_profile(4))
     assert t.length == 2
-    assert t.groups[0] == (-2, 2)
-    assert t.groups[1] == (0,)
+    assert sorted(t.prefix(1)) == [-2, 2]
+    assert t.order[t.ends[0]:] == (0,)
     assert t.ratios[0] == pytest.approx(1.0)
     assert t.ratios[1] == pytest.approx(4 / 3)
 
@@ -266,9 +267,8 @@ def test_ratio_table_is_sorted_and_strict():
         q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
         t = ratio_table(p, q)
         assert all(a < b for a, b in zip(t.ratios, t.ratios[1:]))
-        assert sorted(t.unions[-1]) == list(common_support(p, q))
-        covered = [i for g in t.groups for i in g]
-        assert sorted(covered) == list(common_support(p, q))
+        assert sorted(t.prefix(t.length)) == list(common_support(p, q))
+        assert sorted(t.order) == list(common_support(p, q))
 
 
 def test_binomial_profile_small():
@@ -294,7 +294,7 @@ def test_poisson_profile_matches_poisson_weights():
 
 def test_poisson_profile_zero_amplitude():
     p = poisson_profile(0.0, 10)
-    assert p.as_dict() == {0: 1.0}
+    assert p.support == (0,) and p.weights == (1.0,)
 
 
 def test_uniform_profile():
