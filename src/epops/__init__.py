@@ -40,7 +40,7 @@ def _lazy_exports(namespace: dict, modules: dict):
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "channels": "SectorFilter deterministic_fidelity filter_fidelity "
                 "filter_success_probability",
-    "coarse": "CurvePoint TradeoffCurve coarse_filter tradeoff_curve",
+    "coarse": "CurvePoint TradeoffCurve tradeoff_curve",
     "errors": "EpopsError",
     "optimal": "TradeoffPoint optimal_tradeoff_point ultimate_optimum",
     "recursive": "ProtocolRound ProtocolRun cumulative run_protocol",
@@ -62,7 +62,6 @@ __all__ = [
     "ProtocolRun",
     "binomial_profile",
     "build_profile",
-    "coarse_filter",
     "common_support",
     "cumulative",
     "deterministic_fidelity",

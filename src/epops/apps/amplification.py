@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Tuple
 from ..coarse import TradeoffCurve, curve_from_run
 from ..errors import ConsistencyError, CutoffTooSmall, TooLarge
 from ..recursive import run_protocol
-from ..spectra import EnergyProfile, _log_factorials, poisson_profile
+from ..spectra import EnergyProfile, _integer, _log_factorials, poisson_profile
 
 _REL_TOL = 1e-8
 _LOG_TOL = 1e-6
@@ -135,6 +135,7 @@ def amplification_tradeoff(
         raise ValueError("r2 must be at least r1")
     if r2 == 0.0:
         raise ValueError("r2 must be positive")
+    cutoff = _integer(cutoff, "cutoff=")
     if cutoff > _CUTOFF_CAP:
         raise TooLarge(f"cutoff {cutoff} exceeds the cap {_CUTOFF_CAP}")
     if cutoff <= r2 * r2:

@@ -14,13 +14,15 @@ from itertools import chain, takewhile
 
 from ..coarse import TradeoffCurve, tradeoff_curve
 from ..errors import ParityMismatch, TooLarge
-from ..spectra import EnergyProfile, _binomial_weight, binomial_profile
+from ..spectra import EnergyProfile, _binomial_weight, _integer, binomial_profile
 
 #: Largest spin count N or M: a call at it runs for about 10 s.
 _SPIN_CAP = 3_000_000
 
 
 def _validate(N: int, M: int) -> None:
+    _integer(N, "N=")
+    _integer(M, "M=")
     if N < 1 or M < 1:
         raise ValueError("N and M must be positive")
     if M < N:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 from ..coarse import CurvePoint, TradeoffCurve, curve_from_run
 from ..errors import ConsistencyError, TooLarge
 from ..recursive import run_protocol
-from ..spectra import EnergyProfile, _assemble
+from ..spectra import EnergyProfile, _assemble, _integer
 
 _CLOSED_TOL = 1e-10
 #: Largest level count d: a call at it runs for about 10 s.
@@ -65,6 +65,7 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
     against the closed forms p^(k) and F0^(k) = (d+1-k)/d to 1e-10; a
     miss raises ConsistencyError.
     """
+    d = _integer(d, "d=")
     if d < 2:
         raise ValueError("d must be at least 2")
     if d > _LEVEL_CAP:

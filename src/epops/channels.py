@@ -19,7 +19,7 @@ import math
 from typing import Mapping
 
 from .errors import ZeroSuccessProbability
-from .spectra import _INT, EnergyProfile, Frozen, _sector_index, common_support
+from .spectra import _INT, EnergyProfile, Frozen, _integer, common_support
 
 _CLIP_SLACK = 1e-12
 _REAL = frozenset([int, float])
@@ -30,7 +30,7 @@ def _clean_each(coefficients: Mapping[int, float]) -> dict[int, float]:
     cleaned: dict[int, float] = {}
     for index, x in coefficients.items():
         if type(index) is not int:
-            index = _sector_index(index, "filter key")
+            index = _integer(index, "filter key ")
         if not -_CLIP_SLACK <= x <= 1.0 + _CLIP_SLACK:
             raise ValueError(
                 f"filter coefficient {x!r} at sector {index} is not in [0, 1]"

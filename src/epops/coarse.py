@@ -7,12 +7,11 @@ and its fidelity is at least the cumulative fidelity of the T separate
 rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
 
-The merged filter and its fidelity are evaluated in closed form only,
-from the prefix sums of the ratio table.  Their second routes live in
-``oracle.merge_residuals``, which ``epops verify`` and the tests run: the
-round filter weights of ``oracle.round_filter_weights`` summed over
-rounds 1..T, and the generic filter fidelity and success probability of
-``channels``.
+The merged fidelity is evaluated in closed form only, from the prefix
+sums of the ratio table.  The merged filter itself is built only by
+``oracle.coarse_filter``, for ``oracle.merge_residuals``, which compares
+it with the round filter weights summed over rounds 1..T and checks its
+generic fidelity and success probability.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Tuple
 
-from .channels import SectorFilter
 from .recursive import ProtocolRun, run_protocol
 from .spectra import EnergyProfile, RatioTable
 
@@ -43,22 +41,6 @@ class TradeoffCurve(NamedTuple):
         """Render as CSV with six significant digits per value."""
         rows = map("%d,%.6g,%.6g,%.6g".__mod__, self.points)
         return "\n".join(["T,p_succ,F_recursive,F_coarse", *rows]) + "\n"
-
-
-def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
-    """The single filter equivalent to keeping rounds 1..T.
-
-    Transmits U_T fully and every other input sector at r_T q_E/p_E.
-    """
-    run.check_round(T)
-    u_t = set(run.table.prefix(T))
-    r_t = run.table.ratios[T - 1]
-    return SectorFilter(
-        {
-            i: 1.0 if i in u_t else r_t * run.target.weight(i) / w
-            for i, w in zip(run.input.support, run.input.weights)
-        }
-    )
 
 
 def _merged_fidelities(table: RatioTable, n: int) -> List[float]:

@@ -17,7 +17,7 @@ scored, ties keeping the first maximum in flat order.
 The profile engine's own second routes that ``verify`` reads live here
 too: ``round_filter_weights`` rebuilds each round's filter weights, and
 ``merge_residuals`` compares their running sums, the generic filter
-fidelity and the success probability with each merged filter.
+fidelity and the success probability with each ``coarse_filter``.
 """
 
 from __future__ import annotations
@@ -511,6 +511,22 @@ def round_filter_weights(run: ProtocolRun) -> List[Dict[int, float]]:
     return out
 
 
+def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
+    """The single filter equivalent to keeping rounds 1..T.
+
+    Transmits U_T fully and every other input sector at r_T q_E/p_E.
+    """
+    run.check_round(T)
+    u_t = set(run.table.prefix(T))
+    r_t = run.table.ratios[T - 1]
+    return SectorFilter(
+        {
+            i: 1.0 if i in u_t else r_t * run.target.weight(i) / w
+            for i, w in zip(run.input.support, run.input.weights)
+        }
+    )
+
+
 def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
     """Worst gap between each closed-form merged filter and its second routes.
 
@@ -521,7 +537,7 @@ def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
     with the cumulative one.  :data:`MERGE_TOLERANCES` holds the allowed
     gaps.
     """
-    from .coarse import coarse_filter, curve_from_run
+    from .coarse import curve_from_run
 
     p, q = run.input, run.target
     weights = round_filter_weights(run)
@@ -614,7 +630,6 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     from .channels import deterministic_fidelity
-    from .coarse import coarse_filter
     from .optimal import optimal_tradeoff_point, ultimate_optimum
     from .recursive import run_protocol
 

@@ -9,41 +9,29 @@ Every column comes from the prefix sums of the ratio table.  The round
 fidelity is the target weight remaining on the uneroded spectrum, and the
 round success probability is the ratio increment r_k - r_{k-1} times that
 fidelity; the cumulative probability and fidelity are their running sums.
-The per-round output profiles are built only when read.  The second route
-to the round filters, their weights m_E per input sector, lives in
+A round is a record of these numbers only.  The second route to the round
+filters, their weights m_E per input sector, lives in
 ``oracle.round_filter_weights``, which ``epops verify`` compares with a
 matrix simulation and with the merged filters.
 """
 
 from __future__ import annotations
 
-import operator
 from functools import cached_property
 from itertools import accumulate
 from operator import mul, sub, truediv
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import RoundOutOfRange
-from .spectra import EnergyProfile, Frozen, RatioTable, _assemble, ratio_table
+from .spectra import EnergyProfile, Frozen, RatioTable, _integer, ratio_table
 
 
-class ProtocolRound(Frozen):
-    """One protocol round: its fidelity and probability, and its output."""
+class ProtocolRound(NamedTuple):
+    """One protocol round: its index k, fidelity and success probability."""
 
-    def __init__(self, run: "ProtocolRun", k: int, fidelity: float,
-                 probability: float) -> None:
-        self._init(run=run, k=k, fidelity=fidelity, probability=probability)
-
-    @cached_property
-    def output(self) -> EnergyProfile:
-        """The target profile renormalized on the uneroded common spectrum."""
-        table, q = self.run.table, self.run.target
-        active = set(table.order) - set(table.prefix(self.k - 1))
-        return _assemble(
-            [(i, v, w / self.fidelity)
-             for i, v, w in zip(q.support, q.values, q.weights) if i in active],
-            0.0,
-        )
+    k: int
+    fidelity: float
+    probability: float
 
 
 class ProtocolRun(Frozen):
@@ -63,13 +51,14 @@ class ProtocolRun(Frozen):
     @cached_property
     def rounds(self) -> Tuple[ProtocolRound, ...]:
         return tuple([
-            ProtocolRound(self, k, f, pr)
+            ProtocolRound(k, f, pr)
             for k, (f, pr) in enumerate(zip(self.fidelities, self.probabilities), start=1)
         ])
 
     def check_round(self, T: int) -> None:
-        """Raise :class:`RoundOutOfRange` unless 1 <= T <= the rounds run."""
-        if not 1 <= T <= len(self.fidelities):
+        """Raise :class:`RoundOutOfRange` unless 1 <= T <= the rounds run;
+        a T that is not an integer raises ``ValueError``."""
+        if not 1 <= _integer(T, "round T=") <= len(self.fidelities):
             raise RoundOutOfRange(f"T={T} outside 1..{len(self.fidelities)}")
 
 
@@ -81,9 +70,7 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     which erodes the k-th ratio group completely.  ``K`` must be an integer
     of at least 1; a bool, float or string raises ``ValueError``.
     """
-    if isinstance(K, bool) or not hasattr(type(K), "__index__"):
-        raise ValueError(f"round count K={K!r} is not an integer")
-    K = operator.index(K)
+    K = _integer(K, "round count K=")
     if K < 1:
         raise ValueError("K must be at least 1")
     table = ratio_table(p, q)

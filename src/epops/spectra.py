@@ -62,14 +62,14 @@ _NORMALIZATION_TOL = 1e-12
 _INT = frozenset([int])
 
 
-def _sector_index(key, what: str = "sector index") -> int:
-    """``key`` as an ``int`` sector index; a bool, float or string raises."""
-    if not isinstance(key, bool):
+def _integer(value, label: str) -> int:
+    """``value`` as an ``int``; a bool, float or string raises, labelled e.g. "N="."""
+    if not isinstance(value, bool):
         try:
-            return operator.index(key)
+            return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"{what} {key!r} is not an integer sector index")
+    raise ValueError(f"{label}{value!r} is not an integer")
 
 
 class Frozen:
@@ -112,7 +112,7 @@ class EnergyProfile(Frozen):
         if not len(support) == len(values) == len(weights):
             raise ValueError("support, values and weights must have equal length")
         if not _INT.issuperset(map(type, support)):
-            support = tuple([_sector_index(i) for i in support])
+            support = tuple([_integer(i, "sector index ") for i in support])
         if any(b <= a for a, b in zip(support, support[1:])):
             raise DuplicateLabel("sector indices must be strictly increasing")
         if any(w < 0.0 for w in weights):
@@ -208,7 +208,7 @@ def _assemble(
     seen: dict[int, Tuple[float, float]] = {}
     for index, value, weight in pairs:
         if type(index) is not int:
-            index = _sector_index(index)
+            index = _integer(index, "sector index ")
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
         try:
@@ -386,6 +386,7 @@ def _binomial_weight(N: int):
 def binomial_profile(N: int) -> EnergyProfile:
     """Profile of N aligned spins: labels m = -N, -N+2, ..., N with weight
     C(N, (N-m)/2) / 2^N; a tail weight that underflows to 0.0 is dropped."""
+    N = _integer(N, "N=")
     if N < 1:
         raise ValueError("N must be a positive integer")
     weight = _binomial_weight(N)
@@ -400,6 +401,7 @@ def poisson_profile(r: float, cutoff: int) -> EnergyProfile:
     """
     if not 0.0 <= r < math.inf:
         raise ValueError(f"amplitude r={r} must be finite and nonnegative")
+    cutoff = _integer(cutoff, "cutoff=")
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if r == 0.0:
@@ -414,6 +416,7 @@ def poisson_profile(r: float, cutoff: int) -> EnergyProfile:
 
 def uniform_profile(N: int) -> EnergyProfile:
     """Flat profile over n = 0..N-1 (maximally coherent state)."""
+    N = _integer(N, "N=")
     if N < 1:
         raise ValueError("N must be a positive integer")
     return _assemble(((n, float(n), 1.0 / N) for n in range(N)), 0.0)
@@ -425,6 +428,7 @@ def sine_profile(N: int) -> EnergyProfile:
     The n = 0 weight is exactly zero and is dropped, so the support is
     1..N.
     """
+    N = _integer(N, "N=")
     if N < 1:
         raise ValueError("N must be a positive integer")
     scale = 2.0 / (N + 1)

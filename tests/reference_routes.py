@@ -5,14 +5,23 @@ S0, not only the ratio prefix the optimum picks, from the engine's own
 column arithmetic, so the optimum can be compared with it by ``==``.
 ``filtered_profile`` renormalizes a filtered profile, whose deterministic
 fidelity is a second route to ``filter_fidelity``.
+
+The estimation gains have two: ``round_output`` and ``merged_amplitudes``
+build each round's output state and each merged filter's output
+amplitudes sector by sector, for ``holevo_gain``, and ``decimal_gains``
+recomputes the gain columns and the merged mass from the run's doubles in
+40-digit decimal arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+from decimal import Decimal, localcontext
+
 from epops.channels import filter_success_probability
 from epops.errors import ZeroSuccessProbability
 from epops.optimal import _two_regime_columns
-from epops.spectra import build_profile, common_support
+from epops.spectra import _assemble, build_profile, common_support
 
 
 def two_regime(p, q, s0, p_succ):
@@ -48,3 +57,69 @@ def filtered_profile(p, f):
         if x > 0.0:
             pairs.append((i, v, w * x / p_succ))
     return build_profile(pairs)
+
+
+def round_output(run, k):
+    """Round k's output: the target renormalized on the common spectrum
+    outside U_(k-1)."""
+    table, q = run.table, run.target
+    active = set(table.order) - set(table.prefix(k - 1))
+    fidelity = run.fidelities[k - 1]
+    return _assemble(
+        [(i, v, w / fidelity) for i, v, w in zip(q.support, q.values, q.weights)
+         if i in active],
+        0.0,
+    )
+
+
+def merged_amplitudes(run, T):
+    """Output amplitudes of the merged filter of rounds 1..T on the dense
+    run of input sectors: sqrt(p_E / p_succ) on U_T and sqrt(r_T / p_succ)
+    sqrt(q_E) on the rest.  Read from that definition and not from
+    ``oracle.coarse_filter``, whose coefficients r_T q_E / p_E are subnormal
+    in the first rounds of ``qubits`` at N near 1000 and keep few digits."""
+    p, q, table = run.input, run.target, run.table
+    p_succ, r = run.p_succ[T - 1], table.ratios[T - 1]
+    eroded = set(table.prefix(T))
+    lo = p.support[0]
+    amplitudes = [0.0] * (p.support[-1] - lo + 1)
+    for i, w in zip(p.support, p.weights):
+        amplitudes[i - lo] = (
+            math.sqrt(w / p_succ) if i in eroded
+            else math.sqrt(r / p_succ) * math.sqrt(q.weight(i))
+        )
+    return amplitudes
+
+
+def decimal_gains(run, digits=40):
+    """(G_recursive, G_coarse, merged mass) for T = 1..n of an estimation run,
+    as ``Decimal``s computed at ``digits`` significant digits from the run's
+    doubles: the profile weights, the group ratios r_T, the round
+    probabilities and p_succ.  Round k's gain is that of the target
+    renormalized outside U_(k-1); the merged filter's amplitudes are
+    sqrt(p_E / p_succ) on U_T and sqrt(r_T q_E / p_succ) on the rest."""
+    table = run.table
+    common = sorted(table.order)
+    zero = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = digits
+        q = {i: Decimal(run.target.weight(i)) for i in common}
+        root_p = {i: Decimal(run.input.weight(i)).sqrt() for i in common}
+        root_q = {i: w.sqrt() for i, w in q.items()}
+        half = Decimal("0.5")
+        weighted, rows = zero, []
+        for T in range(1, len(run.fidelities) + 1):
+            before, eroded = set(table.prefix(T - 1)), set(table.prefix(T))
+            active = [i for i in common if i not in before]
+            pairs = sum([root_q[i] * root_q[i + 1] for i in active
+                         if i + 1 in q and i + 1 not in before], zero)
+            weighted += Decimal(run.probabilities[T - 1]) * (
+                half + pairs / (2 * sum([q[i] for i in active], zero)))
+            p_succ = Decimal(run.p_succ[T - 1])
+            scale, root_r = 1 / p_succ.sqrt(), Decimal(table.ratios[T - 1]).sqrt()
+            m = {i: (root_p[i] if i in eroded else root_r * root_q[i]) * scale
+                 for i in common}
+            merged = sum([m[i] * m[i + 1] for i in common if i + 1 in m], zero)
+            rows.append((weighted / p_succ, half + merged / 2,
+                         sum([a * a for a in m.values()], zero)))
+    return rows

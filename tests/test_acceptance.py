@@ -18,7 +18,7 @@ from epops.apps.correction import damped_profile, round_probability, uniform_lev
 from epops.apps.estimation import asymptotic_gain, deterministic_gain, estimation_tradeoff
 from epops.channels import filter_success_probability
 from epops.cli import main
-from epops.coarse import coarse_filter, tradeoff_curve
+from epops.coarse import tradeoff_curve
 from epops.mixedstate import (
     coherent_target_profile,
     det_fidelity_bound,
@@ -29,7 +29,7 @@ from epops.mixedstate import (
     ultimate_mixed_fidelity,
     ultimate_mixed_probability,
 )
-from epops.oracle import run_verification
+from epops.oracle import coarse_filter, run_verification
 from epops.recursive import cumulative, run_protocol
 from epops.spectra import build_profile
 

@@ -439,6 +439,28 @@ def _above_cap(module, cap):
     return str(getattr(module, cap) + 1)
 
 
+#: sha256 of ``estimate --mode qubits --n 1060`` (32 rounds) as the route that
+#: built every round's output profile and every merged filter wrote it.
+QUBITS_1060_GOLDEN = "be65697eb7b05c4dff2d39401f720b0698a739b3427ca3d7e7c1b08ffbffea2b"
+
+
+def test_estimate_qubits_1060_keeps_its_bytes(tmp_path):
+    assert run_cli(tmp_path, "estimate", "--mode", "qubits", "--n", "1060",
+                   "--out", "q.csv") == 0
+    assert hashlib.sha256((tmp_path / "q.csv").read_bytes()).hexdigest() == QUBITS_1060_GOLDEN
+
+
+@pytest.mark.parametrize("n", ["1200", "1500"])
+def test_estimate_unnormalized_merged_filter_exits_3(tmp_path, capsys, n):
+    # The binomial weights leave the normal range, and the merged filter's
+    # success probability misses p_succ by more than 1e-10.
+    rc = run_cli(tmp_path, "estimate", "--mode", "qubits", "--n", n, "--out", "q.csv")
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert not (tmp_path / "q.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["amplify", "--r1", "1", "--r2", "1.5",
      "--cutoff", _above_cap(amplification, "_CUTOFF_CAP")],

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import time
+from decimal import Decimal
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from epops.apps import (
 )
 from epops.apps.estimation import _dense_amplitudes
 from epops.errors import NotNormalized, NotOdd
+from epops.recursive import run_protocol
 from epops.spectra import sine_profile
+from reference_routes import decimal_gains, merged_amplitudes, round_output
 
 
 def test_single_amplitude_gives_coin_flip_gain():
@@ -149,3 +154,79 @@ def test_asymptotic_validation():
         asymptotic_gain(61, 61)
     with pytest.raises(ValueError):
         asymptotic_gain(0, 1)
+
+
+def _run(mode, N, K):
+    return run_protocol(*estimation_profiles(mode, N), K)
+
+
+#: Every round of the smaller cases, the first 64 of the larger ones.
+ROUTE_CASES = [("maxcoh", N, 10**6) for N in (2, 3, 35, 61, 400)] + [
+    ("qubits", N, 10**6) for N in (2, 8, 100)] + [("qubits", N, 64) for N in (1000, 1060)]
+
+
+@pytest.mark.parametrize("mode, N, K", ROUTE_CASES)
+def test_pair_sum_gains_match_the_per_sector_route(mode, N, K):
+    # The second route builds each round's output profile and each merged
+    # filter's amplitudes sector by sector and scores them with holevo_gain.
+    run = _run(mode, N, K)
+    points = estimation_tradeoff(mode, N, K)
+    assert len(points) == len(run.fidelities)
+    round_gains = [holevo_gain(_dense_amplitudes(round_output(run, r.k))) for r in run.rounds]
+    weighted = accumulate(pr * g for pr, g in zip(run.probabilities, round_gains))
+    for pt, g_sum in zip(points, weighted):
+        assert pt.gain_recursive == pytest.approx(g_sum / pt.p_succ, rel=1e-12, abs=0.0)
+        merged = holevo_gain(merged_amplitudes(run, pt.T))
+        assert pt.gain_coarse == pytest.approx(merged, rel=1e-12, abs=0.0)
+
+
+#: Worst error of each column against the 40-digit reference over
+#: DECIMAL_CASES, whose ``qubits`` N = 1060 starts at a subnormal p_succ
+#: (4.9e-312).  The route takes the merged mass to be 1 (it raises beyond
+#: 1e-10), so the mass error is the exact mass's distance from 1.
+DECIMAL_BOUNDS = {"gain_recursive": 1e-15, "gain_coarse": 1e-15, "mass": 1e-14}
+DECIMAL_CASES = [("maxcoh", 61, 10**6), ("maxcoh", 400, 10**6), ("maxcoh", 2000, 32),
+                 ("qubits", 8, 10**6), ("qubits", 100, 10**6), ("qubits", 1000, 32),
+                 ("qubits", 1060, 32)]
+
+
+def test_gain_columns_against_a_decimal_reference():
+    worst = dict.fromkeys(DECIMAL_BOUNDS, 0.0)
+    for mode, N, K in DECIMAL_CASES:
+        run = _run(mode, N, K)
+        points = estimation_tradeoff(mode, N, K)
+        for pt, (g_rec, g_coarse, mass) in zip(points, decimal_gains(run)):
+            for name, value, exact in (("gain_recursive", pt.gain_recursive, g_rec),
+                                       ("gain_coarse", pt.gain_coarse, g_coarse),
+                                       ("mass", 1.0, mass)):
+                worst[name] = max(worst[name], abs(float(Decimal(value) - exact)))
+    assert all(worst[name] <= bound for name, bound in DECIMAL_BOUNDS.items()), worst
+
+
+@pytest.mark.parametrize("N", [1065, 1070, 1075])
+def test_admitted_qubit_counts_have_unit_mass_and_the_reference_gains(N):
+    # Subnormal binomial weights, yet the exact merged mass is within 1e-10
+    # of 1, so the check admits these N, and every printed gain is exact.
+    run = _run("qubits", N, 32)
+    for pt, (g_rec, g_coarse, mass) in zip(estimation_tradeoff("qubits", N, 32),
+                                          decimal_gains(run)):
+        assert abs(mass - 1) <= 1e-10
+        assert "%.6g" % pt.gain_recursive == "%.6g" % g_rec
+        assert "%.6g" % pt.gain_coarse == "%.6g" % g_coarse
+
+
+def _best_of_3(call):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_estimate_cost_is_linear_in_the_level_count():
+    # O(N + L) gives about 4x from N = 500 to 2000 at every round, and an
+    # O(L N) route about 16x.
+    small = _best_of_3(lambda: estimation_tradeoff("maxcoh", 500, 500))
+    large = _best_of_3(lambda: estimation_tradeoff("maxcoh", 2000, 2000))
+    assert large < 8 * small, (small, large)

@@ -8,7 +8,12 @@ import pytest
 
 import epops
 import epops.apps
-from epops.apps import amplification_tradeoff, correction_tradeoff, estimation_tradeoff
+from epops.apps import (
+    amplification_tradeoff,
+    cloning_tradeoff,
+    correction_tradeoff,
+    estimation_tradeoff,
+)
 from epops.channels import SectorFilter
 from epops.coarse import tradeoff_curve
 from epops.mixedstate import (
@@ -20,9 +25,15 @@ from epops.mixedstate import (
     ultimate_mixed_probability,
 )
 from epops.optimal import optimal_tradeoff_point
-from epops.oracle import hilbert_model, run_verification, simulate_protocol
-from epops.recursive import run_protocol
-from epops.spectra import ratio_table, sine_profile, uniform_profile
+from epops.oracle import coarse_filter, hilbert_model, run_verification, simulate_protocol
+from epops.recursive import cumulative, run_protocol
+from epops.spectra import (
+    binomial_profile,
+    poisson_profile,
+    ratio_table,
+    sine_profile,
+    uniform_profile,
+)
 
 
 @pytest.mark.parametrize("package", [epops, epops.apps], ids=["epops", "epops.apps"])
@@ -38,6 +49,32 @@ def test_unknown_attribute_raises_attribute_error(package):
     with pytest.raises(AttributeError, match="no_such_name"):
         package.no_such_name
     assert not hasattr(package, "no_such_name")
+
+
+def _run():
+    return run_protocol(uniform_profile(3), sine_profile(3), 4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: binomial_profile(2.5),
+    lambda: uniform_profile(2.5),
+    lambda: poisson_profile(1.0, 2.5),
+    lambda: sine_profile("3"),
+    lambda: cloning_tradeoff(2.0, 4, 3),
+    lambda: correction_tradeoff(6.0, 0.5, 6),
+    lambda: estimation_tradeoff("maxcoh", 5.0, 2),
+    lambda: amplification_tradeoff(1.0, 1.5, 20.5, 21),
+    lambda: cumulative(_run(), 1.0),
+    lambda: binomial_profile(True),
+    lambda: cloning_tradeoff(True, 3, 3),
+    lambda: coarse_filter(_run(), True),
+], ids=["binomial", "uniform", "poisson-cutoff", "sine-string", "clone-n", "correct-d",
+        "estimate-n", "amplify-cutoff", "cumulative-t", "binomial-bool", "clone-bool",
+        "coarse-filter-bool"])
+def test_integer_parameters_raise_value_error_naming_them(call):
+    # Each used to raise a bare TypeError, or took the bool True as 1.
+    with pytest.raises(ValueError, match=r"^\w+ ?\w*=.* is not an integer$"):
+        call()
 
 
 def read_only_objects():
@@ -75,9 +112,18 @@ def test_fields_cannot_be_assigned():
 
 ENGINE = ("spectra", "channels", "recursive", "coarse", "optimal")
 
-#: Read by no module, but the README documents it as the writer of the
-#: ``tradeoff`` input format.
-DOCUMENTED_UNREAD = {"EnergyProfile.to_json"}
+#: Read by no module, but documented in the README, with the reason.
+DOCUMENTED_UNREAD = {
+    "EnergyProfile.to_json": "the writer of the ``tradeoff`` input format",
+    "Frontier.fidelity": "the optimum at any p_succ in O(log n); ROADMAP item 2 "
+                         "plans its reader",
+}
+
+#: Each engine method named like a member of another class, and a file
+#: of the package or the benchmark that reads it as that method.
+AMBIGUOUS_READERS = {
+    "ProtocolRun.rounds": "src/epops/apps/correction.py",
+}
 
 
 def _engine_functions(root):
@@ -115,6 +161,39 @@ def _reads(tree, strings):
     return found
 
 
+def _class_members(tree, methods_only=False):
+    """(class, name) of each non-dunder method or property of each class in
+    ``tree`` and, unless ``methods_only``, of each annotated field (a
+    ``NamedTuple`` field) and each keyword of an ``_init`` call in it."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                yield node.name, item.name
+            elif not methods_only and isinstance(item, ast.AnnAssign) \
+                    and isinstance(item.target, ast.Name):
+                yield node.name, item.target.id
+        if not methods_only:
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "_init":
+                    yield from ((node.name, kw.arg) for kw in call.keywords if kw.arg)
+
+
+def _ambiguous_methods(engine, package):
+    """Qualified names of the methods in the ``engine`` trees whose name is
+    also a member of another class in the ``package`` trees, so that a read
+    of the name may be a read of that member."""
+    owners = {}
+    for tree in package:
+        for cls, name in _class_members(tree):
+            owners.setdefault(name, set()).add(cls)
+    return {
+        f"{cls}.{name}" for tree in engine for cls, name in _class_members(tree, True)
+        if owners.get(name, set()) - {cls}
+    }
+
+
 def test_engine_has_no_test_only_functions():
     # Every function of the curve engine has a reader in the package or
     # the benchmark; a second route read only by tests lives in the tests.
@@ -135,6 +214,54 @@ def test_engine_has_no_test_only_functions():
         and all(m == module and line in defs for m, defs in reads.get(name, []))
     ]
     assert not unread, unread
+
+
+def test_engine_methods_named_like_another_member_name_their_reader():
+    # The scan above counts any read of a name, so it passes Frontier.fidelity
+    # on the reads of every ``.fidelity`` field.  A method that shares its
+    # name with a method, field or ``_init`` keyword of another class must
+    # name a file that reads it, or be documented as unread.
+    repo = Path(__file__).parents[1]
+    root = Path(epops.__file__).parent
+    package = [ast.parse(path.read_text()) for path in sorted(root.rglob("*.py"))]
+    engine = [ast.parse((root / f"{module}.py").read_text()) for module in ENGINE]
+    ambiguous = _ambiguous_methods(engine, package)
+    assert ambiguous - DOCUMENTED_UNREAD.keys() == AMBIGUOUS_READERS.keys(), ambiguous
+    for qualified, path in AMBIGUOUS_READERS.items():
+        reads = {name for name, _ in _reads(ast.parse((repo / path).read_text()), False)}
+        assert qualified.split(".")[1] in reads, (qualified, path)
+    readme = (repo / "README.md").read_text()
+    for qualified in DOCUMENTED_UNREAD:
+        assert "." + qualified.split(".")[1] in readme, qualified
+
+
+PLANTED_PACKAGE = """
+class Record(NamedTuple):
+    weight: float
+
+class Value(Frozen):
+    def __init__(self, n):
+        self._init(length=n)
+
+    def point(self):
+        return 0
+"""
+
+PLANTED_ENGINE = """
+class Engine:
+    def weight(self): ...
+    def length(self): ...
+    def point(self): ...
+    def unique(self): ...
+    def __len__(self): ...
+"""
+
+
+def test_ambiguity_scan_flags_members_of_other_classes():
+    engine = ast.parse(PLANTED_ENGINE)
+    package = [ast.parse(PLANTED_PACKAGE), engine]
+    assert _ambiguous_methods([engine], package) == {
+        "Engine.weight", "Engine.length", "Engine.point"}
 
 
 #: Iterator builders with no length hint: a tuple taken from one grows
