@@ -15,7 +15,6 @@ is scored from pair sums updated round by round, O(N + L) after the sort.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..coarse import curve_from_run
@@ -30,10 +29,7 @@ from ..spectra import (
 )
 
 _NORM_TOL = 1e-10
-#: An exact scale for the recursive gain's probabilities: it keeps their products
-#: out of the subnormal range and changes no bit where none was subnormal.
-_LIFT = 2.0 ** 1000
-#: Largest level or qubit count N: ``maxcoh`` at it takes 0.6 s at 32 rounds.
+#: Largest level or qubit count N: ``maxcoh`` at it takes about 1.1 s at 32 rounds.
 _LEVEL_CAP = 100_000
 
 MODES = ("maxcoh", "qubits")
@@ -110,19 +106,20 @@ def _exact(x: float) -> int:
     return num << (1075 - den.bit_length())
 
 
-def _pair_sums(run: ProtocolRun) -> List[List[float]]:
+def _pair_sums(run: ProtocolRun) -> List[Tuple[int, ...]]:
     """Per round, OO and Q before it erodes its group, UU, UO and OO after.
 
     Over adjacent common sectors i, j: UU sums sqrt(p_i) sqrt(p_j) with both
     eroded, UO sqrt(p_i) sqrt(q_j) with only i, OO sqrt(q_i) sqrt(q_j) with
-    neither; Q is the target weight not eroded.  Each sum is exact, rounded
-    once, of products of roots (the root of a product can underflow).
+    neither; Q is the target weight not eroded.  Each root is rounded once
+    and kept exact (the root of a product can underflow), so every sum is an
+    exact integer: Q in units of 2^-1074 and the pair sums in 2^-2148.
     """
     table, qw = run.table, run.target._by_index
-    root_p = {i: math.sqrt(run.input._by_index[i]) for i in table.order}
-    root_q = {i: math.sqrt(qw[i]) for i in table.order}
+    root_p = {i: _exact(math.sqrt(run.input._by_index[i])) for i in table.order}
+    root_q = {i: _exact(math.sqrt(qw[i])) for i in table.order}
     uu = uo = 0
-    oo = sum([_exact(root_q[i] * root_q[i + 1]) for i in root_q if i + 1 in root_q])
+    oo = sum([root_q[i] * root_q[i + 1] for i in root_q if i + 1 in root_q])
     q_left = sum([_exact(qw[i]) for i in table.order])
     eroded, rows = set(), []
     for a, b in zip((0,) + table.ends, table.ends[: len(run.fidelities)]):
@@ -130,14 +127,14 @@ def _pair_sums(run: ProtocolRun) -> List[List[float]]:
         for i in table.order[a:b]:
             for j in (i - 1, i + 1):
                 if j in eroded:
-                    uo -= _exact(root_p[j] * root_q[i])
-                    uu += _exact(root_p[i] * root_p[j])
+                    uo -= root_p[j] * root_q[i]
+                    uu += root_p[i] * root_p[j]
                 elif j in root_q:
-                    oo -= _exact(root_q[i] * root_q[j])
-                    uo += _exact(root_p[i] * root_q[j])
+                    oo -= root_q[i] * root_q[j]
+                    uo += root_p[i] * root_q[j]
             eroded.add(i)
             q_left -= _exact(qw[i])
-        rows.append([s / (1 << 1074) for s in (*before, uu, uo, oo)])
+        rows.append((*before, uu, uo, oo))
     return rows
 
 
@@ -150,17 +147,17 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     sqrt(p_n / p_succ) on U_T and sqrt(r_T q_n / p_succ) on the rest: gain
     1/2 + (UU + sqrt(r_T) UO + r_T OO) / (2 p_succ) after round T, and mass
     p(U_T) / p_succ + r_T q_rest / p_succ, which must be 1 within 1e-10 or
-    :class:`NotNormalized` is raised.  Products follow their division by
-    p_succ, which keeps them out of the subnormal range.
+    :class:`NotNormalized` is raised.  Every gain is an exact integer
+    ratio, from the exact pair sums and the exact values of the doubles
+    r_T, sqrt(r_T), the round probabilities and p_succ, rounded once by
+    its one division.
     """
     p, q = estimation_profiles(mode, N)
     run = run_protocol(p, q, K)
-    table, sums = run.table, _pair_sums(run)
-    round_gains = [0.5 + oo / (2.0 * q_left) for oo, q_left, *_ in sums]
-    weighted = accumulate(pr * _LIFT * g for pr, g in zip(run.probabilities, round_gains))
-    points = []
-    for cp, g_sum, r, (*_, uu, uo, oo) in zip(curve_from_run(run).points, weighted,
-                                               table.ratios, sums):
+    table, weighted, points = run.table, 0, []
+    for cp, pr, r, (oo_k, q_k, uu, uo, oo) in zip(curve_from_run(run).points,
+                                                   run.probabilities, table.ratios,
+                                                   _pair_sums(run)):
         T, p_succ = cp.T, cp.p_succ
         mass = table.p_eroded[T] / p_succ + r / p_succ * table.q_remaining[T]
         if not abs(mass - 1.0) <= _NORM_TOL:
@@ -168,15 +165,17 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
                 f"the merged filter of rounds 1..{T} has success probability "
                 f"{mass!r} times p_succ, expected 1"
             )
-        pairs = uu / p_succ + math.sqrt(r) / p_succ * uo + r / p_succ * oo
+        weighted += _exact(pr) * _exact(((q_k << 1074) + oo_k) / (q_k << 1075))
+        s = _exact(p_succ)
+        pairs = (uu << 1074) + _exact(math.sqrt(r)) * uo + _exact(r) * oo
         points.append(
             GainPoint(
                 T=T,
                 p_succ=p_succ,
                 F_recursive=cp.F_recursive,
                 F_coarse=cp.F_coarse,
-                gain_recursive=g_sum / (p_succ * _LIFT),
-                gain_coarse=0.5 + 0.5 * pairs,
+                gain_recursive=weighted / (s << 1074),
+                gain_coarse=((s << 2148) + pairs) / (s << 2149),
             )
         )
     return points

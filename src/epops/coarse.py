@@ -7,8 +7,12 @@ and its fidelity is at least the cumulative fidelity of the T separate
 rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
 
-The merged fidelity is evaluated in closed form only, from the prefix
-sums of the ratio table.  The merged filter itself is built only by
+The merged filter of rounds 1..T is the optimal filter at its own success
+probability s = p(U_T) + r_T q_rest (the KKT conditions in ``optimal``),
+so its fidelity is the frontier's segment expression at s, read off the
+ratio table's group-end sums.  s is p_succ up to rounding and to the
+spread of a grouped ratio tie, which the root of p_succ - p(U_T) would
+amplify.  The merged filter itself is built only by
 ``oracle.coarse_filter``, for ``oracle.merge_residuals``, which compares
 it with the round filter weights summed over rounds 1..T and checks its
 generic fidelity and success probability.
@@ -16,11 +20,10 @@ generic fidelity and success probability.
 
 from __future__ import annotations
 
-import math
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from .recursive import ProtocolRun, run_protocol
-from .spectra import EnergyProfile, RatioTable
+from .spectra import EnergyProfile, _segment_fidelity
 
 
 class CurvePoint(NamedTuple):
@@ -43,28 +46,15 @@ class TradeoffCurve(NamedTuple):
         return "\n".join(["T,p_succ,F_recursive,F_coarse", *rows]) + "\n"
 
 
-def _merged_fidelities(table: RatioTable, n: int) -> List[float]:
-    """Merged-filter fidelities for T = 1..n.
-
-    (sqrt(p q) summed over U_T + sqrt(r_T) q_rest)^2 / (p(U_T) + r_T q_rest),
-    where q_rest is the target weight left outside U_T.
-    """
-    out = []
-    cut = slice(1, n + 1)
-    for r, aligned, eroded, rest in zip(table.ratios[:n], table.aligned[cut],
-                                        table.p_eroded[cut], table.q_remaining[cut]):
-        numerator = aligned + math.sqrt(r) * rest
-        out.append(numerator * numerator / (eroded + r * rest))
-    return out
-
-
 def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
     """Recursive and merged fidelities of ``run`` against success probability."""
-    f_coarse = _merged_fidelities(run.table, len(run.fidelities))
-    rounds = range(1, len(f_coarse) + 1)
-    return TradeoffCurve(
-        points=tuple(list(map(CurvePoint, rounds, run.p_succ, run.f_recursive, f_coarse)))
-    )
+    table, n = run.table, len(run.fidelities)
+    cut = slice(1, n + 1)
+    f_coarse = [_segment_fidelity(a, p, q, p + r * q) for r, a, p, q in zip(
+        table.ratios, table.aligned[cut], table.p_eroded[cut], table.q_remaining[cut])]
+    return TradeoffCurve(points=tuple(list(
+        map(CurvePoint, range(1, n + 1), run.p_succ, run.f_recursive, f_coarse)
+    )))
 
 
 def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:

@@ -40,7 +40,7 @@ from typing import NamedTuple, Tuple
 
 from .channels import SectorFilter
 from .errors import InfeasibleProbability, NoFeasiblePartition
-from .spectra import EnergyProfile, RatioColumns, _ratio_columns
+from .spectra import EnergyProfile, RatioColumns, _ratio_columns, _segment_fidelity
 
 _SLACK = 1e-12
 _MODES = ("exhaustive", "ratio-family")
@@ -138,14 +138,13 @@ class Frontier(NamedTuple):
     cols: RatioColumns
 
     def fidelity(self, p_succ: float) -> float:
-        """(A_k + sqrt((p_succ - P_k) Q_k))^2 / p_succ in O(log n), from the prefix
-        sums of sqrt(pq) and p over S0 and of q past it; :meth:`point` is exact."""
+        """(A_k + sqrt((p_succ - P_k) Q_k))^2 / p_succ on the segment k that
+        holds p_succ, found by bisection in O(log n); :meth:`point` is exact."""
         if not 0.0 < p_succ <= 1.0 + _SLACK:
             raise ValueError("p_succ must lie in (0, 1]")
         c = self.cols
         k = bisect_left(c.b_max, p_succ)
-        om = c.aligned[k] + math.sqrt(max(p_succ - c.p_before[k], 0.0) * c.q_from[k])
-        return om * om / p_succ
+        return _segment_fidelity(c.aligned[k], c.p_before[k], c.q_from[k], p_succ)
 
     def point(self, p_succ: float) -> TradeoffPoint:
         """Best fidelity point at ``p_succ``.  Where a boundary sector sits at

@@ -247,8 +247,6 @@ class SimulationResult(NamedTuple):
     rounds: Tuple[SimulatedRound, ...]
     failure_operator: np.ndarray
     completeness_residual: float
-    input_state: np.ndarray
-    target_state: np.ndarray
 
 
 def simulate_protocol(
@@ -343,8 +341,6 @@ def simulate_protocol(
         rounds=tuple(rounds),
         failure_operator=prefix,
         completeness_residual=residual_norm,
-        input_state=phi0,
-        target_state=psi,
     )
 
 

@@ -311,6 +311,15 @@ class RatioColumns(Frozen):
         return tuple(list(accumulate(B, max)))
 
 
+def _segment_fidelity(aligned: float, p_before: float, q_from: float, p_succ: float) -> float:
+    """(A + sqrt((s - P) Q))^2 / s: the optimal fidelity at success probability
+    s on the segment of the frontier whose fully transmitted prefix has
+    sqrt(pq) sum A and input weight P, with target weight Q past it."""
+    excess = p_succ - p_before
+    om = aligned + math.sqrt(excess * q_from) if excess > 0.0 else aligned
+    return om * om / p_succ
+
+
 #: The latest pair's columns; immutable profiles make its identity a key.
 _last = None
 

@@ -10,13 +10,17 @@ The estimation gains have two: ``round_output`` and ``merged_amplitudes``
 build each round's output state and each merged filter's output
 amplitudes sector by sector, for ``holevo_gain``, and ``decimal_gains``
 recomputes the gain columns and the merged mass from the run's doubles in
-40-digit decimal arithmetic.
+40-digit decimal arithmetic.  ``decimal_merged_fidelities`` and
+``decimal_frontier`` do the same for the merged filters' fidelities and
+for the optimal fidelity at a given success probability.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from decimal import Decimal, localcontext
+from itertools import accumulate
 
 from epops.channels import filter_success_probability
 from epops.errors import ZeroSuccessProbability
@@ -123,3 +127,54 @@ def decimal_gains(run, digits=40):
             rows.append((weighted / p_succ, half + merged / 2,
                          sum([a * a for a in m.values()], zero)))
     return rows
+
+
+def _decimal_prefix_sums(pw, qw):
+    """For j = 0..n: the sums of sqrt(p q) and of p over the first j sectors,
+    and of q over the rest."""
+    zero = Decimal(0)
+    aligned = list(accumulate([(a * b).sqrt() for a, b in zip(pw, qw)], initial=zero))
+    p_before = list(accumulate(pw, initial=zero))
+    q_from = list(accumulate(reversed(qw), initial=zero))[::-1]
+    return aligned, p_before, q_from
+
+
+def decimal_merged_fidelities(run, digits=40):
+    """The fidelity of the merged filter of rounds 1..T, for T = 1..n, as
+    ``Decimal``s at ``digits`` significant digits from the profile weights
+    and the group ratios r_T: x = 1 on U_T and x = r_T q_E / p_E on the rest
+    of the common spectrum, so F = (A + sqrt(r_T) Q)^2 / (P + r_T Q) with
+    A and P the sums of sqrt(p q) and p over U_T and Q that of q outside."""
+    table = run.table
+    with localcontext() as ctx:
+        ctx.prec = digits
+        pw = [Decimal(run.input.weight(i)) for i in table.order]
+        qw = [Decimal(run.target.weight(i)) for i in table.order]
+        aligned, p_before, q_from = _decimal_prefix_sums(pw, qw)
+        rows = []
+        for end, r in zip(table.ends, table.ratios[: len(run.fidelities)]):
+            r = Decimal(r)
+            omega = aligned[end] + r.sqrt() * q_from[end]
+            rows.append(omega * omega / (p_before[end] + r * q_from[end]))
+    return rows
+
+
+def decimal_frontier(p, q, targets, digits=40):
+    """The optimal fidelity at each success probability in ``targets``, as
+    ``Decimal``s at ``digits`` significant digits: the common spectrum sorted
+    by its decimal ratios p/q, and (A_k + sqrt((s - P_k) Q_k))^2 / s on the
+    first prefix k whose bound P_k + (p/q)_(k+1) Q_k reaches s, or on the
+    whole spectrum where none does (the KKT conditions of the optimum)."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        rows = sorted((Decimal(p.weight(i)) / Decimal(q.weight(i)), Decimal(p.weight(i)),
+                       Decimal(q.weight(i))) for i in common_support(p, q))
+        ratios, pw, qw = zip(*rows)
+        aligned, p_before, q_from = _decimal_prefix_sums(pw, qw)
+        bounds = [a + r * b for a, r, b in zip(p_before, ratios, q_from)]
+        values = []
+        for s in map(Decimal, targets):
+            k = bisect_left(bounds, s)
+            omega = aligned[k] + (max(s - p_before[k], 0) * q_from[k]).sqrt()
+            values.append(omega * omega / s)
+    return values

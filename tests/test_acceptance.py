@@ -8,6 +8,7 @@ Criteria with a time budget also fail when they run over it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import time
 
@@ -32,6 +33,7 @@ from epops.mixedstate import (
 from epops.oracle import coarse_filter, run_verification
 from epops.recursive import cumulative, run_protocol
 from epops.spectra import build_profile
+from test_cli import VERIFY_SEED_42_SHA256
 
 
 def _check(problems: list, ok: bool, message: str) -> None:
@@ -151,6 +153,9 @@ def test_criterion_5_matrix_oracle_agreement(capsys):
     report = run_verification(seed=42, instances=100)
     for line in report.lines():
         _check(problems, line.startswith("ok"), line)
+    stdout = "".join(line + "\n" for line in report.lines())
+    digest = hashlib.sha256(stdout.encode()).hexdigest()
+    _check(problems, digest == VERIFY_SEED_42_SHA256, f"verify stdout sha256 is {digest}")
     with capsys.disabled():
         _report(5, "independent matrix-oracle suites, 100 instances", problems,
                 time.monotonic() - start, 60.0)

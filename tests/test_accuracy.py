@@ -1,0 +1,87 @@
+"""Accuracy of the fidelity columns against a 40-digit decimal reference.
+
+``F_coarse`` is compared with the merged filter's fidelity and
+``Frontier.fidelity`` with the optimal fidelity at the same success
+probability, both recomputed in ``reference_routes`` from the profile
+weights.  Each bound is the worst relative error measured when this test
+was introduced, rounded up; a change that moves a bit of either column
+must keep within it.
+"""
+
+from __future__ import annotations
+
+import math
+from decimal import Decimal
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from epops.apps.correction import damped_profile, uniform_levels
+from epops.coarse import curve_from_run
+from epops.optimal import frontier
+from epops.recursive import run_protocol
+from epops.spectra import _assemble
+from reference_routes import decimal_frontier, decimal_merged_fidelities
+from test_engine_reference import readme_pairs
+from test_optimal_properties import PROPERTY_SETTINGS
+
+#: Worst relative error of each column over the README pairs and the
+#: 1600-sector damped pair, whose worst points sit past 1600-term prefix sums.
+README_BOUNDS = {"F_coarse": 1.9e-14, "frontier": 1.9e-14}
+#: Worst relative error of each column over the property pairs.
+PROPERTY_BOUNDS = {"F_coarse": 1.4e-15, "frontier": 1.2e-15}
+
+#: Success probabilities spread over (0, 1], besides each curve's own.
+GRID = [j / 16 for j in range(1, 17)]
+
+
+def relative_errors(p, q, targets):
+    """{column: relative errors}: F_coarse at every round of the curve, and
+    Frontier.fidelity at each curve probability and each of ``targets``.
+    A curve probability that passes 1 (grouped ratios can put it 5e-12
+    above) is outside the frontier's domain and is skipped."""
+    run = run_protocol(p, q, 10**6)
+    points = curve_from_run(run).points
+    exact = decimal_merged_fidelities(run)
+    coarse = [float(abs(Decimal(pt.F_coarse) - e) / e) for pt, e in zip(points, exact)]
+    targets = [s for s in [*run.p_succ, *targets] if s <= 1.0]
+    front = frontier(p, q)
+    frontier_errors = [float(abs(Decimal(front.fidelity(s)) - e) / e)
+                       for s, e in zip(targets, decimal_frontier(p, q, targets))]
+    return {"F_coarse": coarse, "frontier": frontier_errors}
+
+
+def test_fidelity_columns_of_the_readme_pairs_against_a_decimal_reference():
+    worst = dict.fromkeys(README_BOUNDS, 0.0)
+    pairs = [*readme_pairs().values(), (damped_profile(1600, 0.9), uniform_levels(1600))]
+    for p, q in pairs:
+        for name, errors in relative_errors(p, q, GRID).items():
+            worst[name] = max(worst[name], *errors)
+    assert all(worst[name] <= bound for name, bound in README_BOUNDS.items()), worst
+
+
+#: Small integers tie ratios exactly; e^x for x down to -700 spreads the
+#: weights over 300 decades, and x near 0 gives ratios tied within the
+#: grouping tolerance.
+WEIGHTS = st.one_of(st.integers(1, 4).map(float), st.floats(-700.0, 0.0).map(math.exp))
+
+
+@st.composite
+def wide_pairs(draw):
+    """(p, q, success probabilities): 2..40 common sectors, then up to two
+    sectors of p alone and up to two of q alone, every weight kept."""
+    n = draw(st.integers(2, 40))
+    p_only, q_only = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    pw = draw(st.lists(WEIGHTS, min_size=n + p_only, max_size=n + p_only))
+    qw = draw(st.lists(WEIGHTS, min_size=n + q_only, max_size=n + q_only))
+    q_sectors = [*range(n), *range(n + p_only, n + p_only + q_only)]
+    p = _assemble([(i, float(i), w) for i, w in enumerate(pw)], 0.0)
+    q = _assemble([(i, float(i), w) for i, w in zip(q_sectors, qw)], 0.0)
+    return p, q, draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4))
+
+
+@PROPERTY_SETTINGS
+@given(wide_pairs())
+def test_fidelity_columns_of_property_pairs_against_a_decimal_reference(case):
+    for name, errors in relative_errors(*case).items():
+        assert max(errors, default=0.0) <= PROPERTY_BOUNDS[name], name

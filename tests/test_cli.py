@@ -494,6 +494,9 @@ def test_verify_subcommand_passes(tmp_path, capsys):
 #: instances have 2, 3, 4, 4, 5 and 5 input sectors; captured before the
 #: grid scored each slice's feasible points as one run.
 VERIFY_SEED_4_SHA256 = "f086bbf1b35af6790aaca1595c7f15cc47454058493868fe246c63938247c2b3"
+#: sha256 of ``epops verify --seed 42 --instances 100`` stdout, the README
+#: invocation; criterion 5 in ``test_acceptance.py`` checks it on its report.
+VERIFY_SEED_42_SHA256 = "96cf880168207c64e222c8b687ab46830180ecf817f0a9c6dc94dcb578a61ba9"
 
 
 def test_verify_output_is_pinned(tmp_path, capsys):

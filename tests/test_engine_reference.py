@@ -21,7 +21,7 @@ import pytest
 from epops.apps.amplification import _log_normalizer
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.apps.estimation import estimation_profiles
-from epops.coarse import _merged_fidelities
+from epops.coarse import curve_from_run
 from epops.errors import InfeasibleProbability, NoFeasiblePartition
 from epops.optimal import TradeoffPoint, optimal_tradeoff_point
 from epops.channels import SectorFilter, filter_success_probability
@@ -85,10 +85,12 @@ def numpy_protocol(table, K):
 
 
 def numpy_merged_fidelities(table, n):
-    r = np.array(table["ratios"][:n])
-    rest = table["q_remaining"][1 : n + 1]
-    numerator = table["aligned"][1 : n + 1] + np.sqrt(r) * rest
-    return numerator * numerator / (table["p_eroded"][1 : n + 1] + r * rest)
+    """The frontier's segment expression at each group end T = 1..n, at the
+    merged filter's own success probability s = p(U_T) + r_T q_rest."""
+    eroded, rest = table["p_eroded"][1 : n + 1], table["q_remaining"][1 : n + 1]
+    s = eroded + np.array(table["ratios"][:n]) * rest
+    omega = table["aligned"][1 : n + 1] + np.sqrt(np.maximum(s - eroded, 0.0) * rest)
+    return omega * omega / s
 
 
 def numpy_boundary_probabilities(p, q):
@@ -246,7 +248,8 @@ def test_merged_fidelities_match_numpy_route_bit_for_bit():
     for p, q in all_pairs():
         table, ref = ratio_table(p, q), numpy_ratio_table(p, q)
         for n in {1, table.length}:
-            assert _merged_fidelities(table, n) == numpy_merged_fidelities(ref, n).tolist()
+            f_coarse = [pt.F_coarse for pt in curve_from_run(run_protocol(p, q, n)).points]
+            assert f_coarse == numpy_merged_fidelities(ref, n).tolist()
 
 
 def test_optimal_point_matches_numpy_scan_bit_for_bit():

@@ -187,19 +187,27 @@ def test_pair_sum_gains_match_the_per_sector_route(mode, N, K):
 DECIMAL_BOUNDS = {"gain_recursive": 1e-15, "gain_coarse": 1e-15, "mass": 1e-14}
 DECIMAL_CASES = [("maxcoh", 61, 10**6), ("maxcoh", 400, 10**6), ("maxcoh", 2000, 32),
                  ("qubits", 8, 10**6), ("qubits", 100, 10**6), ("qubits", 1000, 32),
-                 ("qubits", 1060, 32)]
+                 ("qubits", 1060, 32), ("qubits", 1082, 32)]
+#: Cases whose merged mass is itself off, because the binomial weights are
+#: subnormal (1.9e-11 from 1 at ``qubits`` N = 1082): their gains are held
+#: to DECIMAL_BOUNDS, and their mass to the 1e-10 the route admits.
+SUBNORMAL_MASS = {("qubits", 1082, 32): 1e-10}
 
 
 def test_gain_columns_against_a_decimal_reference():
     worst = dict.fromkeys(DECIMAL_BOUNDS, 0.0)
-    for mode, N, K in DECIMAL_CASES:
-        run = _run(mode, N, K)
-        points = estimation_tradeoff(mode, N, K)
-        for pt, (g_rec, g_coarse, mass) in zip(points, decimal_gains(run)):
+    for case in DECIMAL_CASES:
+        run = _run(*case)
+        mass_bound = SUBNORMAL_MASS.get(case)
+        for pt, (g_rec, g_coarse, mass) in zip(estimation_tradeoff(*case), decimal_gains(run)):
             for name, value, exact in (("gain_recursive", pt.gain_recursive, g_rec),
                                        ("gain_coarse", pt.gain_coarse, g_coarse),
                                        ("mass", 1.0, mass)):
-                worst[name] = max(worst[name], abs(float(Decimal(value) - exact)))
+                error = abs(float(Decimal(value) - exact))
+                if name == "mass" and mass_bound is not None:
+                    assert error <= mass_bound, (case, pt.T, error)
+                else:
+                    worst[name] = max(worst[name], error)
     assert all(worst[name] <= bound for name, bound in DECIMAL_BOUNDS.items()), worst
 
 

@@ -115,8 +115,8 @@ ENGINE = ("spectra", "channels", "recursive", "coarse", "optimal")
 #: Read by no module, but documented in the README, with the reason.
 DOCUMENTED_UNREAD = {
     "EnergyProfile.to_json": "the writer of the ``tradeoff`` input format",
-    "Frontier.fidelity": "the optimum at any p_succ in O(log n); ROADMAP item 2 "
-                         "plans its reader",
+    "Frontier.fidelity": "the optimum at any p_succ in O(log n); the curve reads "
+                         "the segment expression it shares, not the method",
 }
 
 #: Each engine method named like a member of another class, and a file
