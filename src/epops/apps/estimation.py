@@ -15,6 +15,7 @@ is scored from pair sums updated round by round, O(N + L) after the sort.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..coarse import curve_from_run
@@ -29,7 +30,7 @@ from ..spectra import (
 )
 
 _NORM_TOL = 1e-10
-#: Largest level or qubit count N: ``maxcoh`` at it takes about 1.1 s at 32 rounds.
+#: Largest level or qubit count N: ``maxcoh`` at it takes about 0.6 s at 32 rounds.
 _LEVEL_CAP = 100_000
 
 MODES = ("maxcoh", "qubits")
@@ -100,27 +101,32 @@ def deterministic_gain(mode: str, N: int) -> float:
     return holevo_gain(_dense_amplitudes(p))
 
 
-def _exact(x: float) -> int:
-    """``x`` in units of 2^-1074, the smallest double, as an ``int``: sums of these are exact."""
+def _exact(x: float, e: int) -> int:
+    """``x`` in units of 2^-e as an ``int``, which it must be: sums of these are exact."""
     num, den = x.as_integer_ratio()
-    return num << (1075 - den.bit_length())
+    return num << (e + 1 - den.bit_length())
 
 
-def _pair_sums(run: ProtocolRun) -> List[Tuple[int, ...]]:
-    """Per round, OO and Q before it erodes its group, UU, UO and OO after.
+def _pair_sums(run: ProtocolRun, doubles: List[float]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """Unit exponent e; per round, OO and Q before it erodes its group, UU, UO, OO after.
 
     Over adjacent common sectors i, j: UU sums sqrt(p_i) sqrt(p_j) with both
     eroded, UO sqrt(p_i) sqrt(q_j) with only i, OO sqrt(q_i) sqrt(q_j) with
     neither; Q is the target weight not eroded.  Each root is rounded once
-    and kept exact (the root of a product can underflow), so every sum is an
-    exact integer: Q in units of 2^-1074 and the pair sums in 2^-2148.
+    and kept exact (the root of a product can underflow).  e >= 54 is the
+    least at which the roots, the weights q_i and ``doubles`` are integers
+    in units of 2^-e, as is each rounded round gain in [1/2, 1]; so every
+    sum is an exact integer: Q in units of 2^-e and the pair sums in 2^-2e.
     """
     table, qw = run.table, run.target._by_index
-    root_p = {i: _exact(math.sqrt(run.input._by_index[i])) for i in table.order}
-    root_q = {i: _exact(math.sqrt(qw[i])) for i in table.order}
+    roots = [(i, math.sqrt(run.input._by_index[i]), math.sqrt(qw[i])) for i in table.order]
+    e = max([54] + [x.as_integer_ratio()[1].bit_length() - 1 for x in chain(
+        doubles, map(qw.get, table.order), *(r[1:] for r in roots))])
+    root_p = {i: _exact(a, e) for i, a, _ in roots}
+    root_q = {i: _exact(b, e) for i, _, b in roots}
     uu = uo = 0
     oo = sum([root_q[i] * root_q[i + 1] for i in root_q if i + 1 in root_q])
-    q_left = sum([_exact(qw[i]) for i in table.order])
+    q_left = sum([_exact(qw[i], e) for i in table.order])
     eroded, rows = set(), []
     for a, b in zip((0,) + table.ends, table.ends[: len(run.fidelities)]):
         before = (oo, q_left)
@@ -133,9 +139,9 @@ def _pair_sums(run: ProtocolRun) -> List[Tuple[int, ...]]:
                     oo -= root_q[i] * root_q[j]
                     uo += root_p[i] * root_q[j]
             eroded.add(i)
-            q_left -= _exact(qw[i])
+            q_left -= _exact(qw[i], e)
         rows.append((*before, uu, uo, oo))
-    return rows
+    return e, rows
 
 
 def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
@@ -155,9 +161,9 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     p, q = estimation_profiles(mode, N)
     run = run_protocol(p, q, K)
     table, weighted, points = run.table, 0, []
-    for cp, pr, r, (oo_k, q_k, uu, uo, oo) in zip(curve_from_run(run).points,
-                                                   run.probabilities, table.ratios,
-                                                   _pair_sums(run)):
+    rounds = list(zip(curve_from_run(run).points, run.probabilities, table.ratios))
+    e, sums = _pair_sums(run, [x for c, pr, r in rounds for x in (pr, r, math.sqrt(r), c.p_succ)])
+    for (cp, pr, r), (oo_k, q_k, uu, uo, oo) in zip(rounds, sums):
         T, p_succ = cp.T, cp.p_succ
         mass = table.p_eroded[T] / p_succ + r / p_succ * table.q_remaining[T]
         if not abs(mass - 1.0) <= _NORM_TOL:
@@ -165,17 +171,17 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
                 f"the merged filter of rounds 1..{T} has success probability "
                 f"{mass!r} times p_succ, expected 1"
             )
-        weighted += _exact(pr) * _exact(((q_k << 1074) + oo_k) / (q_k << 1075))
-        s = _exact(p_succ)
-        pairs = (uu << 1074) + _exact(math.sqrt(r)) * uo + _exact(r) * oo
+        weighted += _exact(pr, e) * _exact(((q_k << e) + oo_k) / (q_k << (e + 1)), e)
+        s = _exact(p_succ, e)
+        pairs = (uu << e) + _exact(math.sqrt(r), e) * uo + _exact(r, e) * oo
         points.append(
             GainPoint(
                 T=T,
                 p_succ=p_succ,
                 F_recursive=cp.F_recursive,
                 F_coarse=cp.F_coarse,
-                gain_recursive=weighted / (s << 1074),
-                gain_coarse=((s << 2148) + pairs) / (s << 2149),
+                gain_recursive=weighted / (s << e),
+                gain_coarse=((s << 2 * e) + pairs) / (s << (2 * e + 1)),
             )
         )
     return points

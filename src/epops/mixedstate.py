@@ -39,6 +39,8 @@ _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _SUPPORT_CUT = 1e-12
 _DEGENERACY_TOL = 1e-9
+#: Largest stray entry or negative eigenvalue a block-positive block may show.
+_BLOCK_TOL = 1e-10
 #: Bound on |log| of the thermal normalizer (2 cosh beta)^N and of the
 #: product of two l = 1/2 matrix elements, which keeps both normal doubles.
 _LOG_RANGE = 700.0
@@ -166,7 +168,7 @@ class BlockPositivity(NamedTuple):
     note: str
 
 
-def is_block_positive(rho: BlockDensity, tol: float = 1e-10) -> BlockPositivity:
+def is_block_positive(rho: BlockDensity) -> BlockPositivity:
     """Test block positivity of every sector pair in the stored bases.
 
     Block (j, i) is the conjugate transpose of block (i, j), so each
@@ -177,19 +179,19 @@ def is_block_positive(rho: BlockDensity, tol: float = 1e-10) -> BlockPositivity:
         s = min(b.shape)
         square = b[:s, :s]
         outside = b[s:, :] if b.shape[0] > s else b[:, s:]
-        if outside.size and np.abs(outside).max() > tol:
+        if outside.size and np.abs(outside).max() > _BLOCK_TOL:
             return BlockPositivity(
                 False,
                 f"block ({i}, {j}) has weight outside its leading square",
             )
-        if np.abs(square - square.conj().T).max() > tol:
+        if np.abs(square - square.conj().T).max() > _BLOCK_TOL:
             return BlockPositivity(
                 False, f"block ({i}, {j}) is not Hermitian in the stored basis"
             )
         low = float(
             np.linalg.eigvalsh((square + square.conj().T) / 2).min()
         )
-        if low < -tol:
+        if low < -_BLOCK_TOL:
             return BlockPositivity(
                 False,
                 f"block ({i}, {j}) has negative eigenvalue {low:.2e}",

@@ -52,6 +52,14 @@ _BAND_MARGIN = 1e-14
 _ERODED_RELATIVE = 1e-12
 _ROUND_TOL = 1e-10
 _SUBSET_TOL = 1e-12
+#: Largest entry or eigenvalue excess the operator checks ignore.
+_OPERATOR_TOL = 1e-10
+#: Largest change of a sector weight the statistics route ignores.
+_STATISTICS_TOL = 1e-8
+#: Random densities each operator check draws.
+_SAMPLES = 6
+#: Kraus operators of each random sector channel.
+_CHANNEL_FLAGS = 2
 
 #: Largest gap :func:`merge_residuals` allows for each second route.
 MERGE_TOLERANCES = {"kraus": 1e-12, "fidelity": 1e-12, "probability": 1e-10}
@@ -76,21 +84,6 @@ class HilbertModel(Frozen):
             )
         self._init(labels=labels, values=values, dims=dims, slices=slices,
                    dimension=total)
-
-    def sector_slice(self, label: int) -> slice:
-        return self.slices[label]
-
-    def projector(self, label: int) -> np.ndarray:
-        pr = np.zeros((self.dimension, self.dimension))
-        sl = self.sector_slice(label)
-        pr[sl, sl] = np.eye(sl.stop - sl.start)
-        return pr
-
-    def hamiltonian(self) -> np.ndarray:
-        diag = np.concatenate(
-            [np.full(d, v) for v, d in zip(self.values, self.dims)]
-        )
-        return np.diag(diag)
 
 
 def hilbert_model(
@@ -118,7 +111,7 @@ def embed_profile(
         raise DimensionMismatch(f"profile sectors {missing} absent from the model")
     psi = np.zeros(model.dimension, dtype=complex)
     for i in p.support:
-        sl = model.sector_slice(i)
+        sl = model.slices[i]
         d = sl.stop - sl.start
         if rng is None:
             direction = np.zeros(d, dtype=complex)
@@ -134,7 +127,7 @@ def sector_weights(model: HilbertModel, psi: np.ndarray) -> Dict[int, float]:
     """``{label: squared norm of the sector component}``."""
     out = {}
     for label in model.labels:
-        sl = model.sector_slice(label)
+        sl = model.slices[label]
         out[label] = float(np.vdot(psi[sl], psi[sl]).real)
     return out
 
@@ -145,49 +138,63 @@ def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def check_energy_preserving(
-    model: HilbertModel,
-    kraus: Sequence[np.ndarray],
-    tol: float = 1e-10,
-    rng: np.random.Generator | None = None,
-    samples: int = 6,
-) -> bool:
-    """Whether the Kraus family commutes with every sector projector.
-
-    Raises if the family is not trace non-increasing.  For a
-    trace-preserving family the commutant test is cross-checked against
-    sector statistics on random densities; the two verdicts must agree.
-    """
-    total = sum(m.conj().T @ m for m in kraus)
+def _kraus_total(kraus: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """The family as one array and its sum of M^dag M, which may not exceed 1."""
+    ops = np.asarray(kraus)
+    total = np.einsum("mji,mjk->ik", ops.conj(), ops)
     top = float(np.linalg.eigvalsh(total).max())
-    if top > 1.0 + tol:
+    if top > 1.0 + _OPERATOR_TOL:
         raise NotTraceNonIncreasing(
             f"sum of M^dag M has top eigenvalue {top}, beyond 1"
         )
-    commutant_ok = True
-    for label in model.labels:
-        pr = model.projector(label)
-        for m in kraus:
-            if np.abs(m @ pr - pr @ m).max() > tol:
-                commutant_ok = False
-    trace_preserving = np.abs(total - np.eye(model.dimension)).max() <= tol
-    if trace_preserving:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        stats_ok = True
-        for _ in range(samples):
-            rho = random_density(model.dimension, rng)
-            out = sum(m @ rho @ m.conj().T for m in kraus)
-            for label in model.labels:
-                pr = model.projector(label)
-                before = float(np.trace(pr @ rho).real)
-                after = float(np.trace(pr @ out).real)
-                if abs(after - before) > max(tol, 1e-8):
-                    stats_ok = False
+    return ops, total
+
+
+def _random_densities(dimension: int, rng: np.random.Generator | None) -> np.ndarray:
+    """:data:`_SAMPLES` full-rank random density matrices (Ginibre construction)."""
+    if rng is None:
+        rng = np.random.default_rng(0)
+    # Each sample draws its real part, then its imaginary part.
+    g = rng.normal(size=(_SAMPLES, 2, dimension, dimension))
+    g = g[:, 0] + 1j * g[:, 1]
+    rho = g @ g.conj().transpose(0, 2, 1)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
+def _output_diagonals(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Per density, the diagonal of sum M rho M^dag: sum_m,k (M rho)_ik conj(M_ik)."""
+    return np.einsum("smik,mik->si", ops @ rho[:, None], ops.conj()).real
+
+
+def check_energy_preserving(
+    model: HilbertModel,
+    kraus: Sequence[np.ndarray],
+    rng: np.random.Generator | None = None,
+) -> bool:
+    """Whether the Kraus family commutes with every sector projector.
+
+    Raises if the family is not trace non-increasing.  M commutes with
+    every projector P exactly when it has no entry outside the diagonal
+    sector blocks: (MP - PM)_ij is +-M_ij when rows i and j lie in
+    different sectors and 0 otherwise.  For a trace-preserving family this
+    commutant test is cross-checked against sector statistics on random
+    densities; the two verdicts must agree.
+    """
+    ops, total = _kraus_total(kraus)
+    owner = np.repeat(np.arange(len(model.dims)), model.dims)
+    outside = owner[:, None] != owner[None, :]
+    commutant_ok = not (np.abs(ops[:, outside]) > _OPERATOR_TOL).any()
+    if np.abs(total - np.eye(model.dimension)).max() <= _OPERATOR_TOL:
+        rho = _random_densities(model.dimension, rng)
+        before = np.einsum("sii->si", rho).real
+        after = _output_diagonals(ops, rho)
+        starts = [sl.start for sl in model.slices.values()]
+        change = np.add.reduceat(after - before, starts, axis=1)
+        stats_ok = not (np.abs(change) > _STATISTICS_TOL).any()
         if stats_ok != commutant_ok:
             raise ConsistencyError(
                 "energy preservation, sector statistics vs commutant",
-                stats_ok, commutant_ok, tol,
+                stats_ok, commutant_ok, _OPERATOR_TOL,
             )
     return commutant_ok
 
@@ -195,40 +202,18 @@ def check_energy_preserving(
 def luders_identity_holds(
     model: HilbertModel,
     kraus: Sequence[np.ndarray],
-    tol: float = 1e-10,
     rng: np.random.Generator | None = None,
-    samples: int = 6,
 ) -> bool:
     """Success probability is unchanged by the square-root reduction.
 
     Replacing the family {M_i} by the single operator sqrt(sum M^dag M)
     preserves every outcome probability; checked on random densities.
     """
-    total = sum(m.conj().T @ m for m in kraus)
-    top = float(np.linalg.eigvalsh(total).max())
-    if top > 1.0 + tol:
-        raise NotTraceNonIncreasing(
-            f"sum of M^dag M has top eigenvalue {top}, beyond 1"
-        )
-    root = _psd_sqrt(total)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(samples):
-        rho = random_density(model.dimension, rng)
-        direct = math.fsum(float(np.trace(m @ rho @ m.conj().T).real) for m in kraus)
-        reduced = float(np.trace(root @ rho @ root).real)
-        if abs(direct - reduced) > tol:
-            return False
-    return True
-
-
-def random_density(dimension: int, rng: np.random.Generator) -> np.ndarray:
-    """A full-rank random density matrix (Ginibre construction)."""
-    g = rng.normal(size=(dimension, dimension)) + 1j * rng.normal(
-        size=(dimension, dimension)
-    )
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    ops, total = _kraus_total(kraus)
+    rho = _random_densities(model.dimension, rng)
+    direct = _output_diagonals(ops, rho).sum(axis=1)
+    reduced = _output_diagonals(_psd_sqrt(total)[None], rho).sum(axis=1)
+    return not (np.abs(direct - reduced) > _OPERATOR_TOL).any()
 
 
 class SimulatedRound(NamedTuple):
@@ -265,12 +250,6 @@ def simulate_protocol(
     engine, so per-round fidelities, probabilities, and filter weights are
     an independent route to the same numbers.
     """
-    for profile in (p, q):
-        missing = [i for i in profile.support if i not in model.labels]
-        if missing:
-            raise DimensionMismatch(
-                f"profile sectors {missing} absent from the model"
-            )
     phi0 = embed_profile(model, p, rng)
     psi = embed_profile(model, q, rng)
     dim = model.dimension
@@ -278,8 +257,13 @@ def simulate_protocol(
 
     target_components: Dict[int, np.ndarray] = {}
     for i in q.support:
-        sl = model.sector_slice(i)
+        sl = model.slices[i]
         target_components[i] = psi[sl] / np.linalg.norm(psi[sl])
+    input_components: Dict[int, np.ndarray] = {}
+    for i in p.support:
+        sl = model.slices[i]
+        input_components[i] = np.zeros(dim, dtype=complex)
+        input_components[i][sl] = phi0[sl] / np.linalg.norm(phi0[sl])
 
     rounds: List[SimulatedRound] = []
     for k in range(1, K + 1):
@@ -301,7 +285,7 @@ def simulate_protocol(
 
         succ = np.zeros((dim, dim), dtype=complex)
         for i in convertible:
-            sl = model.sector_slice(i)
+            sl = model.slices[i]
             direction = residual[sl] / np.linalg.norm(residual[sl])
             x = min(1.0, r_min * q.weight(i) / (active[i] / norm2))
             succ[sl, sl] = (
@@ -314,10 +298,7 @@ def simulate_protocol(
         overlap = np.vdot(psi, out_vec)
         fidelity = float(abs(overlap) ** 2) / probability
         kraus_weights = {}
-        for i in p.support:
-            sl = model.sector_slice(i)
-            component = np.zeros(dim, dtype=complex)
-            component[sl] = phi0[sl] / np.linalg.norm(phi0[sl])
+        for i, component in input_components.items():
             moved = operator @ component
             kraus_weights[i] = float(np.vdot(moved, moved).real)
         rounds.append(
@@ -704,11 +685,8 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
         f_det = deterministic_fidelity(p, q)
         phi = embed_profile(model, p, rng)
         psi = embed_profile(model, q, rng)
-        channel = _random_block_channel(model, rng)
-        rho = sum(
-            m @ np.outer(phi, phi.conj()) @ m.conj().T for m in channel
-        )
-        realized = float(np.vdot(psi, rho @ psi).real)
+        overlaps = psi.conj() @ _random_block_channel(model, rng) @ phi
+        realized = float(np.sum(np.abs(overlaps) ** 2))
         det_margin = min(det_margin, f_det - realized)
 
     checks = (
@@ -752,22 +730,13 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
     return VerificationReport(seed=seed, instances=instances, checks=checks)
 
 
-def _random_block_channel(
-    model: HilbertModel, rng: np.random.Generator, flags: int = 2
-) -> List[np.ndarray]:
+def _random_block_channel(model: HilbertModel, rng: np.random.Generator) -> np.ndarray:
     """A random trace-preserving channel with sector-block Kraus operators."""
-    pieces = []
-    for _ in range(flags):
-        blocks = []
-        for d in model.dims:
-            g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            blocks.append(g)
-        full = np.zeros((model.dimension, model.dimension), dtype=complex)
-        for label, b in zip(model.labels, blocks):
-            sl = model.sector_slice(label)
-            full[sl, sl] = b
-        pieces.append(full)
+    pieces = np.zeros((_CHANNEL_FLAGS, model.dimension, model.dimension), dtype=complex)
+    for full in pieces:
+        for sl, d in zip(model.slices.values(), model.dims):
+            full[sl, sl] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     gram = sum(m.conj().T @ m for m in pieces)
     vals, vecs = np.linalg.eigh(gram)
     inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    return [m @ inv_root for m in pieces]
+    return pieces @ inv_root

@@ -1,7 +1,9 @@
 """Matrix-level oracle: simulation, channel checks, grid and subset searches."""
 
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,12 +47,8 @@ def test_model_layout():
     model = hilbert_model({0: 2, 1: 1, 3: 2}, values={3: 2.5})
     assert model.labels == (0, 1, 3)
     assert model.dimension == 5
-    assert model.sector_slice(3) == slice(3, 5)
-    pr = model.projector(1)
-    assert pr[2, 2] == 1.0 and pr.sum() == 1.0
-    h = model.hamiltonian()
-    assert h[4, 4] == 2.5
-    assert h[0, 0] == 0.0
+    assert model.values == (0.0, 1.0, 2.5)
+    assert model.slices == {0: slice(0, 2), 1: slice(2, 3), 3: slice(3, 5)}
 
 
 def test_model_caps_dimension():
@@ -104,6 +102,15 @@ def test_sector_swap_is_not_energy_preserving():
     model = hilbert_model({0: 1, 1: 1})
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert not check_energy_preserving(model, [swap])
+
+
+def test_coupling_between_wide_sectors_is_not_energy_preserving():
+    # The permutation trades basis vector 1, the second row of sector 0,
+    # with basis vector 2, the first of sector 1: trace preserving, with
+    # entries outside the diagonal blocks that both routes must see.
+    model = hilbert_model({0: 2, 1: 2})
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    assert not check_energy_preserving(model, [swap], rng=np.random.default_rng(7))
 
 
 def test_trace_increasing_family_rejected():
@@ -414,6 +421,23 @@ def test_verification_report():
     assert rep.passed
     assert len(rep.checks) == 6
     assert all(line.startswith("ok  ") for line in rep.lines())
+
+
+def test_verification_keeps_the_benchmark_verdicts():
+    # The ok/FAIL line of every check, as recorded for the benchmark's
+    # run_verification pool (10 instances) and its ``epops verify`` pool
+    # (3 instances, after the exit code).
+    refs = Path(__file__).resolve().parents[1] / "perfbench" / "refs"
+    pools = (
+        (json.loads((refs / "oracle.json").read_text()), 10, ""),
+        (json.loads((refs / "cli.json").read_text())["verify"], 3, "rc={}\n"),
+    )
+    for expected, instances, head in pools:
+        for seed, verdicts in expected.items():
+            rep = run_verification(int(seed), instances)
+            got = head.format(int(not rep.passed))
+            got += "".join(line.split(":")[0] + "\n" for line in rep.lines())
+            assert got == verdicts, seed
 
 
 @pytest.mark.parametrize("instances", [0, -3])
