@@ -2,10 +2,15 @@
 
 A damping filter with strength mu leaves a uniformly weighted qudit with
 geometric level weights mu^(n-1)(1-mu)/(1-mu^d); correction steers them
-back to uniform.  Per-round fidelities and probabilities have simple
-closed forms, and the sector fidelity of any such channel converts to a
-Haar-average fidelity over input states by an affine map, which therefore
-commutes with mixing rounds together.
+back to uniform.  The weight ratio d mu^(n-1)(1-mu)/(1-mu^d) falls with
+the level n, so the ratio order is d, d-1, ..., 1, grouped by the
+engine's rule, and every column of a row is a geometric series evaluated
+in the log domain: p(U_T), the sqrt(pq) sum over U_T and q(rest) =
+(d - |U_T|)/d, O(1) per row.  The sector fidelity of any such channel
+converts to a Haar-average fidelity over input states by an affine map,
+which therefore commutes with mixing rounds together.  The generic
+engine on ``damped_profile`` and ``uniform_levels`` is the second route
+to these curves, in the tests.
 """
 
 from __future__ import annotations
@@ -13,13 +18,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from ..coarse import CurvePoint, TradeoffCurve, curve_from_run
-from ..errors import ConsistencyError, TooLarge
-from ..recursive import run_protocol
-from ..spectra import EnergyProfile, _assemble, _integer
+from ..coarse import CurvePoint, TradeoffCurve, closed_form_curve
+from ..errors import TooLarge
+from ..spectra import EnergyProfile, _assemble, _integer, _ratio_groups
 
-_CLOSED_TOL = 1e-10
-#: Largest level count d: a call at it runs for about 10 s.
+#: Largest level count d: it bounds the rows a curve can print.  A run at
+#: it that prints all 2,000,000 rows (mu = 0.999999) takes 17 s and peaks
+#: at 1.0 GB on a 2-core machine; 64 rows take 0.07 s from a cold start.
 _LEVEL_CAP = 2_000_000
 
 
@@ -57,13 +62,18 @@ def round_probability(d: int, mu: float, k: int) -> float:
     return mu ** (d - k) * (1.0 - mu) ** 2 * (d + 1 - k) / (1.0 - mu**d)
 
 
+def _log_one_minus_exp(x: float) -> float:
+    """log(1 - e^x) for x < 0."""
+    return math.log(-math.expm1(x))
+
+
 def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
     """Fidelity-probability curves for correcting the damped qudit.
 
-    The sector curve is the raw engine output; the average curve applies
-    the Haar map to both fidelity columns.  Every round is checked
-    against the closed forms p^(k) and F0^(k) = (d+1-k)/d to 1e-10; a
-    miss raises ConsistencyError.
+    The sector curve has one row per ratio group up to K; the average
+    curve applies the Haar map to both fidelity columns.  A curve whose
+    first p_succ lies below the double range raises
+    :class:`~epops.errors.BelowDoubleRange`.
     """
     d = _integer(d, "d=")
     if d < 2:
@@ -72,35 +82,23 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
         raise TooLarge(f"level count d={d} exceeds the cap {_LEVEL_CAP}")
     if not 0.0 < mu < 1.0:
         raise ValueError("mu must lie strictly between 0 and 1")
-    p = damped_profile(d, mu)
-    q = uniform_levels(d)
-    run = run_protocol(p, q, K)
-    for r in run.rounds:
-        cp = round_probability(d, mu, r.k)
-        if abs(r.probability - cp) > _CLOSED_TOL * max(cp, 1.0):
-            raise ConsistencyError(
-                f"round {r.k} probability, engine vs closed form",
-                r.probability, cp, _CLOSED_TOL * max(cp, 1.0),
-            )
-        cf = (d + 1 - r.k) / d
-        if abs(r.fidelity - cf) > _CLOSED_TOL:
-            raise ConsistencyError(
-                f"round {r.k} fidelity, engine vs closed form",
-                r.fidelity, cf, _CLOSED_TOL,
-            )
-    curve = curve_from_run(run)
-    mapped = tuple([
-        CurvePoint(
-            T=pt.T,
-            p_succ=pt.p_succ,
-            F_recursive=haar_average_fidelity(pt.F_recursive, d),
-            F_coarse=haar_average_fidelity(pt.F_coarse, d),
-        )
-        for pt in curve.points
-    ])
-    return CorrectionResult(
-        d=d,
-        mu=mu,
-        sector_curve=curve,
-        average_curve=TradeoffCurve(points=mapped),
-    )
+    lm, log_d = math.log(mu), math.log(d)
+    # The top e levels hold p = mu^(d-e) (1 - mu^e)/(1 - mu^d) and
+    # sqrt(pq) = e^half_norm mu^((d-e)/2) (1 - mu^(e/2)); level 1's ratio is e^log_top.
+    log_total = _log_one_minus_exp(d * lm)
+    log_norm = _log_one_minus_exp(lm) - log_total
+    log_top = log_d + log_norm
+    half_norm = 0.5 * (log_norm - log_d) - _log_one_minus_exp(0.5 * lm)
+
+    def rows():
+        ratios = (math.exp(log_top + (d - 1 - j) * lm) for j in range(d))
+        for end, r in _ratio_groups(ratios):
+            p_eroded = math.exp((d - end) * lm + _log_one_minus_exp(end * lm) - log_total)
+            aligned = math.exp(half_norm + 0.5 * (d - end) * lm
+                               + _log_one_minus_exp(0.5 * end * lm))
+            yield r, p_eroded, aligned, (d - end) / d
+
+    curve = closed_form_curve(log_top + (d - 1) * lm, 1.0, rows(), K)
+    mapped = tuple([CurvePoint(pt.T, pt.p_succ, haar_average_fidelity(pt.F_recursive, d),
+                               haar_average_fidelity(pt.F_coarse, d)) for pt in curve.points])
+    return CorrectionResult(d, mu, curve, TradeoffCurve(points=mapped))

@@ -102,20 +102,18 @@ def _cmd_clone(args: argparse.Namespace) -> int:
 
 
 def _cmd_amplify(args: argparse.Namespace) -> int:
-    from .apps.amplification import _LOG_TOL, _REL_TOL, amplification_tradeoff
+    from .apps.amplification import amplification_tradeoff
 
     result = amplification_tradeoff(args.r1, args.r2, args.cutoff, args.rounds)
-    tolerances = {**_TOLERANCES, "closed_form_rel": _REL_TOL, "closed_form_log": _LOG_TOL}
-    return _write_output(args, result.curve.to_csv(), tolerances,
+    return _write_output(args, result.curve.to_csv(), _TOLERANCES,
                          tail_bound=result.tail_bound)
 
 
 def _cmd_correct(args: argparse.Namespace) -> int:
-    from .apps.correction import _CLOSED_TOL, correction_tradeoff
+    from .apps.correction import correction_tradeoff
 
     result = correction_tradeoff(args.d, args.mu, args.rounds)
-    tolerances = {**_TOLERANCES, "closed_form_abs": _CLOSED_TOL}
-    return _write_output(args, result.average_curve.to_csv(), tolerances)
+    return _write_output(args, result.average_curve.to_csv(), _TOLERANCES)
 
 
 def _cmd_purify(args: argparse.Namespace) -> int:

@@ -20,10 +20,17 @@ generic fidelity and success probability.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+import math
+import sys
+from itertools import islice
+from typing import Iterable, NamedTuple, Tuple
 
-from .recursive import ProtocolRun, run_protocol
+from .errors import BelowDoubleRange
+from .recursive import ProtocolRun, _round_count, run_protocol
 from .spectra import EnergyProfile, _segment_fidelity
+
+#: log of the smallest normal double; a row below it is refused, never printed.
+_LOG_MIN = math.log(sys.float_info.min)
 
 
 class CurvePoint(NamedTuple):
@@ -64,3 +71,36 @@ def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:
     has the cumulative recursive success probability by construction.
     """
     return curve_from_run(run_protocol(p, q, K))
+
+
+def closed_form_curve(log_first: float, q_common: float,
+                      groups: Iterable[Tuple[float, float, float, float]],
+                      K: int) -> TradeoffCurve:
+    """The first K rows of a curve whose ratio groups are known in closed
+    form, with no profile, sort or protocol run.
+
+    ``groups`` yields per group T its ratio r_T, p(U_T), the sqrt(pq) sum
+    over U_T and q(rest) outside U_T; ``q_common`` is q of the common
+    spectrum.  p_succ is the merged filter's own p(U_T) + r_T q(rest).  The
+    rows' p_succ grow from about e^log_first, the least ratio times
+    ``q_common``, so if that is below the normal double range
+    :class:`BelowDoubleRange` names row 1 before any group is read.
+    """
+    K = _round_count(K)
+    if log_first < _LOG_MIN:
+        raise BelowDoubleRange(
+            f"row 1 has p_succ 10^{log_first / math.log(10):.6g}, below the normal "
+            f"double range ({sys.float_info.min!r}); no row is printed"
+        )
+    points = []
+    total = weighted = r_prev = 0.0
+    q_prev = q_common
+    for T, (r, p_eroded, aligned, q_rest) in enumerate(islice(groups, K), start=1):
+        probability = (r - r_prev) * q_prev
+        total += probability
+        weighted += probability * q_prev
+        s = p_eroded + r * q_rest
+        points.append(CurvePoint(T, s, weighted / total,
+                                 _segment_fidelity(aligned, p_eroded, q_rest, s)))
+        r_prev, q_prev = r, q_rest
+    return TradeoffCurve(points=tuple(points))

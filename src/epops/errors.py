@@ -93,3 +93,7 @@ class NotOdd(EpopsError):
 
 class TooLarge(EpopsError):
     """A size parameter exceeds the supported range."""
+
+
+class BelowDoubleRange(EpopsError):
+    """A curve row's success probability lies below the normal double range."""

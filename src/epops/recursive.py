@@ -62,6 +62,14 @@ class ProtocolRun(Frozen):
             raise RoundOutOfRange(f"T={T} outside 1..{len(self.fidelities)}")
 
 
+def _round_count(K) -> int:
+    """``K`` as an ``int`` of at least 1; else ``ValueError``."""
+    K = _integer(K, "round count K=")
+    if K < 1:
+        raise ValueError("K must be at least 1")
+    return K
+
+
 def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     """Execute min(K, L) rounds of the recursive conversion protocol.
 
@@ -70,11 +78,8 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     which erodes the k-th ratio group completely.  ``K`` must be an integer
     of at least 1; a bool, float or string raises ``ValueError``.
     """
-    K = _integer(K, "round count K=")
-    if K < 1:
-        raise ValueError("K must be at least 1")
     table = ratio_table(p, q)
-    n = min(K, table.length)
+    n = min(_round_count(K), table.length)
     ratios = table.ratios[:n]
     fidelities = table.q_remaining[:n]
     probabilities = tuple(list(map(mul, map(sub, ratios, (0.0,) + ratios), fidelities)))

@@ -35,7 +35,7 @@ import json
 import math
 import operator
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, itemgetter, mul
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -227,9 +227,12 @@ def _assemble(
     if total <= 0.0:
         raise AllZeroWeights("every weight is zero (or below the zero threshold)")
     support = sorted(kept)
-    return EnergyProfile(
-        support, [kept[i][0] for i in support], [kept[i][1] / total for i in support]
-    )
+    weights = [kept[i][1] / total for i in support]
+    if 0.0 in weights:
+        # A subnormal weight can round to 0.0 when normalized; drop it too.
+        support = [i for i, w in zip(support, weights) if w > 0.0]
+        weights = [w for w in weights if w > 0.0]
+    return EnergyProfile(support, [kept[i][0] for i in support], weights)
 
 
 def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
@@ -347,34 +350,36 @@ def _ratio_columns(p: EnergyProfile, q: EnergyProfile) -> RatioColumns:
     return cols
 
 
-def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
-    """Sort the common spectrum by p_E/q_E and group equal ratios.
+def _ratio_groups(ratios: Iterable[float]):
+    """Yield the end and ratio of each group of a nondecreasing ratio column,
+    read lazily, one ratio past each group.
 
-    Ratios within a relative distance :data:`RATIO_TOLERANCE` of the first
-    ratio of their group collapse into that group (its representative
-    ratio is the group mean); this keeps analytically equal ratios, e.g.
-    from a symmetric binomial profile, from inflating the round count.
+    A ratio within a relative distance :data:`RATIO_TOLERANCE` of its group's
+    first ratio joins that group, whose ratio is the group mean; this keeps
+    analytically equal ratios, e.g. from a symmetric binomial profile, from
+    inflating the round count.
     """
-    cols = _ratio_columns(p, q)
-    raw = cols.ratios
-    starts = [0]
-    first = raw[0]
-    for j in range(1, len(raw)):
-        if raw[j] - first > RATIO_TOLERANCE * first:
-            starts.append(j)
-            first = raw[j]
-    ends = starts[1:] + [len(raw)]
-    # A one-sector group keeps its ratio: fsum([r]) / 1 == r.
-    ratios = tuple([
-        raw[a] if b - a == 1 else math.fsum(raw[a:b]) / (b - a)
-        for a, b in zip(starts, ends)
-    ])
+    group: List[float] = []
+    # The infinite sentinel closes the last group.
+    for end, r in enumerate(chain(ratios, [math.inf])):
+        if group and r - group[0] > RATIO_TOLERANCE * group[0]:
+            # A one-sector group keeps its ratio: fsum([r]) / 1 == r.
+            yield end, group[0] if len(group) == 1 else math.fsum(group) / len(group)
+            group = []
+        group.append(r)
 
+
+def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
+    """Sort the common spectrum by p_E/q_E and group near-equal ratios
+    (:func:`_ratio_groups`)."""
+    cols = _ratio_columns(p, q)
+    groups = list(_ratio_groups(cols.ratios))
+    ends = [end for end, _ in groups]
     cut = itemgetter(0, *ends)
     return RatioTable(
         order=cols.order,
         ends=tuple(ends),
-        ratios=ratios,
+        ratios=tuple([ratio for _, ratio in groups]),
         p_eroded=cut(cols.p_before),
         aligned=cut(cols.aligned),
         q_remaining=cut(cols.q_from),

@@ -12,7 +12,9 @@ amplitudes sector by sector, for ``holevo_gain``, and ``decimal_gains``
 recomputes the gain columns and the merged mass from the run's doubles in
 40-digit decimal arithmetic.  ``decimal_merged_fidelities`` and
 ``decimal_frontier`` do the same for the merged filters' fidelities and
-for the optimal fidelity at a given success probability.
+for the optimal fidelity at a given success probability, and
+``decimal_amplification`` and ``decimal_correction`` for the closed-form
+app curves, from the apps' parameters.
 """
 
 from __future__ import annotations
@@ -178,3 +180,55 @@ def decimal_frontier(p, q, targets, digits=40):
             omega = aligned[k] + (max(s - p_before[k], 0) * q_from[k]).sqrt()
             values.append(omega * omega / s)
     return values
+
+
+def decimal_singleton_curve(pw, qw, q_common):
+    """(p_succ, F_recursive, F_coarse) for T = 1..len(pw) as ``Decimal``s, for
+    a pair whose first sectors in ratio order have the ``Decimal`` weights
+    ``pw`` and ``qw``, each its own ratio group, and whose common spectrum
+    has target weight ``q_common``: p_succ = P + r_T Q, F_coarse =
+    (A + sqrt(r_T) Q)^2 / p_succ with A, P the sums of sqrt(p q) and p over
+    U_T and Q that of q outside, and F_recursive the round fidelities
+    Q_(k-1) averaged with weights (r_k - r_(k-1)) Q_(k-1), whose sum is
+    p_succ.  Call it inside the context that made the weights."""
+    aligned, p_before, r_prev, q_prev, weighted, rows = 0, 0, 0, q_common, 0, []
+    for p, q in zip(pw, qw):
+        r = p / q
+        aligned += (p * q).sqrt()
+        p_before += p
+        q_rest = q_prev - q
+        weighted += (r - r_prev) * q_prev * q_prev
+        s = p_before + r * q_rest
+        rows.append((s, weighted / s, (aligned + r.sqrt() * q_rest) ** 2 / s))
+        r_prev, q_prev = r, q_rest
+    return rows
+
+
+def decimal_amplification(r1, r2, cutoff, digits=40):
+    """The ``amplify`` curve at ``digits`` significant digits from the
+    amplitudes' doubles: Poisson weights r^(2n)/(n! Z(r)) on n = 0..cutoff,
+    from ``Decimal.ln`` and ``Decimal.exp``, in the ratio order n = cutoff..0."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        log_fact = list(accumulate([Decimal(n).ln() for n in range(1, cutoff + 1)],
+                                   initial=Decimal(0)))
+        columns = []
+        for r in (r1, r2):
+            log_r = Decimal(r).ln()
+            terms = [(2 * n * log_r - lf).exp() for n, lf in enumerate(log_fact)]
+            total = sum(terms, Decimal(0))
+            columns.append([t / total for t in reversed(terms)])
+        return decimal_singleton_curve(*columns, Decimal(1))
+
+
+def decimal_correction(d, mu, rows, digits=40):
+    """The first ``rows`` rows of the ``correct`` sector curve at ``digits``
+    significant digits from mu's double: level weights
+    mu^(n-1) (1 - mu)/(1 - mu^d), from ``Decimal.ln`` and ``Decimal.exp``,
+    against 1/d, in the ratio order n = d, d-1, ...."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        log_mu = Decimal(mu).ln()
+        norm = (1 - Decimal(mu)) / (1 - (d * log_mu).exp())
+        pw = [norm * ((n - 1) * log_mu).exp() for n in range(d, d - rows, -1)]
+        return decimal_singleton_curve(pw, [1 / Decimal(d)] * rows, Decimal(1))

@@ -4,7 +4,9 @@
 ``Frontier.fidelity`` and the fidelity of ``Frontier.point`` with the
 optimal fidelity at the same success probability, all recomputed in
 ``reference_routes`` from the profile weights; the point's success
-probability is compared with the one requested.  Each bound is the
+probability is compared with the one requested.  The ``amplify`` and
+``correct`` columns are compared with their closed forms evaluated from
+the parameters.  Each bound is the
 worst relative error measured when its column was introduced, rounded
 up; a change that moves a bit of any column must keep within it.
 """
@@ -17,12 +19,18 @@ from decimal import Decimal
 from hypothesis import given
 from hypothesis import strategies as st
 
-from epops.apps.correction import damped_profile, uniform_levels
+from epops.apps.amplification import amplification_tradeoff
+from epops.apps.correction import correction_tradeoff, damped_profile, uniform_levels
 from epops.coarse import curve_from_run
 from epops.optimal import frontier
 from epops.recursive import run_protocol
-from epops.spectra import _assemble
-from reference_routes import decimal_frontier, decimal_merged_fidelities
+from epops.spectra import _assemble, poisson_profile
+from reference_routes import (
+    decimal_amplification,
+    decimal_correction,
+    decimal_frontier,
+    decimal_merged_fidelities,
+)
 from test_engine_reference import readme_pairs
 from test_optimal_properties import PROPERTY_SETTINGS
 
@@ -99,3 +107,54 @@ def wide_pairs(draw):
 def test_fidelity_columns_of_property_pairs_against_a_decimal_reference(case):
     for name, errors in relative_errors(*case).items():
         assert max(errors, default=0.0) <= PROPERTY_BOUNDS[name], name
+
+
+COLUMNS = ("p_succ", "F_recursive", "F_coarse")
+#: Worst relative error of each closed-form app column over its cases.
+#: The amplify p_succ error grows with the cutoff: row 1 is one exp of a
+#: log near -258 at cutoff 320.
+APP_BOUNDS = {
+    "amplify": {"p_succ": 3.1e-14, "F_recursive": 3.8e-16, "F_coarse": 4.9e-16},
+    "correct": {"p_succ": 1.4e-15, "F_recursive": 6.3e-16, "F_coarse": 8.8e-16},
+}
+APP_CASES = {
+    "amplify": [(1.0, 1.5, 80), (1.0, 1.5, 175), (1.0, 1.5, 320), (0.5, 1.0, 30)],
+    "correct": [(100, 0.9, 100), (6, 0.5, 6), (2_000_000, 0.999999, 64)],
+}
+
+
+def app_curve(app, case):
+    """(the app's rows, their decimal reference) for one case."""
+    if app == "amplify":
+        r1, r2, cutoff = case
+        return (amplification_tradeoff(r1, r2, cutoff, cutoff + 1).curve.points,
+                decimal_amplification(r1, r2, cutoff))
+    d, mu, rows = case
+    return correction_tradeoff(d, mu, rows).sector_curve.points, decimal_correction(d, mu, rows)
+
+
+def column_errors(points, reference):
+    """{column: worst relative error of ``points`` against ``reference``}."""
+    assert len(points) == len(reference)
+    return {name: max(_relative((getattr(pt, name) for pt in points),
+                                (row[i] for row in reference)))
+            for i, name in enumerate(COLUMNS)}
+
+
+def test_closed_form_app_columns_against_a_decimal_reference():
+    for app, cases in APP_CASES.items():
+        worst = dict.fromkeys(COLUMNS, 0.0)
+        for case in cases:
+            for name, error in column_errors(*app_curve(app, case)).items():
+                worst[name] = max(worst[name], error)
+        assert all(worst[name] <= APP_BOUNDS[app][name] for name in COLUMNS), (app, worst)
+
+
+def test_closed_form_apps_are_within_twice_the_engine_error_on_the_readme_curves():
+    engine_pairs = {"amplify": (poisson_profile(1.0, 80), poisson_profile(1.5, 80)),
+                    "correct": (damped_profile(100, 0.9), uniform_levels(100))}
+    for app, (p, q) in engine_pairs.items():
+        points, reference = app_curve(app, APP_CASES[app][0])
+        engine = curve_from_run(run_protocol(p, q, len(points))).points
+        ours, theirs = column_errors(points, reference), column_errors(engine, reference)
+        assert all(ours[name] <= 2.0 * theirs[name] for name in COLUMNS), (app, ours, theirs)

@@ -333,17 +333,16 @@ def run_cli_process(tmp_path, *args):
     )
 
 
-def test_failed_consistency_check_exits_4_even_under_optimize(tmp_path):
-    # At cutoff 175 the smallest input weight is subnormal, so the engine's
-    # round probabilities drift from the closed form; the audit must still
-    # fire under -O and end in a clean error line.
+def test_row_below_double_range_exits_3_even_under_optimize(tmp_path):
+    # Row 1 of this curve has p_succ near 10^-2564; the refusal must still
+    # fire under -O and end in one clean error line.
     proc = run_cli_process(
-        tmp_path, "-O", "-m", "epops.cli", "amplify", "--r1", "1", "--r2", "1.5",
-        "--cutoff", "175", "--out", "a.csv",
+        tmp_path, "-O", "-m", "epops.cli", "amplify", "--r1", "1", "--r2", "30",
+        "--cutoff", "1000", "--out", "a.csv",
     )
-    assert proc.returncode == 4
+    assert proc.returncode == 3
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: consistency check failed")
+    assert proc.stderr.startswith("error: row 1 has p_succ")
 
 
 def test_cli_import_leaves_scipy_unloaded(tmp_path):
@@ -387,16 +386,23 @@ def protocol_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("call", [
+#: The apps whose curves come from closed forms: they run no protocol.
+CLOSED_FORM_CALLS = (
     lambda: amplification_tradeoff(1.0, 1.5, 30, 31),
     lambda: correction_tradeoff(12, 0.7, 12),
+)
+
+
+@pytest.mark.parametrize("call", [
+    *CLOSED_FORM_CALLS,
     lambda: cloning_tradeoff(4, 10, 8),
     lambda: estimation_tradeoff("maxcoh", 11, 5),
     lambda: estimation_tradeoff("qubits", 6, 5),
 ])
 def test_each_app_call_runs_the_protocol_once(protocol_calls, call):
+    # Once for an engine app, never for a closed-form one.
     call()
-    assert len(protocol_calls) == 1
+    assert len(protocol_calls) == (call not in CLOSED_FORM_CALLS)
 
 
 @pytest.mark.parametrize("argv", [
@@ -408,10 +414,11 @@ def test_each_app_call_runs_the_protocol_once(protocol_calls, call):
     ["correct", "--d", "12", "--mu", "0.7", "--rounds", "12"],
 ])
 def test_each_curve_subcommand_runs_the_protocol_once(tmp_path, protocol_calls, argv):
+    # Once for an engine subcommand, never for a closed-form one.
     (tmp_path / "p.json").write_text(uniform_profile(5).to_json())
     (tmp_path / "q.json").write_text(sine_profile(4).to_json())
     assert run_cli(tmp_path, *argv, "--out", "out.csv") == 0
-    assert len(protocol_calls) == 1
+    assert len(protocol_calls) == (argv[0] not in ("amplify", "correct"))
 
 
 def test_missing_required_flag_exits_2(tmp_path):
@@ -519,18 +526,17 @@ def test_verify_without_instances_exits_2(tmp_path, capsys, seed, instances, opt
     assert captured.err.startswith("error:") and option in captured.err
 
 
-def test_closed_form_tolerances_in_manifests_are_the_apps_own(tmp_path):
-    expected = {
-        "amplify": ({"closed_form_rel": amplification._REL_TOL,
-                     "closed_form_log": amplification._LOG_TOL},
-                    ["--r1", "1", "--r2", "1.5", "--cutoff", "20", "--rounds", "5"]),
-        "correct": ({"closed_form_abs": correction._CLOSED_TOL},
-                    ["--d", "6", "--mu", "0.4", "--rounds", "6"]),
+def test_app_manifests_record_the_grouping_tolerance_alone(tmp_path):
+    # The closed-form apps hold no tolerance of their own: the comparison
+    # with the engine lives in the tests.
+    options = {
+        "amplify": ["--r1", "1", "--r2", "1.5", "--cutoff", "20", "--rounds", "5"],
+        "correct": ["--d", "6", "--mu", "0.4", "--rounds", "6"],
     }
-    for command, (tolerances, options) in expected.items():
-        assert run_cli(tmp_path, command, *options, "--out", f"{command}.csv") == 0
+    for command, argv in options.items():
+        assert run_cli(tmp_path, command, *argv, "--out", f"{command}.csv") == 0
         doc = json.loads((tmp_path / f"{command}.manifest.json").read_text())
-        assert doc["tolerances"] == {"ratio_grouping_rel": RATIO_TOLERANCE, **tolerances}
+        assert doc["tolerances"] == {"ratio_grouping_rel": RATIO_TOLERANCE}
 
 
 def test_identical_commands_write_identical_bytes(tmp_path):
@@ -664,3 +670,62 @@ def test_matrix_subcommands_load_no_dataclasses(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert "numpy" in loaded and "dataclasses" not in loaded
+
+
+def sound_curve_problem(path):
+    """The benchmark probe's checks of a printed curve, or None if it holds."""
+    rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    if not rows:
+        return "empty curve"
+    p_succ = [r[1] for r in rows]
+    if any(b < a for a, b in zip(p_succ, p_succ[1:])):
+        return "p_succ falls"
+    if abs(p_succ[-1] - 1.0) > 1e-9:
+        return f"p_succ ends at {p_succ[-1]!r}"
+    if any(r[3] < r[2] for r in rows):
+        return "F_coarse below F_recursive"
+    return None
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["amplify", "--r1", "1", "--r2", "1.5", "--cutoff", "175", "--rounds", "176"], 0),
+    (["amplify", "--r1", "1", "--r2", "1.5", "--cutoff", "320", "--rounds", "321"], 0),
+    (["amplify", "--r1", "1", "--r2", "1.0000000001", "--cutoff", "10"], 0),
+    (["amplify", "--r1", "1", "--r2", "30", "--cutoff", "1000"], 3),
+    (["correct", "--d", "25600", "--mu", "0.9"], 3),
+    (["correct", "--d", "2000", "--mu", "0.5"], 3),
+    (["correct", "--d", "2000", "--mu", "1e-300"], 3),
+    (["correct", "--d", "3", "--mu", "1e-200"], 3),
+    (["correct", "--d", "100", "--mu", "5e-324"], 3),
+], ids=["amplify-175", "amplify-320", "amplify-near-tie", "amplify-r2-30", "correct-25600",
+        "correct-2000-0.5", "correct-2000-1e-300", "correct-3", "correct-100"])
+def test_closed_form_app_invocations(tmp_path, capsys, argv, code):
+    # Each exited 4 (or 2, at r2 = 30) while the apps audited the engine.
+    assert run_cli(tmp_path, *argv, "--out", "a.csv") == code
+    err = capsys.readouterr().err.splitlines()
+    if code == 0:
+        assert err == []
+        assert sound_curve_problem(tmp_path / "a.csv") is None
+    else:
+        assert len(err) == 1 and err[0].startswith("error: row 1 has p_succ"), err
+        assert not (tmp_path / "a.csv").exists()
+
+
+def test_closed_form_apps_use_no_engine(tmp_path, monkeypatch):
+    # The README amplify and correct curves come out byte for byte with
+    # the engine's sort, grouping table, protocol and Poisson builder broken.
+    import epops.coarse
+    import epops.spectra
+
+    def broken(*args, **kwargs):
+        raise AssertionError("engine route called")
+
+    for module, name in [(epops.recursive, "run_protocol"), (epops.coarse, "run_protocol"),
+                         (epops.recursive, "ratio_table"), (epops.spectra, "ratio_table"),
+                         (epops.spectra, "_ratio_columns"), (epops.spectra, "poisson_profile")]:
+        monkeypatch.setattr(module, name, broken)
+    for argv, outputs in README_INVOCATIONS:
+        if argv[0] in ("amplify", "correct"):
+            assert run_cli(tmp_path, *argv) == 0
+            digest = hashlib.sha256((tmp_path / outputs[0]).read_bytes()).hexdigest()
+            assert digest == README_GOLDEN[outputs[0]]

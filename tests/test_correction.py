@@ -9,6 +9,12 @@ import pytest
 
 from epops.apps import correction_tradeoff, haar_average_fidelity
 from epops.apps.correction import damped_profile, round_probability, uniform_levels
+from epops.coarse import curve_from_run
+from epops.errors import BelowDoubleRange
+from epops.recursive import run_protocol
+
+#: The engine-versus-closed-form tolerance, relative.
+CLOSED_TOL = 1e-10
 
 
 def test_damped_profile_is_geometric_and_normalized():
@@ -94,11 +100,56 @@ def test_average_curve_is_affine_image_of_sector_curve():
 
 
 def test_large_dimension_stays_fast():
-    # Every column is a prefix sum over the ratio-sorted levels, so a
-    # 1600-level curve costs milliseconds; the per-round dict engine it
-    # replaced took 16 s at d = 400.
+    # Each row is three geometric series, so a 1600-row curve costs
+    # milliseconds.
     start = time.perf_counter()
     res = correction_tradeoff(1600, 0.9, 1600)
     assert time.perf_counter() - start < 2.0
     assert len(res.sector_curve.points) == 1600
     assert res.sector_curve.points[-1].p_succ == pytest.approx(1.0, abs=1e-10)
+
+
+#: Plain and near-1 damping, mu = 1 - 1e-13 (every ratio in one group),
+#: mu = 1 - 1e-11 (groups of about 100 levels) and a strong damping whose
+#: first p_succ is near 1e-190.
+ENGINE_GRID = [(100, 0.9), (6, 0.5), (12, 0.7), (7, 0.3), (400, 0.999), (1600, 0.9),
+               (50, 1.0 - 1e-13), (1000, 1.0 - 1e-13), (2000, 1.0 - 1e-11), (20, 1e-10)]
+
+
+@pytest.mark.parametrize("d, mu", ENGINE_GRID)
+def test_curve_matches_engine_route(d, mu):
+    for K in (d, 3):
+        res = correction_tradeoff(d, mu, K)
+        run = run_protocol(damped_profile(d, mu), uniform_levels(d), K)
+        engine = curve_from_run(run).points
+        assert len(res.sector_curve.points) == len(engine)
+        for a, e in zip(res.sector_curve.points, engine):
+            for name in ("p_succ", "F_recursive", "F_coarse"):
+                assert getattr(a, name) == pytest.approx(getattr(e, name), rel=CLOSED_TOL)
+
+
+@pytest.mark.parametrize("d, mu", [(d, mu) for d, mu in ENGINE_GRID if mu < 0.9999])
+def test_engine_rounds_follow_closed_forms(d, mu):
+    # Every ratio is its own group here, so round k erodes level d + 1 - k.
+    run = run_protocol(damped_profile(d, mu), uniform_levels(d), d)
+    assert run.table.length == d
+    for r in run.rounds:
+        cp = round_probability(d, mu, r.k)
+        assert abs(r.probability - cp) <= CLOSED_TOL * max(cp, 1.0)
+        assert abs(r.fidelity - (d + 1 - r.k) / d) <= CLOSED_TOL
+
+
+@pytest.mark.parametrize("d, mu, log10", [
+    (25600, 0.9, "-1167"), (2000, 0.5, "-598"), (2000, 1e-300, "-599697"),
+    (3, 1e-200, "-399"), (100, 5e-324, "-32005"), (2, 1e-310, "-309"),
+])
+def test_first_row_below_the_double_range_is_refused(d, mu, log10):
+    with pytest.raises(BelowDoubleRange, match=f"row 1 has p_succ 10\\^{log10}"):
+        correction_tradeoff(d, mu, 32)
+
+
+def test_request_at_the_cap_is_fast():
+    start = time.perf_counter()
+    res = correction_tradeoff(2_000_000, 0.999999, 64)
+    assert time.perf_counter() - start < 0.5
+    assert len(res.average_curve.points) == 64

@@ -91,7 +91,7 @@ def read_only_objects():
     return [
         (p, "weights"), (ratio_table(p, q), "order"),
         (SectorFilter({0: 1.0}), "coefficients"), (run, "table"), (run.rounds[0], "k"),
-        (amp, "curve"), (amp.audits[0], "floor"), (corr, "average_curve"),
+        (amp, "curve"), (corr, "average_curve"),
         (tradeoff_curve(p, q, 4), "points"), (corr.average_curve.points[0], "p_succ"),
         (optimal_tradeoff_point(p, q, 0.5), "fidelity"),
         (estimation_tradeoff("maxcoh", 5, 2)[0], "gain_coarse"),
@@ -122,7 +122,7 @@ DOCUMENTED_UNREAD = {
 #: Each engine method named like a member of another class, and a file
 #: of the package or the benchmark that reads it as that method.
 AMBIGUOUS_READERS = {
-    "ProtocolRun.rounds": "src/epops/apps/correction.py",
+    "ProtocolRun.rounds": "src/epops/oracle.py",
 }
 
 

@@ -42,6 +42,25 @@ def test_build_profile_drops_zero_weights():
     assert p.weight(1) == 0.0
 
 
+@pytest.mark.parametrize("r, cutoff, kept", [(30.0, 1000, range(38, 1001)),
+                                             (5.0, 1000, range(0, 403))])
+def test_poisson_weight_that_normalizes_to_zero_is_dropped(r, cutoff, kept):
+    # Sector 37 (r = 30) and sector 403 (r = 5) have subnormal weights
+    # before normalization, which round to 0.0 once divided by the total;
+    # they are dropped like the exact zeros beyond them.
+    p = poisson_profile(r, cutoff)
+    assert p.support == tuple(kept)
+    assert all(w > 0.0 for w in p.weights)
+    assert math.fsum(p.weights) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_build_profile_keeps_small_normal_weights():
+    weights = [1e-14, 2e-15, 3.0e-10, 1.0]
+    p = build_profile([(i, float(i), w) for i, w in enumerate(weights)])
+    assert p.support == (0, 1, 2, 3)
+    assert p.weights == tuple(w / math.fsum(weights) for w in weights)
+
+
 def test_build_profile_rejects_duplicates():
     with pytest.raises(DuplicateLabel):
         build_profile([(0, 0.0, 0.5), (0, 0.0, 0.5)])
