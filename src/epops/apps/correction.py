@@ -44,15 +44,14 @@ def haar_average_fidelity(f0: float, d: int) -> float:
 
 def damped_profile(d: int, mu: float) -> EnergyProfile:
     """Level weights mu^(n-1)(1-mu)/(1-mu^d) on n = 1..d."""
-    norm = (1.0 - mu) / (1.0 - mu**d)
-    return _assemble(
-        ((n, float(n), norm * mu ** (n - 1)) for n in range(1, d + 1)), 0.0
-    )
+    norm, levels = (1.0 - mu) / (1.0 - mu**d), range(1, d + 1)
+    return _assemble(levels, list(map(float, levels)), [norm * mu ** (n - 1) for n in levels])
 
 
 def uniform_levels(d: int) -> EnergyProfile:
     """Uniform weights on levels 1..d."""
-    return _assemble(((n, float(n), 1.0 / d) for n in range(1, d + 1)), 0.0)
+    levels = range(1, d + 1)
+    return _assemble(levels, list(map(float, levels)), [1.0 / d] * d)
 
 
 def round_probability(d: int, mu: float, k: int) -> float:

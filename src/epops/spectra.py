@@ -35,8 +35,8 @@ import json
 import math
 import operator
 from functools import cached_property
-from itertools import accumulate, chain
-from operator import add, itemgetter, mul
+from itertools import accumulate, chain, compress, repeat
+from operator import add, itemgetter, mul, truediv
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .errors import (
@@ -60,6 +60,7 @@ RATIO_TOLERANCE = 1e-9
 _NORMALIZATION_TOL = 1e-12
 
 _INT = frozenset([int])
+_FLOAT = frozenset([float])
 
 
 def _integer(value, label: str) -> int:
@@ -98,10 +99,11 @@ class EnergyProfile(Frozen):
     """Normalized sector weights of a pure state, held as three columns.
 
     ``support`` lists the sector indices (``int``s, strictly increasing; a
-    numpy integer is converted), ``values`` the energy shown for each sector
-    and ``weights`` its positive weight; the weights sum to one within
-    1e-12.  The index is a sector's only identity: its energy value enters
-    no formula, so profiles compare and hash by ``(support, weights)``.
+    numpy integer is converted), ``values`` the finite energy shown for each
+    sector (``float``s; an ``int`` or a numpy number is converted) and
+    ``weights`` its positive weight; the weights sum to one within 1e-12.
+    The index is a sector's only identity: its energy value enters no
+    formula, so profiles compare and hash by ``(support, weights)``.
     """
 
     __slots__ = ("support", "values", "weights", "_by_index")
@@ -113,6 +115,8 @@ class EnergyProfile(Frozen):
             raise ValueError("support, values and weights must have equal length")
         if not _INT.issuperset(map(type, support)):
             support = tuple([_integer(i, "sector index ") for i in support])
+        if not (_FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values))):
+            values = tuple([_energy_value(v, i) for i, v in zip(support, values)])
         if any(b <= a for a, b in zip(support, support[1:])):
             raise DuplicateLabel("sector indices must be strictly increasing")
         if any(w < 0.0 for w in weights):
@@ -190,6 +194,20 @@ def _json_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _energy_value(value, index: int) -> float:
+    """An energy value as a finite ``float`` (an ``int`` or a numpy scalar is
+    converted); a bool, a non-number or a NaN or infinite value raises
+    ``ValueError`` naming its sector, since its JSON could not be read back."""
+    from numbers import Real  # here, so that start-up of the CLI skips it
+
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"energy value {value!r} at sector {index} is not a number")
+    value = _json_float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"energy value {value!r} at sector {index} is not finite")
+    return value
+
+
 def _weight_sum(weights: Iterable[float]) -> float:
     """``math.fsum`` of the weights; a sum past the double range is not finite."""
     try:
@@ -200,11 +218,32 @@ def _weight_sum(weights: Iterable[float]) -> float:
         ) from None
 
 
-def _assemble(
-    pairs: Iterable[Tuple[int, float, float]], drop_tol: float
-) -> EnergyProfile:
-    """Normalize, drop (near-)zero sectors, sort by index.  Each index is checked
-    first, so a non-integer one raises ``ValueError`` naming it, not ``TypeError``."""
+def _assemble(support: Sequence[int], values: Sequence[float],
+              weights: Sequence[float]) -> EnergyProfile:
+    """The profile of three aligned columns, indices increasing: each weight
+    over their ``fsum`` total, and a sector whose weight comes out 0.0 (a zero
+    or an underflowing tail) dropped."""
+    total = _weight_sum(weights)
+    if total <= 0.0:
+        raise AllZeroWeights("every weight is zero (or below the zero threshold)")
+    weights = list(map(truediv, weights, repeat(total)))
+    if 0.0 in weights:
+        # compress keeps a NaN weight, for the constructor to refuse.
+        support, values, weights = [list(compress(c, weights))
+                                    for c in (support, values, weights)]
+    return EnergyProfile(support, values, weights)
+
+
+def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
+    """Build a profile from ``(index, energy value, weight)`` triples.
+
+    Weights are normalized to sum one; sectors with weight at or below
+    :data:`ZERO_THRESHOLD` are removed.  Each index is checked first, so a
+    non-integer one raises ``ValueError`` naming it, not ``TypeError``.  A
+    NaN or infinite energy value, or an integer one beyond the double
+    range, raises ``ValueError``; such a weight raises
+    :class:`NonFiniteWeight`.
+    """
     seen: dict[int, Tuple[float, float]] = {}
     for index, value, weight in pairs:
         if type(index) is not int:
@@ -222,28 +261,8 @@ def _assemble(
         if weight < -1e-12:
             raise NegativeWeight(f"weight {weight!r} at sector {index} is negative")
         seen[index] = (value, max(weight, 0.0))
-    kept = {i: vw for i, vw in seen.items() if vw[1] > drop_tol}
-    total = _weight_sum(vw[1] for vw in kept.values())
-    if total <= 0.0:
-        raise AllZeroWeights("every weight is zero (or below the zero threshold)")
-    support = sorted(kept)
-    weights = [kept[i][1] / total for i in support]
-    if 0.0 in weights:
-        # A subnormal weight can round to 0.0 when normalized; drop it too.
-        support = [i for i, w in zip(support, weights) if w > 0.0]
-        weights = [w for w in weights if w > 0.0]
-    return EnergyProfile(support, [kept[i][0] for i in support], weights)
-
-
-def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
-    """Build a profile from ``(index, energy value, weight)`` triples.
-
-    Weights are normalized to sum one; sectors with weight at or below
-    :data:`ZERO_THRESHOLD` are removed.  A NaN or infinite energy value,
-    or an integer one beyond the double range, raises ``ValueError``; such
-    a weight raises :class:`NonFiniteWeight`.
-    """
-    return _assemble(pairs, ZERO_THRESHOLD)
+    support = sorted([i for i, vw in seen.items() if vw[1] > ZERO_THRESHOLD])
+    return _assemble(support, [seen[i][0] for i in support], [seen[i][1] for i in support])
 
 
 def _layout(sectors: Sequence[Tuple[int, float, int]]) -> Dict[int, slice]:
@@ -403,8 +422,9 @@ def binomial_profile(N: int) -> EnergyProfile:
     N = _integer(N, "N=")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    weight = _binomial_weight(N)
-    return _assemble(((m, float(m), weight((N - m) // 2)) for m in range(-N, N + 1, 2)), 0.0)
+    support = range(-N, N + 1, 2)
+    weights = list(map(_binomial_weight(N), range(N, -1, -1)))
+    return _assemble(support, list(map(float, support)), weights)
 
 
 def poisson_profile(r: float, cutoff: int) -> EnergyProfile:
@@ -419,13 +439,12 @@ def poisson_profile(r: float, cutoff: int) -> EnergyProfile:
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if r == 0.0:
-        return _assemble([(0, 0.0, 1.0)], 0.0)
+        return EnergyProfile([0], [0.0], [1.0])
     log_r = math.log(r)
     logw = [-r * r + 2.0 * n * log_r - lf for n, lf in enumerate(_log_factorials(cutoff))]
     top = max(logw)
-    return _assemble(
-        ((n, float(n), math.exp(lw - top)) for n, lw in enumerate(logw)), 0.0
-    )
+    support = range(cutoff + 1)
+    return _assemble(support, list(map(float, support)), [math.exp(lw - top) for lw in logw])
 
 
 def uniform_profile(N: int) -> EnergyProfile:
@@ -433,7 +452,7 @@ def uniform_profile(N: int) -> EnergyProfile:
     N = _integer(N, "N=")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    return _assemble(((n, float(n), 1.0 / N) for n in range(N)), 0.0)
+    return _assemble(range(N), list(map(float, range(N))), [1.0 / N] * N)
 
 
 def sine_profile(N: int) -> EnergyProfile:
@@ -445,6 +464,6 @@ def sine_profile(N: int) -> EnergyProfile:
     N = _integer(N, "N=")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    scale = 2.0 / (N + 1)
-    amps = ((n, math.sin(n * math.pi / (N + 1))) for n in range(1, N + 1))
-    return _assemble(((n, float(n), scale * a * a) for n, a in amps), 0.0)
+    scale, support = 2.0 / (N + 1), range(1, N + 1)
+    amps = [math.sin(n * math.pi / (N + 1)) for n in support]
+    return _assemble(support, list(map(float, support)), [scale * a * a for a in amps])

@@ -4,7 +4,10 @@
 S0, not only the ratio prefix the optimum picks, from the engine's own
 column arithmetic, so the optimum can be compared with it by ``==``.
 ``filtered_profile`` renormalizes a filtered profile, whose deterministic
-fidelity is a second route to ``filter_fidelity``.
+fidelity is a second route to ``filter_fidelity``.  ``assemble`` is the
+generic route to a profile from ``(index, value, weight)`` triples, one
+sector at a time, keeping every positive weight: the stock builders'
+column route must give the same profile.
 
 The estimation gains have two: ``round_output`` and ``merged_amplitudes``
 build each round's output state and each merged filter's output
@@ -25,9 +28,55 @@ from decimal import Decimal, localcontext
 from itertools import accumulate
 
 from epops.channels import filter_success_probability
-from epops.errors import ZeroSuccessProbability
+from epops.errors import (
+    AllZeroWeights,
+    DuplicateLabel,
+    NegativeWeight,
+    NonFiniteWeight,
+    ZeroSuccessProbability,
+)
 from epops.optimal import _two_regime_columns
-from epops.spectra import _assemble, build_profile, common_support
+from epops.spectra import (
+    EnergyProfile,
+    _integer,
+    _json_float,
+    _weight_sum,
+    build_profile,
+    common_support,
+)
+
+
+def assemble(pairs):
+    """Normalize, drop zero sectors, sort by index: the profile of
+    ``(index, value, weight)`` triples, each checked as it is read."""
+    seen = {}
+    for index, value, weight in pairs:
+        if type(index) is not int:
+            index = _integer(index, "sector index ")
+        if index in seen:
+            raise DuplicateLabel(f"sector index {index} appears twice")
+        try:
+            value, weight = float(value), float(weight)
+        except OverflowError:
+            value, weight = _json_float(value), _json_float(weight)
+        if not math.isfinite(value):
+            raise ValueError(f"energy value {value!r} at sector {index} is not finite")
+        if not math.isfinite(weight):
+            raise NonFiniteWeight(f"weight {weight!r} at sector {index} is not finite")
+        if weight < -1e-12:
+            raise NegativeWeight(f"weight {weight!r} at sector {index} is negative")
+        seen[index] = (value, max(weight, 0.0))
+    kept = {i: vw for i, vw in seen.items() if vw[1] > 0.0}
+    total = _weight_sum(vw[1] for vw in kept.values())
+    if total <= 0.0:
+        raise AllZeroWeights("every weight is zero (or below the zero threshold)")
+    support = sorted(kept)
+    weights = [kept[i][1] / total for i in support]
+    if 0.0 in weights:
+        # A subnormal weight can round to 0.0 when normalized; drop it too.
+        support = [i for i, w in zip(support, weights) if w > 0.0]
+        weights = [w for w in weights if w > 0.0]
+    return EnergyProfile(support, [kept[i][0] for i in support], weights)
 
 
 def two_regime(p, q, s0, p_succ):
@@ -71,10 +120,9 @@ def round_output(run, k):
     table, q = run.table, run.target
     active = set(table.order) - set(table.prefix(k - 1))
     fidelity = run.fidelities[k - 1]
-    return _assemble(
+    return assemble(
         [(i, v, w / fidelity) for i, v, w in zip(q.support, q.values, q.weights)
-         if i in active],
-        0.0,
+         if i in active]
     )
 
 

@@ -24,8 +24,9 @@ from epops.apps.correction import correction_tradeoff, damped_profile, uniform_l
 from epops.coarse import curve_from_run
 from epops.optimal import frontier
 from epops.recursive import run_protocol
-from epops.spectra import _assemble, poisson_profile
+from epops.spectra import poisson_profile
 from reference_routes import (
+    assemble,
     decimal_amplification,
     decimal_correction,
     decimal_frontier,
@@ -97,8 +98,8 @@ def wide_pairs(draw):
     pw = draw(st.lists(WEIGHTS, min_size=n + p_only, max_size=n + p_only))
     qw = draw(st.lists(WEIGHTS, min_size=n + q_only, max_size=n + q_only))
     q_sectors = [*range(n), *range(n + p_only, n + p_only + q_only)]
-    p = _assemble([(i, float(i), w) for i, w in enumerate(pw)], 0.0)
-    q = _assemble([(i, float(i), w) for i, w in zip(q_sectors, qw)], 0.0)
+    p = assemble([(i, float(i), w) for i, w in enumerate(pw)])
+    q = assemble([(i, float(i), w) for i, w in zip(q_sectors, qw)])
     return p, q, draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4))
 
 

@@ -29,7 +29,6 @@ from epops.recursive import run_protocol
 from epops.spectra import (
     RATIO_TOLERANCE,
     EnergyProfile,
-    _assemble,
     _log_factorials,
     binomial_profile,
     build_profile,
@@ -38,7 +37,7 @@ from epops.spectra import (
     ratio_table,
     sine_profile,
 )
-from reference_routes import two_regime
+from reference_routes import assemble, two_regime
 
 #: Builder weights may differ from the numpy route by this many ulps.
 _BUILDER_ULPS = 4
@@ -137,7 +136,7 @@ def numpy_binomial(N):
     lf = np.array(_log_factorials(N))
     weights = np.exp(lf[N] - lf[ks] - lf[N - ks] - N * math.log(2.0))
     weights /= weights.sum()
-    return _assemble(((int(m), float(m), float(w)) for m, w in zip(ms, weights)), 0.0)
+    return assemble((int(m), float(m), float(w)) for m, w in zip(ms, weights))
 
 
 def numpy_poisson(r, cutoff):
@@ -146,7 +145,7 @@ def numpy_poisson(r, cutoff):
     logw -= logw.max()
     weights = np.exp(logw)
     weights /= weights.sum()
-    return _assemble(((int(n), float(n), float(w)) for n, w in zip(ns, weights)), 0.0)
+    return assemble((int(n), float(n), float(w)) for n, w in zip(ns, weights))
 
 
 def numpy_sine(N):
@@ -154,9 +153,7 @@ def numpy_sine(N):
     amp = np.sin(ns * math.pi / (N + 1))
     weights = 2.0 / (N + 1) * amp * amp
     weights /= weights.sum()
-    return _assemble(
-        ((int(n), float(n), float(w)) for n, w in zip(ns, weights) if w > 0.0), 0.0
-    )
+    return assemble((int(n), float(n), float(w)) for n, w in zip(ns, weights) if w > 0.0)
 
 
 # --- Instances ---------------------------------------------------------------

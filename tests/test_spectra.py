@@ -15,10 +15,13 @@ from epops.errors import (
     NonFiniteWeight,
     RatioOverflow,
 )
+from epops.apps.correction import damped_profile, uniform_levels
 from epops.coarse import tradeoff_curve
 from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.spectra import (
     EnergyProfile,
+    _binomial_weight,
+    _log_factorials,
     binomial_profile,
     build_profile,
     common_support,
@@ -27,6 +30,7 @@ from epops.spectra import (
     sine_profile,
     uniform_profile,
 )
+from reference_routes import assemble
 
 
 def test_build_profile_normalizes_and_sorts():
@@ -236,6 +240,96 @@ def test_build_profile_rejects_all_zero():
 def test_weight_of_absent_sector_is_zero():
     p = build_profile([(0, 0.0, 1.0)])
     assert p.weight(7) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                 pytest.param(10**400, id="1e400-integer")])
+def test_profile_rejects_non_finite_energy_value(bad):
+    # to_json would write NaN or Infinity, which from_json refuses.
+    with pytest.raises(ValueError, match="energy value .* at sector 1 is not finite"):
+        EnergyProfile((0, 1), (0.0, bad), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("bad", ["a", None, True, np.bool_(True), 1j])
+def test_profile_rejects_energy_value_that_is_not_a_number(bad):
+    with pytest.raises(ValueError, match=re.escape(f"energy value {bad!r} at sector 1 is not a number")):
+        EnergyProfile((0, 1), (0.0, bad), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("profile", [
+    uniform_profile(61), sine_profile(60), binomial_profile(40), poisson_profile(1.5, 20),
+    poisson_profile(0.0, 3), damped_profile(100, 0.9), uniform_levels(25),
+    EnergyProfile(np.arange(3), np.arange(3) * 0.5, (0.25, 0.5, 0.25)),
+    EnergyProfile(np.arange(2), np.arange(2, dtype=np.int64), (0.25, 0.75)),
+], ids=["uniform", "sine", "binomial", "poisson", "poisson-r0", "damped", "levels",
+        "numpy-float", "numpy-int"])
+def test_profile_json_round_trip_is_exact(profile):
+    again = EnergyProfile.from_json(profile.to_json())
+    assert again == profile and again.values == profile.values
+    assert all(type(v) is float for v in profile.values)
+
+
+def test_poisson_profile_whose_amplitude_squared_overflows_raises_non_finite_weight():
+    # r^2 = inf makes every log-weight -inf, so every weight is NaN.
+    with pytest.raises(NonFiniteWeight):
+        poisson_profile(1e155, 5)
+
+
+def _reference_poisson(r, cutoff):
+    if r == 0.0:
+        return assemble([(0, 0.0, 1.0)])
+    log_r = math.log(r)
+    logw = [-r * r + 2.0 * n * log_r - lf for n, lf in enumerate(_log_factorials(cutoff))]
+    top = max(logw)
+    return assemble((n, float(n), math.exp(lw - top)) for n, lw in enumerate(logw))
+
+
+def _reference_sine(N):
+    scale = 2.0 / (N + 1)
+    amps = ((n, math.sin(n * math.pi / (N + 1))) for n in range(1, N + 1))
+    return assemble((n, float(n), scale * a * a) for n, a in amps)
+
+
+def _reference_damped(d, mu):
+    norm = (1.0 - mu) / (1.0 - mu**d)
+    return assemble((n, float(n), norm * mu ** (n - 1)) for n in range(1, d + 1))
+
+
+#: Each stock builder and its weights, one (index, value, weight) triple per
+#: sector, for the generic route; the sizes reach the zero and underflowing
+#: tails (binomial from N = 1075, Poisson at cutoff 320, damped at d = 25600).
+REFERENCE_BUILDERS = {
+    "binomial": (binomial_profile, lambda N: assemble(
+        (m, float(m), _binomial_weight(N)((N - m) // 2)) for m in range(-N, N + 1, 2)),
+        [1, 2, 61, 400, 1075, 5000]),
+    "poisson": (poisson_profile, _reference_poisson,
+                [(0, 5), (1, 175), (1, 320), (1.5, 1280), (30, 1000), (5, 1000)]),
+    "uniform": (uniform_profile, lambda N: assemble(
+        (n, float(n), 1.0 / N) for n in range(N)), [1, 2, 61, 10**4]),
+    "sine": (sine_profile, _reference_sine, [1, 2, 61, 10**4]),
+    "damped": (damped_profile, _reference_damped, [(100, 0.9), (25600, 0.9), (2000, 1e-300)]),
+    "levels": (uniform_levels, lambda d: assemble(
+        (n, float(n), 1.0 / d) for n in range(1, d + 1)), [2, 25600]),
+}
+
+
+@pytest.mark.parametrize("name, args", [
+    pytest.param(name, args, id="-".join(map(str, (name, *args))))
+    for name, (_, _, sizes) in REFERENCE_BUILDERS.items()
+    for args in (size if isinstance(size, tuple) else (size,) for size in sizes)
+])
+def test_stock_builder_equals_the_generic_route(name, args):
+    builder, reference, _ = REFERENCE_BUILDERS[name]
+    p, ref = builder(*args), reference(*args)
+    assert p.support == ref.support
+    assert p.values == ref.values
+    assert p.weights == ref.weights
+
+
+def test_reference_builder_grid_reaches_dropped_tails():
+    assert len(binomial_profile(1075)) < 1076 and len(binomial_profile(5000)) < 5001
+    assert len(poisson_profile(1, 320)) < 321 and len(damped_profile(25600, 0.9)) < 25600
+    assert len(damped_profile(2000, 1e-300)) == 2
 
 
 def test_json_round_trip():
