@@ -15,7 +15,6 @@ is scored from pair sums updated round by round, O(N + L) after the sort.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..coarse import curve_from_run
@@ -107,8 +106,9 @@ def _exact(x: float, e: int) -> int:
     return num << (e + 1 - den.bit_length())
 
 
-def _pair_sums(run: ProtocolRun, doubles: List[float]) -> Tuple[int, List[Tuple[int, ...]]]:
-    """Unit exponent e; per round, OO and Q before it erodes its group, UU, UO, OO after.
+def _pair_sums(run: ProtocolRun, *doubles: Sequence[float]) -> Tuple[int, list, list]:
+    """Unit exponent e; each column of ``doubles`` in units of 2^-e; per
+    round, OO and Q before it erodes its group, UU, UO, OO after.
 
     Over adjacent common sectors i, j: UU sums sqrt(p_i) sqrt(p_j) with both
     eroded, UO sqrt(p_i) sqrt(q_j) with only i, OO sqrt(q_i) sqrt(q_j) with
@@ -118,19 +118,22 @@ def _pair_sums(run: ProtocolRun, doubles: List[float]) -> Tuple[int, List[Tuple[
     in units of 2^-e, as is each rounded round gain in [1/2, 1]; so every
     sum is an exact integer: Q in units of 2^-e and the pair sums in 2^-2e.
     """
-    table, qw = run.table, run.target._by_index
-    roots = [(i, math.sqrt(run.input._by_index[i]), math.sqrt(qw[i])) for i in table.order]
-    e = max([54] + [x.as_integer_ratio()[1].bit_length() - 1 for x in chain(
-        doubles, map(qw.get, table.order), *(r[1:] for r in roots))])
-    root_p = {i: _exact(a, e) for i, a, _ in roots}
-    root_q = {i: _exact(b, e) for i, _, b in roots}
+    table, pw, qw = run.table, run.input._by_index, run.target._by_index
+    order = table.order
+    q_col = list(map(qw.get, order))
+    fractions = [list(map(float.as_integer_ratio, column)) for column in (
+        *doubles, q_col, map(math.sqrt, map(pw.get, order)), map(math.sqrt, q_col))]
+    e = max(max([den for column in fractions for _, den in column]).bit_length() - 1, 54)
+    *exact, q_exact, root_p, root_q = [
+        [num << (e + 1 - den.bit_length()) for num, den in column] for column in fractions]
+    q_exact, root_p, root_q = (dict(zip(order, c)) for c in (q_exact, root_p, root_q))
     uu = uo = 0
     oo = sum([root_q[i] * root_q[i + 1] for i in root_q if i + 1 in root_q])
-    q_left = sum([_exact(qw[i], e) for i in table.order])
+    q_left = sum(q_exact.values())
     eroded, rows = set(), []
     for a, b in zip((0,) + table.ends, table.ends[: len(run.fidelities)]):
         before = (oo, q_left)
-        for i in table.order[a:b]:
+        for i in order[a:b]:
             for j in (i - 1, i + 1):
                 if j in eroded:
                     uo -= root_p[j] * root_q[i]
@@ -139,9 +142,9 @@ def _pair_sums(run: ProtocolRun, doubles: List[float]) -> Tuple[int, List[Tuple[
                     oo -= root_q[i] * root_q[j]
                     uo += root_p[i] * root_q[j]
             eroded.add(i)
-            q_left -= _exact(qw[i], e)
+            q_left -= q_exact[i]
         rows.append((*before, uu, uo, oo))
-    return e, rows
+    return e, exact, rows
 
 
 def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
@@ -153,37 +156,31 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     sqrt(p_n / p_succ) on U_T and sqrt(r_T q_n / p_succ) on the rest: gain
     1/2 + (UU + sqrt(r_T) UO + r_T OO) / (2 p_succ) after round T, and mass
     p(U_T) / p_succ + r_T q_rest / p_succ, which must be 1 within 1e-10 or
-    :class:`NotNormalized` is raised.  Every gain is an exact integer
-    ratio, from the exact pair sums and the exact values of the doubles
-    r_T, sqrt(r_T), the round probabilities and p_succ, rounded once by
-    its one division.
+    :class:`NotNormalized` is raised; here p_succ is the protocol's running
+    sum, and a row prints the merged filter's own.  Every gain is an exact
+    integer ratio, from the exact pair sums and the exact values of the
+    doubles r_T, sqrt(r_T), the round probabilities and p_succ, rounded
+    once by its one division.
     """
     p, q = estimation_profiles(mode, N)
     run = run_protocol(p, q, K)
     table, weighted, points = run.table, 0, []
-    rounds = list(zip(curve_from_run(run).points, run.probabilities, table.ratios))
-    e, sums = _pair_sums(run, [x for c, pr, r in rounds for x in (pr, r, math.sqrt(r), c.p_succ)])
-    for (cp, pr, r), (oo_k, q_k, uu, uo, oo) in zip(rounds, sums):
-        T, p_succ = cp.T, cp.p_succ
-        mass = table.p_eroded[T] / p_succ + r / p_succ * table.q_remaining[T]
+    ratios = table.ratios[: len(run.fidelities)]
+    e, exact, sums = _pair_sums(run, run.probabilities, ratios,
+                                list(map(math.sqrt, ratios)), run.p_succ)
+    for cp, total, r, pr_x, r_x, root_x, s, (oo_k, q_k, uu, uo, oo) in zip(
+            curve_from_run(run).points, run.p_succ, ratios, *exact, sums):
+        mass = table.p_eroded[cp.T] / total + r / total * table.q_remaining[cp.T]
         if not abs(mass - 1.0) <= _NORM_TOL:
             raise NotNormalized(
-                f"the merged filter of rounds 1..{T} has success probability "
+                f"the merged filter of rounds 1..{cp.T} has success probability "
                 f"{mass!r} times p_succ, expected 1"
             )
-        weighted += _exact(pr, e) * _exact(((q_k << e) + oo_k) / (q_k << (e + 1)), e)
-        s = _exact(p_succ, e)
-        pairs = (uu << e) + _exact(math.sqrt(r), e) * uo + _exact(r, e) * oo
-        points.append(
-            GainPoint(
-                T=T,
-                p_succ=p_succ,
-                F_recursive=cp.F_recursive,
-                F_coarse=cp.F_coarse,
-                gain_recursive=weighted / (s << e),
-                gain_coarse=((s << 2 * e) + pairs) / (s << (2 * e + 1)),
-            )
-        )
+        weighted += pr_x * _exact(((q_k << e) + oo_k) / (q_k << (e + 1)), e)
+        pairs = (uu << e) + root_x * uo + r_x * oo
+        # The curve row's four columns, then the two gains.
+        points.append(GainPoint(*cp, weighted / (s << e),
+                                ((s << 2 * e) + pairs) / (s << (2 * e + 1))))
     return points
 
 

@@ -7,26 +7,28 @@ and its fidelity is at least the cumulative fidelity of the T separate
 rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
 
-The merged filter of rounds 1..T is the optimal filter at its own success
-probability s = p(U_T) + r_T q_rest (the KKT conditions in ``optimal``),
-so its fidelity is the frontier's segment expression at s, read off the
-ratio table's group-end sums.  s is p_succ up to rounding and to the
-spread of a grouped ratio tie, which the root of p_succ - p(U_T) would
-amplify.  The merged filter itself is built only by
-``oracle.coarse_filter``, for ``oracle.merge_residuals``, which compares
-it with the round filter weights summed over rounds 1..T and checks its
-generic fidelity and success probability.
+One row builder writes every curve.  A row's p_succ is the merged filter's
+own success probability s = p(U_T) + r_T q_rest; the running sum of the
+round probabilities (``recursive.cumulative``) differs from it only by
+rounding and by the spread of a ratio tie grouped within 1e-9.  The merged
+filter is the optimal filter at s (the KKT conditions in ``optimal``), so
+``F_coarse`` is the frontier's segment expression at s.  The merged filter
+itself is built only by ``oracle.coarse_filter``, for
+``oracle.merge_residuals``, which compares it with the round filter
+weights summed over rounds 1..T and checks its generic fidelity and
+success probability.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import islice
+from itertools import count, islice
+from operator import add, mul
 from typing import Iterable, NamedTuple, Tuple
 
 from .errors import BelowDoubleRange
-from .recursive import ProtocolRun, _round_count, run_protocol
+from .recursive import ProtocolRun, _round_count, _rounds, run_protocol
 from .spectra import EnergyProfile, _segment_fidelity
 
 #: log of the smallest normal double; a row below it is refused, never printed.
@@ -53,22 +55,28 @@ class TradeoffCurve(NamedTuple):
         return "\n".join(["T,p_succ,F_recursive,F_coarse", *rows]) + "\n"
 
 
+def _rows(ratios, p_eroded, aligned, q_rest, f_recursive) -> TradeoffCurve:
+    """The curve of group-end columns, a row per group T: r_T, p(U_T), the
+    sqrt(pq) sum over U_T, q(rest) and F_recursive.  p_succ is the merged
+    filter's p(U_T) + r_T q(rest), F_coarse the segment expression at it."""
+    p_succ = list(map(add, p_eroded, map(mul, ratios, q_rest)))
+    f_coarse = map(_segment_fidelity, aligned, p_eroded, q_rest, p_succ)
+    return TradeoffCurve(points=tuple(list(
+        map(CurvePoint, count(1), p_succ, f_recursive, f_coarse))))
+
+
 def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
     """Recursive and merged fidelities of ``run`` against success probability."""
-    table, n = run.table, len(run.fidelities)
-    cut = slice(1, n + 1)
-    f_coarse = [_segment_fidelity(a, p, q, p + r * q) for r, a, p, q in zip(
-        table.ratios, table.aligned[cut], table.p_eroded[cut], table.q_remaining[cut])]
-    return TradeoffCurve(points=tuple(list(
-        map(CurvePoint, range(1, n + 1), run.p_succ, run.f_recursive, f_coarse)
-    )))
+    table, cut = run.table, slice(1, len(run.fidelities) + 1)
+    return _rows(table.ratios, table.p_eroded[cut], table.aligned[cut],
+                 table.q_remaining[cut], run.f_recursive)
 
 
 def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:
     """Recursive and coarse fidelities against success probability.
 
-    One point per termination round T up to min(K, L); the merged filter
-    has the cumulative recursive success probability by construction.
+    One point per termination round T up to min(K, L), at the merged
+    filter's success probability.
     """
     return curve_from_run(run_protocol(p, q, K))
 
@@ -81,9 +89,9 @@ def closed_form_curve(log_first: float, q_common: float,
 
     ``groups`` yields per group T its ratio r_T, p(U_T), the sqrt(pq) sum
     over U_T and q(rest) outside U_T; ``q_common`` is q of the common
-    spectrum.  p_succ is the merged filter's own p(U_T) + r_T q(rest).  The
-    rows' p_succ grow from about e^log_first, the least ratio times
-    ``q_common``, so if that is below the normal double range
+    spectrum.  The rows are the engine's, from its round recursion and row
+    builder.  Their p_succ grow from about e^log_first, the least ratio
+    times ``q_common``, so if that is below the normal double range
     :class:`BelowDoubleRange` names row 1 before any group is read.
     """
     K = _round_count(K)
@@ -92,15 +100,6 @@ def closed_form_curve(log_first: float, q_common: float,
             f"row 1 has p_succ 10^{log_first / math.log(10):.6g}, below the normal "
             f"double range ({sys.float_info.min!r}); no row is printed"
         )
-    points = []
-    total = weighted = r_prev = 0.0
-    q_prev = q_common
-    for T, (r, p_eroded, aligned, q_rest) in enumerate(islice(groups, K), start=1):
-        probability = (r - r_prev) * q_prev
-        total += probability
-        weighted += probability * q_prev
-        s = p_eroded + r * q_rest
-        points.append(CurvePoint(T, s, weighted / total,
-                                 _segment_fidelity(aligned, p_eroded, q_rest, s)))
-        r_prev, q_prev = r, q_rest
-    return TradeoffCurve(points=tuple(points))
+    ratios, p_eroded, aligned, q_rest = zip(*islice(groups, K))
+    _, _, f_recursive = _rounds(ratios, (q_common, *q_rest))
+    return _rows(ratios, p_eroded, aligned, q_rest, f_recursive)

@@ -9,18 +9,20 @@ Every column comes from the prefix sums of the ratio table.  The round
 fidelity is the target weight remaining on the uneroded spectrum, and the
 round success probability is the ratio increment r_k - r_{k-1} times that
 fidelity; the cumulative probability and fidelity are their running sums.
-A round is a record of these numbers only.  The second route to the round
-filters, their weights m_E per input sector, lives in
-``oracle.round_filter_weights``, which ``epops verify`` compares with a
-matrix simulation and with the merged filters.
+``_rounds`` writes this recursion for ``run_protocol`` and for the
+closed-form curves of ``coarse``; a curve row prints the merged filter's
+probability, not this running sum.  A round is a record of these numbers
+only.  The second route to the round filters, their weights m_E per input
+sector, lives in ``oracle.round_filter_weights``, which ``epops verify``
+compares with a matrix simulation and with the merged filters.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul, sub, truediv
-from typing import NamedTuple, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import RoundOutOfRange
 from .spectra import EnergyProfile, Frozen, RatioTable, _integer, ratio_table
@@ -70,6 +72,16 @@ def _round_count(K) -> int:
     return K
 
 
+def _rounds(ratios: Sequence[float], q_before: Sequence[float]):
+    """From the group ratios r_k and the target weight Q_(k-1) left before
+    each round, the lists of round probabilities (r_k - r_(k-1)) Q_(k-1),
+    their running sum and the running weighted mean of the Q_(k-1)."""
+    probabilities = list(map(mul, map(sub, ratios, chain((0.0,), ratios)), q_before))
+    p_succ = list(accumulate(probabilities))
+    weighted = accumulate(map(mul, probabilities, q_before))
+    return probabilities, p_succ, list(map(truediv, weighted, p_succ))
+
+
 def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     """Execute min(K, L) rounds of the recursive conversion protocol.
 
@@ -80,20 +92,10 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     """
     table = ratio_table(p, q)
     n = min(_round_count(K), table.length)
-    ratios = table.ratios[:n]
     fidelities = table.q_remaining[:n]
-    probabilities = tuple(list(map(mul, map(sub, ratios, (0.0,) + ratios), fidelities)))
-    p_succ = tuple(list(accumulate(probabilities)))
-    weighted = accumulate(map(mul, probabilities, fidelities))
-    return ProtocolRun(
-        input=p,
-        target=q,
-        table=table,
-        fidelities=fidelities,
-        probabilities=probabilities,
-        p_succ=p_succ,
-        f_recursive=tuple(list(map(truediv, weighted, p_succ))),
-    )
+    # The round probabilities, p_succ and f_recursive, in that order.
+    return ProtocolRun(p, q, table, fidelities,
+                       *map(tuple, _rounds(table.ratios[:n], fidelities)))
 
 
 def cumulative(run: ProtocolRun, T: int) -> Tuple[float, float]:

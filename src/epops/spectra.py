@@ -117,9 +117,9 @@ class EnergyProfile(Frozen):
             support = tuple([_integer(i, "sector index ") for i in support])
         if not (_FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values))):
             values = tuple([_energy_value(v, i) for i, v in zip(support, values)])
-        if any(b <= a for a, b in zip(support, support[1:])):
+        if any(map(operator.ge, support, support[1:])):
             raise DuplicateLabel("sector indices must be strictly increasing")
-        if any(w < 0.0 for w in weights):
+        if any(map(operator.lt, weights, repeat(0.0))):
             raise NegativeWeight("profile weights must be nonnegative")
         if 0.0 in weights:
             raise ValueError(f"sector {support[weights.index(0.0)]} has weight zero")

@@ -13,11 +13,12 @@ The estimation gains have two: ``round_output`` and ``merged_amplitudes``
 build each round's output state and each merged filter's output
 amplitudes sector by sector, for ``holevo_gain``, and ``decimal_gains``
 recomputes the gain columns and the merged mass from the run's doubles in
-40-digit decimal arithmetic.  ``decimal_merged_fidelities`` and
-``decimal_frontier`` do the same for the merged filters' fidelities and
-for the optimal fidelity at a given success probability, and
-``decimal_amplification`` and ``decimal_correction`` for the closed-form
-app curves, from the apps' parameters.
+40-digit decimal arithmetic.  ``decimal_merged_filters`` and
+``decimal_frontier`` do the same for the merged filters' success
+probabilities and fidelities and for the optimal fidelity at a given
+success probability, and ``decimal_amplification`` and
+``decimal_correction`` for the closed-form app curves, from the apps'
+parameters.
 """
 
 from __future__ import annotations
@@ -189,12 +190,13 @@ def _decimal_prefix_sums(pw, qw):
     return aligned, p_before, q_from
 
 
-def decimal_merged_fidelities(run, digits=40):
-    """The fidelity of the merged filter of rounds 1..T, for T = 1..n, as
-    ``Decimal``s at ``digits`` significant digits from the profile weights
-    and the group ratios r_T: x = 1 on U_T and x = r_T q_E / p_E on the rest
-    of the common spectrum, so F = (A + sqrt(r_T) Q)^2 / (P + r_T Q) with
-    A and P the sums of sqrt(p q) and p over U_T and Q that of q outside."""
+def decimal_merged_filters(run, digits=40):
+    """The success probability and fidelity of the merged filter of rounds
+    1..T, for T = 1..n, as ``Decimal`` pairs at ``digits`` significant digits
+    from the profile weights and the group ratios r_T: x = 1 on U_T and
+    x = r_T q_E / p_E on the rest of the common spectrum, so p_succ =
+    P + r_T Q and F = (A + sqrt(r_T) Q)^2 / p_succ with A and P the sums of
+    sqrt(p q) and p over U_T and Q that of q outside."""
     table = run.table
     with localcontext() as ctx:
         ctx.prec = digits
@@ -205,7 +207,8 @@ def decimal_merged_fidelities(run, digits=40):
         for end, r in zip(table.ends, table.ratios[: len(run.fidelities)]):
             r = Decimal(r)
             omega = aligned[end] + r.sqrt() * q_from[end]
-            rows.append(omega * omega / (p_before[end] + r * q_from[end]))
+            p_succ = p_before[end] + r * q_from[end]
+            rows.append((p_succ, omega * omega / p_succ))
     return rows
 
 

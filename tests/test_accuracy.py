@@ -1,14 +1,14 @@
-"""Accuracy of the fidelity columns against a 40-digit decimal reference.
+"""Accuracy of the curve columns against a 40-digit decimal reference.
 
-``F_coarse`` is compared with the merged filter's fidelity, and
-``Frontier.fidelity`` and the fidelity of ``Frontier.point`` with the
-optimal fidelity at the same success probability, all recomputed in
-``reference_routes`` from the profile weights; the point's success
-probability is compared with the one requested.  The ``amplify`` and
-``correct`` columns are compared with their closed forms evaluated from
-the parameters.  Each bound is the
-worst relative error measured when its column was introduced, rounded
-up; a change that moves a bit of any column must keep within it.
+``F_coarse`` and ``p_succ`` are compared with the merged filter's fidelity
+and success probability, and ``Frontier.fidelity`` and the fidelity of
+``Frontier.point`` with the optimal fidelity at the same success
+probability, all recomputed in ``reference_routes`` from the profile
+weights; the point's success probability is compared with the one
+requested.  The ``amplify`` and ``correct`` columns are compared with
+their closed forms evaluated from the parameters.  Each bound is the worst
+relative error measured when its column was introduced, rounded up; a
+change that moves a bit of any column must keep within it.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ from reference_routes import (
     decimal_amplification,
     decimal_correction,
     decimal_frontier,
-    decimal_merged_fidelities,
+    decimal_merged_filters,
 )
+from test_coarse import near_tie_pairs
 from test_engine_reference import readme_pairs
 from test_optimal_properties import PROPERTY_SETTINGS
 
@@ -67,20 +68,47 @@ def relative_errors(p, q, targets):
     front, optimal = frontier(p, q), decimal_frontier(p, q, targets)
     optima = [front.point(s) for s in targets]
     return {
-        "F_coarse": _relative((pt.F_coarse for pt in points), decimal_merged_fidelities(run)),
+        "F_coarse": _relative((pt.F_coarse for pt in points),
+                              [f for _, f in decimal_merged_filters(run)]),
         "frontier": _relative(map(front.fidelity, targets), optimal),
         "point.fidelity": _relative((o.fidelity for o in optima), optimal),
         "point.p_succ": _relative((o.p_succ for o in optima), map(Decimal, targets)),
     }
 
 
+def readme_and_damped_pairs():
+    return [*readme_pairs().values(), (damped_profile(1600, 0.9), uniform_levels(1600))]
+
+
 def test_fidelity_columns_of_the_readme_pairs_against_a_decimal_reference():
     worst = dict.fromkeys(README_BOUNDS, 0.0)
-    pairs = [*readme_pairs().values(), (damped_profile(1600, 0.9), uniform_levels(1600))]
-    for p, q in pairs:
+    for p, q in readme_and_damped_pairs():
         for name, errors in relative_errors(p, q, GRID).items():
             worst[name] = max(worst[name], *errors)
     assert all(worst[name] <= bound for name, bound in README_BOUNDS.items()), worst
+
+
+#: Worst relative error of the engine curve's p_succ against the merged
+#: filter's p(U_T) + r_T q(rest), over the README pairs, the damped
+#: 1600-sector pair (whose error is that of its 1600-term suffix sums of q)
+#: and the seeded near-tie corpus.  The running sum of the round
+#: probabilities that the column held before measured 9.4e-16, 1.88e-14 and
+#: 4.1e-10 there.
+P_SUCC_BOUNDS = {"readme": 7.2e-16, "damped": 1.9e-14, "near-tie": 3.9e-16}
+
+
+def p_succ_errors(p, q):
+    run = run_protocol(p, q, 10**6)
+    return _relative((pt.p_succ for pt in curve_from_run(run).points),
+                     [s for s, _ in decimal_merged_filters(run)])
+
+
+def test_curve_p_succ_against_a_decimal_reference():
+    *readme, damped = readme_and_damped_pairs()
+    corpora = {"readme": readme, "damped": [damped], "near-tie": near_tie_pairs()}
+    worst = {name: max(e for p, q in pairs for e in p_succ_errors(p, q))
+             for name, pairs in corpora.items()}
+    assert all(worst[name] <= bound for name, bound in P_SUCC_BOUNDS.items()), worst
 
 
 #: Small integers tie ratios exactly; e^x for x down to -700 spreads the

@@ -1,6 +1,7 @@
 """Merged filters and the two-column tradeoff curve."""
 
 import math
+import random
 import time
 
 import numpy as np
@@ -13,7 +14,8 @@ from epops.coarse import curve_from_run, tradeoff_curve
 from epops.errors import RoundOutOfRange
 from epops.oracle import MERGE_TOLERANCES, coarse_filter, merge_residuals
 from epops.recursive import cumulative, run_protocol
-from epops.spectra import binomial_profile, build_profile, poisson_profile
+from epops.spectra import binomial_profile, build_profile, common_support, poisson_profile
+from reference_routes import assemble
 
 
 def two_sector():
@@ -95,6 +97,47 @@ def test_tradeoff_curve_two_sector():
     assert curve.points[1].p_succ == pytest.approx(1.0, abs=1e-12)
     assert curve.points[1].F_recursive == pytest.approx(5 / 6)
     assert curve.points[1].F_coarse == pytest.approx(0.9714045207910316)
+
+
+#: The relative spread of one sector's ratio about its level: an exact tie,
+#: a tie well inside the grouping tolerance, and ties up to across it.
+TIE_SPREADS = (0.0, 1e-10, 1e-9)
+
+
+def near_tie_pairs(seed=2015, count=1000):
+    """``count`` pairs drawn by ``random.Random(seed)``, whose draws, unlike
+    hypothesis's, depend on nothing else in the package: 2..40 common
+    sectors whose ratios p/q sit on one to six levels, each spread up by a
+    uniform fraction of a drawn ``TIE_SPREADS`` value, then up to two
+    sectors of p alone and up to two of q alone, every weight kept."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, p_only, q_only = rng.randint(2, 40), rng.randint(0, 2), rng.randint(0, 2)
+        levels = [math.exp(rng.uniform(-4.0, 4.0)) for _ in range(rng.randint(1, 6))]
+        qw = [float(rng.randint(1, 4)) if rng.random() < 0.5 else rng.uniform(0.05, 1.0)
+              for _ in range(n + q_only)]
+        pw = [w * rng.choice(levels) * (1.0 + rng.uniform(0.0, rng.choice(TIE_SPREADS)))
+              for w in qw[:n]] + [rng.uniform(0.05, 1.0) for _ in range(p_only)]
+        q_sectors = [*range(n), *range(n + p_only, n + p_only + q_only)]
+        yield (assemble([(i, float(i), w) for i, w in enumerate(pw)]),
+               assemble([(i, float(i), w) for i, w in zip(q_sectors, qw)]))
+
+
+def test_near_tie_curves_rise_to_at_most_the_common_weight():
+    # Each p_succ is the merged filter's p(U_T) + r_T q(rest), which ends at
+    # p(U_L), the common weight, up to rounding.  The protocol's running sum
+    # of round probabilities ends up to 4e-10 above it on these pairs, since
+    # a group's plain mean ratio times its q is not its p.  At T = 1 the merged
+    # filter is the first round, so the two fidelities are one number, up to
+    # rounding; past it the merged one is higher.
+    for p, q in near_tie_pairs():
+        points = tradeoff_curve(p, q, 10**6).points
+        common = math.fsum(map(p.weight, common_support(p, q)))
+        assert all(a.p_succ < b.p_succ for a, b in zip(points, points[1:]))
+        assert points[-1].p_succ <= common * (1.0 + 4 * 2.0**-52)
+        first = points[0]
+        assert first.F_coarse >= first.F_recursive * (1.0 - 8 * 2.0**-52)
+        assert all(pt.F_coarse >= pt.F_recursive for pt in points[1:])
 
 
 def test_tradeoff_curve_probability_strictly_increases():

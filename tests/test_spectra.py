@@ -191,6 +191,34 @@ def test_profile_constructor_rejects_zero_weight():
         EnergyProfile((0, 1), (0.0, 1.0), (0.0, 1.0))
 
 
+@pytest.mark.parametrize("weights, error, message", [
+    ((-0.5, 1.5), NegativeWeight, "nonnegative"),
+    ((2, -1), NegativeWeight, "nonnegative"),
+    ((np.int64(2), np.int64(-1)), NegativeWeight, "nonnegative"),
+    ((np.float64(-0.5), 1.5), NegativeWeight, "nonnegative"),
+    ((1.0, -0.0), ValueError, "sector 1 has weight zero"),
+    ((1.0, math.nan), NonFiniteWeight, "sum to nan"),
+], ids=["float", "int", "numpy-int", "numpy-float", "negative-zero", "nan"])
+def test_profile_constructor_sign_check(weights, error, message):
+    # -0.0 is not below zero: it is refused as a zero weight, as NaN is as
+    # a non-finite total.
+    with pytest.raises(error, match=message):
+        EnergyProfile((0, 1), (0.0, 1.0), weights)
+
+
+@pytest.mark.parametrize("weight", [1, np.int64(1), np.float64(1.0)],
+                         ids=["int", "numpy-int", "numpy-float"])
+def test_profile_constructor_admits_int_and_numpy_weights(weight):
+    assert EnergyProfile((0,), (0.0,), (weight,)).weights == (weight,)
+
+
+@pytest.mark.parametrize("support", [(1, 0), (0, 0), (0, 2, 1)])
+def test_profile_constructor_refuses_indices_not_strictly_increasing(support):
+    weights = [1.0 / len(support)] * len(support)
+    with pytest.raises(DuplicateLabel, match="strictly increasing"):
+        EnergyProfile(support, [0.0] * len(support), weights)
+
+
 @pytest.mark.parametrize("index", [0.5, 2.0, True, "0", np.float64(1.0)],
                          ids=["float", "integral-float", "bool", "string", "numpy-float"])
 def test_profile_rejects_non_integer_index(index):
