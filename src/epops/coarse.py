@@ -7,29 +7,32 @@ and its fidelity is at least the cumulative fidelity of the T separate
 rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
 
-One row builder writes every curve.  A row's p_succ is the merged filter's
-own success probability s = p(U_T) + r_T q_rest; the running sum of the
-round probabilities (``recursive.cumulative``) differs from it only by
-rounding and by the spread of a ratio tie grouped within 1e-9.  The merged
-filter is the optimal filter at s (the KKT conditions in ``optimal``), so
+One row builder writes every curve; ``tradeoff_curve`` hands it the sorted
+columns cut at the group ends and builds no ``RatioTable`` or
+``ProtocolRun`` (the per-operation cost before and after is measured in
+``BENCH_pair_engine.json``).  A row's p_succ is the merged filter's own
+success probability s = p(U_T) + r_T q_rest; the running sum of the round
+probabilities (``recursive.cumulative``) differs from it only by rounding
+and by the spread of a ratio tie grouped within 1e-9.  The merged filter
+is the optimal filter at s (the KKT conditions in ``optimal``), so
 ``F_coarse`` is the frontier's segment expression at s.  The merged filter
 itself is built only by ``oracle.coarse_filter``, for
-``oracle.merge_residuals``, which compares it with the round filter
-weights summed over rounds 1..T and checks its generic fidelity and
-success probability.
+``oracle.merge_residuals``, which compares it with the round filter weights
+summed over rounds 1..T and checks its generic fidelity and success
+probability.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from itertools import count, islice
+from itertools import count, islice, repeat
 from operator import add, mul
 from typing import Iterable, NamedTuple, Tuple
 
 from .errors import BelowDoubleRange
-from .recursive import ProtocolRun, _round_count, _rounds, run_protocol
-from .spectra import EnergyProfile, _segment_fidelity
+from .recursive import ProtocolRun, _round_count, _rounds
+from .spectra import EnergyProfile, _group_cut, _ratio_columns, _segment_fidelity
 
 #: log of the smallest normal double; a row below it is refused, never printed.
 _LOG_MIN = math.log(sys.float_info.min)
@@ -61,8 +64,9 @@ def _rows(ratios, p_eroded, aligned, q_rest, f_recursive) -> TradeoffCurve:
     filter's p(U_T) + r_T q(rest), F_coarse the segment expression at it."""
     p_succ = list(map(add, p_eroded, map(mul, ratios, q_rest)))
     f_coarse = map(_segment_fidelity, aligned, p_eroded, q_rest, p_succ)
-    return TradeoffCurve(points=tuple(list(
-        map(CurvePoint, count(1), p_succ, f_recursive, f_coarse))))
+    # tuple.__new__ makes each CurvePoint from its zipped row in C.
+    return TradeoffCurve(tuple(list(map(tuple.__new__, repeat(CurvePoint),
+                                        zip(count(1), p_succ, f_recursive, f_coarse)))))
 
 
 def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
@@ -78,7 +82,10 @@ def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:
     One point per termination round T up to min(K, L), at the merged
     filter's success probability.
     """
-    return curve_from_run(run_protocol(p, q, K))
+    _, ratios, p_eroded, aligned, q_remaining = _group_cut(_ratio_columns(p, q))
+    ratios = ratios[:_round_count(K)]
+    _, _, f_recursive = _rounds(ratios, q_remaining)
+    return _rows(ratios, p_eroded[1:], aligned[1:], q_remaining[1:], f_recursive)
 
 
 def closed_form_curve(log_first: float, q_common: float,
@@ -100,6 +107,6 @@ def closed_form_curve(log_first: float, q_common: float,
             f"row 1 has p_succ 10^{log_first / math.log(10):.6g}, below the normal "
             f"double range ({sys.float_info.min!r}); no row is printed"
         )
-    ratios, p_eroded, aligned, q_rest = zip(*islice(groups, K))
+    ratios, p_eroded, aligned, q_rest = zip(*list(islice(groups, K)))
     _, _, f_recursive = _rounds(ratios, (q_common, *q_rest))
     return _rows(ratios, p_eroded, aligned, q_rest, f_recursive)

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain
-from operator import mul
+from itertools import chain, repeat
+from operator import mul, truediv
 from typing import NamedTuple, Tuple
 
 from .channels import SectorFilter
@@ -96,7 +96,7 @@ def _two_regime_columns(p0, q0, s1, p1, q1, p_succ: float) -> Tuple[list, float]
             f"not the requested {p_succ}"
         )
     c = max(excess, 0.0) / q_s1 if s1 else 0.0
-    xs = [c * b / a for a, b in zip(p1, q1)]
+    xs = list(map(truediv, map(mul, repeat(c), q1), p1))
     if xs and max(xs) > 1.0:
         for i, x in zip(s1, xs):
             if x > 1.0 + _SLACK:
@@ -175,8 +175,7 @@ class Frontier(NamedTuple):
             # it at exactly 1.
             k += 1
             xs, om = _two_regime_columns(pw[:k], qw[:k], order[k:], pw[k:], qw[k:], p_succ)
-        coeffs = dict.fromkeys(order[:k], 1.0)
-        coeffs.update(zip(order[k:], xs))
+        coeffs = dict(zip(order, chain(repeat(1.0, k), xs)))
         achieved = math.fsum(chain(pw[:k], map(mul, pw[k:], xs)))
         return TradeoffPoint(
             achieved, om * om / p_succ, SectorFilter(coeffs), tuple(sorted(order[:k]))

@@ -7,7 +7,9 @@ type, builders for the standard families (binomial, Poisson, uniform,
 sine), and the ratio table: the common spectrum of two profiles sorted by
 p_E/q_E, grouped into the distinct ratios r_1 < ... < r_L, with the prefix
 sums at the group boundaries from which the recursive protocol and its
-coarse-graining read every number.  It is the only place that sorts.
+coarse-graining read every number.  It is the only place that sorts.  A
+curve takes those sums straight from the sorted columns (``_group_cut``,
+which ``ratio_table`` runs too) and builds no ``ProtocolRun``.
 
 A sector is its integer index.  A profile holds three aligned columns:
 the indices, the energy values (shown, never used in a formula) and the
@@ -388,21 +390,20 @@ def _ratio_groups(ratios: Iterable[float]):
         group.append(r)
 
 
+def _group_cut(cols: RatioColumns) -> tuple:
+    """The columns cut at the group ends of :func:`_ratio_groups`: the ends,
+    the group ratios, and for k = 0..L the sums p(U_k), sqrt(pq) over U_k
+    and q outside U_k."""
+    ends, ratios = zip(*list(_ratio_groups(cols.ratios)))
+    cut = itemgetter(0, *ends)
+    return ends, ratios, cut(cols.p_before), cut(cols.aligned), cut(cols.q_from)
+
+
 def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
     """Sort the common spectrum by p_E/q_E and group near-equal ratios
     (:func:`_ratio_groups`)."""
     cols = _ratio_columns(p, q)
-    groups = list(_ratio_groups(cols.ratios))
-    ends = [end for end, _ in groups]
-    cut = itemgetter(0, *ends)
-    return RatioTable(
-        order=cols.order,
-        ends=tuple(ends),
-        ratios=tuple([ratio for _, ratio in groups]),
-        p_eroded=cut(cols.p_before),
-        aligned=cut(cols.aligned),
-        q_remaining=cut(cols.q_from),
-    )
+    return RatioTable(cols.order, *_group_cut(cols))
 
 
 def _log_factorials(n: int) -> List[float]:

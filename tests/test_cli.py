@@ -16,6 +16,7 @@ import pytest
 
 import epops
 import epops.recursive
+import epops.spectra
 from epops.apps import amplification, cloning, correction, estimation
 from epops.apps import (
     amplification_tradeoff,
@@ -370,20 +371,30 @@ def test_package_and_cli_import_leave_numpy_unloaded(tmp_path):
 
 
 @pytest.fixture
-def protocol_calls(monkeypatch):
-    """Record every call of run_protocol, wherever a module bound it."""
-    original = epops.recursive.run_protocol
-    calls = []
+def pair_passes(monkeypatch):
+    """Record every pass over a pair: each ratio sort (a keyed ``sorted``
+    call in ``epops.spectra``; the profile loaders sort indices without a
+    key) and each group cut, wherever a module bound ``_group_cut``, with
+    the pair cache emptied.  Every engine curve cuts its groups once, and
+    the cut keeps no cache, so a curve built twice is counted twice."""
+    passes = []
+    original = epops.spectra._group_cut
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def sort(rows, **kwargs):
+        if "key" in kwargs:
+            passes.append("sort")
+        return sorted(rows, **kwargs)
 
+    def cut(*args):
+        passes.append("cut")
+        return original(*args)
+
+    monkeypatch.setattr(epops.spectra, "_last", None)
+    monkeypatch.setattr(epops.spectra, "sorted", sort, raising=False)
     for name, module in list(sys.modules.items()):
-        bound = getattr(module, "run_protocol", None)
-        if name.split(".")[0] == "epops" and bound is original:
-            monkeypatch.setattr(module, "run_protocol", counted)
-    return calls
+        if name.split(".")[0] == "epops" and getattr(module, "_group_cut", None) is original:
+            monkeypatch.setattr(module, "_group_cut", cut)
+    return passes
 
 
 #: The apps whose curves come from closed forms: they run no protocol.
@@ -399,10 +410,11 @@ CLOSED_FORM_CALLS = (
     lambda: estimation_tradeoff("maxcoh", 11, 5),
     lambda: estimation_tradeoff("qubits", 6, 5),
 ])
-def test_each_app_call_runs_the_protocol_once(protocol_calls, call):
-    # Once for an engine app, never for a closed-form one.
+def test_each_app_call_runs_the_protocol_once(pair_passes, call):
+    # An engine app sorts its pair and cuts its groups once, a closed-form
+    # one never.
     call()
-    assert len(protocol_calls) == (call not in CLOSED_FORM_CALLS)
+    assert pair_passes == ([] if call in CLOSED_FORM_CALLS else ["sort", "cut"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -413,12 +425,14 @@ def test_each_app_call_runs_the_protocol_once(protocol_calls, call):
     ["amplify", "--r1", "1", "--r2", "1.5", "--cutoff", "30", "--rounds", "31"],
     ["correct", "--d", "12", "--mu", "0.7", "--rounds", "12"],
 ])
-def test_each_curve_subcommand_runs_the_protocol_once(tmp_path, protocol_calls, argv):
-    # Once for an engine subcommand, never for a closed-form one.
+def test_each_curve_subcommand_runs_the_protocol_once(tmp_path, pair_passes, argv):
+    # An engine subcommand sorts its pair and cuts its groups once, a
+    # closed-form one never.
     (tmp_path / "p.json").write_text(uniform_profile(5).to_json())
     (tmp_path / "q.json").write_text(sine_profile(4).to_json())
     assert run_cli(tmp_path, *argv, "--out", "out.csv") == 0
-    assert len(protocol_calls) == (argv[0] not in ("amplify", "correct"))
+    engine = argv[0] not in ("amplify", "correct")
+    assert pair_passes == (["sort", "cut"] if engine else [])
 
 
 def test_missing_required_flag_exits_2(tmp_path):
@@ -715,14 +729,14 @@ def test_closed_form_apps_use_no_engine(tmp_path, monkeypatch):
     # The README amplify and correct curves come out byte for byte with
     # the engine's sort, grouping table, protocol and Poisson builder broken.
     import epops.coarse
-    import epops.spectra
 
     def broken(*args, **kwargs):
         raise AssertionError("engine route called")
 
-    for module, name in [(epops.recursive, "run_protocol"), (epops.coarse, "run_protocol"),
-                         (epops.recursive, "ratio_table"), (epops.spectra, "ratio_table"),
-                         (epops.spectra, "_ratio_columns"), (epops.spectra, "poisson_profile")]:
+    for module, name in [(epops.recursive, "run_protocol"), (epops.coarse, "_ratio_columns"),
+                         (epops.coarse, "_group_cut"), (epops.recursive, "ratio_table"),
+                         (epops.spectra, "ratio_table"), (epops.spectra, "_ratio_columns"),
+                         (epops.spectra, "poisson_profile")]:
         monkeypatch.setattr(module, name, broken)
     for argv, outputs in README_INVOCATIONS:
         if argv[0] in ("amplify", "correct"):

@@ -21,7 +21,7 @@ import pytest
 from epops.apps.amplification import _log_normalizer
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.apps.estimation import estimation_profiles
-from epops.coarse import curve_from_run
+from epops.coarse import curve_from_run, tradeoff_curve
 from epops.errors import InfeasibleProbability, NoFeasiblePartition
 from epops.optimal import TradeoffPoint, optimal_tradeoff_point
 from epops.channels import SectorFilter, filter_success_probability
@@ -38,6 +38,7 @@ from epops.spectra import (
     sine_profile,
 )
 from reference_routes import assemble, two_regime
+from test_coarse import near_tie_pairs
 
 #: Builder weights may differ from the numpy route by this many ulps.
 _BUILDER_ULPS = 4
@@ -247,6 +248,15 @@ def test_merged_fidelities_match_numpy_route_bit_for_bit():
         for n in {1, table.length}:
             f_coarse = [pt.F_coarse for pt in curve_from_run(run_protocol(p, q, n)).points]
             assert f_coarse == numpy_merged_fidelities(ref, n).tolist()
+
+
+def test_curve_equals_the_curve_of_its_protocol_run():
+    # The two entry points to the row builder: the curve cut straight off
+    # the sorted columns, and the curve read from a ProtocolRun.
+    for p, q in [*all_pairs(), *near_tie_pairs()]:
+        L = ratio_table(p, q).length
+        for K in {1, max(L - 1, 1), L, L + 1, 10**6}:
+            assert tradeoff_curve(p, q, K) == curve_from_run(run_protocol(p, q, K)), K
 
 
 def test_optimal_point_matches_numpy_scan_bit_for_bit():

@@ -17,7 +17,7 @@ from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.coarse import tradeoff_curve
 from epops.oracle import exhaustive_tradeoff
-from epops.spectra import build_profile, common_support
+from epops.spectra import _segment_fidelity, build_profile, common_support
 from reference_routes import two_regime
 
 
@@ -216,6 +216,13 @@ def test_boundary_probability_takes_the_shortest_prefix():
         pt = optimal_tradeoff_point(p, q, b)
         assert pt.s0 == order[:j]
         assert pt.filter.coefficient(order[j]) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("s", [0.25, 0.3])
+def test_segment_fidelity_at_most_its_prefix_weight_is_the_prefix_overlap(s):
+    # At s <= P nothing past the prefix is transmitted: A^2 / s, and no
+    # square root of a negative excess is taken.
+    assert _segment_fidelity(0.4, 0.3, 0.5, s) == 0.4 * 0.4 / s
 
 
 def test_both_mode_names_run_the_same_scan():

@@ -266,10 +266,36 @@ def test_ambiguity_scan_flags_members_of_other_classes():
 
 #: Iterator builders with no length hint: a tuple taken from one grows
 #: by resizing, just as from a generator.
-UNSIZED_ITERATORS = {"map", "filter", "zip", "enumerate", "starmap", "accumulate", "chain"}
+UNSIZED_ITERATORS = {"map", "filter", "zip", "enumerate", "starmap", "accumulate", "chain",
+                     "islice"}
 
 
-def _unsized(arg) -> bool:
+def _generators(trees) -> set:
+    """Names of the functions in ``trees`` that yield: each call of one is a generator."""
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in ast.walk(node))}
+
+
+def _tuple_builds(tree, generators=frozenset()):
+    """Each call in ``tree`` that builds a tuple from an unsized iterable:
+    ``tuple(x)``, or ``f(*x)``, whose lone starred argument becomes the
+    argument tuple (``f(a, *x)`` gathers its arguments in a list first)."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or len(node.args) != 1:
+            continue
+        (arg,) = node.args
+        if isinstance(arg, ast.Starred):
+            source = arg.value
+        elif isinstance(node.func, ast.Name) and node.func.id == "tuple":
+            source = arg
+        else:
+            continue
+        if _unsized(source, generators):
+            yield node
+
+
+def _unsized(arg, generators=frozenset()) -> bool:
     if isinstance(arg, ast.GeneratorExp):
         return True
     if not isinstance(arg, ast.Call):
@@ -279,7 +305,7 @@ def _unsized(arg) -> bool:
         isinstance(arg.func, ast.Attribute) and arg.func.attr == "from_iterable"
     ) else arg.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name in UNSIZED_ITERATORS
+    return name in UNSIZED_ITERATORS or name in generators
 
 
 def test_engine_builds_no_tuple_from_a_generator():
@@ -289,13 +315,11 @@ def test_engine_builds_no_tuple_from_a_generator():
     root = Path(epops.__file__).parent
     engine = ("spectra", "channels", "recursive", "coarse", "optimal")
     paths = [root / f"{name}.py" for name in engine] + sorted((root / "apps").glob("*.py"))
-    found = [
-        f"{path.relative_to(root)}:{node.lineno}"
-        for path in paths
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-        and node.func.id == "tuple" and node.args and _unsized(node.args[0])
-    ]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    generators = _generators(trees.values())
+    assert {"_ratio_groups", "_poisson_rows"} <= generators
+    found = [f"{path.relative_to(root)}:{node.lineno}"
+             for path, tree in trees.items() for node in _tuple_builds(tree, generators)]
     assert not found, found
 
 
@@ -309,6 +333,7 @@ def test_engine_builds_no_tuple_from_a_generator():
     ("tuple(accumulate(y))", True),
     ("tuple(chain(a, b))", True),
     ("tuple(chain.from_iterable(y))", True),
+    ("tuple(islice(y, 3))", True),
     ("tuple(list(map(f, y)))", False),
     ("tuple([x for x in y])", False),
     ("tuple(sorted(y))", False),
@@ -316,6 +341,15 @@ def test_engine_builds_no_tuple_from_a_generator():
 ])
 def test_tuple_guard_flags_unsized_iterators(source, flagged):
     assert _unsized(ast.parse(source, mode="eval").body.args[0]) is flagged
+
+
+def test_tuple_guard_flags_starred_generators():
+    # A starred argument is packed into a tuple, grown from a generator
+    # just as tuple(...) is.
+    tree = ast.parse("def g():\n    yield 1\n"
+                     "zip(*g())\nzip(*list(g()))\nzip(*islice(y, 2))\nf(*rows)\n"
+                     "tuple(g())\nf(a, *g())\n")
+    assert [node.lineno for node in _tuple_builds(tree, _generators([tree]))] == [3, 5, 7]
 
 
 def test_no_module_checks_with_assert():
