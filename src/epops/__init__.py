@@ -15,7 +15,8 @@ from importlib import import_module
 
 
 def _lazy_exports(namespace: dict, modules: dict):
-    """PEP 562 ``__getattr__`` and ``__dir__`` for the package ``namespace``.
+    """PEP 562 ``__getattr__`` and ``__dir__`` for the package ``namespace``,
+    and its export names sorted, for ``__all__``.
 
     ``modules`` maps each submodule to the public names it defines, as one
     space-separated string.  A name resolves by importing its submodule on
@@ -34,10 +35,10 @@ def _lazy_exports(namespace: dict, modules: dict):
     def __dir__():
         return sorted(namespace.keys() | exports.keys())
 
-    return __getattr__, __dir__
+    return __getattr__, __dir__, sorted(exports)
 
 
-__getattr__, __dir__ = _lazy_exports(globals(), {
+__getattr__, __dir__, __all__ = _lazy_exports(globals(), {
     "channels": "SectorFilter deterministic_fidelity filter_fidelity "
                 "filter_success_probability",
     "coarse": "CurvePoint TradeoffCurve tradeoff_curve",
@@ -49,31 +50,4 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
 })
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EnergyProfile",
-    "EpopsError",
-    "RatioTable",
-    "SectorFilter",
-    "TradeoffCurve",
-    "CurvePoint",
-    "TradeoffPoint",
-    "ProtocolRound",
-    "ProtocolRun",
-    "binomial_profile",
-    "build_profile",
-    "common_support",
-    "cumulative",
-    "deterministic_fidelity",
-    "filter_fidelity",
-    "filter_success_probability",
-    "optimal_tradeoff_point",
-    "poisson_profile",
-    "ratio_table",
-    "run_protocol",
-    "sine_profile",
-    "tradeoff_curve",
-    "ultimate_optimum",
-    "uniform_profile",
-    "__version__",
-]
+__all__.append("__version__")

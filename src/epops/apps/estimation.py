@@ -17,12 +17,14 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Sequence, Tuple
 
-from ..coarse import curve_from_run
+from ..coarse import _rows
 from ..errors import NotNormalized, NotOdd, TooLarge
-from ..recursive import ProtocolRun, run_protocol
+from ..recursive import _round_count, _rounds
 from ..spectra import (
     EnergyProfile,
+    _group_cut,
     _integer,
+    _ratio_columns,
     binomial_profile,
     sine_profile,
     uniform_profile,
@@ -106,47 +108,6 @@ def _exact(x: float, e: int) -> int:
     return num << (e + 1 - den.bit_length())
 
 
-def _pair_sums(run: ProtocolRun, *doubles: Sequence[float]) -> Tuple[int, list, list]:
-    """Unit exponent e; each column of ``doubles`` in units of 2^-e; per
-    round, OO and Q before it erodes its group, UU, UO, OO after.
-
-    Over adjacent common sectors i, j: UU sums sqrt(p_i) sqrt(p_j) with both
-    eroded, UO sqrt(p_i) sqrt(q_j) with only i, OO sqrt(q_i) sqrt(q_j) with
-    neither; Q is the target weight not eroded.  Each root is rounded once
-    and kept exact (the root of a product can underflow).  e >= 54 is the
-    least at which the roots, the weights q_i and ``doubles`` are integers
-    in units of 2^-e, as is each rounded round gain in [1/2, 1]; so every
-    sum is an exact integer: Q in units of 2^-e and the pair sums in 2^-2e.
-    """
-    table, pw, qw = run.table, run.input._by_index, run.target._by_index
-    order = table.order
-    q_col = list(map(qw.get, order))
-    fractions = [list(map(float.as_integer_ratio, column)) for column in (
-        *doubles, q_col, map(math.sqrt, map(pw.get, order)), map(math.sqrt, q_col))]
-    e = max(max([den for column in fractions for _, den in column]).bit_length() - 1, 54)
-    *exact, q_exact, root_p, root_q = [
-        [num << (e + 1 - den.bit_length()) for num, den in column] for column in fractions]
-    q_exact, root_p, root_q = (dict(zip(order, c)) for c in (q_exact, root_p, root_q))
-    uu = uo = 0
-    oo = sum([root_q[i] * root_q[i + 1] for i in root_q if i + 1 in root_q])
-    q_left = sum(q_exact.values())
-    eroded, rows = set(), []
-    for a, b in zip((0,) + table.ends, table.ends[: len(run.fidelities)]):
-        before = (oo, q_left)
-        for i in order[a:b]:
-            for j in (i - 1, i + 1):
-                if j in eroded:
-                    uo -= root_p[j] * root_q[i]
-                    uu += root_p[i] * root_p[j]
-                elif j in root_q:
-                    oo -= root_q[i] * root_q[j]
-                    uo += root_p[i] * root_q[j]
-            eroded.add(i)
-            q_left -= q_exact[i]
-        rows.append((*before, uu, uo, oo))
-    return e, exact, rows
-
-
 def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     """Fidelity and gain against success probability for T = 1..min(K, L).
 
@@ -157,27 +118,54 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     1/2 + (UU + sqrt(r_T) UO + r_T OO) / (2 p_succ) after round T, and mass
     p(U_T) / p_succ + r_T q_rest / p_succ, which must be 1 within 1e-10 or
     :class:`NotNormalized` is raised; here p_succ is the protocol's running
-    sum, and a row prints the merged filter's own.  Every gain is an exact
-    integer ratio, from the exact pair sums and the exact values of the
-    doubles r_T, sqrt(r_T), the round probabilities and p_succ, rounded
-    once by its one division.
+    sum, and a row prints the merged filter's own.
+
+    Over adjacent common sectors i, j: UU sums sqrt(p_i) sqrt(p_j) with both
+    eroded, UO sqrt(p_i) sqrt(q_j) with only i, OO sqrt(q_i) sqrt(q_j) with
+    neither; Q is the target weight not eroded.  Each root is rounded once
+    and kept exact (the root of a product can underflow).  e >= 54 is the
+    least at which the roots, the weights q_i, the doubles r_T, sqrt(r_T),
+    the round probabilities and p_succ, and each rounded round gain in
+    [1/2, 1] are integers in units of 2^-e; so Q is an exact integer in
+    units of 2^-e, the pair sums in 2^-2e, and every gain an exact integer
+    ratio, rounded once by its one division.
     """
     p, q = estimation_profiles(mode, N)
-    run = run_protocol(p, q, K)
-    table, weighted, points = run.table, 0, []
-    ratios = table.ratios[: len(run.fidelities)]
-    e, exact, sums = _pair_sums(run, run.probabilities, ratios,
-                                list(map(math.sqrt, ratios)), run.p_succ)
-    for cp, total, r, pr_x, r_x, root_x, s, (oo_k, q_k, uu, uo, oo) in zip(
-            curve_from_run(run).points, run.p_succ, ratios, *exact, sums):
-        mass = table.p_eroded[cp.T] / total + r / total * table.q_remaining[cp.T]
+    cols = _ratio_columns(p, q)
+    ends, ratios, p_eroded, aligned, q_remaining = _group_cut(cols)
+    ratios = ratios[:_round_count(K)]
+    probabilities, p_succ, f_recursive = _rounds(ratios, q_remaining)
+    curve = _rows(ratios, p_eroded[1:], aligned[1:], q_remaining[1:], f_recursive)
+    fractions = [list(map(float.as_integer_ratio, column)) for column in (
+        probabilities, ratios, map(math.sqrt, ratios), p_succ,
+        cols.qw, map(math.sqrt, cols.pw), map(math.sqrt, cols.qw))]
+    e = max(max([den for column in fractions for _, den in column]).bit_length() - 1, 54)
+    pr_x, r_x, root_x, s_x, q_x, root_p, root_q = [
+        [num << (e + 1 - den.bit_length()) for num, den in column] for column in fractions]
+    root_p, root_q = dict(zip(cols.order, root_p)), dict(zip(cols.order, root_q))
+    uu = uo = weighted = 0
+    oo = sum([root_q[i] * root_q[i + 1] for i in root_q if i + 1 in root_q])
+    q_left, eroded, points = sum(q_x), set(), []
+    for cp, a, b, total, r, pr, r_e, root_r, s in zip(
+            curve.points, (0,) + ends, ends, p_succ, ratios, pr_x, r_x, root_x, s_x):
+        mass = p_eroded[cp.T] / total + r / total * q_remaining[cp.T]
         if not abs(mass - 1.0) <= _NORM_TOL:
             raise NotNormalized(
                 f"the merged filter of rounds 1..{cp.T} has success probability "
                 f"{mass!r} times p_succ, expected 1"
             )
-        weighted += pr_x * _exact(((q_k << e) + oo_k) / (q_k << (e + 1)), e)
-        pairs = (uu << e) + root_x * uo + r_x * oo
+        weighted += pr * _exact(((q_left << e) + oo) / (q_left << (e + 1)), e)
+        for i in cols.order[a:b]:
+            for j in (i - 1, i + 1):
+                if j in eroded:
+                    uo -= root_p[j] * root_q[i]
+                    uu += root_p[i] * root_p[j]
+                elif j in root_q:
+                    oo -= root_q[i] * root_q[j]
+                    uo += root_p[i] * root_q[j]
+            eroded.add(i)
+        q_left -= sum(q_x[a:b])
+        pairs = (uu << e) + root_r * uo + r_e * oo
         # The curve row's four columns, then the two gains.
         points.append(GainPoint(*cp, weighted / (s << e),
                                 ((s << 2 * e) + pairs) / (s << (2 * e + 1))))

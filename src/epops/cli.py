@@ -117,13 +117,13 @@ def _cmd_correct(args: argparse.Namespace) -> int:
 
 
 def _cmd_purify(args: argparse.Namespace) -> int:
-    from .mixedstate import purification_report
+    from .mixedstate import FIDELITY_TIE_REL, purification_report
 
     report = purification_report(args.n, args.beta)
     sectors = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
     text = "N,beta,F_det,F_prob,p_max\n%d,%.6g,%.6g,%.6g,%.6g\n" % (
         report.N, report.beta, report.F_det, report.F_prob, report.p_max)
-    return _write_output(args, text, {"fidelity_tie_rel": 1e-12},
+    return _write_output(args, text, {"fidelity_tie_rel": FIDELITY_TIE_REL},
                          sidecars=((".sectors.json", sectors),))
 
 

@@ -7,19 +7,19 @@ and its fidelity is at least the cumulative fidelity of the T separate
 rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
 
-One row builder writes every curve; ``tradeoff_curve`` hands it the sorted
-columns cut at the group ends and builds no ``RatioTable`` or
-``ProtocolRun`` (the per-operation cost before and after is measured in
-``BENCH_pair_engine.json``).  A row's p_succ is the merged filter's own
-success probability s = p(U_T) + r_T q_rest; the running sum of the round
-probabilities (``recursive.cumulative``) differs from it only by rounding
-and by the spread of a ratio tie grouped within 1e-9.  The merged filter
-is the optimal filter at s (the KKT conditions in ``optimal``), so
-``F_coarse`` is the frontier's segment expression at s.  The merged filter
-itself is built only by ``oracle.coarse_filter``, for
-``oracle.merge_residuals``, which compares it with the round filter weights
-summed over rounds 1..T and checks its generic fidelity and success
-probability.
+One row builder writes every curve: ``tradeoff_curve`` and
+``apps.estimation`` hand it the sorted columns cut at the group ends and
+build no ``RatioTable`` or ``ProtocolRun`` (the per-operation cost before
+and after is measured in ``BENCH_pair_engine.json``).  A row's p_succ is
+the merged filter's own success probability s = p(U_T) + r_T q_rest; the
+running sum of the round probabilities (``recursive.cumulative``) differs
+from it only by rounding and by the spread of a ratio tie grouped within
+1e-9.  The merged filter is the optimal filter at s (the KKT conditions in
+``optimal``), so ``F_coarse`` is the frontier's segment expression at s.
+The merged filter itself is built only by ``oracle.coarse_filter``, for
+``oracle.merge_residuals``, which compares it with the round filter
+weights summed over rounds 1..T, its generic fidelity with the row of
+``tradeoff_curve`` and its success probability with the running sum.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from operator import add, mul
 from typing import Iterable, NamedTuple, Tuple
 
 from .errors import BelowDoubleRange
-from .recursive import ProtocolRun, _round_count, _rounds
+from .recursive import _round_count, _rounds
 from .spectra import EnergyProfile, _group_cut, _ratio_columns, _segment_fidelity
 
 #: log of the smallest normal double; a row below it is refused, never printed.
@@ -67,13 +67,6 @@ def _rows(ratios, p_eroded, aligned, q_rest, f_recursive) -> TradeoffCurve:
     # tuple.__new__ makes each CurvePoint from its zipped row in C.
     return TradeoffCurve(tuple(list(map(tuple.__new__, repeat(CurvePoint),
                                         zip(count(1), p_succ, f_recursive, f_coarse)))))
-
-
-def curve_from_run(run: ProtocolRun) -> TradeoffCurve:
-    """Recursive and merged fidelities of ``run`` against success probability."""
-    table, cut = run.table, slice(1, len(run.fidelities) + 1)
-    return _rows(table.ratios, table.p_eroded[cut], table.aligned[cut],
-                 table.q_remaining[cut], run.f_recursive)
 
 
 def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:

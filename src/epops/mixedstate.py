@@ -26,7 +26,6 @@ from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .errors import (
-    ConsistencyError,
     DimensionMismatch,
     DisjointSpectra,
     NotBlockPositive,
@@ -39,6 +38,8 @@ _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _SUPPORT_CUT = 1e-12
 _DEGENERACY_TOL = 1e-9
+#: Relative gap within which two purification fidelities tie.
+FIDELITY_TIE_REL = 1e-12
 #: Largest stray entry or negative eigenvalue a block-positive block may show.
 _BLOCK_TOL = 1e-10
 #: Bound on |log| of the thermal normalizer (2 cosh beta)^N and of the
@@ -328,15 +329,11 @@ def _check_spin_count(N: int) -> None:
 
 
 def spin_multiplicities(N: int) -> Dict[float, int]:
-    """Exact degeneracy of each total angular momentum l for odd N."""
+    """Exact degeneracy C(N, k) - C(N, k-1), k = N/2 - l, of each total
+    angular momentum l for odd N."""
     _check_spin_count(N)
-    out = {}
-    for j in range(1, N + 1, 2):
-        count, rest = divmod((2 * j + 2) * math.comb(N, (N + j) // 2), N + j + 2)
-        if rest:
-            raise ConsistencyError(f"remainder of the l={j}/2 multiplicity", rest, 0, 0)
-        out[j / 2] = count
-    return out
+    return {j / 2: math.comb(N, k) - (math.comb(N, k - 1) if k else 0)
+            for j, k in zip(range(1, N + 1, 2), range((N - 1) // 2, -1, -1))}
 
 
 def spin_sector_model(N: int, beta: float) -> Tuple[SpinSector, ...]:
@@ -449,8 +446,8 @@ def purification_report(N: int, beta: float) -> PurificationReport:
     sums the four central matrix elements over sectors, the probabilistic
     optimum picks the l with the best normalized off-diagonal element,
     and its probability carries the full multiplicity of that l.  Ties in
-    fidelity (within 1e-12 relative) resolve toward the larger
-    probability.
+    fidelity (within :data:`FIDELITY_TIE_REL` relative) resolve toward the
+    larger probability.
     """
     _check_spin_count(N)
     if N > 21:
@@ -475,8 +472,8 @@ def purification_report(N: int, beta: float) -> PurificationReport:
         )
     best = rows[0]
     for row in rows[1:]:
-        if row.fidelity > best.fidelity * (1.0 + 1e-12) or (
-            abs(row.fidelity - best.fidelity) <= 1e-12 * max(best.fidelity, 1.0)
+        if row.fidelity > best.fidelity * (1.0 + FIDELITY_TIE_REL) or (
+            abs(row.fidelity - best.fidelity) <= FIDELITY_TIE_REL * max(best.fidelity, 1.0)
             and row.probability > best.probability
         ):
             best = row

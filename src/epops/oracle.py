@@ -98,12 +98,11 @@ def hilbert_model(
 
 
 def embed_profile(
-    model: HilbertModel, p: EnergyProfile, rng: np.random.Generator | None = None
+    model: HilbertModel, p: EnergyProfile, rng: np.random.Generator
 ) -> np.ndarray:
     """A state vector whose sector weights reproduce the profile.
 
-    Without a generator the weight goes on each sector's first basis
-    vector; with one, the intra-sector direction and phase are random, so
+    The intra-sector direction and phase are drawn from ``rng``, so
     repeated embeddings exercise alignment rather than assume it.
     """
     missing = [i for i in p.support if i not in model.labels]
@@ -113,12 +112,8 @@ def embed_profile(
     for i in p.support:
         sl = model.slices[i]
         d = sl.stop - sl.start
-        if rng is None:
-            direction = np.zeros(d, dtype=complex)
-            direction[0] = 1.0
-        else:
-            direction = rng.normal(size=d) + 1j * rng.normal(size=d)
-            direction /= np.linalg.norm(direction)
+        direction = rng.normal(size=d) + 1j * rng.normal(size=d)
+        direction /= np.linalg.norm(direction)
         psi[sl] = math.sqrt(p.weight(i)) * direction
     return psi
 
@@ -239,7 +234,7 @@ def simulate_protocol(
     p: EnergyProfile,
     q: EnergyProfile,
     K: int,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> SimulationResult:
     """Run the greedy best-fidelity-first protocol on explicit matrices.
 
@@ -511,15 +506,16 @@ def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
     summed over rounds 1..T with ``coarse_filter(run, T)``, ``fidelity``
     compares the curve's merged fidelity with the generic fidelity of that
     filter, and ``probability`` compares the filter's success probability
-    with the cumulative one.  :data:`MERGE_TOLERANCES` holds the allowed
-    gaps.
+    with the cumulative one.  The curve is ``tradeoff_curve(p, q, K)``, the
+    one the CLI prints, with K the rounds of ``run``.
+    :data:`MERGE_TOLERANCES` holds the allowed gaps.
     """
-    from .coarse import curve_from_run
+    from .coarse import tradeoff_curve
 
     p, q = run.input, run.target
     weights = round_filter_weights(run)
     summed = np.cumsum([[m[i] for i in p.support] for m in weights], axis=0)
-    curve = curve_from_run(run).points
+    curve = tradeoff_curve(p, q, len(run.fidelities)).points
     gaps = []
     for T, row in enumerate(summed, start=1):
         merged = coarse_filter(run, T)

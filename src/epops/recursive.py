@@ -10,12 +10,12 @@ fidelity is the target weight remaining on the uneroded spectrum, and the
 round success probability is the ratio increment r_k - r_{k-1} times that
 fidelity; the cumulative probability and fidelity are their running sums.
 ``_rounds`` writes this recursion for ``run_protocol`` and for every curve
-of ``coarse``, none of which builds a ``ProtocolRun``; a curve row prints
-the merged filter's probability, not this running sum.  A round is a
-record of these numbers only.  The second route to the round filters,
-their weights m_E per input sector, lives in ``oracle.round_filter_weights``,
-which ``epops verify`` compares with a matrix simulation and with the
-merged filters.
+of ``coarse`` and ``apps.estimation``, none of which builds a
+``ProtocolRun``; a curve row prints the merged filter's probability, not
+this running sum.  A round is a record of these numbers only.  The second
+route to the round filters, their weights m_E per input sector, lives in
+``oracle.round_filter_weights``, which ``epops verify`` compares with a
+matrix simulation and with the merged filters.
 """
 
 from __future__ import annotations

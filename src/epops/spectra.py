@@ -8,8 +8,9 @@ sine), and the ratio table: the common spectrum of two profiles sorted by
 p_E/q_E, grouped into the distinct ratios r_1 < ... < r_L, with the prefix
 sums at the group boundaries from which the recursive protocol and its
 coarse-graining read every number.  It is the only place that sorts.  A
-curve takes those sums straight from the sorted columns (``_group_cut``,
-which ``ratio_table`` runs too) and builds no ``ProtocolRun``.
+curve, and the estimation gain, take those sums straight from the sorted
+columns (``_group_cut``, which ``ratio_table`` runs too) and build no
+``ProtocolRun``.
 
 A sector is its integer index.  A profile holds three aligned columns:
 the indices, the energy values (shown, never used in a formula) and the

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from epops.apps.amplification import amplification_tradeoff
 from epops.apps.correction import correction_tradeoff, damped_profile, uniform_levels
-from epops.coarse import curve_from_run
+from epops.coarse import tradeoff_curve
 from epops.optimal import frontier
 from epops.recursive import run_protocol
 from epops.spectra import poisson_profile
@@ -62,8 +62,7 @@ def relative_errors(p, q, targets):
     Frontier.point, at each curve probability and each of ``targets``.
     A curve probability that passes 1 (grouped ratios can put it 5e-12
     above) is outside the frontier's domain and is skipped."""
-    run = run_protocol(p, q, 10**6)
-    points = curve_from_run(run).points
+    run, points = run_protocol(p, q, 10**6), tradeoff_curve(p, q, 10**6).points
     targets = [s for s in [*run.p_succ, *targets] if s <= 1.0]
     front, optimal = frontier(p, q), decimal_frontier(p, q, targets)
     optima = [front.point(s) for s in targets]
@@ -98,9 +97,8 @@ P_SUCC_BOUNDS = {"readme": 7.2e-16, "damped": 1.9e-14, "near-tie": 3.9e-16}
 
 
 def p_succ_errors(p, q):
-    run = run_protocol(p, q, 10**6)
-    return _relative((pt.p_succ for pt in curve_from_run(run).points),
-                     [s for s, _ in decimal_merged_filters(run)])
+    return _relative((pt.p_succ for pt in tradeoff_curve(p, q, 10**6).points),
+                     [s for s, _ in decimal_merged_filters(run_protocol(p, q, 10**6))])
 
 
 def test_curve_p_succ_against_a_decimal_reference():
@@ -184,6 +182,6 @@ def test_closed_form_apps_are_within_twice_the_engine_error_on_the_readme_curves
                     "correct": (damped_profile(100, 0.9), uniform_levels(100))}
     for app, (p, q) in engine_pairs.items():
         points, reference = app_curve(app, APP_CASES[app][0])
-        engine = curve_from_run(run_protocol(p, q, len(points))).points
+        engine = tradeoff_curve(p, q, len(points)).points
         ours, theirs = column_errors(points, reference), column_errors(engine, reference)
         assert all(ours[name] <= 2.0 * theirs[name] for name in COLUMNS), (app, ours, theirs)

@@ -12,7 +12,7 @@ import pytest
 
 from epops.apps import amplification_tradeoff
 from epops.apps.amplification import fidelity_floor, tail_deficit
-from epops.coarse import curve_from_run
+from epops.coarse import tradeoff_curve
 from epops.errors import BelowDoubleRange, CutoffTooSmall, RatioOverflow
 from epops.recursive import run_protocol
 from epops.spectra import poisson_profile, ratio_table
@@ -38,7 +38,7 @@ def assert_matches_engine(r1, r2, cutoff, K):
     and, where every group is one sector, each round probability too."""
     app = amplification_tradeoff(r1, r2, cutoff, K).curve.points
     run = engine_run(r1, r2, cutoff, K)
-    engine = curve_from_run(run).points
+    engine = tradeoff_curve(run.input, run.target, K).points
     assert len(app) == len(engine)
     for a, e in zip(app, engine):
         for name in ("p_succ", "F_recursive", "F_coarse"):

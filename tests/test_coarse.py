@@ -10,7 +10,7 @@ import pytest
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.apps.estimation import estimation_profiles
 from epops.channels import deterministic_fidelity, filter_success_probability
-from epops.coarse import curve_from_run, tradeoff_curve
+from epops.coarse import tradeoff_curve
 from epops.errors import RoundOutOfRange
 from epops.oracle import MERGE_TOLERANCES, coarse_filter, merge_residuals
 from epops.recursive import cumulative, run_protocol
@@ -68,7 +68,7 @@ def test_coarse_fidelity_dominates_recursive():
     for _ in range(20):
         p, q = random_subset_pair(rng, int(rng.integers(2, 7)))
         run = run_protocol(p, q, 100)
-        for pt in curve_from_run(run).points:
+        for pt in tradeoff_curve(p, q, 100).points:
             assert pt.F_coarse >= cumulative(run, pt.T)[1] - 1e-12
 
 
@@ -80,7 +80,7 @@ def test_coarse_endpoint_is_deterministic_fidelity():
         p, q = random_subset_pair(rng, int(rng.integers(2, 6)))
         run = run_protocol(p, q, 100)
         L = len(run.rounds)
-        assert curve_from_run(run).points[L - 1].F_coarse == pytest.approx(
+        assert tradeoff_curve(p, q, 100).points[L - 1].F_coarse == pytest.approx(
             deterministic_fidelity(p, q), abs=1e-12
         )
         merged = coarse_filter(run, L)
@@ -207,13 +207,6 @@ def test_closed_form_merged_filters_match_second_routes(family):
         residuals = merge_residuals(run)
         for name, tol in MERGE_TOLERANCES.items():
             assert residuals[name] <= tol, (name, residuals[name])
-
-
-def test_curve_reads_no_round_objects():
-    p, q = random_subset_pair(np.random.default_rng(89), 6)
-    run = run_protocol(p, q, 100)
-    curve_from_run(run)
-    assert "rounds" not in vars(run)
 
 
 def test_large_random_curve_stays_fast():

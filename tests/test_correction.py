@@ -9,7 +9,7 @@ import pytest
 
 from epops.apps import correction_tradeoff, haar_average_fidelity
 from epops.apps.correction import damped_profile, round_probability, uniform_levels
-from epops.coarse import curve_from_run
+from epops.coarse import tradeoff_curve
 from epops.errors import BelowDoubleRange
 from epops.recursive import run_protocol
 
@@ -120,8 +120,7 @@ ENGINE_GRID = [(100, 0.9), (6, 0.5), (12, 0.7), (7, 0.3), (400, 0.999), (1600, 0
 def test_curve_matches_engine_route(d, mu):
     for K in (d, 3):
         res = correction_tradeoff(d, mu, K)
-        run = run_protocol(damped_profile(d, mu), uniform_levels(d), K)
-        engine = curve_from_run(run).points
+        engine = tradeoff_curve(damped_profile(d, mu), uniform_levels(d), K).points
         assert len(res.sector_curve.points) == len(engine)
         for a, e in zip(res.sector_curve.points, engine):
             for name in ("p_succ", "F_recursive", "F_coarse"):

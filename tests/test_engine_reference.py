@@ -21,7 +21,7 @@ import pytest
 from epops.apps.amplification import _log_normalizer
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.apps.estimation import estimation_profiles
-from epops.coarse import curve_from_run, tradeoff_curve
+from epops.coarse import _rows, tradeoff_curve
 from epops.errors import InfeasibleProbability, NoFeasiblePartition
 from epops.optimal import TradeoffPoint, optimal_tradeoff_point
 from epops.channels import SectorFilter, filter_success_probability
@@ -246,17 +246,21 @@ def test_merged_fidelities_match_numpy_route_bit_for_bit():
     for p, q in all_pairs():
         table, ref = ratio_table(p, q), numpy_ratio_table(p, q)
         for n in {1, table.length}:
-            f_coarse = [pt.F_coarse for pt in curve_from_run(run_protocol(p, q, n)).points]
+            f_coarse = [pt.F_coarse for pt in tradeoff_curve(p, q, n).points]
             assert f_coarse == numpy_merged_fidelities(ref, n).tolist()
 
 
 def test_curve_equals_the_curve_of_its_protocol_run():
-    # The two entry points to the row builder: the curve cut straight off
-    # the sorted columns, and the curve read from a ProtocolRun.
+    # The curve cut straight off the sorted columns, and the row builder
+    # fed the group-end columns of a RatioTable and a ProtocolRun's rounds.
     for p, q in [*all_pairs(), *near_tie_pairs()]:
         L = ratio_table(p, q).length
         for K in {1, max(L - 1, 1), L, L + 1, 10**6}:
-            assert tradeoff_curve(p, q, K) == curve_from_run(run_protocol(p, q, K)), K
+            run = run_protocol(p, q, K)
+            table, cut = run.table, slice(1, len(run.fidelities) + 1)
+            from_run = _rows(table.ratios, table.p_eroded[cut], table.aligned[cut],
+                             table.q_remaining[cut], run.f_recursive)
+            assert tradeoff_curve(p, q, K) == from_run, K
 
 
 def test_optimal_point_matches_numpy_scan_bit_for_bit():

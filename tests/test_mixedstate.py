@@ -51,6 +51,21 @@ def test_block_density_validation():
     assert np.trace(bd.block(1, 1)).real == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: BlockDensity([(0, 0.0, 2)], np.eye(3) / 3), DimensionMismatch,
+     "does not match total dimension 2"),
+    (lambda: BlockDensity([(0, 0.0, 2)], [[0.5, 0.1], [0.0, 0.5]]), DimensionMismatch,
+     "not Hermitian"),
+    (lambda: BlockDensity([(0, 0.0, 2)], [[1.5, 0.0], [0.0, -0.5]]), ValueError,
+     "negative eigenvalue"),
+    (lambda: block_density([(0, 0.0, 1)], {(0, 1): [[0.1]]}), DimensionMismatch,
+     "unknown sector"),
+], ids=["shape", "non-hermitian", "negative-eigenvalue", "unknown-sector"])
+def test_block_density_refusals(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_missing_blocks_default_to_zero():
     bd = block_density(
         [(0, 0.0, 1), (1, 1.0, 2)],

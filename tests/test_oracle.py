@@ -81,7 +81,7 @@ def test_embed_profile_needs_matching_sectors():
     model = hilbert_model({0: 1})
     p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
     with pytest.raises(DimensionMismatch):
-        embed_profile(model, p)
+        embed_profile(model, p, np.random.default_rng(0))
 
 
 def test_block_unitary_is_energy_preserving():

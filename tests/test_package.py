@@ -1,6 +1,8 @@
 """The package surface: lazy exports, read-only types, no bare asserts, no sampling."""
 
 import ast
+import copy
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -108,6 +110,20 @@ def test_fields_cannot_be_assigned():
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
         assert getattr(obj, name) is not None, type(obj).__name__
+
+
+def test_value_types_survive_copy_and_pickle():
+    # copy and pickle restore the fields through Frozen.__setstate__, a
+    # ProtocolRun's cached rounds too, and the clone stays read-only.
+    run = run_protocol(uniform_profile(3), sine_profile(3), 4)
+    run.rounds
+    for obj in (uniform_profile(5), SectorFilter({0: 1.0, 2: 0.25}), run):
+        state = obj.__reduce_ex__(2)[2]
+        for clone in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(clone) is type(obj)
+            assert clone.__reduce_ex__(2)[2] == state
+            with pytest.raises(AttributeError):
+                clone.support = None
 
 
 ENGINE = ("spectra", "channels", "recursive", "coarse", "optimal")
