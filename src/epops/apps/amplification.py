@@ -4,9 +4,9 @@ Raising a coherent amplitude r1 to r2 > r1 converts one truncated Poisson
 number profile into another: weights r^(2n)/(n! Z(r)) on n = 0..cutoff,
 with Z(r) the truncated normalizer (close to e^(r^2)).  The weight ratios
 (Z(r2)/Z(r1)) (r1/r2)^(2n) are geometric, so the ratio order is n =
-cutoff, ..., 0, grouped by the engine's rule.  Each column of a row is a
-Poisson sum with every term taken from the log domain: p(U_T) and the
-sqrt(pq) sum over the top sectors, and q(rest) summed from n = 0 up.
+cutoff, ..., 0.  A sector's row is its ratio and Poisson sums with every
+term from the log domain: p(U) and the sqrt(pq) sum over the sectors from
+the top down to it, and q(rest) from n = 0 up; ``_ratio_groups`` groups them.
 :func:`fidelity_floor` bounds each round's fidelity by the Poisson tail.
 The generic engine on two ``poisson_profile``s is the second route to
 these curves, and the floor a check on them, in the tests.
@@ -15,7 +15,7 @@ these curves, and the floor a check on them, in the tests.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import List, NamedTuple, Optional
 
 from ..coarse import TradeoffCurve, closed_form_curve
@@ -64,22 +64,19 @@ def _log_normalizer(r: float, log_factorials: List[float]) -> float:
     return top + math.log(math.fsum(math.exp(t - top) for t in terms))
 
 
-def _poisson_rows(lf: List[float], lr1: float, lr2: float, lz1: float, lz2: float):
+def _poisson_groups(lf: List[float], lr1: float, lr2: float, lz1: float, lz2: float):
     """Per ratio group T: r_T, p(U_T), the sqrt(pq) sum over U_T and q(rest),
     from the log n!, the logs of r1 and r2 and of their normalizers."""
     cutoff = len(lf) - 1
     top = range(cutoff, -1, -1)
-    # q(rest) after the top e sectors is q_head[cutoff + 1 - e].
+    # q(rest) once the top sectors down to n are eroded is q_head[n].
     q_head = list(accumulate(
-        (math.exp(2.0 * n * lr2 - lf[n] - lz2) for n in range(cutoff + 1)), initial=0.0))
-    ratios = (math.exp(lz2 - lz1 + 2.0 * n * (lr1 - lr2)) for n in top)
-    p_eroded = accumulate(math.exp(2.0 * n * lr1 - lf[n] - lz1) for n in top)
-    aligned = accumulate(math.exp(n * (lr1 + lr2) - lf[n] - 0.5 * (lz1 + lz2)) for n in top)
-    done = 0
-    for end, r in _ratio_groups(ratios):
-        skip, done = end - done - 1, end
-        yield (r, next(islice(p_eroded, skip, None)), next(islice(aligned, skip, None)),
-               q_head[cutoff + 1 - end])
+        (math.exp(2.0 * n * lr2 - lf[n] - lz2) for n in range(cutoff)), initial=0.0))
+    yield from _ratio_groups(zip(
+        (math.exp(lz2 - lz1 + 2.0 * n * (lr1 - lr2)) for n in top),
+        accumulate(math.exp(2.0 * n * lr1 - lf[n] - lz1) for n in top),
+        accumulate(math.exp(n * (lr1 + lr2) - lf[n] - 0.5 * (lz1 + lz2)) for n in top),
+        reversed(q_head)))
 
 
 def amplification_tradeoff(
@@ -117,7 +114,7 @@ def amplification_tradeoff(
         else:
             lr1, lr2 = math.log(r1), math.log(r2)
             curve = closed_form_curve(lz2 - lz1 + 2.0 * cutoff * (lr1 - lr2), 1.0,
-                                      _poisson_rows(lf, lr1, lr2, lz1, lz2), K)
+                                      _poisson_groups(lf, lr1, lr2, lz1, lz2), K)
     except OverflowError:
         raise RatioOverflow(
             f"a weight ratio p/q within the first {K} rounds is past the double range"

@@ -3,14 +3,14 @@
 A damping filter with strength mu leaves a uniformly weighted qudit with
 geometric level weights mu^(n-1)(1-mu)/(1-mu^d); correction steers them
 back to uniform.  The weight ratio d mu^(n-1)(1-mu)/(1-mu^d) falls with
-the level n, so the ratio order is d, d-1, ..., 1, grouped by the
-engine's rule, and every column of a row is a geometric series evaluated
-in the log domain: p(U_T), the sqrt(pq) sum over U_T and q(rest) =
-(d - |U_T|)/d, O(1) per row.  The sector fidelity of any such channel
-converts to a Haar-average fidelity over input states by an affine map,
-which therefore commutes with mixing rounds together.  The generic
-engine on ``damped_profile`` and ``uniform_levels`` is the second route
-to these curves, in the tests.
+the level n, so the ratio order is d, d-1, ..., 1.  A level's row is its
+ratio and geometric series in the log domain over U, the levels from d
+down to it: p(U), the sqrt(pq) sum over U and q(rest) = (d - |U|)/d, O(1)
+per level; ``_ratio_groups`` groups the rows.  The sector fidelity of any
+such channel converts to a Haar-average fidelity over input states by an
+affine map, which therefore commutes with mixing rounds together.  The
+generic engine on ``damped_profile`` and ``uniform_levels`` is the second
+route to these curves, in the tests.
 """
 
 from __future__ import annotations
@@ -88,16 +88,12 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
     log_norm = _log_one_minus_exp(lm) - log_total
     log_top = log_d + log_norm
     half_norm = 0.5 * (log_norm - log_d) - _log_one_minus_exp(0.5 * lm)
-
-    def rows():
-        ratios = (math.exp(log_top + (d - 1 - j) * lm) for j in range(d))
-        for end, r in _ratio_groups(ratios):
-            p_eroded = math.exp((d - end) * lm + _log_one_minus_exp(end * lm) - log_total)
-            aligned = math.exp(half_norm + 0.5 * (d - end) * lm
-                               + _log_one_minus_exp(0.5 * end * lm))
-            yield r, p_eroded, aligned, (d - end) / d
-
-    curve = closed_form_curve(log_top + (d - 1) * lm, 1.0, rows(), K)
+    # Per level from the top (U the e levels down to it): r, p(U), sqrt(pq) over U, q(rest).
+    rows = ((math.exp(log_top + (d - e) * lm),
+             math.exp((d - e) * lm + _log_one_minus_exp(e * lm) - log_total),
+             math.exp(half_norm + 0.5 * (d - e) * lm + _log_one_minus_exp(0.5 * e * lm)),
+             (d - e) / d) for e in range(1, d + 1))
+    curve = closed_form_curve(log_top + (d - 1) * lm, 1.0, _ratio_groups(rows), K)
     mapped = tuple([CurvePoint(pt.T, pt.p_succ, haar_average_fidelity(pt.F_recursive, d),
                                haar_average_fidelity(pt.F_coarse, d)) for pt in curve.points])
     return CorrectionResult(d, mu, curve, TradeoffCurve(points=mapped))

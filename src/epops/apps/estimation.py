@@ -15,6 +15,7 @@ is scored from pair sums updated round by round, O(N + L) after the sort.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import List, NamedTuple, Sequence, Tuple
 
 from ..coarse import _rows
@@ -22,7 +23,7 @@ from ..errors import NotNormalized, NotOdd, TooLarge
 from ..recursive import _round_count, _rounds
 from ..spectra import (
     EnergyProfile,
-    _group_cut,
+    _column_groups,
     _integer,
     _ratio_columns,
     binomial_profile,
@@ -132,10 +133,10 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     """
     p, q = estimation_profiles(mode, N)
     cols = _ratio_columns(p, q)
-    ends, ratios, p_eroded, aligned, q_remaining = _group_cut(cols)
-    ratios = ratios[:_round_count(K)]
-    probabilities, p_succ, f_recursive = _rounds(ratios, q_remaining)
-    curve = _rows(ratios, p_eroded[1:], aligned[1:], q_remaining[1:], f_recursive)
+    groups = list(islice(_column_groups(cols), _round_count(K)))
+    ratios, p_eroded, aligned, q_rest, ends = zip(*groups)
+    probabilities, p_succ, f_recursive = _rounds(ratios, (cols.q_from[0], *q_rest))
+    curve = _rows(ratios, p_eroded, aligned, q_rest, f_recursive)
     fractions = [list(map(float.as_integer_ratio, column)) for column in (
         probabilities, ratios, map(math.sqrt, ratios), p_succ,
         cols.qw, map(math.sqrt, cols.pw), map(math.sqrt, cols.qw))]
@@ -146,9 +147,9 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     uu = uo = weighted = 0
     oo = sum([root_q[i] * root_q[i + 1] for i in root_q if i + 1 in root_q])
     q_left, eroded, points = sum(q_x), set(), []
-    for cp, a, b, total, r, pr, r_e, root_r, s in zip(
-            curve.points, (0,) + ends, ends, p_succ, ratios, pr_x, r_x, root_x, s_x):
-        mass = p_eroded[cp.T] / total + r / total * q_remaining[cp.T]
+    for cp, (r, p_u, _, q_u, b), a, total, pr, r_e, root_r, s in zip(
+            curve.points, groups, (0,) + ends, p_succ, pr_x, r_x, root_x, s_x):
+        mass = p_u / total + r / total * q_u
         if not abs(mass - 1.0) <= _NORM_TOL:
             raise NotNormalized(
                 f"the merged filter of rounds 1..{cp.T} has success probability "

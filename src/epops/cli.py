@@ -84,14 +84,10 @@ def _cmd_tradeoff(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     from .apps.estimation import estimation_tradeoff
 
-    lines = ["T,p_succ,F_recursive,F_coarse,G_recursive,G_coarse"]
-    for gp in estimation_tradeoff(args.mode, args.n, args.rounds):
-        lines.append(
-            "%d,%.6g,%.6g,%.6g,%.6g,%.6g"
-            % (gp.T, gp.p_succ, gp.F_recursive, gp.F_coarse,
-               gp.gain_recursive, gp.gain_coarse)
-        )
-    return _write_output(args, "\n".join(lines) + "\n", _TOLERANCES)
+    rows = map("%d,%.6g,%.6g,%.6g,%.6g,%.6g".__mod__,
+               estimation_tradeoff(args.mode, args.n, args.rounds))
+    text = "\n".join(["T,p_succ,F_recursive,F_coarse,G_recursive,G_coarse", *rows]) + "\n"
+    return _write_output(args, text, _TOLERANCES)
 
 
 def _cmd_clone(args: argparse.Namespace) -> int:

@@ -7,10 +7,10 @@ and its fidelity is at least the cumulative fidelity of the T separate
 rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
 
-One row builder writes every curve: ``tradeoff_curve`` and
-``apps.estimation`` hand it the sorted columns cut at the group ends and
-build no ``RatioTable`` or ``ProtocolRun`` (the per-operation cost before
-and after is measured in ``BENCH_pair_engine.json``).  A row's p_succ is
+One row builder writes every curve: ``tradeoff_curve``, ``apps.estimation``
+and the closed-form apps hand it their first K ratio groups and build no
+``RatioTable`` or ``ProtocolRun`` (the per-operation cost before and after
+is measured in ``BENCH_pair_engine.json``).  A row's p_succ is
 the merged filter's own success probability s = p(U_T) + r_T q_rest; the
 running sum of the round probabilities (``recursive.cumulative``) differs
 from it only by rounding and by the spread of a ratio tie grouped within
@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Tuple
 
 from .errors import BelowDoubleRange
 from .recursive import _round_count, _rounds
-from .spectra import EnergyProfile, _group_cut, _ratio_columns, _segment_fidelity
+from .spectra import EnergyProfile, _column_groups, _ratio_columns, _segment_fidelity
 
 #: log of the smallest normal double; a row below it is refused, never printed.
 _LOG_MIN = math.log(sys.float_info.min)
@@ -69,16 +69,22 @@ def _rows(ratios, p_eroded, aligned, q_rest, f_recursive) -> TradeoffCurve:
                                         zip(count(1), p_succ, f_recursive, f_coarse)))))
 
 
+def _curve(q_common: float, groups: Iterable[tuple], K: int) -> TradeoffCurve:
+    """The curve of the first K ``groups``, each r_T, p(U_T), the sqrt(pq) sum
+    over U_T, q(rest) and any further field; ``q_common`` is q(common)."""
+    ratios, p_eroded, aligned, q_rest, *_ = zip(*list(islice(groups, K)))
+    _, _, f_recursive = _rounds(ratios, (q_common, *q_rest))
+    return _rows(ratios, p_eroded, aligned, q_rest, f_recursive)
+
+
 def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:
     """Recursive and coarse fidelities against success probability.
 
     One point per termination round T up to min(K, L), at the merged
-    filter's success probability.
+    filter's success probability; only the first K ratio groups are read.
     """
-    _, ratios, p_eroded, aligned, q_remaining = _group_cut(_ratio_columns(p, q))
-    ratios = ratios[:_round_count(K)]
-    _, _, f_recursive = _rounds(ratios, q_remaining)
-    return _rows(ratios, p_eroded[1:], aligned[1:], q_remaining[1:], f_recursive)
+    cols = _ratio_columns(p, q)
+    return _curve(cols.q_from[0], _column_groups(cols), _round_count(K))
 
 
 def closed_form_curve(log_first: float, q_common: float,
@@ -100,6 +106,4 @@ def closed_form_curve(log_first: float, q_common: float,
             f"row 1 has p_succ 10^{log_first / math.log(10):.6g}, below the normal "
             f"double range ({sys.float_info.min!r}); no row is printed"
         )
-    ratios, p_eroded, aligned, q_rest = zip(*list(islice(groups, K)))
-    _, _, f_recursive = _rounds(ratios, (q_common, *q_rest))
-    return _rows(ratios, p_eroded, aligned, q_rest, f_recursive)
+    return _curve(q_common, groups, K)

@@ -145,10 +145,8 @@ def _kraus_total(kraus: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     return ops, total
 
 
-def _random_densities(dimension: int, rng: np.random.Generator | None) -> np.ndarray:
+def _random_densities(dimension: int, rng: np.random.Generator) -> np.ndarray:
     """:data:`_SAMPLES` full-rank random density matrices (Ginibre construction)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
     # Each sample draws its real part, then its imaginary part.
     g = rng.normal(size=(_SAMPLES, 2, dimension, dimension))
     g = g[:, 0] + 1j * g[:, 1]
@@ -164,7 +162,7 @@ def _output_diagonals(ops: np.ndarray, rho: np.ndarray) -> np.ndarray:
 def check_energy_preserving(
     model: HilbertModel,
     kraus: Sequence[np.ndarray],
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> bool:
     """Whether the Kraus family commutes with every sector projector.
 
@@ -197,7 +195,7 @@ def check_energy_preserving(
 def luders_identity_holds(
     model: HilbertModel,
     kraus: Sequence[np.ndarray],
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> bool:
     """Success probability is unchanged by the square-root reduction.
 

@@ -20,6 +20,7 @@ matrix simulation and with the merged filters.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import mul, sub, truediv
@@ -66,11 +67,12 @@ class ProtocolRun(Frozen):
 
 
 def _round_count(K) -> int:
-    """``K`` as an ``int`` of at least 1; else ``ValueError``."""
+    """``K`` as an ``int`` of at least 1, capped at ``sys.maxsize`` (``islice``'s
+    limit, and more rows than any curve has); else ``ValueError``."""
     K = _integer(K, "round count K=")
     if K < 1:
         raise ValueError("K must be at least 1")
-    return K
+    return min(K, sys.maxsize)
 
 
 def _rounds(ratios: Sequence[float], q_before: Sequence[float]):

@@ -7,10 +7,10 @@ type, builders for the standard families (binomial, Poisson, uniform,
 sine), and the ratio table: the common spectrum of two profiles sorted by
 p_E/q_E, grouped into the distinct ratios r_1 < ... < r_L, with the prefix
 sums at the group boundaries from which the recursive protocol and its
-coarse-graining read every number.  It is the only place that sorts.  A
-curve, and the estimation gain, take those sums straight from the sorted
-columns (``_group_cut``, which ``ratio_table`` runs too) and build no
-``ProtocolRun``.
+coarse-graining read every number.  It is the only place that sorts, and
+``_ratio_groups`` the only one that finds group ends.  A curve, and the
+estimation gain, read the first K groups of the sorted columns
+(``_column_groups``) and build no ``ProtocolRun``.
 
 A sector is its integer index.  A profile holds three aligned columns:
 the indices, the energy values (shown, never used in a formula) and the
@@ -38,7 +38,7 @@ import json
 import math
 import operator
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import add, itemgetter, mul, truediv
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -372,39 +372,41 @@ def _ratio_columns(p: EnergyProfile, q: EnergyProfile) -> RatioColumns:
     return cols
 
 
-def _ratio_groups(ratios: Iterable[float]):
-    """Yield the end and ratio of each group of a nondecreasing ratio column,
-    read lazily, one ratio past each group.
+def _ratio_groups(rows: Iterable[tuple]):
+    """Yield each group of rows in nondecreasing ratio order: its ratio, then
+    the rest of its last row, read lazily, one row past each group.
 
-    A ratio within a relative distance :data:`RATIO_TOLERANCE` of its group's
-    first ratio joins that group, whose ratio is the group mean; this keeps
+    A row is a sector's ratio and sums up to and including it.  A ratio
+    within a relative distance :data:`RATIO_TOLERANCE` of its group's first
+    ratio joins that group, whose ratio is the group mean; this keeps
     analytically equal ratios, e.g. from a symmetric binomial profile, from
     inflating the round count.
     """
-    group: List[float] = []
-    # The infinite sentinel closes the last group.
-    for end, r in enumerate(chain(ratios, [math.inf])):
-        if group and r - group[0] > RATIO_TOLERANCE * group[0]:
-            # A one-sector group keeps its ratio: fsum([r]) / 1 == r.
-            yield end, group[0] if len(group) == 1 else math.fsum(group) / len(group)
+    group, last = [], None
+    # The infinite sentinel row closes the last group.
+    for row in chain(rows, [(math.inf,)]):
+        if group and row[0] - group[0] > RATIO_TOLERANCE * group[0]:
+            # A one-sector group is its row as it is: fsum([r]) / 1 == r.
+            yield last if len(group) == 1 else (math.fsum(group) / len(group), *last[1:])
             group = []
-        group.append(r)
+        group.append(row[0])
+        last = row
 
 
-def _group_cut(cols: RatioColumns) -> tuple:
-    """The columns cut at the group ends of :func:`_ratio_groups`: the ends,
-    the group ratios, and for k = 0..L the sums p(U_k), sqrt(pq) over U_k
-    and q outside U_k."""
-    ends, ratios = zip(*list(_ratio_groups(cols.ratios)))
-    cut = itemgetter(0, *ends)
-    return ends, ratios, cut(cols.p_before), cut(cols.aligned), cut(cols.q_from)
+def _column_groups(cols: RatioColumns):
+    """The groups of a pair's sorted columns: r_k, p(U_k), the sqrt(pq) sum
+    over U_k, q outside U_k and the number of sectors in U_k."""
+    return _ratio_groups(zip(cols.ratios, islice(cols.p_before, 1, None),
+                             islice(cols.aligned, 1, None), islice(cols.q_from, 1, None),
+                             count(1)))
 
 
 def ratio_table(p: EnergyProfile, q: EnergyProfile) -> RatioTable:
     """Sort the common spectrum by p_E/q_E and group near-equal ratios
     (:func:`_ratio_groups`)."""
     cols = _ratio_columns(p, q)
-    return RatioTable(cols.order, *_group_cut(cols))
+    r, p_u, a_u, q_u, ends = zip(*list(_column_groups(cols)))
+    return RatioTable(cols.order, ends, r, (0.0, *p_u), (0.0, *a_u), (cols.q_from[0], *q_u))
 
 
 def _log_factorials(n: int) -> List[float]:

@@ -374,26 +374,27 @@ def test_package_and_cli_import_leave_numpy_unloaded(tmp_path):
 def pair_passes(monkeypatch):
     """Record every pass over a pair: each ratio sort (a keyed ``sorted``
     call in ``epops.spectra``; the profile loaders sort indices without a
-    key) and each group cut, wherever a module bound ``_group_cut``, with
-    the pair cache emptied.  Every engine curve cuts its groups once, and
-    the cut keeps no cache, so a curve built twice is counted twice."""
+    key) and each group stream, wherever a module bound ``_column_groups``,
+    with the pair cache emptied.  Every engine curve streams its groups
+    once, and the stream keeps no cache, so a curve built twice is counted
+    twice."""
     passes = []
-    original = epops.spectra._group_cut
+    original = epops.spectra._column_groups
 
     def sort(rows, **kwargs):
         if "key" in kwargs:
             passes.append("sort")
         return sorted(rows, **kwargs)
 
-    def cut(*args):
-        passes.append("cut")
+    def groups(*args):
+        passes.append("groups")
         return original(*args)
 
     monkeypatch.setattr(epops.spectra, "_last", None)
     monkeypatch.setattr(epops.spectra, "sorted", sort, raising=False)
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "epops" and getattr(module, "_group_cut", None) is original:
-            monkeypatch.setattr(module, "_group_cut", cut)
+        if name.split(".")[0] == "epops" and getattr(module, "_column_groups", None) is original:
+            monkeypatch.setattr(module, "_column_groups", groups)
     return passes
 
 
@@ -415,10 +416,10 @@ APP_CALLS = [
 
 @pytest.mark.parametrize("call", APP_CALLS)
 def test_each_app_call_runs_the_protocol_once(pair_passes, call):
-    # An engine app sorts its pair and cuts its groups once, a closed-form
-    # one never.
+    # An engine app sorts its pair and streams its groups once, a
+    # closed-form one never.
     call()
-    assert pair_passes == ([] if call in CLOSED_FORM_CALLS else ["sort", "cut"])
+    assert pair_passes == ([] if call in CLOSED_FORM_CALLS else ["sort", "groups"])
 
 
 def test_no_app_call_builds_a_protocol_record(monkeypatch):
@@ -455,13 +456,33 @@ def test_no_app_call_builds_a_protocol_record(monkeypatch):
     ["correct", "--d", "12", "--mu", "0.7", "--rounds", "12"],
 ])
 def test_each_curve_subcommand_runs_the_protocol_once(tmp_path, pair_passes, argv):
-    # An engine subcommand sorts its pair and cuts its groups once, a
+    # An engine subcommand sorts its pair and streams its groups once, a
     # closed-form one never.
     (tmp_path / "p.json").write_text(uniform_profile(5).to_json())
     (tmp_path / "q.json").write_text(sine_profile(4).to_json())
     assert run_cli(tmp_path, *argv, "--out", "out.csv") == 0
     engine = argv[0] not in ("amplify", "correct")
-    assert pair_passes == (["sort", "cut"] if engine else [])
+    assert pair_passes == (["sort", "groups"] if engine else [])
+
+
+@pytest.mark.parametrize("argv, length", [
+    (["tradeoff", "--input", "p.json", "--target", "q.json"], 2),
+    (["estimate", "--mode", "maxcoh", "--n", "11"], 5),
+    (["estimate", "--mode", "qubits", "--n", "6"], 6),
+    (["clone", "--n", "4", "--m", "10"], 3),
+    (["amplify", "--r1", "1", "--r2", "1.5", "--cutoff", "30"], 31),
+    (["correct", "--d", "12", "--mu", "0.7"], 12),
+], ids=["tradeoff", "estimate-maxcoh", "estimate-qubits", "clone", "amplify", "correct"])
+def test_rounds_past_sys_maxsize_print_every_row(tmp_path, argv, length):
+    # A round count past sys.maxsize, islice's limit, reads as sys.maxsize,
+    # more rows than any curve has: the CSV is the one at K = L.
+    (tmp_path / "p.json").write_text(uniform_profile(5).to_json())
+    (tmp_path / "q.json").write_text(sine_profile(4).to_json())
+    for rounds, out in ((str(10**20), "huge.csv"), (str(length), "all.csv")):
+        assert run_cli(tmp_path, *argv, "--rounds", rounds, "--out", out) == 0
+    huge = (tmp_path / "huge.csv").read_bytes()
+    assert huge.count(b"\n") == length + 1
+    assert huge == (tmp_path / "all.csv").read_bytes()
 
 
 def test_missing_required_flag_exits_2(tmp_path):
@@ -793,7 +814,7 @@ def test_closed_form_apps_use_no_engine(tmp_path, monkeypatch):
         raise AssertionError("engine route called")
 
     for module, name in [(epops.recursive, "run_protocol"), (epops.coarse, "_ratio_columns"),
-                         (epops.coarse, "_group_cut"), (epops.recursive, "ratio_table"),
+                         (epops.coarse, "_column_groups"), (epops.recursive, "ratio_table"),
                          (epops.spectra, "ratio_table"), (epops.spectra, "_ratio_columns"),
                          (epops.spectra, "poisson_profile")]:
         monkeypatch.setattr(module, name, broken)

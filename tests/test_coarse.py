@@ -217,3 +217,32 @@ def test_large_random_curve_stays_fast():
     assert time.perf_counter() - start < 2.0
     assert len(curve.points) == 1600
     assert curve.points[-1].p_succ == pytest.approx(1.0, abs=1e-10)
+
+
+def test_a_curve_reads_only_the_groups_it_prints(monkeypatch):
+    # Row T needs groups 1..T only, so a 3-row curve of a pair with
+    # thousands of groups pulls 3 of them from the engine's group stream.
+    import epops.spectra as spectra
+    from epops.apps.estimation import estimation_tradeoff
+
+    p, q = estimation_profiles("maxcoh", 10**4)
+    L = spectra.ratio_table(p, q).length
+    assert L > 1000
+    pulled = []
+    original = spectra._ratio_groups
+
+    def counted(rows):
+        for group in original(rows):
+            pulled.append(group)
+            yield group
+
+    monkeypatch.setattr(spectra, "_ratio_groups", counted)
+    for rows in (lambda: tradeoff_curve(p, q, 3).points,
+                 lambda: estimation_tradeoff("maxcoh", 10**4, 3)):
+        pulled.clear()
+        assert len(rows()) == 3
+        assert len(pulled) == 3
+    # The counter counts: the round-level table reads every group.
+    pulled.clear()
+    spectra.ratio_table(p, q)
+    assert len(pulled) == L

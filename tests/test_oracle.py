@@ -101,7 +101,7 @@ def test_block_unitary_is_energy_preserving():
 def test_sector_swap_is_not_energy_preserving():
     model = hilbert_model({0: 1, 1: 1})
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert not check_energy_preserving(model, [swap])
+    assert not check_energy_preserving(model, [swap], rng=np.random.default_rng(0))
 
 
 def test_coupling_between_wide_sectors_is_not_energy_preserving():
@@ -116,7 +116,7 @@ def test_coupling_between_wide_sectors_is_not_energy_preserving():
 def test_trace_increasing_family_rejected():
     model = hilbert_model({0: 1, 1: 1})
     with pytest.raises(NotTraceNonIncreasing):
-        check_energy_preserving(model, [1.1 * np.eye(2)])
+        check_energy_preserving(model, [1.1 * np.eye(2)], rng=np.random.default_rng(0))
 
 
 def test_square_root_reduction_identity():
@@ -125,7 +125,7 @@ def test_square_root_reduction_identity():
     m1 = np.zeros((3, 3), dtype=complex)
     m1[:2, :2] = 0.4 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     m1[2, 2] = 0.3
-    assert luders_identity_holds(model, [m1])
+    assert luders_identity_holds(model, [m1], rng=np.random.default_rng(0))
 
 
 def test_simulation_matches_table_engine():
@@ -152,7 +152,7 @@ def test_simulated_operators_are_energy_preserving():
     sim = simulate_protocol(model, p, q, 64, rng)
     ops = [r.operator for r in sim.rounds] + [sim.failure_operator]
     assert check_energy_preserving(model, ops, rng=rng)
-    assert luders_identity_holds(model, ops)
+    assert luders_identity_holds(model, ops, rng=np.random.default_rng(0))
 
 
 def test_grid_search_two_sector():

@@ -333,7 +333,7 @@ def test_engine_builds_no_tuple_from_a_generator():
     paths = [root / f"{name}.py" for name in engine] + sorted((root / "apps").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
     generators = _generators(trees.values())
-    assert {"_ratio_groups", "_poisson_rows"} <= generators
+    assert {"_ratio_groups", "_poisson_groups"} <= generators
     found = [f"{path.relative_to(root)}:{node.lineno}"
              for path, tree in trees.items() for node in _tuple_builds(tree, generators)]
     assert not found, found
