@@ -3,14 +3,14 @@
 A damping filter with strength mu leaves a uniformly weighted qudit with
 geometric level weights mu^(n-1)(1-mu)/(1-mu^d); correction steers them
 back to uniform.  The weight ratio d mu^(n-1)(1-mu)/(1-mu^d) falls with
-the level n, so the ratio order is d, d-1, ..., 1.  A level's row is its
-ratio and geometric series in the log domain over U, the levels from d
-down to it: p(U), the sqrt(pq) sum over U and q(rest) = (d - |U|)/d, O(1)
-per level; ``_ratio_groups`` groups the rows.  The sector fidelity of any
-such channel converts to a Haar-average fidelity over input states by an
-affine map, which therefore commutes with mixing rounds together.  The
-generic engine on ``damped_profile`` and ``uniform_levels`` is the second
-route to these curves, in the tests.
+the level n, so the ratio order is d, d-1, ..., 1.  ``_ratio_groups``
+groups the levels' ratios, and at the count e of levels U from d down to
+each group's last, geometric series in the log domain give p(U), the
+sqrt(pq) sum over U and q(rest) = (d - e)/d, O(1) per group.  The sector
+fidelity of any such channel converts to a Haar-average fidelity over
+input states by an affine map, which therefore commutes with mixing
+rounds together.  The generic engine on ``damped_profile`` and
+``uniform_levels`` is the second route to these curves, in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from ..errors import TooLarge
 from ..spectra import EnergyProfile, _assemble, _integer, _ratio_groups
 
 #: Largest level count d: it bounds the rows a curve can print.  A run at
-#: it that prints all 2,000,000 rows (mu = 0.999999) takes 17 s and peaks
+#: it that prints all 2,000,000 rows (mu = 0.999999) takes 11-13 s and peaks
 #: at 1.0 GB on a 2-core machine; 64 rows take 0.07 s from a cold start.
 _LEVEL_CAP = 2_000_000
 
@@ -88,12 +88,12 @@ def correction_tradeoff(d: int, mu: float, K: int) -> CorrectionResult:
     log_norm = _log_one_minus_exp(lm) - log_total
     log_top = log_d + log_norm
     half_norm = 0.5 * (log_norm - log_d) - _log_one_minus_exp(0.5 * lm)
-    # Per level from the top (U the e levels down to it): r, p(U), sqrt(pq) over U, q(rest).
-    rows = ((math.exp(log_top + (d - e) * lm),
-             math.exp((d - e) * lm + _log_one_minus_exp(e * lm) - log_total),
-             math.exp(half_norm + 0.5 * (d - e) * lm + _log_one_minus_exp(0.5 * e * lm)),
-             (d - e) / d) for e in range(1, d + 1))
-    curve = closed_form_curve(log_top + (d - 1) * lm, 1.0, _ratio_groups(rows), K)
+    # Per group, U the e levels from the top to its last: r, p(U), sqrt(pq) over U, q(rest).
+    levels = ((math.exp(log_top + (d - e) * lm), e) for e in range(1, d + 1))
+    groups = ((r, math.exp((d - e) * lm + _log_one_minus_exp(e * lm) - log_total),
+               math.exp(half_norm + 0.5 * (d - e) * lm + _log_one_minus_exp(0.5 * e * lm)),
+               (d - e) / d) for r, e in _ratio_groups(levels))
+    curve = closed_form_curve(log_top + (d - 1) * lm, 1.0, groups, K)
     mapped = tuple([CurvePoint(pt.T, pt.p_succ, haar_average_fidelity(pt.F_recursive, d),
                                haar_average_fidelity(pt.F_coarse, d)) for pt in curve.points])
     return CorrectionResult(d, mu, curve, TradeoffCurve(points=mapped))

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from itertools import islice
+from operator import itemgetter
 from typing import List, NamedTuple, Sequence, Tuple
 
-from ..coarse import _rows
+from ..coarse import _points
 from ..errors import NotNormalized, NotOdd, TooLarge
 from ..recursive import _round_count, _rounds
 from ..spectra import (
@@ -133,12 +134,10 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     """
     p, q = estimation_profiles(mode, N)
     cols = _ratio_columns(p, q)
-    groups = list(islice(_column_groups(cols), _round_count(K)))
-    ratios, p_eroded, aligned, q_rest, ends = zip(*groups)
-    probabilities, p_succ, f_recursive = _rounds(ratios, (cols.q_from[0], *q_rest))
-    curve = _rows(ratios, p_eroded, aligned, q_rest, f_recursive)
+    rounds = list(islice(_rounds(cols.q_from[0], _column_groups(cols)), _round_count(K)))
+    ratios = [row[0] for row, _, _, _ in rounds]
     fractions = [list(map(float.as_integer_ratio, column)) for column in (
-        probabilities, ratios, map(math.sqrt, ratios), p_succ,
+        map(itemgetter(1), rounds), ratios, map(math.sqrt, ratios), map(itemgetter(2), rounds),
         cols.qw, map(math.sqrt, cols.pw), map(math.sqrt, cols.qw))]
     e = max(max([den for column in fractions for _, den in column]).bit_length() - 1, 54)
     pr_x, r_x, root_x, s_x, q_x, root_p, root_q = [
@@ -146,9 +145,9 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
     root_p, root_q = dict(zip(cols.order, root_p)), dict(zip(cols.order, root_q))
     uu = uo = weighted = 0
     oo = sum([root_q[i] * root_q[i + 1] for i in root_q if i + 1 in root_q])
-    q_left, eroded, points = sum(q_x), set(), []
-    for cp, (r, p_u, _, q_u, b), a, total, pr, r_e, root_r, s in zip(
-            curve.points, groups, (0,) + ends, p_succ, pr_x, r_x, root_x, s_x):
+    q_left, eroded, points, a = sum(q_x), set(), [], 0
+    for cp, ((r, p_u, _, q_u, b), _, total, _), pr, r_e, root_r, s in zip(
+            _points(rounds).points, rounds, pr_x, r_x, root_x, s_x):
         mass = p_u / total + r / total * q_u
         if not abs(mass - 1.0) <= _NORM_TOL:
             raise NotNormalized(
@@ -165,7 +164,7 @@ def estimation_tradeoff(mode: str, N: int, K: int) -> List[GainPoint]:
                     oo -= root_q[i] * root_q[j]
                     uo += root_p[i] * root_q[j]
             eroded.add(i)
-        q_left -= sum(q_x[a:b])
+        q_left, a = q_left - sum(q_x[a:b]), b
         pairs = (uu << e) + root_r * uo + r_e * oo
         # The curve row's four columns, then the two gains.
         points.append(GainPoint(*cp, weighted / (s << e),
@@ -185,6 +184,7 @@ def asymptotic_gain(N: int, T: int) -> Tuple[float, float]:
     1 - pi^2/(4N^2) up to a cubic correction.  The pairing of sectors
     n and N-n that underlies the expansion needs an odd level count.
     """
+    N, T = _integer(N, "N="), _integer(T, "T=")
     if N < 1 or T < 1:
         raise ValueError("N and T must be positive")
     if T >= N:

@@ -7,10 +7,12 @@ and its fidelity is at least the cumulative fidelity of the T separate
 rounds.  Sweeping T traces the practical tradeoff curve, with the
 round-by-round and merged fidelities side by side.
 
-One row builder writes every curve: ``tradeoff_curve``, ``apps.estimation``
-and the closed-form apps hand it their first K ratio groups and build no
-``RatioTable`` or ``ProtocolRun`` (the per-operation cost before and after
-is measured in ``BENCH_pair_engine.json``).  A row's p_succ is
+One loop writes every curve: ``tradeoff_curve``, ``apps.estimation`` and
+the closed-form apps feed their first K ratio groups through the round
+recursion ``recursive._rounds``, and ``_points`` turns each group and its
+round numbers into a row; none builds a ``RatioTable`` or ``ProtocolRun``
+(the per-operation cost before and after is measured in
+``BENCH_pair_engine.json``).  A row's p_succ is
 the merged filter's own success probability s = p(U_T) + r_T q_rest; the
 running sum of the round probabilities (``recursive.cumulative``) differs
 from it only by rounding and by the spread of a ratio tie grouped within
@@ -26,8 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import count, islice, repeat
-from operator import add, mul
+from itertools import islice
 from typing import Iterable, NamedTuple, Tuple
 
 from .errors import BelowDoubleRange
@@ -58,23 +59,15 @@ class TradeoffCurve(NamedTuple):
         return "\n".join(["T,p_succ,F_recursive,F_coarse", *rows]) + "\n"
 
 
-def _rows(ratios, p_eroded, aligned, q_rest, f_recursive) -> TradeoffCurve:
-    """The curve of group-end columns, a row per group T: r_T, p(U_T), the
-    sqrt(pq) sum over U_T, q(rest) and F_recursive.  p_succ is the merged
-    filter's p(U_T) + r_T q(rest), F_coarse the segment expression at it."""
-    p_succ = list(map(add, p_eroded, map(mul, ratios, q_rest)))
-    f_coarse = map(_segment_fidelity, aligned, p_eroded, q_rest, p_succ)
-    # tuple.__new__ makes each CurvePoint from its zipped row in C.
-    return TradeoffCurve(tuple(list(map(tuple.__new__, repeat(CurvePoint),
-                                        zip(count(1), p_succ, f_recursive, f_coarse)))))
-
-
-def _curve(q_common: float, groups: Iterable[tuple], K: int) -> TradeoffCurve:
-    """The curve of the first K ``groups``, each r_T, p(U_T), the sqrt(pq) sum
-    over U_T, q(rest) and any further field; ``q_common`` is q(common)."""
-    ratios, p_eroded, aligned, q_rest, *_ = zip(*list(islice(groups, K)))
-    _, _, f_recursive = _rounds(ratios, (q_common, *q_rest))
-    return _rows(ratios, p_eroded, aligned, q_rest, f_recursive)
+def _points(rounds: Iterable[tuple]) -> TradeoffCurve:
+    """The curve of the ``recursive._rounds`` items, one row per group T:
+    p_succ is the merged filter's p(U_T) + r_T q(rest), F_recursive the
+    item's own, F_coarse the segment expression at p_succ."""
+    points = []
+    for T, ((r, p_u, a_u, q_u, *_), _, _, f_recursive) in enumerate(rounds, 1):
+        s = p_u + r * q_u
+        points.append(CurvePoint(T, s, f_recursive, _segment_fidelity(a_u, p_u, q_u, s)))
+    return TradeoffCurve(tuple(points))
 
 
 def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:
@@ -84,7 +77,7 @@ def tradeoff_curve(p: EnergyProfile, q: EnergyProfile, K: int) -> TradeoffCurve:
     filter's success probability; only the first K ratio groups are read.
     """
     cols = _ratio_columns(p, q)
-    return _curve(cols.q_from[0], _column_groups(cols), _round_count(K))
+    return _points(islice(_rounds(cols.q_from[0], _column_groups(cols)), _round_count(K)))
 
 
 def closed_form_curve(log_first: float, q_common: float,
@@ -95,10 +88,10 @@ def closed_form_curve(log_first: float, q_common: float,
 
     ``groups`` yields per group T its ratio r_T, p(U_T), the sqrt(pq) sum
     over U_T and q(rest) outside U_T; ``q_common`` is q of the common
-    spectrum.  The rows are the engine's, from its round recursion and row
-    builder.  Their p_succ grow from about e^log_first, the least ratio
-    times ``q_common``, so if that is below the normal double range
-    :class:`BelowDoubleRange` names row 1 before any group is read.
+    spectrum.  The rows are the engine's, from its one round loop.  Their
+    p_succ grow from about e^log_first, the least ratio times ``q_common``,
+    so if that is below the normal double range :class:`BelowDoubleRange`
+    names row 1 before any group is read.
     """
     K = _round_count(K)
     if log_first < _LOG_MIN:
@@ -106,4 +99,4 @@ def closed_form_curve(log_first: float, q_common: float,
             f"row 1 has p_succ 10^{log_first / math.log(10):.6g}, below the normal "
             f"double range ({sys.float_info.min!r}); no row is printed"
         )
-    return _curve(q_common, groups, K)
+    return _points(islice(_rounds(q_common, groups), K))

@@ -32,7 +32,7 @@ from .errors import (
     NotOdd,
     TooLarge,
 )
-from .spectra import EnergyProfile, Frozen, _layout, build_profile
+from .spectra import EnergyProfile, Frozen, _integer, _layout, build_profile
 
 _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-10
@@ -322,6 +322,7 @@ class SpinSector(NamedTuple):
 
 
 def _check_spin_count(N: int) -> None:
+    _integer(N, "N=")
     if N < 1:
         raise ValueError(f"N={N} must be a positive odd integer")
     if N % 2 == 0:

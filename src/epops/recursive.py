@@ -9,22 +9,21 @@ Every column comes from the prefix sums of the ratio table.  The round
 fidelity is the target weight remaining on the uneroded spectrum, and the
 round success probability is the ratio increment r_k - r_{k-1} times that
 fidelity; the cumulative probability and fidelity are their running sums.
-``_rounds`` writes this recursion for ``run_protocol`` and for every curve
-of ``coarse`` and ``apps.estimation``, none of which builds a
-``ProtocolRun``; a curve row prints the merged filter's probability, not
-this running sum.  A round is a record of these numbers only.  The second
-route to the round filters, their weights m_E per input sector, lives in
-``oracle.round_filter_weights``, which ``epops verify`` compares with a
-matrix simulation and with the merged filters.
+``_rounds`` is this recursion, one loop over the group rows that gives
+``run_protocol`` its columns and every curve of ``coarse`` and
+``apps.estimation`` its rows, with no ``ProtocolRun``; a curve row prints
+the merged filter's probability, not this running sum.  A round is a
+record of these numbers only.  The round filters' weights m_E per input
+sector, their second route, live in ``oracle.round_filter_weights``, which
+``epops verify`` compares with a matrix simulation and the merged filters.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import cached_property
-from itertools import accumulate, chain
-from operator import mul, sub, truediv
-from typing import NamedTuple, Sequence, Tuple
+from itertools import islice
+from typing import Iterable, NamedTuple, Tuple
 
 from .errors import RoundOutOfRange
 from .spectra import EnergyProfile, Frozen, RatioTable, _integer, ratio_table
@@ -75,14 +74,17 @@ def _round_count(K) -> int:
     return min(K, sys.maxsize)
 
 
-def _rounds(ratios: Sequence[float], q_before: Sequence[float]):
-    """From the group ratios r_k and the target weight Q_(k-1) left before
-    each round, the lists of round probabilities (r_k - r_(k-1)) Q_(k-1),
-    their running sum and the running weighted mean of the Q_(k-1)."""
-    probabilities = list(map(mul, map(sub, ratios, chain((0.0,), ratios)), q_before))
-    p_succ = list(accumulate(probabilities))
-    weighted = accumulate(map(mul, probabilities, q_before))
-    return probabilities, p_succ, list(map(truediv, weighted, p_succ))
+def _rounds(q_common: float, groups: Iterable[tuple]):
+    """Yield each group row r_T, p(U_T), the sqrt(pq) sum over U_T, q(rest),
+    ... with its round probability (r_T - r_(T-1)) Q_(T-1), their running sum
+    and the running weighted mean of the Q_(T-1) (Q_0 = ``q_common``, Q_T the
+    q(rest) of row T); no round probability is -0.0, so 0.0 + x == x."""
+    r, q, p_succ, weighted = 0.0, q_common, 0.0, 0.0
+    for row in groups:
+        probability = (row[0] - r) * q
+        p_succ, weighted = p_succ + probability, weighted + probability * q
+        yield row, probability, p_succ, weighted / p_succ
+        r, q = row[0], row[3]
 
 
 def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
@@ -95,10 +97,10 @@ def run_protocol(p: EnergyProfile, q: EnergyProfile, K: int) -> ProtocolRun:
     """
     table = ratio_table(p, q)
     n = min(_round_count(K), table.length)
-    fidelities = table.q_remaining[:n]
-    # The round probabilities, p_succ and f_recursive, in that order.
-    return ProtocolRun(p, q, table, fidelities,
-                       *map(tuple, _rounds(table.ratios[:n], fidelities)))
+    rows = zip(table.ratios, table.p_eroded[1:], table.aligned[1:], table.q_remaining[1:])
+    _, probabilities, p_succ, f_recursive = zip(
+        *list(islice(_rounds(table.q_remaining[0], rows), n)))
+    return ProtocolRun(p, q, table, table.q_remaining[:n], probabilities, p_succ, f_recursive)
 
 
 def cumulative(run: ProtocolRun, T: int) -> Tuple[float, float]:

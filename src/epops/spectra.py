@@ -197,15 +197,23 @@ def _json_float(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _number(value, what: str, index: int) -> float:
+    """A real number (an ``int``, a ``float`` or a numpy one) as a float, by
+    :func:`_json_float`; a bool or a non-number raises ``ValueError`` naming
+    its sector."""
+    if type(value) not in (int, float):
+        from numbers import Real  # here, so that start-up of the CLI skips it
+
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{what} {value!r} at sector {index} is not a number")
+    return _json_float(value)
+
+
 def _energy_value(value, index: int) -> float:
     """An energy value as a finite ``float`` (an ``int`` or a numpy scalar is
     converted); a bool, a non-number or a NaN or infinite value raises
     ``ValueError`` naming its sector, since its JSON could not be read back."""
-    from numbers import Real  # here, so that start-up of the CLI skips it
-
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"energy value {value!r} at sector {index} is not a number")
-    value = _json_float(value)
+    value = _number(value, "energy value", index)
     if not math.isfinite(value):
         raise ValueError(f"energy value {value!r} at sector {index} is not finite")
     return value
@@ -242,10 +250,10 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
 
     Weights are normalized to sum one; sectors with weight at or below
     :data:`ZERO_THRESHOLD` are removed.  Each index is checked first, so a
-    non-integer one raises ``ValueError`` naming it, not ``TypeError``.  A
-    NaN or infinite energy value, or an integer one beyond the double
-    range, raises ``ValueError``; such a weight raises
-    :class:`NonFiniteWeight`.
+    non-integer one raises ``ValueError`` naming it, not ``TypeError``; so
+    does an energy value or weight that is a bool or not a number.  A NaN
+    or infinite energy value, or an integer one beyond the double range,
+    raises ``ValueError``; such a weight raises :class:`NonFiniteWeight`.
     """
     seen: dict[int, Tuple[float, float]] = {}
     for index, value, weight in pairs:
@@ -253,12 +261,7 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
             index = _integer(index, "sector index ")
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
-        try:
-            value, weight = float(value), float(weight)
-        except OverflowError:
-            value, weight = _json_float(value), _json_float(weight)
-        if not math.isfinite(value):
-            raise ValueError(f"energy value {value!r} at sector {index} is not finite")
+        value, weight = _energy_value(value, index), _number(weight, "weight", index)
         if not math.isfinite(weight):
             raise NonFiniteWeight(f"weight {weight!r} at sector {index} is not finite")
         if weight < -1e-12:

@@ -109,6 +109,24 @@ def test_large_dimension_stays_fast():
     assert res.sector_curve.points[-1].p_succ == pytest.approx(1.0, abs=1e-10)
 
 
+def test_closed_forms_are_evaluated_once_per_group(monkeypatch):
+    # At mu = 1 - 1e-11 a ratio group spans about 100 levels: three setup
+    # calls, then p(U) and the sqrt(pq) sum once per group, not per level.
+    from epops.apps import correction
+
+    calls = []
+    original = correction._log_one_minus_exp
+
+    def counted(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(correction, "_log_one_minus_exp", counted)
+    rows = len(correction_tradeoff(20_000, 1.0 - 1e-11, 10**6).sector_curve.points)
+    assert 1 < rows < 1000
+    assert len(calls) <= 3 + 2 * rows
+
+
 #: Plain and near-1 damping, mu = 1 - 1e-13 (every ratio in one group),
 #: mu = 1 - 1e-11 (groups of about 100 levels) and a strong damping whose
 #: first p_succ is near 1e-190.

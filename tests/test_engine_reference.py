@@ -21,7 +21,7 @@ import pytest
 from epops.apps.amplification import _log_normalizer
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.apps.estimation import estimation_profiles
-from epops.coarse import _rows, tradeoff_curve
+from epops.coarse import _points, tradeoff_curve
 from epops.errors import InfeasibleProbability, NoFeasiblePartition
 from epops.optimal import TradeoffPoint, optimal_tradeoff_point
 from epops.channels import SectorFilter, filter_success_probability
@@ -252,14 +252,16 @@ def test_merged_fidelities_match_numpy_route_bit_for_bit():
 
 def test_curve_equals_the_curve_of_its_protocol_run():
     # The curve cut straight off the sorted columns, and the row builder
-    # fed the group-end columns of a RatioTable and a ProtocolRun's rounds.
+    # fed the group rows of a RatioTable with a ProtocolRun's round columns.
     for p, q in [*all_pairs(), *near_tie_pairs()]:
         L = ratio_table(p, q).length
         for K in {1, max(L - 1, 1), L, L + 1, 10**6}:
             run = run_protocol(p, q, K)
-            table, cut = run.table, slice(1, len(run.fidelities) + 1)
-            from_run = _rows(table.ratios, table.p_eroded[cut], table.aligned[cut],
-                             table.q_remaining[cut], run.f_recursive)
+            table = run.table
+            rows = zip(table.ratios, table.p_eroded[1:], table.aligned[1:],
+                       table.q_remaining[1:])
+            from_run = _points(zip(rows, run.probabilities, run.p_succ, run.f_recursive))
+            assert len(from_run.points) == len(run.fidelities)
             assert tradeoff_curve(p, q, K) == from_run, K
 
 

@@ -12,6 +12,7 @@ import epops
 import epops.apps
 from epops.apps import (
     amplification_tradeoff,
+    asymptotic_gain,
     cloning_tradeoff,
     correction_tradeoff,
     estimation_tradeoff,
@@ -23,6 +24,7 @@ from epops.mixedstate import (
     is_block_positive,
     pure_block_density,
     purification_report,
+    spin_multiplicities,
     spin_sector_model,
     ultimate_mixed_probability,
 )
@@ -70,9 +72,15 @@ def _run():
     lambda: binomial_profile(True),
     lambda: cloning_tradeoff(True, 3, 3),
     lambda: coarse_filter(_run(), True),
+    lambda: purification_report(3.0, 0.8),
+    lambda: purification_report(True, 0.8),
+    lambda: spin_multiplicities(3.0),
+    lambda: asymptotic_gain(61.5, 3),
+    lambda: asymptotic_gain(61, 3.0),
 ], ids=["binomial", "uniform", "poisson-cutoff", "sine-string", "clone-n", "correct-d",
         "estimate-n", "amplify-cutoff", "cumulative-t", "binomial-bool", "clone-bool",
-        "coarse-filter-bool"])
+        "coarse-filter-bool", "purify-n", "purify-bool", "multiplicities-n",
+        "asymptotic-n", "asymptotic-t"])
 def test_integer_parameters_raise_value_error_naming_them(call):
     # Each used to raise a bare TypeError, or took the bool True as 1.
     with pytest.raises(ValueError, match=r"^\w+ ?\w*=.* is not an integer$"):

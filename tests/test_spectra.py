@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from epops.spectra import (
     uniform_profile,
 )
 from reference_routes import assemble
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_build_profile_normalizes_and_sorts():
@@ -81,6 +87,33 @@ def test_build_profile_rejects_negative_weight():
 def test_build_profile_rejects_non_finite_weight(bad):
     with pytest.raises(NonFiniteWeight):
         build_profile([(0, 0.0, 0.5), (1, 1.0, bad)])
+
+
+@pytest.mark.parametrize("value, weight, message", [
+    ("1.5", 0.5, "energy value '1.5'"), (1.5, "0.5", "weight '0.5'"),
+    (True, 0.5, "energy value True"), (1.5, True, "weight True"),
+    (None, 0.5, "energy value None"), (1.5, None, "weight None"),
+], ids=["string-value", "string-weight", "bool-value", "bool-weight", "none-value",
+        "none-weight"])
+def test_build_profile_rejects_value_or_weight_that_is_not_a_number(value, weight, message):
+    # A string or bool used to be converted by float(), and None raised a bare TypeError.
+    with pytest.raises(ValueError, match=re.escape(f"{message} at sector 1 is not a number")):
+        build_profile([(0, 0.0, 0.5), (1, value, weight)])
+
+
+def test_build_profile_admits_int_float_and_numpy_numbers():
+    p = build_profile([(0, 0, 1), (1, np.float64(1.0), np.int64(1)), (2, np.int32(2), 2.0)])
+    assert p == build_profile([(0, 0.0, 0.25), (1, 1.0, 0.25), (2, 2.0, 0.5)])
+    assert all(type(v) is float for v in p.values)
+
+
+def test_build_profile_of_plain_numbers_does_not_import_numbers():
+    # The CLI's JSON loader feeds it ints and floats; ``numbers`` is for the rest.
+    code = ("import sys; from epops.spectra import build_profile; "
+            "build_profile([(0, 0, 1), (1, 1.5, 0.5)]); print('numbers' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize(
