@@ -37,8 +37,11 @@ class AmplificationResult(NamedTuple):
 
 
 def tail_deficit(r2: float, m: int) -> float:
-    """Chernoff bound e^(-r2^2) (r2^2 e / m)^m on the Poisson mass above m."""
-    return math.exp(-r2 * r2 + m * (math.log(r2 * r2) + 1.0 - math.log(m)))
+    """Chernoff bound e^(-r2^2) (r2^2 e / m)^m on the Poisson mass above m;
+    where r2^2 underflows to 0.0 its log is taken as 2 log r2."""
+    r2_sq = r2 * r2
+    log_r2_sq = math.log(r2_sq) if r2_sq else 2.0 * math.log(r2)
+    return math.exp(-r2_sq + m * (log_r2_sq + 1.0 - math.log(m)))
 
 
 def fidelity_floor(r2: float, remaining: int) -> Optional[float]:

@@ -10,11 +10,9 @@ round-by-round and merged fidelities side by side.
 One loop writes every curve: ``tradeoff_curve``, ``apps.estimation`` and
 the closed-form apps feed their first K ratio groups through the round
 recursion ``recursive._rounds``, and ``_points`` turns each group and its
-round numbers into a row; none builds a ``RatioTable`` or ``ProtocolRun``
-(the per-operation cost before and after is measured in
-``BENCH_pair_engine.json``).  A row's p_succ is
-the merged filter's own success probability s = p(U_T) + r_T q_rest; the
-running sum of the round probabilities (``recursive.cumulative``) differs
+round numbers into a row; none builds a ``RatioTable`` or ``ProtocolRun``.
+A row's p_succ is the merged filter's own success probability
+s = p(U_T) + r_T q_rest; the running sum of the round probabilities (``recursive.cumulative``) differs
 from it only by rounding and by the spread of a ratio tie grouped within
 1e-9.  The merged filter is the optimal filter at s (the KKT conditions in
 ``optimal``), so ``F_coarse`` is the frontier's segment expression at s.

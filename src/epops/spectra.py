@@ -38,7 +38,7 @@ import json
 import math
 import operator
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat, takewhile
 from operator import add, itemgetter, mul, truediv
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
@@ -103,8 +103,9 @@ class EnergyProfile(Frozen):
 
     ``support`` lists the sector indices (``int``s, strictly increasing; a
     numpy integer is converted), ``values`` the finite energy shown for each
-    sector (``float``s; an ``int`` or a numpy number is converted) and
-    ``weights`` its positive weight; the weights sum to one within 1e-12.
+    sector and ``weights`` its positive weight (``float``s; an ``int`` or a
+    numpy number is converted, a bool or a non-number raises ``ValueError``
+    naming its sector); the weights sum to one within 1e-12.
     The index is a sector's only identity: its energy value enters no
     formula, so profiles compare and hash by ``(support, weights)``.
     """
@@ -120,6 +121,8 @@ class EnergyProfile(Frozen):
             support = tuple([_integer(i, "sector index ") for i in support])
         if not (_FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values))):
             values = tuple([_energy_value(v, i) for i, v in zip(support, values)])
+        if not _FLOAT.issuperset(map(type, weights)):
+            weights = tuple([_number(w, "weight", i) for i, w in zip(support, weights)])
         if any(map(operator.ge, support, support[1:])):
             raise DuplicateLabel("sector indices must be strictly increasing")
         if any(map(operator.lt, weights, repeat(0.0))):
@@ -425,13 +428,17 @@ def _binomial_weight(N: int):
 
 def binomial_profile(N: int) -> EnergyProfile:
     """Profile of N aligned spins: labels m = -N, -N+2, ..., N with weight
-    C(N, (N-m)/2) / 2^N; a tail weight that underflows to 0.0 is dropped."""
+    C(N, (N-m)/2) / 2^N.  The log-weight is concave in k = (N-m)/2, so the
+    weights that do not underflow are one run around k = N // 2: each side
+    is walked out to its first 0.0, and no underflowing tail is computed."""
     N = _integer(N, "N=")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    support = range(-N, N + 1, 2)
-    weights = list(map(_binomial_weight(N), range(N, -1, -1)))
-    return _assemble(support, list(map(float, support)), weights)
+    weight = _binomial_weight(N)
+    up = list(takewhile(bool, map(weight, range(N // 2 + 1, N + 1))))
+    down = list(takewhile(bool, map(weight, range(N // 2, -1, -1))))
+    support = range(N - 2 * (N // 2 + len(up)), N - 2 * (N // 2 - len(down)), 2)
+    return _assemble(support, list(map(float, support)), up[::-1] + down)
 
 
 def poisson_profile(r: float, cutoff: int) -> EnergyProfile:

@@ -206,3 +206,12 @@ def test_fidelities_monotone_up_to_float_ties():
 def test_tail_bound_reported():
     res = amplification_tradeoff(1.0, 1.5, 80, 81)
     assert 0.0 < res.tail_bound < 1e-30
+
+
+def test_target_amplitude_whose_square_underflows_gives_a_curve():
+    # r2 * r2 is 0.0 here, so its log would be a domain error.
+    res = amplification_tradeoff(0.0, 1e-200, 3, 4)
+    assert len(res.curve.points) == 1
+    assert math.isfinite(res.tail_bound) and res.tail_bound >= 0.0
+    # At m = 1 the bound is about r2^2 e, 5.3e-324 here: one subnormal step.
+    assert tail_deficit(1.4e-162, 1) == 5e-324

@@ -323,6 +323,15 @@ def test_amplify_non_finite_amplitude_exits_2(tmp_path, capsys, r1, r2):
     assert not (tmp_path / "a.csv").exists()
 
 
+def test_amplify_target_amplitude_whose_square_underflows_exits_0(tmp_path, capsys):
+    # r2^2 underflows to 0.0; the tail bound used to take its log.
+    rc = run_cli(tmp_path, "amplify", "--r1", "0", "--r2", "1e-200", "--cutoff", "3",
+                 "--out", "a.csv")
+    assert rc == 0, capsys.readouterr().err
+    _, rows = read_rows(tmp_path / "a.csv")
+    assert rows == [["1", "1", "1", "1"]]
+
+
 def run_cli_process(tmp_path, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -7,18 +7,9 @@ import math
 import pytest
 
 from epops.apps import cloning_tradeoff, first_round_fidelity
-from epops.apps.cloning import _binomial_total
 from epops.coarse import tradeoff_curve
 from epops.errors import ParityMismatch
-from epops.spectra import _binomial_weight, binomial_profile
-
-
-@pytest.mark.parametrize("M", [100_000, 100_001])
-def test_normalizer_skips_only_the_zero_tails(M):
-    # The walk from the centre stops early, at weights that are exactly 0.0.
-    weight = _binomial_weight(M)
-    assert weight(0) == weight(M) == 0.0
-    assert _binomial_total(weight, M) == math.fsum(map(weight, range(M + 1)))
+from epops.spectra import binomial_profile
 
 
 def test_parity_mismatch_rejected():
@@ -90,8 +81,8 @@ def test_monotone_tradeoff():
 @pytest.mark.parametrize("N, M", [(1, 1), (5, 5), (2, 4), (10, 12), (80, 400), (3, 3001),
                                   (1000, 1500), (1100, 1100), (1100, 1102)])
 def test_curve_equals_the_curve_on_the_whole_binomial_target(N, M):
-    # The target is built on the shared sectors alone; every bit must stay.
-    # At M = 3001 and 1500 the far tails of the whole target underflow to 0,
-    # and at N = 1100 so do shared sectors, which both targets drop.
+    # The curve reads the whole binomial target; every bit must stay.
+    # At M = 3001 and 1500 the far tails of the target underflow to 0,
+    # and at N = 1100 so do shared sectors, which both profiles drop.
     whole = tradeoff_curve(binomial_profile(N), binomial_profile(M), 64)
     assert cloning_tradeoff(N, M, 64) == whole

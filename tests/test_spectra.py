@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from epops import spectra
 from epops.errors import (
     AllZeroWeights,
     DisjointSpectra,
@@ -317,6 +318,20 @@ def test_profile_rejects_energy_value_that_is_not_a_number(bad):
         EnergyProfile((0, 1), (0.0, bad), (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", ["0.5", None, True, np.bool_(True), 0.5j])
+def test_profile_rejects_weight_that_is_not_a_number(bad):
+    with pytest.raises(ValueError, match=re.escape(f"weight {bad!r} at sector 1 is not a number")):
+        EnergyProfile((0, 1), (0.0, 1.0), (0.5, bad))
+
+
+@pytest.mark.parametrize("weights", [(1,), (np.int64(1),), (np.float64(0.25), np.float32(0.75))],
+                         ids=["int", "numpy-int", "numpy-float"])
+def test_profile_converts_int_and_numpy_weights_to_float(weights):
+    p = EnergyProfile(range(len(weights)), [0.0] * len(weights), weights)
+    assert p.weights == tuple(map(float, weights))
+    assert all(type(w) is float for w in p.weights)
+
+
 @pytest.mark.parametrize("profile", [
     uniform_profile(61), sine_profile(60), binomial_profile(40), poisson_profile(1.5, 20),
     poisson_profile(0.0, 3), damped_profile(100, 0.9), uniform_levels(25),
@@ -358,11 +373,12 @@ def _reference_damped(d, mu):
 
 #: Each stock builder and its weights, one (index, value, weight) triple per
 #: sector, for the generic route; the sizes reach the zero and underflowing
-#: tails (binomial from N = 1075, Poisson at cutoff 320, damped at d = 25600).
+#: tails (binomial from N = 1075, whose walk stops short of both ends at
+#: 100000 and 100001; Poisson at cutoff 320, damped at d = 25600).
 REFERENCE_BUILDERS = {
     "binomial": (binomial_profile, lambda N: assemble(
         (m, float(m), _binomial_weight(N)((N - m) // 2)) for m in range(-N, N + 1, 2)),
-        [1, 2, 61, 400, 1075, 5000]),
+        [1, 2, 61, 400, 1075, 5000, 100_000, 100_001]),
     "poisson": (poisson_profile, _reference_poisson,
                 [(0, 5), (1, 175), (1, 320), (1.5, 1280), (30, 1000), (5, 1000)]),
     "uniform": (uniform_profile, lambda N: assemble(
@@ -389,6 +405,7 @@ def test_stock_builder_equals_the_generic_route(name, args):
 
 def test_reference_builder_grid_reaches_dropped_tails():
     assert len(binomial_profile(1075)) < 1076 and len(binomial_profile(5000)) < 5001
+    assert _binomial_weight(100_000)(0) == _binomial_weight(100_001)(100_001) == 0.0
     assert len(poisson_profile(1, 320)) < 321 and len(damped_profile(25600, 0.9)) < 25600
     assert len(damped_profile(2000, 1e-300)) == 2
 
@@ -451,6 +468,19 @@ def test_binomial_profile_small():
     assert p.weight(-2) == pytest.approx(0.25)
     assert p.weight(0) == pytest.approx(0.5)
     assert p.values[0] == -2.0
+
+
+def test_binomial_profile_computes_no_underflowing_tail(monkeypatch):
+    # One weight past the run on each side, where the walk stops at 0.0.
+    calls = []
+
+    def counted(N):
+        weight = _binomial_weight(N)
+        return lambda k: calls.append(k) or weight(k)
+
+    monkeypatch.setattr(spectra, "_binomial_weight", counted)
+    p = binomial_profile(10**6)
+    assert len(calls) <= len(p) + 2 < 10**5
 
 
 def test_binomial_profile_deep_tail_stays_positive():
