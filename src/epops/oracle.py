@@ -15,9 +15,11 @@ contiguous run of it, found by bisection.  Every feasible point is
 scored, ties keeping the first maximum in flat order.
 
 The profile engine's own second routes that ``verify`` reads live here
-too: ``round_filter_weights`` rebuilds each round's filter weights, and
-``merge_residuals`` compares their running sums, the generic filter
-fidelity and the success probability with each ``coarse_filter``.
+too: ``_filter_arrays`` builds a run's round filter weights and merged
+filters once, as two arrays.  ``verify`` compares the round weights with
+the simulation, and ``merge_residuals`` compares their running sums, the
+generic filter fidelity and the success probability with each merged
+filter.  ``round_filter_weights`` and ``coarse_filter`` read their rows.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
 import numpy as np
 
 from .channels import SectorFilter, filter_fidelity, filter_success_probability
+from .coarse import tradeoff_curve
 from .errors import (
     ConsistencyError,
     DimensionMismatch,
@@ -37,7 +40,7 @@ from .errors import (
     SpectrumTooLarge,
     TooLarge,
 )
-from .recursive import ProtocolRun, cumulative
+from .recursive import ProtocolRun, cumulative, run_protocol
 from .spectra import EnergyProfile, Frozen, _layout, common_support
 
 _DIMENSION_CAP = 16
@@ -49,7 +52,9 @@ _SORTED_POINTS = 1 << 18
 # probability by well under 1e-15: widened by this margin, each searched
 # slice holds every feasible point.
 _BAND_MARGIN = 1e-14
-_ERODED_RELATIVE = 1e-12
+#: Largest residual sector weight, against the input's unit norm, that
+#: :func:`simulate_protocol` counts as eroded.
+_ERODED_WEIGHT = 1e-12
 _ROUND_TOL = 1e-10
 _SUBSET_TOL = 1e-12
 #: Largest entry or eigenvalue excess the operator checks ignore.
@@ -265,11 +270,9 @@ def simulate_protocol(
         norm2 = math.fsum(weights.values())
         if norm2 <= 1e-12:
             break
-        active = {
-            label: w
-            for label, w in weights.items()
-            if w > _ERODED_RELATIVE * norm2
-        }
+        # An absolute cut: against a residual norm near 1e-5, an eroded
+        # sector's rounding residue of 1e-16 would pass a relative one.
+        active = {label: w for label, w in weights.items() if w > _ERODED_WEIGHT}
         convertible = [i for i in active if q.weight(i) > 0.0]
         if not convertible:
             break
@@ -290,10 +293,8 @@ def simulate_protocol(
         probability = float(np.vdot(out_vec, out_vec).real)
         overlap = np.vdot(psi, out_vec)
         fidelity = float(abs(overlap) ** 2) / probability
-        kraus_weights = {}
-        for i, component in input_components.items():
-            moved = operator @ component
-            kraus_weights[i] = float(np.vdot(moved, moved).real)
+        moved = {i: operator @ c for i, c in input_components.items()}
+        kraus_weights = {i: float(np.vdot(m, m).real) for i, m in moved.items()}
         rounds.append(
             SimulatedRound(
                 k=k,
@@ -462,23 +463,32 @@ def exhaustive_tradeoff(p: EnergyProfile, q: EnergyProfile, p_succ: float) -> fl
     return best * best / p_succ
 
 
+def _filter_arrays(run: ProtocolRun) -> Tuple[np.ndarray, np.ndarray]:
+    """Rows T = 1..K of ``run``, columns its input sectors in support order:
+    each round's filter weights (0 on the sectors eroded before round T,
+    (r_T - r_{T-1}) q_E / p_E on the rest) and each merged filter of rounds
+    1..T (1 on U_T, r_T q_E / p_E elsewhere).  A sector outside the common
+    spectrum is never eroded."""
+    p, table = run.input, run.table
+    # A sector's ratio group is the round that erodes it; L + 1 if none does.
+    rank = {i: j for j, i in enumerate(table.order)}
+    erodes = np.searchsorted(table.ends, [rank.get(i, len(rank)) for i in p.support], "right") + 1
+    pw = np.array(p.weights)
+    qw = np.array([run.target.weight(i) for i in p.support])
+    ratios = np.array(table.ratios[: len(run.fidelities)])
+    T = np.arange(1, len(ratios) + 1)[:, None]
+    rounds = np.where(erodes < T, 0.0, np.diff(ratios, prepend=0.0)[:, None] * qw / pw)
+    merged = np.where(erodes <= T, 1.0, ratios[:, None] * qw / pw)
+    return rounds, merged
+
+
 def round_filter_weights(run: ProtocolRun) -> List[Dict[int, float]]:
     """The filter weight m_E of each round of ``run`` on each input sector.
 
     Round k weighs the sectors eroded by earlier rounds by zero and the
     rest by (r_k - r_{k-1}) q_E / p_E; the engine never builds these.
     """
-    table, q = run.table, run.target
-    ratios = (0.0,) + table.ratios
-    out = []
-    for k in range(1, len(run.fidelities) + 1):
-        eroded = set(table.prefix(k - 1))
-        increment = ratios[k] - ratios[k - 1]
-        out.append({
-            i: 0.0 if i in eroded else increment * q.weight(i) / w
-            for i, w in zip(run.input.support, run.input.weights)
-        })
-    return out
+    return [dict(zip(run.input.support, row)) for row in _filter_arrays(run)[0].tolist()]
 
 
 def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
@@ -487,14 +497,23 @@ def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
     Transmits U_T fully and every other input sector at r_T q_E/p_E.
     """
     run.check_round(T)
-    u_t = set(run.table.prefix(T))
-    r_t = run.table.ratios[T - 1]
-    return SectorFilter(
-        {
-            i: 1.0 if i in u_t else r_t * run.target.weight(i) / w
-            for i, w in zip(run.input.support, run.input.weights)
-        }
-    )
+    return SectorFilter(dict(zip(run.input.support, _filter_arrays(run)[1][T - 1].tolist())))
+
+
+def _merge_gaps(run: ProtocolRun, rounds: np.ndarray, merged: np.ndarray) -> List[float]:
+    """The three :data:`MERGE_TOLERANCES` gaps of ``run``, worst over T."""
+    p, q = run.input, run.target
+    curve = tradeoff_curve(p, q, len(run.fidelities)).points
+    kraus = np.abs(np.cumsum(rounds, axis=0) - merged).max(axis=1)
+    gaps = []
+    for T, row in enumerate(merged.tolist(), start=1):
+        merged_T = SectorFilter(dict(zip(p.support, row)))
+        gaps.append((
+            kraus[T - 1],
+            abs(curve[T - 1].F_coarse - filter_fidelity(p, q, merged_T)),
+            abs(filter_success_probability(p, merged_T) - cumulative(run, T)[0]),
+        ))
+    return np.max(gaps, axis=0).tolist()
 
 
 def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
@@ -508,21 +527,7 @@ def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
     one the CLI prints, with K the rounds of ``run``.
     :data:`MERGE_TOLERANCES` holds the allowed gaps.
     """
-    from .coarse import tradeoff_curve
-
-    p, q = run.input, run.target
-    weights = round_filter_weights(run)
-    summed = np.cumsum([[m[i] for i in p.support] for m in weights], axis=0)
-    curve = tradeoff_curve(p, q, len(run.fidelities)).points
-    gaps = []
-    for T, row in enumerate(summed, start=1):
-        merged = coarse_filter(run, T)
-        gaps.append((
-            max(abs(x - merged.coefficients[i]) for i, x in zip(p.support, row)),
-            abs(curve[T - 1].F_coarse - filter_fidelity(p, q, merged)),
-            abs(filter_success_probability(p, merged) - cumulative(run, T)[0]),
-        ))
-    return dict(zip(MERGE_TOLERANCES, np.max(gaps, axis=0).tolist()))
+    return dict(zip(MERGE_TOLERANCES, _merge_gaps(run, *_filter_arrays(run))))
 
 
 class VerificationCheck(NamedTuple):
@@ -602,7 +607,6 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     from .channels import deterministic_fidelity
     from .optimal import optimal_tradeoff_point, ultimate_optimum
-    from .recursive import run_protocol
 
     rng = np.random.default_rng(seed)
     rounds_checked = 0
@@ -624,25 +628,20 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
 
         run = run_protocol(p, q, 64)
         sim = simulate_protocol(model, p, q, 64, rng)
-        if len(run.rounds) != len(sim.rounds):
-            rounds_ok = False
-        for a, m, b in zip(run.rounds, round_filter_weights(run), sim.rounds):
-            rounds_checked += 1
-            dev = max(
-                abs(a.fidelity - b.fidelity),
-                abs(a.probability - b.probability),
-                max(abs(m[i] - b.kraus_weights[i]) for i in p.support),
-            )
-            worst_round = max(worst_round, dev)
-        for name, gap in merge_residuals(run).items():
+        # The input lies in the target's support, so both routes run round 1.
+        rounds, merged = _filter_arrays(run)
+        n = min(len(rounds), len(sim.rounds))
+        rounds_ok = rounds_ok and n == len(rounds) == len(sim.rounds)
+        rounds_checked += n
+        simulated = np.array([[b.kraus_weights[i] for i in p.support] for b in sim.rounds[:n]])
+        kraus = np.abs(rounds[:n] - simulated).max(axis=1).tolist()
+        for a, b, dev in zip(run.rounds, sim.rounds, kraus):
+            worst_round = max(worst_round, abs(a.fidelity - b.fidelity),
+                              abs(a.probability - b.probability), dev)
+        summed = np.cumsum(simulated, axis=0)
+        worst_sim_merge = max(worst_sim_merge, float(np.abs(summed - merged[:n]).max()))
+        for name, gap in zip(MERGE_TOLERANCES, _merge_gaps(run, rounds, merged)):
             worst_merge[name] = max(worst_merge[name], gap)
-        simulated = np.cumsum(
-            [[b.kraus_weights[i] for i in p.support] for b in sim.rounds], axis=0
-        )
-        for T, row in enumerate(simulated[: len(run.rounds)], start=1):
-            merged = coarse_filter(run, T).coefficients
-            gaps = [abs(x - merged[i]) for i, x in zip(p.support, row)]
-            worst_sim_merge = max([worst_sim_merge] + gaps)
         worst_completeness = max(worst_completeness, sim.completeness_residual)
 
         ops = [r.operator for r in sim.rounds] + [sim.failure_operator]

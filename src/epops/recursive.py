@@ -13,9 +13,9 @@ fidelity; the cumulative probability and fidelity are their running sums.
 ``run_protocol`` its columns and every curve of ``coarse`` and
 ``apps.estimation`` its rows, with no ``ProtocolRun``; a curve row prints
 the merged filter's probability, not this running sum.  A round is a
-record of these numbers only.  The round filters' weights m_E per input
-sector, their second route, live in ``oracle.round_filter_weights``, which
-``epops verify`` compares with a matrix simulation and the merged filters.
+record of these numbers only.  ``oracle._filter_arrays`` builds the round
+filters' weights m_E per input sector, their second route, which ``epops
+verify`` compares with a matrix simulation and the merged filters.
 """
 
 from __future__ import annotations

@@ -137,6 +137,7 @@ def test_filter_rejects_non_integer_keys(key):
 def test_filter_accepts_numpy_integer_keys():
     f = SectorFilter({np.int64(3): 0.5, np.int32(1): 1.0, 0: 0.25})
     assert f.coefficients == {3: 0.5, 1: 1.0, 0: 0.25}
+    assert f == SectorFilter({0: 0.25, 1: 1.0, 3: 0.5}) and f != f.coefficients
     assert all(type(i) is int for i in f.coefficients)
 
 

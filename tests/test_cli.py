@@ -629,6 +629,23 @@ def test_verify_without_instances_exits_2(tmp_path, capsys, seed, instances, opt
     assert captured.err.startswith("error:") and option in captured.err
 
 
+def test_consistency_error_exits_4_with_one_error_line(tmp_path, capsys, monkeypatch):
+    # No subcommand raises it on a correct engine, so a planted one stands in.
+    import epops.oracle
+    from epops.errors import ConsistencyError
+
+    def disagree(seed, instances):
+        raise ConsistencyError("planted quantity", 1.0, 2.0, 1e-12)
+
+    monkeypatch.setattr(epops.oracle, "run_verification", disagree)
+    assert run_cli(tmp_path, "verify", "--seed", "1", "--instances", "1") == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: consistency check failed: planted quantity: 1.0 vs 2.0, tolerance 1e-12\n"
+    )
+
+
 def test_app_manifests_record_the_grouping_tolerance_alone(tmp_path):
     # The closed-form apps hold no tolerance of their own: the comparison
     # with the engine lives in the tests.

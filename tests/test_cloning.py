@@ -24,6 +24,11 @@ def test_shrinking_rejected():
         cloning_tradeoff(6, 4, 5)
 
 
+def test_zero_spins_rejected():
+    with pytest.raises(ValueError, match="must be positive"):
+        cloning_tradeoff(0, 2, 1)
+
+
 def test_equal_sizes_give_trivial_curve():
     curve = cloning_tradeoff(5, 5, 10)
     assert len(curve.points) == 1

@@ -149,6 +149,21 @@ def test_block_positive_rejects_negative_square():
         mixed_alignment_fidelity(bd, coherent_target_profile())
 
 
+def test_block_positive_rejects_weight_outside_the_leading_square():
+    # Block (0, 1) is 2 x 1; its second row lies outside the leading square.
+    bd = block_density(
+        [(0, 0.0, 2), (1, 1.0, 1)],
+        {
+            (0, 0): np.diag([0.3, 0.2]),
+            (1, 1): np.array([[0.5]]),
+            (0, 1): np.array([[0.0], [0.3]]),
+        },
+    )
+    cert = is_block_positive(bd)
+    assert not cert.certified
+    assert cert.note == "block (0, 1) has weight outside its leading square"
+
+
 def test_ultimate_mixed_reduces_to_pure_optimum():
     rng = np.random.default_rng(11)
     for _ in range(10):

@@ -13,7 +13,7 @@ from epops.channels import (
     filter_success_probability,
 )
 from epops.errors import DisjointSpectra, InfeasibleProbability, NoFeasiblePartition
-from epops.optimal import optimal_tradeoff_point, ultimate_optimum
+from epops.optimal import frontier, optimal_tradeoff_point, ultimate_optimum
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.coarse import tradeoff_curve
 from epops.oracle import exhaustive_tradeoff
@@ -263,6 +263,11 @@ def test_tradeoff_point_infeasible_probability():
         assert pt.p_succ == pytest.approx(0.9, abs=1e-15)
         assert pt.fidelity == pytest.approx(0.25 / 0.9, abs=1e-12)
         assert pt.fidelity == pytest.approx(exhaustive_tradeoff(p, q, 0.9), abs=1e-12)
+    # p_succ = 1 + 1e-12 passes the range check but overshoots a small
+    # input-only sector by more than its slack.
+    p = build_profile([(0, 0.0, 1e-3), (1, 1.0, 0.999)])
+    with pytest.raises(NoFeasiblePartition, match="input-only"):
+        optimal_tradeoff_point(p, q, 1.0 + 1e-12)
 
 
 def test_tradeoff_point_rejects_bad_arguments():
@@ -271,3 +276,6 @@ def test_tradeoff_point_rejects_bad_arguments():
         optimal_tradeoff_point(p, q, 0.0)
     with pytest.raises(ValueError):
         optimal_tradeoff_point(p, q, 0.5, mode="bogus")
+    for p_succ in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="must lie in"):
+            frontier(p, q).fidelity(p_succ)

@@ -440,6 +440,29 @@ def test_verification_keeps_the_benchmark_verdicts():
             assert got == verdicts, seed
 
 
+def test_verification_builds_each_instances_filters_once(monkeypatch):
+    # One array pair per instance feeds the per-round, summed-simulation
+    # and merged-filter gaps alike.
+    built = []
+    build = epops.oracle._filter_arrays
+
+    def counted(run):
+        built.append(run)
+        return build(run)
+
+    monkeypatch.setattr(epops.oracle, "_filter_arrays", counted)
+    run_verification(seed=4, instances=6)
+    assert len(built) == 6
+
+
+def test_simulation_counts_rounding_residue_of_an_eroded_sector_as_eroded():
+    # Instance 78 of seed 34: once the residual norm is down to 5e-6, an
+    # eroded sector's rounding residue of 6e-17 passed a cut relative to
+    # that norm, and the simulation ran a fifth round the engine does not.
+    rep = run_verification(seed=34, instances=79)
+    assert [c.name for c in rep.checks if not c.passed] == []
+
+
 @pytest.mark.parametrize("instances", [0, -3])
 def test_verification_needs_an_instance(instances):
     with pytest.raises(ValueError):

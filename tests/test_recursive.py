@@ -63,6 +63,14 @@ def test_round_count_must_be_an_integer(K):
     assert len(tradeoff_curve(p, q, np.int64(1)).points) == 1
 
 
+@pytest.mark.parametrize("K", [0, -1])
+def test_round_count_must_be_at_least_one(K):
+    p, q = two_sector()
+    for build in (run_protocol, tradeoff_curve):
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            build(p, q, K)
+
+
 def test_cumulative_two_sector():
     p, q = two_sector()
     run = run_protocol(p, q, 10)

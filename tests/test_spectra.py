@@ -177,6 +177,17 @@ def test_poisson_profile_rejects_bad_amplitude(r):
         poisson_profile(r, 10)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: binomial_profile(0), "N must be a positive integer"),
+    (lambda: uniform_profile(0), "N must be a positive integer"),
+    (lambda: sine_profile(-1), "N must be a positive integer"),
+    (lambda: poisson_profile(1.0, -1), "cutoff must be nonnegative"),
+], ids=["binomial", "uniform", "sine", "poisson"])
+def test_stock_builders_refuse_an_empty_range(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_support_and_labels_are_built_once():
     p = build_profile([(0, 0.0, 0.25), (3, 1.5, 0.75)])
     assert p.support is p.support
@@ -203,6 +214,7 @@ def test_profiles_compare_and_hash_by_support_and_weights():
     assert p != build_profile([(0, 0.0, 0.5), (3, 1.5, 0.5)])
     assert p != build_profile([(0, 0.0, 0.25), (2, 1.5, 0.75)])
     assert p != (p.support, p.weights)
+    assert repr(p) == "EnergyProfile(support=(0, 3), values=(0.0, 1.5), weights=(0.25, 0.75))"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -232,10 +244,11 @@ def test_profile_constructor_rejects_zero_weight():
     ((np.float64(-0.5), 1.5), NegativeWeight, "nonnegative"),
     ((1.0, -0.0), ValueError, "sector 1 has weight zero"),
     ((1.0, math.nan), NonFiniteWeight, "sum to nan"),
-], ids=["float", "int", "numpy-int", "numpy-float", "negative-zero", "nan"])
+    ((0.5, 0.5 + 2e-12), ValueError, "expected 1 within 1e-12"),
+], ids=["float", "int", "numpy-int", "numpy-float", "negative-zero", "nan", "unnormalized"])
 def test_profile_constructor_sign_check(weights, error, message):
     # -0.0 is not below zero: it is refused as a zero weight, as NaN is as
-    # a non-finite total.
+    # a non-finite total; a sum off 1 by more than 1e-12 is refused too.
     with pytest.raises(error, match=message):
         EnergyProfile((0, 1), (0.0, 1.0), weights)
 
