@@ -63,7 +63,7 @@ class BlockDensity(Frozen):
                  matrix: np.ndarray) -> None:
         sectors = tuple([(int(i), float(v), int(d))
                          for i, v, d in sorted(sectors, key=itemgetter(0))])
-        slices = _layout(sectors)
+        slices = _layout([(i, d) for i, _, d in sectors])
         total = sum(d for _, _, d in sectors)
         full = np.array(matrix, dtype=complex)
         if full.shape != (total, total):
@@ -103,7 +103,7 @@ def block_density(
     (i, j); a pair given neither way is zero.
     """
     secs = sorted(sectors, key=itemgetter(0))
-    slices = _layout(secs)
+    slices = _layout([(i, d) for i, _, d in secs])
     total = sum(d for _, _, d in secs)
     full = np.zeros((total, total), dtype=complex)
     cleaned = {(int(i), int(j)): np.asarray(b, dtype=complex) for (i, j), b in blocks.items()}
@@ -230,8 +230,8 @@ class _Alignment(NamedTuple):
 
 def _alignment(rho: BlockDensity, q: EnergyProfile) -> _Alignment:
     kept = [
-        (i, v, d)
-        for i, v, d in rho.sectors
+        (i, d)
+        for i, _, d in rho.sectors
         if q.weight(i) > 0.0 and float(np.trace(rho.block(i, i)).real) > _SUPPORT_CUT
     ]
     if not kept:
@@ -245,7 +245,7 @@ def _alignment(rho: BlockDensity, q: EnergyProfile) -> _Alignment:
     whiten = np.zeros_like(kept_rho)
     for i, r in ranges.items():
         whiten[r, r] = whiteners[i]
-    qw = np.repeat([q.weight(i) for i in ranges], [d for _, _, d in kept])
+    qw = np.repeat([q.weight(i) for i in ranges], [d for _, d in kept])
     matrix = np.sqrt(np.outer(qw, qw)) * (whiten @ kept_rho @ whiten)
     return _Alignment(ranges=ranges, whiteners=whiteners, matrix=matrix)
 
@@ -401,7 +401,7 @@ def thermal_spin_block_density(N: int, beta: float) -> BlockDensity:
          sum(s.multiplicity for s in sectors if s.l >= abs(twice_m) / 2.0 - 1e-9))
         for twice_m in range(-N, N + 1, 2)
     ]
-    slices = _layout(secs)
+    slices = _layout([(i, d) for i, _, d in secs])
     full = np.zeros((2**N, 2**N))
     # The rows of (l, copy) sit at the same offset in every sector 2m with
     # |m| <= l: the multiplicities of the larger l come first.

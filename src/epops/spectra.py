@@ -274,20 +274,19 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
     return _assemble(support, [seen[i][0] for i in support], [seen[i][1] for i in support])
 
 
-def _layout(sectors: Sequence[Tuple[int, float, int]]) -> Dict[int, slice]:
+def _layout(sectors: Sequence[Tuple[int, int]]) -> Dict[int, slice]:
     """Each sector's row range when a matrix groups its rows by sector.
 
-    ``sectors`` holds (index, energy value, dimension) triples in the row
-    order; the indices must be distinct and increasing and every
-    dimension positive.
+    ``sectors`` holds (index, dimension) pairs in the row order; the
+    indices must be distinct and increasing and every dimension positive.
     """
-    indices = [i for i, _, _ in sectors]
+    indices = [i for i, _ in sectors]
     if sorted(set(indices)) != indices:
         raise DimensionMismatch("sector labels must be distinct and sorted")
-    if any(d < 1 for _, _, d in sectors):
+    if any(d < 1 for _, d in sectors):
         raise DimensionMismatch("sector dimensions must be positive")
-    bounds = list(accumulate((d for _, _, d in sectors), initial=0))
-    return {i: slice(a, b) for (i, _, _), a, b in zip(sectors, bounds, bounds[1:])}
+    bounds = list(accumulate((d for _, d in sectors), initial=0))
+    return {i: slice(a, b) for (i, _), a, b in zip(sectors, bounds, bounds[1:])}
 
 
 class RatioTable(NamedTuple):

@@ -44,10 +44,10 @@ from epops.spectra import EnergyProfile, build_profile
 
 
 def test_model_layout():
-    model = hilbert_model({0: 2, 1: 1, 3: 2}, values={3: 2.5})
+    model = hilbert_model({0: 2, 1: 1, 3: 2})
     assert model.labels == (0, 1, 3)
     assert model.dimension == 5
-    assert model.values == (0.0, 1.0, 2.5)
+    assert not hasattr(model, "values")
     assert model.slices == {0: slice(0, 2), 1: slice(2, 3), 3: slice(3, 5)}
 
 
@@ -64,7 +64,7 @@ def test_model_rejects_bad_dims():
 @pytest.mark.parametrize("labels", [(0, 0), (1, 0)], ids=["repeated", "unsorted"])
 def test_model_rejects_repeated_or_unsorted_labels(labels):
     with pytest.raises(DimensionMismatch):
-        HilbertModel(labels, (0.0, 1.0), (1, 1))
+        HilbertModel(labels, (1, 1))
 
 
 def test_embed_profile_reproduces_weights():
@@ -140,9 +140,26 @@ def test_simulation_matches_table_engine():
         for a, m, b in zip(run.rounds, round_filter_weights(run), sim.rounds):
             assert b.fidelity == pytest.approx(a.fidelity, abs=1e-10)
             assert b.probability == pytest.approx(a.probability, abs=1e-10)
-            for i in p.support:
-                assert b.kraus_weights[i] == pytest.approx(m[i], abs=1e-10)
+            for i, w in zip(p.support, b.kraus_weights):
+                assert w == pytest.approx(m[i], abs=1e-10)
         assert sim.completeness_residual <= 1e-10
+
+
+def test_simulated_kraus_weights_follow_the_input_support():
+    # Labels that are not 0..n-1 and an input-only sector 9: each round's
+    # weights line up with p.support, and sector 9 is never filtered in.
+    p = build_profile([(1, 1.0, 0.2), (4, 4.0, 0.3), (6, 6.0, 0.4), (9, 9.0, 0.1)])
+    q = build_profile([(1, 1.0, 0.5), (4, 4.0, 0.2), (6, 6.0, 0.3)])
+    model = hilbert_model({1: 2, 4: 1, 6: 2, 9: 1})
+    run = run_protocol(p, q, 64)
+    sim = simulate_protocol(model, p, q, 64, np.random.default_rng(19))
+    assert len(sim.rounds) == len(run.rounds) == 3
+    for m, b in zip(round_filter_weights(run), sim.rounds):
+        assert b.kraus_weights.shape == (4,)
+        assert b.kraus_weights == pytest.approx([m[i] for i in p.support], abs=1e-10)
+        assert b.kraus_weights[3] == 0.0
+    assert sector_weights(model, embed_profile(model, p, np.random.default_rng(0))) == (
+        pytest.approx([0.2, 0.3, 0.4, 0.1], abs=1e-12))
 
 
 def test_simulated_operators_are_energy_preserving():
@@ -500,6 +517,10 @@ def test_exhaustive_tradeoff_infeasible_probability():
     assert exhaustive_tradeoff(p, q, 0.9) == pytest.approx(0.25 / 0.9, abs=1e-12)
     with pytest.raises(NoFeasiblePartition):
         exhaustive_tradeoff(p, q, 1.1)
+    # At zero the fidelity would divide by zero.
+    for p_succ in (0.0, -0.0):
+        with pytest.raises(ValueError, match=r"^p_succ must lie in \(0, 1\]$"):
+            exhaustive_tradeoff(p, q, p_succ)
 
 
 def test_verification_catches_a_planted_wrong_optimum(monkeypatch):
