@@ -45,13 +45,12 @@ def haar_average_fidelity(f0: float, d: int) -> float:
 def damped_profile(d: int, mu: float) -> EnergyProfile:
     """Level weights mu^(n-1)(1-mu)/(1-mu^d) on n = 1..d."""
     norm, levels = (1.0 - mu) / (1.0 - mu**d), range(1, d + 1)
-    return _assemble(levels, list(map(float, levels)), [norm * mu ** (n - 1) for n in levels])
+    return _assemble(levels, [norm * mu ** (n - 1) for n in levels])
 
 
 def uniform_levels(d: int) -> EnergyProfile:
     """Uniform weights on levels 1..d."""
-    levels = range(1, d + 1)
-    return _assemble(levels, list(map(float, levels)), [1.0 / d] * d)
+    return _assemble(range(1, d + 1), [1.0 / d] * d)
 
 
 def round_probability(d: int, mu: float, k: int) -> float:

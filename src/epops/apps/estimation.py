@@ -94,7 +94,7 @@ def estimation_profiles(mode: str, N: int) -> Tuple[EnergyProfile, EnergyProfile
         # Excitation numbers n = (m + N)/2 of N symmetric qubits along x.
         spins = binomial_profile(N)
         n = [(m + N) // 2 for m in spins.support]
-        return EnergyProfile(n, [float(k) for k in n], spins.weights), sine_profile(N)
+        return EnergyProfile(n, spins.weights), sine_profile(N)
     raise ValueError(f"unknown estimation mode {mode!r}; pick one of {MODES}")
 
 

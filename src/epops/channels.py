@@ -19,7 +19,7 @@ import math
 from typing import Mapping
 
 from .errors import ZeroSuccessProbability
-from .spectra import _INT, EnergyProfile, Frozen, _integer, common_support
+from .spectra import _INT, EnergyProfile, Frozen, _integer, _number, common_support
 
 _CLIP_SLACK = 1e-12
 _REAL = frozenset([int, float])
@@ -31,6 +31,7 @@ def _clean_each(coefficients: Mapping[int, float]) -> dict[int, float]:
     for index, x in coefficients.items():
         if type(index) is not int:
             index = _integer(index, "filter key ")
+        _number(x, "filter coefficient", index)
         if not -_CLIP_SLACK <= x <= 1.0 + _CLIP_SLACK:
             raise ValueError(
                 f"filter coefficient {x!r} at sector {index} is not in [0, 1]"
@@ -44,9 +45,10 @@ class SectorFilter(Frozen):
 
     Absent sectors transmit nothing.  Coefficients within 1e-12 outside
     [0, 1] are clipped (boundary solutions of the Lagrange optimum land at
-    1 up to roundoff); anything further out, and NaN, is rejected.  Keys
-    are integer sector indices (ints or numpy integers); a bool or a
-    float key is rejected, not truncated.
+    1 up to roundoff); anything further out, NaN, a bool and a non-number
+    (a string, ``None``, a complex) are rejected.  Keys are integer sector
+    indices (ints or numpy integers); a bool or a float key is rejected,
+    not truncated.
     """
 
     def __init__(self, coefficients: Mapping[int, float]) -> None:
@@ -82,7 +84,7 @@ def deterministic_fidelity(p: EnergyProfile, q: EnergyProfile) -> float:
 
 def filter_success_probability(p: EnergyProfile, f: SectorFilter) -> float:
     """Probability sum_E p_E x_E that the filter transmits the state."""
-    return math.fsum(p.weight(i) * f.coefficient(i) for i in p.support)
+    return math.fsum(w * f.coefficient(i) for i, w in zip(p.support, p.weights))
 
 
 def filter_fidelity(p: EnergyProfile, q: EnergyProfile, f: SectorFilter) -> float:

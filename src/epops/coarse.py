@@ -17,9 +17,9 @@ from it only by rounding and by the spread of a ratio tie grouped within
 1e-9.  The merged filter is the optimal filter at s (the KKT conditions in
 ``optimal``), so ``F_coarse`` is the frontier's segment expression at s.
 The merged filter itself is built only by ``oracle._filter_arrays``, for
-``epops verify`` and ``merge_residuals``, which compare it with the round
-filter weights summed over rounds 1..T, its generic fidelity with the
-row of ``tradeoff_curve`` and its success probability with the running sum.
+``epops verify``, whose ``_merge_gaps`` compares it with the round filter
+weights summed over rounds 1..T, its generic fidelity with the row of
+``tradeoff_curve`` and its success probability with the running sum.
 """
 
 from __future__ import annotations

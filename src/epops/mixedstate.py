@@ -1,10 +1,10 @@
 """Mixed input states: block densities, fidelity bounds, and purification.
 
-A mixed input is described by its sector blocks rho_{E,E'}.  The best
-deterministic alignment fidelity to a pure target with weights q_E is
-bounded by sum sqrt(q_E q_E') ||rho_{E,E'}||_1, and the bound is attained
-exactly when every block is positive semidefinite in a common sector
-basis.  Dropping the trace-preservation requirement, the best fidelity at
+A mixed input is described by its sector blocks rho_{E,E'}; a sector is
+an (index, dimension) pair, with no energy value.  The best deterministic
+alignment fidelity to a pure target with weights q_E is bounded by
+sum sqrt(q_E q_E') ||rho_{E,E'}||_1, and the bound is attained exactly
+when every block is positive semidefinite in a common sector basis.  Dropping the trace-preservation requirement, the best fidelity at
 any nonzero success probability is the top eigenvalue of an alignment
 matrix assembled from whitened blocks, and the largest probability
 attaining it follows from the top eigenspace.  When that eigenspace is
@@ -50,21 +50,19 @@ _LOG_RANGE = 700.0
 class BlockDensity(Frozen):
     """A density matrix with a labeled sector layout.
 
-    ``sectors`` holds (index, energy value, dimension) triples, stored
-    as ints and floats in increasing index order; ``matrix`` is the
-    read-only density matrix with its rows and columns grouped by sector
-    in that order, and ``slices`` maps each index to its row range, so
-    block (i, j) is ``matrix[slices[i], slices[j]]``.
+    ``sectors`` holds (index, dimension) pairs, stored as ints in
+    increasing index order; ``matrix`` is the read-only density matrix with
+    its rows and columns grouped by sector in that order, and ``slices``
+    maps each index to its row range, so block (i, j) is
+    ``matrix[slices[i], slices[j]]``.
     The matrix must be Hermitian, positive semidefinite within 1e-10, and
     of unit trace.
     """
 
-    def __init__(self, sectors: Sequence[Tuple[int, float, int]],
-                 matrix: np.ndarray) -> None:
-        sectors = tuple([(int(i), float(v), int(d))
-                         for i, v, d in sorted(sectors, key=itemgetter(0))])
-        slices = _layout([(i, d) for i, _, d in sectors])
-        total = sum(d for _, _, d in sectors)
+    def __init__(self, sectors: Sequence[Tuple[int, int]], matrix: np.ndarray) -> None:
+        sectors = tuple([(int(i), int(d)) for i, d in sorted(sectors, key=itemgetter(0))])
+        slices = _layout(sectors)
+        total = sum(d for _, d in sectors)
         full = np.array(matrix, dtype=complex)
         if full.shape != (total, total):
             raise DimensionMismatch(
@@ -94,17 +92,17 @@ class BlockDensity(Frozen):
 
 
 def block_density(
-    sectors: Sequence[Tuple[int, float, int]],
+    sectors: Sequence[Tuple[int, int]],
     blocks: Mapping[Tuple[int, int], np.ndarray],
 ) -> BlockDensity:
-    """Build a block density from (index, energy value, dimension) sectors.
+    """Build a block density from (index, dimension) sectors.
 
     Block (j, i) defaults to the conjugate transpose of a given block
     (i, j); a pair given neither way is zero.
     """
     secs = sorted(sectors, key=itemgetter(0))
-    slices = _layout([(i, d) for i, _, d in secs])
-    total = sum(d for _, _, d in secs)
+    slices = _layout(secs)
+    total = sum(d for _, d in secs)
     full = np.zeros((total, total), dtype=complex)
     cleaned = {(int(i), int(j)): np.asarray(b, dtype=complex) for (i, j), b in blocks.items()}
     for (i, j), b in cleaned.items():
@@ -123,8 +121,7 @@ def block_density(
 
 def pure_block_density(p: EnergyProfile) -> BlockDensity:
     """The rank-one block density of a pure state with profile ``p``."""
-    sectors = [(i, v, 1) for i, v in zip(p.support, p.values)]
-    return BlockDensity(sectors, np.sqrt(np.outer(p.weights, p.weights)))
+    return BlockDensity([(i, 1) for i in p.support], np.sqrt(np.outer(p.weights, p.weights)))
 
 
 def _trace_norm(block: np.ndarray) -> float:
@@ -231,7 +228,7 @@ class _Alignment(NamedTuple):
 def _alignment(rho: BlockDensity, q: EnergyProfile) -> _Alignment:
     kept = [
         (i, d)
-        for i, _, d in rho.sectors
+        for i, d in rho.sectors
         if q.weight(i) > 0.0 and float(np.trace(rho.block(i, i)).real) > _SUPPORT_CUT
     ]
     if not kept:
@@ -397,11 +394,10 @@ def thermal_spin_block_density(N: int, beta: float) -> BlockDensity:
         raise TooLarge(f"N={N} assembles a 2^{N} dimensional matrix; cap is 9")
     sectors = spin_sector_model(N, beta)[::-1]
     secs = [
-        (twice_m, twice_m / 2.0,
-         sum(s.multiplicity for s in sectors if s.l >= abs(twice_m) / 2.0 - 1e-9))
+        (twice_m, sum(s.multiplicity for s in sectors if s.l >= abs(twice_m) / 2.0 - 1e-9))
         for twice_m in range(-N, N + 1, 2)
     ]
-    slices = _layout([(i, d) for i, _, d in secs])
+    slices = _layout(secs)
     full = np.zeros((2**N, 2**N))
     # The rows of (l, copy) sit at the same offset in every sector 2m with
     # |m| <= l: the multiplicities of the larger l come first.

@@ -20,15 +20,15 @@ scored, ties keeping the first maximum in flat order.
 The profile engine's own second routes that ``verify`` reads live here
 too: ``_filter_arrays`` builds a run's round filter weights and merged
 filters once, as two arrays.  ``verify`` compares the round weights with
-the simulation, and ``merge_residuals`` compares their running sums, the
+the simulation, and ``_merge_gaps`` compares their running sums, the
 generic filter fidelity and the success probability with each merged
-filter.  ``round_filter_weights`` and ``coarse_filter`` read their rows.
+filter.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -69,7 +69,7 @@ _SAMPLES = 6
 #: Kraus operators of each random sector channel.
 _CHANNEL_FLAGS = 2
 
-#: Largest gap :func:`merge_residuals` allows for each second route.
+#: Largest gap :func:`_merge_gaps` allows for each second route.
 MERGE_TOLERANCES = {"kraus": 1e-12, "fidelity": 1e-12, "probability": 1e-10}
 
 
@@ -459,26 +459,10 @@ def _filter_arrays(run: ProtocolRun) -> Tuple[np.ndarray, np.ndarray]:
     return rounds, merged
 
 
-def round_filter_weights(run: ProtocolRun) -> List[Dict[int, float]]:
-    """The filter weight m_E of each round of ``run`` on each input sector.
-
-    Round k weighs the sectors eroded by earlier rounds by zero and the
-    rest by (r_k - r_{k-1}) q_E / p_E; the engine never builds these.
-    """
-    return [dict(zip(run.input.support, row)) for row in _filter_arrays(run)[0].tolist()]
-
-
-def coarse_filter(run: ProtocolRun, T: int) -> SectorFilter:
-    """The single filter equivalent to keeping rounds 1..T.
-
-    Transmits U_T fully and every other input sector at r_T q_E/p_E.
-    """
-    run.check_round(T)
-    return SectorFilter(dict(zip(run.input.support, _filter_arrays(run)[1][T - 1].tolist())))
-
-
 def _merge_gaps(run: ProtocolRun, rounds: np.ndarray, merged: np.ndarray) -> List[float]:
-    """The three :data:`MERGE_TOLERANCES` gaps of ``run``, worst over T."""
+    """The worst gap over T of ``run`` between each merged filter and, in
+    :data:`MERGE_TOLERANCES` order, the round weights summed over rounds
+    1..T, the ``F_coarse`` the CLI prints and the cumulative p_succ."""
     p, q = run.input, run.target
     curve = tradeoff_curve(p, q, len(run.fidelities)).points
     kraus = np.abs(np.cumsum(rounds, axis=0) - merged).max(axis=1)
@@ -491,20 +475,6 @@ def _merge_gaps(run: ProtocolRun, rounds: np.ndarray, merged: np.ndarray) -> Lis
             abs(filter_success_probability(p, merged_T) - cumulative(run, T)[0]),
         ))
     return np.max(gaps, axis=0).tolist()
-
-
-def merge_residuals(run: ProtocolRun) -> Dict[str, float]:
-    """Worst gap between each closed-form merged filter and its second routes.
-
-    For every T of ``run``: ``kraus`` compares the round filter weights
-    summed over rounds 1..T with ``coarse_filter(run, T)``, ``fidelity``
-    compares the curve's merged fidelity with the generic fidelity of that
-    filter, and ``probability`` compares the filter's success probability
-    with the cumulative one.  The curve is ``tradeoff_curve(p, q, K)``, the
-    one the CLI prints, with K the rounds of ``run``.
-    :data:`MERGE_TOLERANCES` holds the allowed gaps.
-    """
-    return dict(zip(MERGE_TOLERANCES, _merge_gaps(run, *_filter_arrays(run))))
 
 
 class VerificationCheck(NamedTuple):

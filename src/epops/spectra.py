@@ -12,10 +12,10 @@ coarse-graining read every number.  It is the only place that sorts, and
 estimation gain, read the first K groups of the sorted columns
 (``_column_groups``) and build no ``ProtocolRun``.
 
-A sector is its integer index.  A profile holds three aligned columns:
-the indices, the energy values (shown, never used in a formula) and the
-weights.  The matrix modules (``oracle``, ``mixedstate``) group their rows
-by sector; ``_layout`` gives each index its row range there.
+A sector is its integer index: no formula reads an energy value, so a
+profile holds two aligned columns, the indices and the weights.  The
+matrix modules (``oracle``, ``mixedstate``) group their rows by sector;
+``_layout`` gives each index its row range there.
 
 Weights for large parameters are computed in the log domain (log-gamma),
 so quantities like the weight 2^-400 at the edge of a 400-copy binomial
@@ -99,28 +99,24 @@ class Frozen:
 
 
 class EnergyProfile(Frozen):
-    """Normalized sector weights of a pure state, held as three columns.
+    """Normalized sector weights of a pure state, held as two columns.
 
     ``support`` lists the sector indices (``int``s, strictly increasing; a
-    numpy integer is converted), ``values`` the finite energy shown for each
-    sector and ``weights`` its positive weight (``float``s; an ``int`` or a
-    numpy number is converted, a bool or a non-number raises ``ValueError``
-    naming its sector); the weights sum to one within 1e-12.
-    The index is a sector's only identity: its energy value enters no
-    formula, so profiles compare and hash by ``(support, weights)``.
+    numpy integer is converted) and ``weights`` the positive weight of each
+    (``float``s; an ``int`` or a numpy number is converted, a bool or a
+    non-number raises ``ValueError`` naming its sector); the weights sum to
+    one within 1e-12.  The index is a sector's only identity, so profiles
+    compare and hash by ``(support, weights)``.
     """
 
-    __slots__ = ("support", "values", "weights", "_by_index")
+    __slots__ = ("support", "weights", "_by_index")
 
-    def __init__(self, support: Sequence[int], values: Sequence[float],
-                 weights: Sequence[float]) -> None:
-        support, values, weights = tuple(support), tuple(values), tuple(weights)
-        if not len(support) == len(values) == len(weights):
-            raise ValueError("support, values and weights must have equal length")
+    def __init__(self, support: Sequence[int], weights: Sequence[float]) -> None:
+        support, weights = tuple(support), tuple(weights)
+        if len(support) != len(weights):
+            raise ValueError("support and weights must have equal length")
         if not _INT.issuperset(map(type, support)):
             support = tuple([_integer(i, "sector index ") for i in support])
-        if not (_FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values))):
-            values = tuple([_energy_value(v, i) for i, v in zip(support, values)])
         if not _FLOAT.issuperset(map(type, weights)):
             weights = tuple([_number(w, "weight", i) for i, w in zip(support, weights)])
         if any(map(operator.ge, support, support[1:])):
@@ -136,8 +132,7 @@ class EnergyProfile(Frozen):
             raise ValueError(
                 f"profile weights sum to {total!r}, expected 1 within {_NORMALIZATION_TOL}"
             )
-        self._init(support=support, values=values, weights=weights,
-                   _by_index=dict(zip(support, weights)))
+        self._init(support=support, weights=weights, _by_index=dict(zip(support, weights)))
 
     def __eq__(self, other):
         if type(other) is not EnergyProfile:
@@ -148,8 +143,7 @@ class EnergyProfile(Frozen):
         return hash((self.support, self.weights))
 
     def __repr__(self) -> str:
-        return (f"EnergyProfile(support={self.support!r}, values={self.values!r}, "
-                f"weights={self.weights!r})")
+        return f"EnergyProfile(support={self.support!r}, weights={self.weights!r})"
 
     def weight(self, index: int) -> float:
         """Weight at sector ``index`` (zero if the sector is absent)."""
@@ -159,11 +153,10 @@ class EnergyProfile(Frozen):
         return len(self.support)
 
     def to_json(self) -> str:
-        """Serialize as ``{"energies": [{"index", "value", "weight"}, ...]}``."""
+        """Serialize as ``{"energies": [{"index", "weight"}, ...]}``."""
         doc = {
             "energies": [
-                {"index": i, "value": v, "weight": w}
-                for i, v, w in zip(self.support, self.values, self.weights)
+                {"index": i, "weight": w} for i, w in zip(self.support, self.weights)
             ]
         }
         return json.dumps(doc, indent=2)
@@ -174,9 +167,10 @@ class EnergyProfile(Frozen):
 
         Weights need not be pre-normalized; they are cleaned up exactly like
         :func:`build_profile` input.  Each ``index`` must be a JSON integer,
-        and each ``weight`` and ``value`` a JSON number (not a boolean,
-        string or null); a NaN or infinite ``value``, or an integer one
-        beyond the double range, raises ``ValueError``.
+        and each ``weight`` a JSON number (not a boolean, string or null).
+        An entry's ``value`` is optional, as files written before profiles
+        dropped their energy values carry one: it is checked as
+        :func:`build_profile` checks a value, and not stored.
         """
         doc = json.loads(text)
         for e in doc["energies"]:
@@ -212,16 +206,6 @@ def _number(value, what: str, index: int) -> float:
     return _json_float(value)
 
 
-def _energy_value(value, index: int) -> float:
-    """An energy value as a finite ``float`` (an ``int`` or a numpy scalar is
-    converted); a bool, a non-number or a NaN or infinite value raises
-    ``ValueError`` naming its sector, since its JSON could not be read back."""
-    value = _number(value, "energy value", index)
-    if not math.isfinite(value):
-        raise ValueError(f"energy value {value!r} at sector {index} is not finite")
-    return value
-
-
 def _weight_sum(weights: Iterable[float]) -> float:
     """``math.fsum`` of the weights; a sum past the double range is not finite."""
     try:
@@ -232,9 +216,8 @@ def _weight_sum(weights: Iterable[float]) -> float:
         ) from None
 
 
-def _assemble(support: Sequence[int], values: Sequence[float],
-              weights: Sequence[float]) -> EnergyProfile:
-    """The profile of three aligned columns, indices increasing: each weight
+def _assemble(support: Sequence[int], weights: Sequence[float]) -> EnergyProfile:
+    """The profile of two aligned columns, indices increasing: each weight
     over their ``fsum`` total, and a sector whose weight comes out 0.0 (a zero
     or an underflowing tail) dropped."""
     total = _weight_sum(weights)
@@ -243,9 +226,8 @@ def _assemble(support: Sequence[int], values: Sequence[float],
     weights = list(map(truediv, weights, repeat(total)))
     if 0.0 in weights:
         # compress keeps a NaN weight, for the constructor to refuse.
-        support, values, weights = [list(compress(c, weights))
-                                    for c in (support, values, weights)]
-    return EnergyProfile(support, values, weights)
+        support, weights = [list(compress(c, weights)) for c in (support, weights)]
+    return EnergyProfile(support, weights)
 
 
 def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
@@ -257,21 +239,25 @@ def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
     does an energy value or weight that is a bool or not a number.  A NaN
     or infinite energy value, or an integer one beyond the double range,
     raises ``ValueError``; such a weight raises :class:`NonFiniteWeight`.
+    An energy value enters no formula: it is checked and not stored.
     """
-    seen: dict[int, Tuple[float, float]] = {}
+    seen: dict[int, float] = {}
     for index, value, weight in pairs:
         if type(index) is not int:
             index = _integer(index, "sector index ")
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
-        value, weight = _energy_value(value, index), _number(weight, "weight", index)
+        value = _number(value, "energy value", index)
+        if not math.isfinite(value):
+            raise ValueError(f"energy value {value!r} at sector {index} is not finite")
+        weight = _number(weight, "weight", index)
         if not math.isfinite(weight):
             raise NonFiniteWeight(f"weight {weight!r} at sector {index} is not finite")
         if weight < -1e-12:
             raise NegativeWeight(f"weight {weight!r} at sector {index} is negative")
-        seen[index] = (value, max(weight, 0.0))
-    support = sorted([i for i, vw in seen.items() if vw[1] > ZERO_THRESHOLD])
-    return _assemble(support, [seen[i][0] for i in support], [seen[i][1] for i in support])
+        seen[index] = max(weight, 0.0)
+    support = sorted([i for i, w in seen.items() if w > ZERO_THRESHOLD])
+    return _assemble(support, [seen[i] for i in support])
 
 
 def _layout(sectors: Sequence[Tuple[int, int]]) -> Dict[int, slice]:
@@ -311,10 +297,6 @@ class RatioTable(NamedTuple):
     @property
     def length(self) -> int:
         return len(self.ratios)
-
-    def prefix(self, k: int) -> Tuple[int, ...]:
-        """U_k in ratio order (empty for k = 0)."""
-        return self.order[: self.ends[k - 1]] if k else ()
 
 
 def common_support(p: EnergyProfile, q: EnergyProfile) -> Tuple[int, ...]:
@@ -437,7 +419,7 @@ def binomial_profile(N: int) -> EnergyProfile:
     up = list(takewhile(bool, map(weight, range(N // 2 + 1, N + 1))))
     down = list(takewhile(bool, map(weight, range(N // 2, -1, -1))))
     support = range(N - 2 * (N // 2 + len(up)), N - 2 * (N // 2 - len(down)), 2)
-    return _assemble(support, list(map(float, support)), up[::-1] + down)
+    return _assemble(support, up[::-1] + down)
 
 
 def poisson_profile(r: float, cutoff: int) -> EnergyProfile:
@@ -452,12 +434,11 @@ def poisson_profile(r: float, cutoff: int) -> EnergyProfile:
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     if r == 0.0:
-        return EnergyProfile([0], [0.0], [1.0])
+        return EnergyProfile([0], [1.0])
     log_r = math.log(r)
     logw = [-r * r + 2.0 * n * log_r - lf for n, lf in enumerate(_log_factorials(cutoff))]
     top = max(logw)
-    support = range(cutoff + 1)
-    return _assemble(support, list(map(float, support)), [math.exp(lw - top) for lw in logw])
+    return _assemble(range(cutoff + 1), [math.exp(lw - top) for lw in logw])
 
 
 def uniform_profile(N: int) -> EnergyProfile:
@@ -465,7 +446,7 @@ def uniform_profile(N: int) -> EnergyProfile:
     N = _integer(N, "N=")
     if N < 1:
         raise ValueError("N must be a positive integer")
-    return _assemble(range(N), list(map(float, range(N))), [1.0 / N] * N)
+    return _assemble(range(N), [1.0 / N] * N)
 
 
 def sine_profile(N: int) -> EnergyProfile:
@@ -479,4 +460,4 @@ def sine_profile(N: int) -> EnergyProfile:
         raise ValueError("N must be a positive integer")
     scale, support = 2.0 / (N + 1), range(1, N + 1)
     amps = [math.sin(n * math.pi / (N + 1)) for n in support]
-    return _assemble(support, list(map(float, support)), [scale * a * a for a in amps])
+    return _assemble(support, [scale * a * a for a in amps])

@@ -5,9 +5,15 @@ S0, not only the ratio prefix the optimum picks, from the engine's own
 column arithmetic, so the optimum can be compared with it by ``==``.
 ``filtered_profile`` renormalizes a filtered profile, whose deterministic
 fidelity is a second route to ``filter_fidelity``.  ``assemble`` is the
-generic route to a profile from ``(index, value, weight)`` triples, one
-sector at a time, keeping every positive weight: the stock builders'
-column route must give the same profile.
+generic route to a profile from ``(index, weight)`` pairs, one sector at
+a time, keeping every positive weight: the stock builders' column route
+must give the same profile.
+
+``prefix`` reads U_k off a ratio table.  The oracle's filter arrays,
+built once per instance for ``verify``, are read here row by row:
+``round_filter_weights`` and ``coarse_filter`` give each round's filter
+weights and each merged filter, and ``merge_residuals`` names the gaps
+``verify`` checks.
 
 The estimation gains have two: ``round_output`` and ``merged_amplitudes``
 build each round's output state and each merged filter's output
@@ -28,7 +34,7 @@ from bisect import bisect_left
 from decimal import Decimal, localcontext
 from itertools import accumulate
 
-from epops.channels import filter_success_probability
+from epops.channels import SectorFilter, filter_success_probability
 from epops.errors import (
     AllZeroWeights,
     DuplicateLabel,
@@ -37,6 +43,7 @@ from epops.errors import (
     ZeroSuccessProbability,
 )
 from epops.optimal import _two_regime_columns
+from epops.oracle import MERGE_TOLERANCES, _filter_arrays, _merge_gaps
 from epops.spectra import (
     EnergyProfile,
     _integer,
@@ -49,35 +56,63 @@ from epops.spectra import (
 
 def assemble(pairs):
     """Normalize, drop zero sectors, sort by index: the profile of
-    ``(index, value, weight)`` triples, each checked as it is read."""
+    ``(index, weight)`` pairs, each checked as it is read."""
     seen = {}
-    for index, value, weight in pairs:
+    for index, weight in pairs:
         if type(index) is not int:
             index = _integer(index, "sector index ")
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
         try:
-            value, weight = float(value), float(weight)
+            weight = float(weight)
         except OverflowError:
-            value, weight = _json_float(value), _json_float(weight)
-        if not math.isfinite(value):
-            raise ValueError(f"energy value {value!r} at sector {index} is not finite")
+            weight = _json_float(weight)
         if not math.isfinite(weight):
             raise NonFiniteWeight(f"weight {weight!r} at sector {index} is not finite")
         if weight < -1e-12:
             raise NegativeWeight(f"weight {weight!r} at sector {index} is negative")
-        seen[index] = (value, max(weight, 0.0))
-    kept = {i: vw for i, vw in seen.items() if vw[1] > 0.0}
-    total = _weight_sum(vw[1] for vw in kept.values())
+        seen[index] = max(weight, 0.0)
+    kept = {i: w for i, w in seen.items() if w > 0.0}
+    total = _weight_sum(kept.values())
     if total <= 0.0:
         raise AllZeroWeights("every weight is zero (or below the zero threshold)")
     support = sorted(kept)
-    weights = [kept[i][1] / total for i in support]
+    weights = [kept[i] / total for i in support]
     if 0.0 in weights:
         # A subnormal weight can round to 0.0 when normalized; drop it too.
         support = [i for i, w in zip(support, weights) if w > 0.0]
         weights = [w for w in weights if w > 0.0]
-    return EnergyProfile(support, [kept[i][0] for i in support], weights)
+    return EnergyProfile(support, weights)
+
+
+def prefix(table, k):
+    """U_k of a ratio table in ratio order (empty for k = 0)."""
+    return table.order[: table.ends[k - 1]] if k else ()
+
+
+def round_filter_weights(run):
+    """The filter weight m_E of each round of ``run`` on each input sector.
+
+    Round k weighs the sectors eroded by earlier rounds by zero and the
+    rest by (r_k - r_{k-1}) q_E / p_E; the engine never builds these.
+    """
+    return [dict(zip(run.input.support, row)) for row in _filter_arrays(run)[0].tolist()]
+
+
+def coarse_filter(run, T):
+    """The single filter equivalent to keeping rounds 1..T.
+
+    Transmits U_T fully and every other input sector at r_T q_E/p_E.
+    """
+    run.check_round(T)
+    return SectorFilter(dict(zip(run.input.support, _filter_arrays(run)[1][T - 1].tolist())))
+
+
+def merge_residuals(run):
+    """Worst gap over T between each merged filter and its second routes,
+    by name (``oracle._merge_gaps``); ``MERGE_TOLERANCES`` holds the allowed
+    gaps."""
+    return dict(zip(MERGE_TOLERANCES, _merge_gaps(run, *_filter_arrays(run))))
 
 
 def two_regime(p, q, s0, p_succ):
@@ -107,35 +142,33 @@ def filtered_profile(p, f):
     p_succ = filter_success_probability(p, f)
     if p_succ <= 0.0:
         raise ZeroSuccessProbability("the filter transmits nothing of this profile")
-    pairs = []
-    for i, v, w in zip(p.support, p.values, p.weights):
+    triples = []
+    for i, w in zip(p.support, p.weights):
         x = f.coefficient(i)
         if x > 0.0:
-            pairs.append((i, v, w * x / p_succ))
-    return build_profile(pairs)
+            # The index stands in for the energy value build_profile checks.
+            triples.append((i, i, w * x / p_succ))
+    return build_profile(triples)
 
 
 def round_output(run, k):
     """Round k's output: the target renormalized on the common spectrum
     outside U_(k-1)."""
     table, q = run.table, run.target
-    active = set(table.order) - set(table.prefix(k - 1))
+    active = set(table.order) - set(prefix(table, k - 1))
     fidelity = run.fidelities[k - 1]
-    return assemble(
-        [(i, v, w / fidelity) for i, v, w in zip(q.support, q.values, q.weights)
-         if i in active]
-    )
+    return assemble([(i, w / fidelity) for i, w in zip(q.support, q.weights) if i in active])
 
 
 def merged_amplitudes(run, T):
     """Output amplitudes of the merged filter of rounds 1..T on the dense
     run of input sectors: sqrt(p_E / p_succ) on U_T and sqrt(r_T / p_succ)
     sqrt(q_E) on the rest.  Read from that definition and not from
-    ``oracle.coarse_filter``, whose coefficients r_T q_E / p_E are subnormal
+    ``coarse_filter``, whose coefficients r_T q_E / p_E are subnormal
     in the first rounds of ``qubits`` at N near 1000 and keep few digits."""
     p, q, table = run.input, run.target, run.table
     p_succ, r = run.p_succ[T - 1], table.ratios[T - 1]
-    eroded = set(table.prefix(T))
+    eroded = set(prefix(table, T))
     lo = p.support[0]
     amplitudes = [0.0] * (p.support[-1] - lo + 1)
     for i, w in zip(p.support, p.weights):
@@ -164,7 +197,7 @@ def decimal_gains(run, digits=40):
         half = Decimal("0.5")
         weighted, rows = zero, []
         for T in range(1, len(run.fidelities) + 1):
-            before, eroded = set(table.prefix(T - 1)), set(table.prefix(T))
+            before, eroded = set(prefix(table, T - 1)), set(prefix(table, T))
             active = [i for i in common if i not in before]
             pairs = sum([root_q[i] * root_q[i + 1] for i in active
                          if i + 1 in q and i + 1 not in before], zero)

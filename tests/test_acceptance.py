@@ -30,9 +30,10 @@ from epops.mixedstate import (
     ultimate_mixed_fidelity,
     ultimate_mixed_probability,
 )
-from epops.oracle import coarse_filter, run_verification
+from epops.oracle import run_verification
 from epops.recursive import cumulative, run_protocol
 from epops.spectra import build_profile
+from reference_routes import coarse_filter
 from test_cli import VERIFY_SEED_42_SHA256
 
 

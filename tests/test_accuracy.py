@@ -124,8 +124,8 @@ def wide_pairs(draw):
     pw = draw(st.lists(WEIGHTS, min_size=n + p_only, max_size=n + p_only))
     qw = draw(st.lists(WEIGHTS, min_size=n + q_only, max_size=n + q_only))
     q_sectors = [*range(n), *range(n + p_only, n + p_only + q_only)]
-    p = assemble([(i, float(i), w) for i, w in enumerate(pw)])
-    q = assemble([(i, float(i), w) for i, w in zip(q_sectors, qw)])
+    p = assemble(list(enumerate(pw)))
+    q = assemble(list(zip(q_sectors, qw)))
     return p, q, draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=4))
 
 

@@ -67,6 +67,11 @@ def test_filter_coefficients_validated():
         SectorFilter({0: -0.001})
     clipped = SectorFilter({0: 1.0 + 1e-13})
     assert clipped.coefficient(0) == 1.0
+    # A bool, a string, None or a complex is not a coefficient, not even
+    # one that compares like a number in [0, 1].
+    for bad in (True, np.bool_(True), "0.5", None, 0.5 + 0j):
+        with pytest.raises(ValueError, match=r"filter coefficient .* at sector 4 is not a number"):
+            SectorFilter({4: bad})
 
 
 def test_identity_filter():

@@ -12,10 +12,10 @@ from epops.apps.estimation import estimation_profiles
 from epops.channels import deterministic_fidelity, filter_success_probability
 from epops.coarse import tradeoff_curve
 from epops.errors import RoundOutOfRange
-from epops.oracle import MERGE_TOLERANCES, coarse_filter, merge_residuals
+from epops.oracle import MERGE_TOLERANCES
 from epops.recursive import cumulative, run_protocol
 from epops.spectra import binomial_profile, build_profile, common_support, poisson_profile
-from reference_routes import assemble
+from reference_routes import assemble, coarse_filter, merge_residuals
 
 
 def two_sector():
@@ -119,8 +119,7 @@ def near_tie_pairs(seed=2015, count=1000):
         pw = [w * rng.choice(levels) * (1.0 + rng.uniform(0.0, rng.choice(TIE_SPREADS)))
               for w in qw[:n]] + [rng.uniform(0.05, 1.0) for _ in range(p_only)]
         q_sectors = [*range(n), *range(n + p_only, n + p_only + q_only)]
-        yield (assemble([(i, float(i), w) for i, w in enumerate(pw)]),
-               assemble([(i, float(i), w) for i, w in zip(q_sectors, qw)]))
+        yield (assemble(list(enumerate(pw))), assemble(list(zip(q_sectors, qw))))
 
 
 def test_near_tie_curves_rise_to_at_most_the_common_weight():

@@ -137,7 +137,7 @@ def numpy_binomial(N):
     lf = np.array(_log_factorials(N))
     weights = np.exp(lf[N] - lf[ks] - lf[N - ks] - N * math.log(2.0))
     weights /= weights.sum()
-    return assemble((int(m), float(m), float(w)) for m, w in zip(ms, weights))
+    return assemble((int(m), float(w)) for m, w in zip(ms, weights))
 
 
 def numpy_poisson(r, cutoff):
@@ -146,7 +146,7 @@ def numpy_poisson(r, cutoff):
     logw -= logw.max()
     weights = np.exp(logw)
     weights /= weights.sum()
-    return assemble((int(n), float(n), float(w)) for n, w in zip(ns, weights))
+    return assemble((int(n), float(w)) for n, w in zip(ns, weights))
 
 
 def numpy_sine(N):
@@ -154,7 +154,7 @@ def numpy_sine(N):
     amp = np.sin(ns * math.pi / (N + 1))
     weights = 2.0 / (N + 1) * amp * amp
     weights /= weights.sum()
-    return assemble((int(n), float(n), float(w)) for n, w in zip(ns, weights) if w > 0.0)
+    return assemble((int(n), float(w)) for n, w in zip(ns, weights) if w > 0.0)
 
 
 # --- Instances ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from epops.spectra import build_profile
 
 
 def random_block_density(rng, dims):
-    total = sum(d for _, _, d in dims)
+    total = sum(d for _, d in dims)
     g = rng.normal(size=(total, total)) + 1j * rng.normal(size=(total, total))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
@@ -39,12 +39,12 @@ def random_block_density(rng, dims):
 def test_block_density_validation():
     with pytest.raises(DimensionMismatch):
         block_density(
-            [(0, 0.0, 1)], {(0, 0): np.array([[0.5, 0.0], [0.0, 0.5]])}
+            [(0, 1)], {(0, 0): np.array([[0.5, 0.0], [0.0, 0.5]])}
         )
     with pytest.raises(ValueError):
-        block_density([(0, 0.0, 1)], {(0, 0): np.array([[0.5]])})
+        block_density([(0, 1)], {(0, 0): np.array([[0.5]])})
     bd = block_density(
-        [(0, 0.0, 1), (1, 1.0, 1)],
+        [(0, 1), (1, 1)],
         {(0, 0): np.array([[0.5]]), (1, 1): np.array([[0.5]])},
     )
     assert bd.dimension == 2
@@ -52,13 +52,13 @@ def test_block_density_validation():
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: BlockDensity([(0, 0.0, 2)], np.eye(3) / 3), DimensionMismatch,
+    (lambda: BlockDensity([(0, 2)], np.eye(3) / 3), DimensionMismatch,
      "does not match total dimension 2"),
-    (lambda: BlockDensity([(0, 0.0, 2)], [[0.5, 0.1], [0.0, 0.5]]), DimensionMismatch,
+    (lambda: BlockDensity([(0, 2)], [[0.5, 0.1], [0.0, 0.5]]), DimensionMismatch,
      "not Hermitian"),
-    (lambda: BlockDensity([(0, 0.0, 2)], [[1.5, 0.0], [0.0, -0.5]]), ValueError,
+    (lambda: BlockDensity([(0, 2)], [[1.5, 0.0], [0.0, -0.5]]), ValueError,
      "negative eigenvalue"),
-    (lambda: block_density([(0, 0.0, 1)], {(0, 1): [[0.1]]}), DimensionMismatch,
+    (lambda: block_density([(0, 1)], {(0, 1): [[0.1]]}), DimensionMismatch,
      "unknown sector"),
 ], ids=["shape", "non-hermitian", "negative-eigenvalue", "unknown-sector"])
 def test_block_density_refusals(build, error, message):
@@ -68,7 +68,7 @@ def test_block_density_refusals(build, error, message):
 
 def test_missing_blocks_default_to_zero():
     bd = block_density(
-        [(0, 0.0, 1), (1, 1.0, 2)],
+        [(0, 1), (1, 2)],
         {(0, 0): np.array([[0.4]]), (1, 1): 0.3 * np.eye(2)},
     )
     assert np.all(bd.block(0, 1) == 0.0)
@@ -77,7 +77,7 @@ def test_missing_blocks_default_to_zero():
 
 def test_block_transposes_are_consistent():
     rng = np.random.default_rng(3)
-    bd = random_block_density(rng, [(0, 0.0, 2), (1, 1.0, 2)])
+    bd = random_block_density(rng, [(0, 2), (1, 2)])
     assert np.allclose(bd.block(1, 0), bd.block(0, 1).conj().T)
     full = bd.matrix
     assert np.allclose(full, full.conj().T)
@@ -108,7 +108,7 @@ def test_det_bound_dominates_mixed_alignment():
     rng = np.random.default_rng(7)
     q = build_profile([(0, 0.0, 0.4), (1, 1.0, 0.6)])
     for _ in range(10):
-        bd = random_block_density(rng, [(0, 0.0, 2), (1, 1.0, 2)])
+        bd = random_block_density(rng, [(0, 2), (1, 2)])
         cert = is_block_positive(bd)
         bound = det_fidelity_bound(bd, q)
         if cert.certified:
@@ -122,7 +122,7 @@ def test_det_bound_dominates_mixed_alignment():
 
 def test_block_positive_certificate_on_diagonal_state():
     bd = block_density(
-        [(0, 0.0, 2), (1, 1.0, 1)],
+        [(0, 2), (1, 1)],
         {
             (0, 0): np.diag([0.3, 0.2]),
             (1, 1): np.array([[0.5]]),
@@ -136,7 +136,7 @@ def test_block_positive_certificate_on_diagonal_state():
 
 def test_block_positive_rejects_negative_square():
     bd = block_density(
-        [(0, 0.0, 1), (1, 1.0, 1)],
+        [(0, 1), (1, 1)],
         {
             (0, 0): np.array([[0.5]]),
             (1, 1): np.array([[0.5]]),
@@ -152,7 +152,7 @@ def test_block_positive_rejects_negative_square():
 def test_block_positive_rejects_weight_outside_the_leading_square():
     # Block (0, 1) is 2 x 1; its second row lies outside the leading square.
     bd = block_density(
-        [(0, 0.0, 2), (1, 1.0, 1)],
+        [(0, 2), (1, 1)],
         {
             (0, 0): np.diag([0.3, 0.2]),
             (1, 1): np.array([[0.5]]),
@@ -185,7 +185,7 @@ def test_rank_one_state_with_wide_sectors_recovers_pure_optimum():
     # reproduce the profile-level optimum, whatever the intra-sector
     # directions and phases are.
     rng = np.random.default_rng(21)
-    dims = [(0, 0.0, 2), (1, 1.0, 3), (2, 2.0, 1)]
+    dims = [(0, 2), (1, 3), (2, 1)]
     pw = rng.dirichlet(np.ones(3))
     qw = rng.dirichlet(np.ones(3))
     p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
@@ -193,7 +193,7 @@ def test_rank_one_state_with_wide_sectors_recovers_pure_optimum():
     phi = np.concatenate(
         [
             math.sqrt(w) * _random_unit(rng, d)
-            for (_, _, d), w in zip(dims, pw)
+            for (_, d), w in zip(dims, pw)
         ]
     )
     rho = np.outer(phi, phi.conj())
@@ -214,7 +214,7 @@ def test_ultimate_mixed_fidelity_bounded_by_one():
     rng = np.random.default_rng(13)
     q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
     for _ in range(10):
-        bd = random_block_density(rng, [(0, 0.0, 2), (1, 1.0, 3)])
+        bd = random_block_density(rng, [(0, 2), (1, 3)])
         f = ultimate_mixed_fidelity(bd, q)
         assert 0.0 <= f <= 1.0 + 1e-10
         assert f >= det_fidelity_bound(bd, q) - 1e-10
@@ -225,7 +225,7 @@ def test_degenerate_probability_holds_one_projector_at_a_time():
     # top eigenspace toward equal target weights; the uniform mixture over
     # it sums 20 projectors of 6.4 KB each.
     d = 10
-    rho = BlockDensity([(0, 0.0, d), (1, 1.0, d)], np.eye(2 * d) / (2 * d))
+    rho = BlockDensity([(0, d), (1, d)], np.eye(2 * d) / (2 * d))
     q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
     ultimate_mixed_probability(rho, q)
     tracemalloc.start()
@@ -251,7 +251,7 @@ def test_degenerate_thermal_state_takes_the_uniform_mixture(N):
 
 
 def test_ultimate_mixed_requires_overlap():
-    bd = block_density([(0, 0.0, 1)], {(0, 0): np.array([[1.0]])})
+    bd = block_density([(0, 1)], {(0, 0): np.array([[1.0]])})
     q = build_profile([(5, 5.0, 1.0)])
     with pytest.raises(DisjointSpectra):
         ultimate_mixed_fidelity(bd, q)

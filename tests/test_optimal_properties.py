@@ -186,7 +186,7 @@ def fresh_results(p, q, target):
 
 
 def copy_of(p):
-    return spectra.EnergyProfile(list(p.support), list(p.values), list(p.weights))
+    return spectra.EnergyProfile(list(p.support), list(p.weights))
 
 
 @PROPERTY_SETTINGS

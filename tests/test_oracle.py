@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from epops.channels import (
-    SectorFilter,
     filter_fidelity,
     filter_success_probability,
 )
@@ -34,13 +33,13 @@ from epops.oracle import (
     hilbert_model,
     luders_identity_holds,
     random_profile_pair,
-    round_filter_weights,
     run_verification,
     sector_weights,
     simulate_protocol,
 )
 from epops.recursive import run_protocol
 from epops.spectra import EnergyProfile, build_profile
+from reference_routes import round_filter_weights
 
 
 def test_model_layout():
@@ -274,7 +273,7 @@ def test_grid_search_matches_naive_scan():
 def _profile(weights):
     """A profile on sectors 0..n-1 with exactly these weights (no normalization)."""
     n = len(weights)
-    return EnergyProfile(range(n), [float(i) for i in range(n)], weights)
+    return EnergyProfile(range(n), weights)
 
 
 @pytest.mark.parametrize("case", ["edge-1.0", "edge-0.5", "tiny-last", "tiny-first"])

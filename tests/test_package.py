@@ -29,7 +29,7 @@ from epops.mixedstate import (
     ultimate_mixed_probability,
 )
 from epops.optimal import optimal_tradeoff_point
-from epops.oracle import coarse_filter, hilbert_model, run_verification, simulate_protocol
+from epops.oracle import hilbert_model, run_verification, simulate_protocol
 from epops.recursive import cumulative, run_protocol
 from epops.spectra import (
     binomial_profile,
@@ -38,6 +38,7 @@ from epops.spectra import (
     sine_profile,
     uniform_profile,
 )
+from reference_routes import coarse_filter
 
 
 @pytest.mark.parametrize("package", [epops, epops.apps], ids=["epops", "epops.apps"])
@@ -150,39 +151,61 @@ AMBIGUOUS_READERS = {
 }
 
 
-def _engine_functions(root):
+def _functions(tree, module):
     """(qualified name, name, module, def line) of each module-level
-    function and each non-dunder method or property of the curve modules."""
+    function and each non-dunder method or property in ``tree``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, module, node.lineno
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{node.name}.{item.name}", item.name, module, item.lineno
+
+
+def _engine_functions(root):
+    """:func:`_functions` of the curve modules."""
     for module in ENGINE:
-        for node in ast.parse((root / f"{module}.py").read_text()).body:
-            if isinstance(node, ast.FunctionDef):
-                yield node.name, node.name, module, node.lineno
-            elif isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                        yield f"{node.name}.{item.name}", item.name, module, item.lineno
+        yield from _functions(ast.parse((root / f"{module}.py").read_text()), module)
 
 
 def _reads(tree, strings):
-    """(name, enclosing defs) of each variable or attribute read in ``tree``,
-    and with ``strings`` each string constant that is an identifier."""
+    """(name, enclosing defs, kind) of each variable (kind "name") or
+    attribute ("attribute") read in ``tree``, and with ``strings`` of each
+    string constant that is an identifier ("string")."""
     found = []
 
     def walk(node, defs):
         if isinstance(node, ast.FunctionDef):
             defs = defs | {node.lineno}
         if isinstance(node, ast.Name):
-            found.append((node.id, defs))
+            found.append((node.id, defs, "name"))
         elif isinstance(node, ast.Attribute):
-            found.append((node.attr, defs))
+            found.append((node.attr, defs, "attribute"))
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            found.append((node.value, defs))
+            found.append((node.value, defs, "string"))
         for child in ast.iter_child_nodes(node):
             walk(child, defs)
 
     walk(tree, frozenset())
     return found
+
+
+def _unread(functions, sources):
+    """The qualified names of ``functions`` that no read in ``sources``
+    ((module, tree, strings) triples) reaches from outside their own def.
+    A method is read only through an attribute or a string: a variable
+    named like it, such as a local ``prefix``, does not read it."""
+    reads = {}
+    for module, tree, strings in sources:
+        for name, defs, kind in _reads(tree, strings):
+            reads.setdefault(name, []).append((module, defs, kind))
+    return [
+        qualified for qualified, name, module, line in functions
+        if all((m == module and line in defs) or ("." in qualified and kind == "name")
+               for m, defs, kind in reads.get(name, []))
+    ]
 
 
 def _class_members(tree, methods_only=False):
@@ -225,19 +248,35 @@ def test_engine_has_no_test_only_functions():
     # the package's lazy export lists are strings too, and do not count.
     root = Path(epops.__file__).parent
     bench = Path(__file__).parents[1] / "perfbench"
-    sources = [(path, False) for path in sorted(root.rglob("*.py"))]
-    sources += [(path, True) for path in sorted(bench.glob("*.py"))]
-    reads = {}
-    for path, strings in sources:
-        module = path.stem if path.parent == root else None
-        for name, defs in _reads(ast.parse(path.read_text(), str(path)), strings):
-            reads.setdefault(name, []).append((module, defs))
-    unread = [
-        qualified for qualified, name, module, line in _engine_functions(root)
-        if qualified not in DOCUMENTED_UNREAD
-        and all(m == module and line in defs for m, defs in reads.get(name, []))
-    ]
+    paths = [(path, False) for path in sorted(root.rglob("*.py"))]
+    paths += [(path, True) for path in sorted(bench.glob("*.py"))]
+    sources = [(path.stem if path.parent == root else None,
+                ast.parse(path.read_text(), str(path)), strings) for path, strings in paths]
+    unread = [qualified for qualified in _unread(_engine_functions(root), sources)
+              if qualified not in DOCUMENTED_UNREAD]
     assert not unread, unread
+
+
+PLANTED_TABLE = """
+class Table:
+    def prefix(self, k): ...
+    def length(self): ...
+
+def helper(): ...
+"""
+
+PLANTED_READER = """
+def run(table, helper):
+    prefix = table.length()
+    return prefix, helper()
+"""
+
+
+def test_unread_scan_reads_a_method_only_through_an_attribute():
+    # A local variable named like a method once passed a method no module read.
+    engine = ast.parse(PLANTED_TABLE)
+    sources = [("table", engine, False), ("reader", ast.parse(PLANTED_READER), False)]
+    assert _unread(_functions(engine, "table"), sources) == ["Table.prefix"]
 
 
 def test_engine_methods_named_like_another_member_name_their_reader():
@@ -252,7 +291,8 @@ def test_engine_methods_named_like_another_member_name_their_reader():
     ambiguous = _ambiguous_methods(engine, package)
     assert ambiguous - DOCUMENTED_UNREAD.keys() == AMBIGUOUS_READERS.keys(), ambiguous
     for qualified, path in AMBIGUOUS_READERS.items():
-        reads = {name for name, _ in _reads(ast.parse((repo / path).read_text()), False)}
+        reads = {name for name, _, kind in _reads(ast.parse((repo / path).read_text()), False)
+                 if kind == "attribute"}
         assert qualified.split(".")[1] in reads, (qualified, path)
     readme = (repo / "README.md").read_text()
     for qualified in DOCUMENTED_UNREAD:

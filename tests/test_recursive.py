@@ -7,10 +7,9 @@ import pytest
 
 from epops.coarse import tradeoff_curve
 from epops.errors import RoundOutOfRange
-from epops.oracle import round_filter_weights
 from epops.recursive import cumulative, run_protocol
 from epops.spectra import build_profile, ratio_table
-from reference_routes import round_output
+from reference_routes import prefix, round_filter_weights, round_output
 
 
 def two_sector():
@@ -135,7 +134,7 @@ def test_kraus_weights_partition_unity_on_input_support():
             total = math.fsum(m[i] for m in weights)
             assert total == pytest.approx(1.0, abs=1e-10)
         for k, m in enumerate(weights, start=1):
-            eroded = set(run.table.prefix(k - 1))
+            eroded = set(prefix(run.table, k - 1))
             assert all(m[i] == 0.0 for i in eroded)
             assert all(m[i] > 0.0 for i in p.support if i not in eroded)
 
@@ -145,7 +144,7 @@ def test_round_outputs_are_renormalized_target_tails():
     p, q = random_subset_pair(rng, 5)
     run = run_protocol(p, q, 100)
     for r in run.rounds:
-        eroded = set(run.table.prefix(r.k - 1))
+        eroded = set(prefix(run.table, r.k - 1))
         output = round_output(run, r.k)
         for i in output.support:
             assert i not in eroded
@@ -163,7 +162,7 @@ def test_closed_form_probability_matches_summation():
         run = run_protocol(p, q, 100)
         for T in range(1, len(run.rounds) + 1):
             summed, _ = cumulative(run, T)
-            eroded = math.fsum(p.weight(i) for i in run.table.prefix(T - 1))
+            eroded = math.fsum(p.weight(i) for i in prefix(run.table, T - 1))
             closed = eroded + run.table.ratios[T - 1] * run.rounds[T - 1].fidelity
             assert closed == pytest.approx(summed, abs=1e-10)
 
