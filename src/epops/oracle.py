@@ -9,13 +9,13 @@ recomputes each round's filter from the evolving state, with one array
 of sector weights per round, so agreement with the profile engine is a
 genuine two-route check; it reports each round's Kraus weights as an
 array in the input's support order.  The optimum at fixed success
-probability is checked by a grid over filter coefficients and by an
-exhaustive search over the fully transmitted set.
-The grid sorts by probability, once, the partial sums of its low sectors
-that some value of the sectors above them can make feasible; each such
-value shifts that order by a constant, so its feasible points form one
-contiguous run of it, found by bisection.  Every feasible point is
-scored, ties keeping the first maximum in flat order.
+probability is checked by its KKT certificate (``_kkt_residual``): the
+problem is concave with linear constraints, so primal feasibility,
+stationarity on the filtered sectors and dual feasibility on the fully
+transmitted ones prove it optimal at machine precision.  Its fidelity is
+also checked against an exhaustive search over the fully transmitted set.
+``grid_search_tradeoff``, a brute-force coefficient grid, is no longer on
+``verify``'s path; the benchmark's tracer still names it.
 
 The profile engine's own second routes that ``verify`` reads live here
 too: ``_filter_arrays`` builds a run's round filter weights and merged
@@ -59,6 +59,8 @@ _BAND_MARGIN = 1e-14
 #: :func:`simulate_protocol` counts as eroded.
 _ERODED_WEIGHT = 1e-12
 _ROUND_TOL = 1e-10
+#: Largest residual :func:`_kkt_residual` allows.
+_KKT_TOL = 1e-10
 _SUBSET_TOL = 1e-12
 #: Largest entry or eigenvalue excess the operator checks ignore.
 _OPERATOR_TOL = 1e-10
@@ -305,8 +307,9 @@ def grid_search_tradeoff(
     for the points whose success probability is within one resolution
     step of the request (and above zero), and maximizes the fidelity
     amplitude^2 / probability at the actually achieved probability.
-    Purely a cross-check for the Lagrange construction: every feasible
-    point is scored, with no shortcut along any axis.
+    Every feasible point is scored, with no shortcut along any axis.
+    ``verify`` proves the optimum by :func:`_kkt_residual` instead; only
+    the tests and the benchmark's tracer still reach this search.
 
     Point k of the flat grid has coefficient ``axis[d_i]`` on sector i,
     where d_i is the i-th base-``size`` digit of k, so sector 0 varies
@@ -440,6 +443,34 @@ def exhaustive_tradeoff(p: EnergyProfile, q: EnergyProfile, p_succ: float) -> fl
     return best * best / p_succ
 
 
+def _kkt_residual(x: np.ndarray, pw: np.ndarray, qw: np.ndarray, p_succ: float) -> float:
+    """The worst residual of the KKT conditions that prove the filter ``x``
+    maximizes sum sqrt(x_E p_E q_E) subject to sum p_E x_E = ``p_succ`` and
+    0 <= x <= 1.  ``x``, ``pw`` and ``qw`` are columns in the input's
+    support order.  With lambda_E = sqrt(q_E / (p_E x_E)) / 2 on S1 (x < 1,
+    q > 0) and lambda the smallest of them, the residuals are: primal
+    feasibility, |sum p_E x_E - p_succ| and the excess of x outside [0, 1];
+    stationarity, 1 - lambda / lambda_E (1 where x_E = 0, which no optimum
+    has); dual feasibility on S0 (x = 1, q > 0), 1 - sqrt(q_E / p_E) /
+    (2 lambda); and x_E on every sector outside q, where x_E > 0 forces
+    lambda = 0.  With S1 empty, lambda = 0 meets the last three.  Each is
+    within 1e-10 at an optimum.
+    """
+    shared = qw > 0.0
+    residuals = [abs(math.fsum(pw * x) - p_succ), -x.min(), x.max() - 1.0]
+    s1 = shared & (x < 1.0)
+    if s1.any():
+        # 1 / (2 lambda_E); the largest one is 1 / (2 lambda).
+        t = np.sqrt(pw[s1] * x[s1] / qw[s1])
+        top = float(t.max())
+        residuals.append(1.0 - t.min() / top if top > 0.0 else 1.0)
+        s0 = shared & (x == 1.0)
+        if s0.any():
+            residuals.append(1.0 - top * np.sqrt(qw[s0] / pw[s0]).min())
+        residuals.append(x[~shared].max(initial=0.0))
+    return float(max(residuals))
+
+
 def _filter_arrays(run: ProtocolRun) -> Tuple[np.ndarray, np.ndarray]:
     """Rows T = 1..K of ``run``, columns its input sectors in support order:
     each round's filter weights (0 on the sectors eroded before round T,
@@ -528,10 +559,6 @@ def _random_model(
     return HilbertModel(q.support, dims)
 
 
-def _grid_resolution(sectors: int) -> float:
-    return {2: 0.01, 3: 0.01, 4: 0.02, 5: 0.05}.get(sectors, 0.1)
-
-
 def run_verification(seed: int, instances: int) -> VerificationReport:
     """Drive every dual-route check on random instances.
 
@@ -539,12 +566,16 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
     matrix oracle: per-round agreement of the recursive engine, each
     closed-form merged filter against the summed round filters of the
     engine and of the simulation and against its generic fidelity and
-    success probability, Kraus completeness, the Lagrange construction
-    against a brute-force grid and against the exhaustive subset search,
+    success probability, Kraus completeness and energy preservation of
+    each simulated family, the KKT certificate of each fixed-probability
+    optimum and its fidelity against the exhaustive subset search,
     optimality bounds against random filters and random channels, and the
-    square-root reduction identity.  Raises ``ValueError`` unless
-    ``instances`` is at least 1 (an empty run would pass every check) and
-    ``seed`` is nonnegative.
+    square-root reduction identity.  The certificate's line keeps the name
+    ``lagrange-vs-grid``, which the benchmark's references pin, until those
+    are recaptured.  The energy check draws its densities from a generator
+    of its own, so it moves no other line's numbers.  Raises ``ValueError``
+    unless ``instances`` is at least 1 (an empty run would pass every
+    check) and ``seed`` is nonnegative.
     """
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
@@ -554,14 +585,15 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
     from .optimal import optimal_tradeoff_point, ultimate_optimum
 
     rng = np.random.default_rng(seed)
+    energy_rng = np.random.default_rng([seed, 1])
     rounds_checked = 0
     worst_round = 0.0
     worst_merge = dict.fromkeys(MERGE_TOLERANCES, 0.0)
     worst_sim_merge = 0.0
     worst_completeness = 0.0
-    worst_grid = 0.0
+    energy_ok = True
+    worst_kkt = 0.0
     worst_subset = 0.0
-    grid_ok = True
     bound_margin = np.inf
     det_margin = np.inf
     luders_ok = True
@@ -592,18 +624,12 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
         ops = [r.operator for r in sim.rounds] + [sim.failure_operator]
         if not luders_identity_holds(model, ops, rng=rng):
             luders_ok = False
+        if not check_energy_preserving(model, ops, energy_rng):
+            energy_ok = False
 
         _, p_max, _ = ultimate_optimum(p, q)
         target = float(rng.uniform(p_max, 1.0))
-        resolution = _grid_resolution(len(p.support))
-        f_grid, _ = grid_search_tradeoff(p, q, target, resolution)
         best = optimal_tradeoff_point(p, q, target)
-        gap = abs(f_grid - best.fidelity)
-        worst_grid = max(worst_grid, gap)
-        if not (f_grid <= best.fidelity + 1e-10 or gap <= 2 * resolution):
-            grid_ok = False
-        if best.fidelity > f_grid + 2 * resolution:
-            grid_ok = False
 
         # Random filters can reach the optimum but never beat it.
         x = rng.uniform(0.05, 1.0, size=len(p.support))
@@ -612,11 +638,14 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
         achieved_f = filter_fidelity(p, q, filt)
         best_at = optimal_tradeoff_point(p, q, achieved_p)
         bound_margin = min(bound_margin, best_at.fidelity - achieved_f)
+        pw, qw = np.array(p.weights), np.array([q.weight(i) for i in p.support])
         for point, request in ((best, target), (best_at, achieved_p)):
             worst_subset = max(
                 worst_subset,
                 abs(exhaustive_tradeoff(p, q, request) - point.fidelity),
             )
+            coeffs = np.array([point.filter.coefficient(i) for i in p.support])
+            worst_kkt = max(worst_kkt, _kkt_residual(coeffs, pw, qw, request))
 
         # Random trace-preserving sector channels never beat the
         # deterministic fidelity.
@@ -640,13 +669,14 @@ def run_verification(seed: int, instances: int) -> VerificationReport:
         ),
         VerificationCheck(
             "kraus-completeness",
-            worst_completeness <= 1e-10,
-            f"worst residual {worst_completeness:.2e}",
+            worst_completeness <= 1e-10 and energy_ok,
+            f"worst residual {worst_completeness:.2e}; every family "
+            + ("energy-preserving" if energy_ok else "NOT energy-preserving"),
         ),
         VerificationCheck(
             "lagrange-vs-grid",
-            grid_ok and worst_subset <= _SUBSET_TOL,
-            f"worst fidelity gap {worst_grid:.2e} (within twice the grid step); "
+            worst_kkt <= _KKT_TOL and worst_subset <= _SUBSET_TOL,
+            f"worst KKT residual {worst_kkt:.2e} (within 1e-10); "
             f"exhaustive subset search gap {worst_subset:.2e} (within 1e-12)",
         ),
         VerificationCheck(

@@ -170,7 +170,8 @@ class EnergyProfile(Frozen):
         and each ``weight`` a JSON number (not a boolean, string or null).
         An entry's ``value`` is optional, as files written before profiles
         dropped their energy values carry one: it is checked as
-        :func:`build_profile` checks a value, and not stored.
+        :func:`build_profile` checks a value, and not stored.  An entry
+        without one has no value to check.
         """
         doc = json.loads(text)
         for e in doc["energies"]:
@@ -180,7 +181,7 @@ class EnergyProfile(Frozen):
                 if key in e and type(e[key]) not in (int, float):
                     raise ValueError(f"{key} in entry {e!r} is not a number")
         pairs = [
-            (e["index"], e.get("value", e["index"]), e["weight"])
+            (e["index"], e.get("value", 0), e["weight"])
             for e in doc["energies"]
         ]
         return build_profile(pairs)

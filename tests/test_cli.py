@@ -601,12 +601,13 @@ def test_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
 
 
 #: sha256 of ``epops verify --seed 4 --instances 6`` stdout, whose
-#: instances have 2, 3, 4, 4, 5 and 5 input sectors; captured before the
-#: grid scored each slice's feasible points as one run.
-VERIFY_SEED_4_SHA256 = "f086bbf1b35af6790aaca1595c7f15cc47454058493868fe246c63938247c2b3"
+#: instances have 2, 3, 4, 4, 5 and 5 input sectors; captured when the
+#: optimum's KKT certificate replaced the coefficient grid and the
+#: completeness line began to report energy preservation.
+VERIFY_SEED_4_SHA256 = "5087c64940cc0b43f14f37198086b8d3b9b229cc04c8f0987bf22f3edb5a88b9"
 #: sha256 of ``epops verify --seed 42 --instances 100`` stdout, the README
 #: invocation; criterion 5 in ``test_acceptance.py`` checks it on its report.
-VERIFY_SEED_42_SHA256 = "96cf880168207c64e222c8b687ab46830180ecf817f0a9c6dc94dcb578a61ba9"
+VERIFY_SEED_42_SHA256 = "5db0f43d0d56ec3872000cb400679e7138ae0108012e545feb985a09dbc0de7b"
 
 
 def test_verify_output_is_pinned(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from epops.channels import (
+    SectorFilter,
     filter_fidelity,
     filter_success_probability,
 )
@@ -24,7 +26,7 @@ import epops.oracle
 from epops.optimal import optimal_tradeoff_point, ultimate_optimum
 from epops.oracle import (
     HilbertModel,
-    _grid_resolution,
+    _kkt_residual,
     _random_model,
     check_energy_preserving,
     embed_profile,
@@ -208,6 +210,11 @@ def test_grid_search_point_cap():
     q = build_profile([(i, float(i), float(i + 1)) for i in range(6)])
     with pytest.raises(SpectrumTooLarge):
         grid_search_tradeoff(p, q, 0.9, 0.001)
+
+
+def _grid_resolution(sectors):
+    """The grid step ``verify`` used at each instance size before the KKT certificate."""
+    return {2: 0.01, 3: 0.01, 4: 0.02, 5: 0.05}.get(sectors, 0.1)
 
 
 def _dirichlet_pair(rng, n):
@@ -523,13 +530,88 @@ def test_exhaustive_tradeoff_infeasible_probability():
 
 
 def test_verification_catches_a_planted_wrong_optimum(monkeypatch):
-    # A fidelity 1e-9 short of the optimum hides inside twice the grid
-    # step; the exhaustive subset search still exposes it.
+    # A fidelity 1e-9 short of the optimum keeps its optimal filter, so the
+    # KKT certificate passes it; the exhaustive subset search exposes it.
     def short_of_optimal(p, q, p_succ, mode="exhaustive"):
         point = optimal_tradeoff_point(p, q, p_succ, mode)
         return point._replace(fidelity=point.fidelity - 1e-9)
 
     monkeypatch.setattr(epops.optimal, "optimal_tradeoff_point", short_of_optimal)
+    lines = run_verification(seed=1, instances=2).lines()
+    assert [line.split(":")[0] for line in lines] == [
+        "ok   recursive-vs-simulation",
+        "ok   kraus-completeness",
+        "FAIL lagrange-vs-grid",
+        "ok   filter-optimality-bound",
+        "ok   deterministic-bound",
+        "ok   square-root-reduction",
+    ]
+
+
+def _columns(p, q, filt):
+    """The filter, p and q in the input's support order, as the certificate reads them."""
+    x = np.array([filt.coefficient(i) for i in p.support])
+    return x, np.array(p.weights), np.array([q.weight(i) for i in p.support])
+
+
+def test_kkt_certificate_passes_the_optimum_and_catches_a_wrong_filter():
+    # Ratios p/q of 1/4, 2/3, 3/2 and 4: at 0.3 the optimum transmits
+    # sector 0 whole (S0) and filters the rest with c = 1/3.
+    p = build_profile([(i, float(i), w) for i, w in enumerate((0.1, 0.2, 0.3, 0.4))])
+    q = build_profile([(i, float(i), w) for i, w in enumerate((0.4, 0.3, 0.2, 0.1))])
+    best = optimal_tradeoff_point(p, q, 0.3)
+    assert best.s0 == (0,)
+    x, pw, qw = _columns(p, q, best.filter)
+    assert _kkt_residual(x, pw, qw, 0.3) <= 1e-15
+    # c (1 + 1e-6) keeps one multiplier on S1 but misses the probability.
+    c = (0.3 - pw[0]) / qw[1:].sum()
+    wide = np.concatenate(([1.0], c * (1 + 1e-6) * qw[1:] / pw[1:]))
+    assert _kkt_residual(wide, pw, qw, 0.3) > 1e-10
+    # Sector 1 whole and sector 0 filtered reach 0.3 as well, but sector 1's
+    # ratio exceeds the new c: its multiplier bound fails.
+    c = (0.3 - pw[1]) / (qw.sum() - qw[1])
+    swapped = c * qw / pw
+    swapped[1] = 1.0
+    assert math.fsum(pw * swapped) == pytest.approx(0.3, abs=1e-15)
+    assert swapped.max() <= 1.0
+    assert _kkt_residual(swapped, pw, qw, 0.3) > 0.5
+
+
+def test_kkt_certificate_above_the_common_spectrum():
+    # Sector 0 lies outside q: above p(common) = 0.5 the optimum fills it
+    # partly, which forces the multiplier to 0 and sector 1 to x = 1.
+    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
+    x, pw, qw = _columns(p, q, optimal_tradeoff_point(p, q, 0.9).filter)
+    assert x.tolist() == [0.8, 1.0]
+    assert _kkt_residual(x, pw, qw, 0.9) <= 1e-15
+    # Below p(common), probability on the input-only sector is wasted.
+    assert _kkt_residual(np.array([0.2, 0.6]), pw, qw, 0.4) > 0.1
+    # A common sector left at 0 fails stationarity outright.
+    p3 = build_profile([(i, float(i), 1.0) for i in range(3)])
+    x0 = np.array([0.0, 0.6, 0.6])
+    assert _kkt_residual(x0, np.array(p3.weights), np.array(p3.weights), 0.4) == 1.0
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8, 9, 20, 23, 24, 35, 41, 44, 53, 69, 73])
+def test_verification_passes_where_the_grid_check_failed(seed):
+    # At 100 instances the grid compared its best point, at that point's own
+    # success probability, with the optimum at the request, and failed these
+    # seeds on a correct engine.
+    assert run_verification(seed, 100).passed
+
+
+def test_verification_catches_a_perturbed_optimal_filter(monkeypatch):
+    # The first coefficient moved by 1e-6 of itself, the fidelity kept: only
+    # the KKT certificate reads the filter.
+    def perturbed(p, q, p_succ, mode="exhaustive"):
+        point = optimal_tradeoff_point(p, q, p_succ, mode)
+        coeffs = dict(point.filter.coefficients)
+        first = p.support[0]
+        coeffs[first] *= 1 - 1e-6
+        return point._replace(filter=SectorFilter(coeffs))
+
+    monkeypatch.setattr(epops.optimal, "optimal_tradeoff_point", perturbed)
     lines = run_verification(seed=1, instances=2).lines()
     assert [line.split(":")[0] for line in lines] == [
         "ok   recursive-vs-simulation",

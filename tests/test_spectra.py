@@ -163,6 +163,14 @@ def test_from_json_rejects_non_number_weight_and_value(key, bad):
     assert "'index': 1" in str(info.value)
 
 
+def test_from_json_checks_no_value_an_entry_lacks():
+    # An index beyond the double range is an integer like any other; with
+    # no value in the entry there is no energy value to find infinite.
+    big = 10**400
+    p = EnergyProfile.from_json(json.dumps({"energies": [{"index": big, "weight": 0.5}]}))
+    assert p.support == (big,) and p.weights == (1.0,)
+
+
 def test_from_json_accepts_integer_weight_and_value():
     text = '{"energies": [{"index": 0, "value": 2, "weight": 1}, {"index": 1, "weight": 3}]}'
     p = EnergyProfile.from_json(text)
