@@ -377,7 +377,7 @@ def spin_sector_model(N: int, beta: float) -> Tuple[SpinSector, ...]:
 
 def coherent_target_profile() -> EnergyProfile:
     """Equal-weight two-level target, sectors labeled 2m for m = +-1/2."""
-    return build_profile([(-1, -0.5, 0.5), (1, 0.5, 0.5)])
+    return build_profile([-1, 1], [0.5, 0.5])
 
 
 def thermal_spin_block_density(N: int, beta: float) -> BlockDensity:

@@ -28,7 +28,7 @@ filter.
 from __future__ import annotations
 
 import math
-from typing import List, Mapping, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -92,12 +92,6 @@ class HilbertModel(Frozen):
                 f"total dimension {total} exceeds the oracle cap {_DIMENSION_CAP}"
             )
         self._init(labels=labels, dims=dims, slices=slices, dimension=total)
-
-
-def hilbert_model(dims: Mapping[int, int]) -> HilbertModel:
-    """Build a model from ``{sector index: dimension}``."""
-    labels = tuple(sorted(dims))
-    return HilbertModel(labels=labels, dims=tuple(dims[i] for i in labels))
 
 
 def embed_profile(
@@ -540,8 +534,8 @@ def random_profile_pair(
     n = int(rng.integers(2, max_sectors + 1))
     pw = rng.dirichlet(np.ones(n))
     qw = rng.dirichlet(np.ones(n + 1))
-    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+    p = build_profile(range(n), pw.tolist())
+    q = build_profile(range(n + 1), qw.tolist())
     return p, q
 
 

@@ -13,9 +13,11 @@ estimation gain, read the first K groups of the sorted columns
 (``_column_groups``) and build no ``ProtocolRun``.
 
 A sector is its integer index: no formula reads an energy value, so a
-profile holds two aligned columns, the indices and the weights.  The
-matrix modules (``oracle``, ``mixedstate``) group their rows by sector;
-``_layout`` gives each index its row range there.
+profile holds two aligned columns, the indices and the weights, and every
+constructor takes those two columns.  Only ``EnergyProfile.from_json``
+reads an energy value, the optional ``value`` of older files, and keeps
+none.  The matrix modules (``oracle``, ``mixedstate``) group their rows
+by sector; ``_layout`` gives each index its row range there.
 
 Weights for large parameters are computed in the log domain (log-gamma),
 so quantities like the weight 2^-400 at the edge of a 400-copy binomial
@@ -165,26 +167,24 @@ class EnergyProfile(Frozen):
     def from_json(cls, text: str) -> "EnergyProfile":
         """Load a profile from its JSON document.
 
-        Weights need not be pre-normalized; they are cleaned up exactly like
-        :func:`build_profile` input.  Each ``index`` must be a JSON integer,
-        and each ``weight`` a JSON number (not a boolean, string or null).
-        An entry's ``value`` is optional, as files written before profiles
-        dropped their energy values carry one: it is checked as
-        :func:`build_profile` checks a value, and not stored.  An entry
-        without one has no value to check.
+        Each ``index`` must be a JSON integer, and each ``weight`` a JSON
+        number (not a boolean, string or null).  An entry's ``value`` is
+        optional, as files written before profiles dropped their energy
+        values carry one; this is the only code that reads one, and it must
+        be a finite JSON number.  Every entry passes these checks before the
+        index and weight columns go to :func:`build_profile`, which
+        normalizes the weights and checks each sector.
         """
-        doc = json.loads(text)
-        for e in doc["energies"]:
-            if type(e["index"]) is not int:
+        entries = json.loads(text)["energies"]
+        for e in entries:
+            if type(index := e["index"]) is not int:
                 raise ValueError(f"sector index in entry {e!r} is not an integer")
             for key in ("weight", "value"):
                 if key in e and type(e[key]) not in (int, float):
                     raise ValueError(f"{key} in entry {e!r} is not a number")
-        pairs = [
-            (e["index"], e.get("value", 0), e["weight"])
-            for e in doc["energies"]
-        ]
-        return build_profile(pairs)
+            if "value" in e and not math.isfinite(v := _json_float(e["value"])):
+                raise ValueError(f"energy value {v!r} at sector {index} is not finite")
+        return build_profile([e["index"] for e in entries], [e["weight"] for e in entries])
 
 
 def _json_float(x) -> float:
@@ -231,26 +231,25 @@ def _assemble(support: Sequence[int], weights: Sequence[float]) -> EnergyProfile
     return EnergyProfile(support, weights)
 
 
-def build_profile(pairs: Iterable[Tuple[int, float, float]]) -> EnergyProfile:
-    """Build a profile from ``(index, energy value, weight)`` triples.
+def build_profile(support: Sequence[int], weights: Sequence[float]) -> EnergyProfile:
+    """Build a profile from two aligned columns, sector indices and weights.
 
-    Weights are normalized to sum one; sectors with weight at or below
-    :data:`ZERO_THRESHOLD` are removed.  Each index is checked first, so a
-    non-integer one raises ``ValueError`` naming it, not ``TypeError``; so
-    does an energy value or weight that is a bool or not a number.  A NaN
-    or infinite energy value, or an integer one beyond the double range,
-    raises ``ValueError``; such a weight raises :class:`NonFiniteWeight`.
-    An energy value enters no formula: it is checked and not stored.
+    The columns need not be sorted or normalized: weights are normalized to
+    sum one, and sectors with weight at or below :data:`ZERO_THRESHOLD` are
+    removed.  Columns of unequal length raise ``ValueError``.  Each index is
+    checked first, so a non-integer one raises ``ValueError`` naming it, not
+    ``TypeError``; so does a weight that is a bool or not a number.  A NaN
+    or infinite weight, or an integer one beyond the double range, raises
+    :class:`NonFiniteWeight`.
     """
+    if len(support) != len(weights):
+        raise ValueError("support and weights must have equal length")
     seen: dict[int, float] = {}
-    for index, value, weight in pairs:
+    for index, weight in zip(support, weights):
         if type(index) is not int:
             index = _integer(index, "sector index ")
         if index in seen:
             raise DuplicateLabel(f"sector index {index} appears twice")
-        value = _number(value, "energy value", index)
-        if not math.isfinite(value):
-            raise ValueError(f"energy value {value!r} at sector {index} is not finite")
         weight = _number(weight, "weight", index)
         if not math.isfinite(weight):
             raise NonFiniteWeight(f"weight {weight!r} at sector {index} is not finite")

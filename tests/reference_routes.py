@@ -142,13 +142,13 @@ def filtered_profile(p, f):
     p_succ = filter_success_probability(p, f)
     if p_succ <= 0.0:
         raise ZeroSuccessProbability("the filter transmits nothing of this profile")
-    triples = []
+    support, weights = [], []
     for i, w in zip(p.support, p.weights):
         x = f.coefficient(i)
         if x > 0.0:
-            # The index stands in for the energy value build_profile checks.
-            triples.append((i, i, w * x / p_succ))
-    return build_profile(triples)
+            support.append(i)
+            weights.append(w * x / p_succ)
+    return build_profile(support, weights)
 
 
 def round_output(run, k):

@@ -55,8 +55,8 @@ def _report(num: int, label: str, problems: list, elapsed: float,
 def _contained_pair(rng, n):
     pw = rng.dirichlet(np.ones(n))
     qw = rng.dirichlet(np.ones(n + 1))
-    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+    p = build_profile(range(len(pw)), pw)
+    q = build_profile(range(len(qw)), qw)
     return p, q
 
 

@@ -20,16 +20,16 @@ from reference_routes import filtered_profile
 
 
 def two_sector():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(0, 0.0, 1 / 3), (1, 1.0, 2 / 3)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([0, 1], [1 / 3, 2 / 3])
     return p, q
 
 
 def random_pair(rng, n):
     pw = rng.dirichlet(np.ones(n))
     qw = rng.dirichlet(np.ones(n))
-    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+    p = build_profile(range(len(pw)), pw)
+    q = build_profile(range(len(qw)), qw)
     return p, q
 
 
@@ -45,8 +45,8 @@ def test_deterministic_fidelity_identical_profiles():
 
 
 def test_deterministic_fidelity_disjoint_is_zero():
-    p = build_profile([(0, 0.0, 1.0)])
-    q = build_profile([(1, 1.0, 1.0)])
+    p = build_profile([0], [1.0])
+    q = build_profile([1], [1.0])
     assert deterministic_fidelity(p, q) == 0.0
 
 

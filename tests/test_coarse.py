@@ -19,16 +19,16 @@ from reference_routes import assemble, coarse_filter, merge_residuals
 
 
 def two_sector():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(0, 0.0, 1 / 3), (1, 1.0, 2 / 3)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([0, 1], [1 / 3, 2 / 3])
     return p, q
 
 
 def random_subset_pair(rng, n):
     pw = rng.dirichlet(np.ones(n))
     qw = rng.dirichlet(np.ones(n))
-    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+    p = build_profile(range(len(pw)), pw)
+    q = build_profile(range(len(qw)), qw)
     return p, q
 
 
@@ -161,8 +161,8 @@ def test_csv_rendering():
 
 
 def test_csv_six_significant_digits():
-    p = build_profile([(0, 0.0, 1e-7), (1, 1.0, 1 - 1e-7)])
-    q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    p = build_profile([0, 1], [1e-7, 1 - 1e-7])
+    q = build_profile([0, 1], [0.5, 0.5])
     curve = tradeoff_curve(p, q, 10)
     first = curve.to_csv().splitlines()[1].split(",")
     assert "e" in first[1] or float(first[1]) < 1e-6
@@ -170,7 +170,7 @@ def test_csv_six_significant_digits():
 
 def dirichlet_profile(rng, n):
     weights = rng.dirichlet(np.ones(n))
-    return build_profile([(i, float(i), float(w)) for i, w in enumerate(weights)])
+    return build_profile(range(len(weights)), weights)
 
 
 def readme_family_runs():

@@ -177,9 +177,9 @@ def random_pair(rng, n):
             pw[j], qw[j] = pw[src], qw[src]
         elif roll < 1 / 2:
             qw[j] = 1.7 * pw[j]
-    p = build_profile([(i, float(i), w) for i, w in enumerate(pw)])
+    p = build_profile(range(len(pw)), pw)
     q_indices = list(range(n)) + list(range(n + p_only, n + p_only + q_only))
-    q = build_profile([(i, float(i), w) for i, w in zip(q_indices, qw)])
+    q = build_profile(q_indices, qw)
     return p, q
 
 

@@ -85,7 +85,7 @@ def test_block_transposes_are_consistent():
 
 
 def test_pure_block_density_round_trip():
-    p = build_profile([(0, 0.0, 0.3), (2, 2.0, 0.7)])
+    p = build_profile([0, 2], [0.3, 0.7])
     bd = pure_block_density(p)
     assert bd.block(0, 0)[0, 0] == pytest.approx(0.3)
     assert bd.block(0, 2)[0, 0] == pytest.approx(math.sqrt(0.21))
@@ -98,15 +98,15 @@ def test_det_bound_reduces_to_pure_formula():
     for _ in range(10):
         pw = rng.dirichlet(np.ones(3))
         qw = rng.dirichlet(np.ones(3))
-        p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-        q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+        p = build_profile(range(len(pw)), pw)
+        q = build_profile(range(len(qw)), qw)
         bound = det_fidelity_bound(pure_block_density(p), q)
         assert bound == pytest.approx(deterministic_fidelity(p, q), abs=1e-12)
 
 
 def test_det_bound_dominates_mixed_alignment():
     rng = np.random.default_rng(7)
-    q = build_profile([(0, 0.0, 0.4), (1, 1.0, 0.6)])
+    q = build_profile([0, 1], [0.4, 0.6])
     for _ in range(10):
         bd = random_block_density(rng, [(0, 2), (1, 2)])
         cert = is_block_positive(bd)
@@ -170,8 +170,8 @@ def test_ultimate_mixed_reduces_to_pure_optimum():
         n = int(rng.integers(2, 5))
         pw = rng.dirichlet(np.ones(n))
         qw = rng.dirichlet(np.ones(n))
-        p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-        q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+        p = build_profile(range(len(pw)), pw)
+        q = build_profile(range(len(qw)), qw)
         f_max, p_max, _ = ultimate_optimum(p, q)
         rho = pure_block_density(p)
         assert ultimate_mixed_fidelity(rho, q) == pytest.approx(f_max, abs=1e-10)
@@ -188,8 +188,8 @@ def test_rank_one_state_with_wide_sectors_recovers_pure_optimum():
     dims = [(0, 2), (1, 3), (2, 1)]
     pw = rng.dirichlet(np.ones(3))
     qw = rng.dirichlet(np.ones(3))
-    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+    p = build_profile(range(len(pw)), pw)
+    q = build_profile(range(len(qw)), qw)
     phi = np.concatenate(
         [
             math.sqrt(w) * _random_unit(rng, d)
@@ -212,7 +212,7 @@ def _random_unit(rng, d):
 
 def test_ultimate_mixed_fidelity_bounded_by_one():
     rng = np.random.default_rng(13)
-    q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    q = build_profile([0, 1], [0.5, 0.5])
     for _ in range(10):
         bd = random_block_density(rng, [(0, 2), (1, 3)])
         f = ultimate_mixed_fidelity(bd, q)
@@ -226,7 +226,7 @@ def test_degenerate_probability_holds_one_projector_at_a_time():
     # it sums 20 projectors of 6.4 KB each.
     d = 10
     rho = BlockDensity([(0, d), (1, d)], np.eye(2 * d) / (2 * d))
-    q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    q = build_profile([0, 1], [0.5, 0.5])
     ultimate_mixed_probability(rho, q)
     tracemalloc.start()
     try:
@@ -252,7 +252,7 @@ def test_degenerate_thermal_state_takes_the_uniform_mixture(N):
 
 def test_ultimate_mixed_requires_overlap():
     bd = block_density([(0, 1)], {(0, 0): np.array([[1.0]])})
-    q = build_profile([(5, 5.0, 1.0)])
+    q = build_profile([5], [1.0])
     with pytest.raises(DisjointSpectra):
         ultimate_mixed_fidelity(bd, q)
 

@@ -22,17 +22,17 @@ from reference_routes import two_regime
 
 
 def two_sector():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(0, 0.0, 1 / 3), (1, 1.0, 2 / 3)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([0, 1], [1 / 3, 2 / 3])
     return p, q
 
 
 def random_pair(rng, n, gap=False):
     pw = rng.dirichlet(np.ones(n))
     qw = rng.dirichlet(np.ones(n))
-    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-    extra = [(n, float(n), float(rng.uniform(0.1, 0.5)))] if gap else []
-    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)] + extra)
+    p = build_profile(range(len(pw)), pw)
+    extra = [float(rng.uniform(0.1, 0.5))] if gap else []
+    q = build_profile(range(n + len(extra)), [*qw, *extra])
     return p, q
 
 
@@ -46,8 +46,8 @@ def test_ultimate_optimum_two_sector():
 
 
 def test_ultimate_optimum_partial_overlap():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([1, 2], [0.5, 0.5])
     f_max, p_max, filt = ultimate_optimum(p, q)
     assert f_max == pytest.approx(0.5)
     assert p_max == pytest.approx(0.5)
@@ -55,8 +55,8 @@ def test_ultimate_optimum_partial_overlap():
 
 
 def test_ultimate_optimum_disjoint():
-    p = build_profile([(0, 0.0, 1.0)])
-    q = build_profile([(1, 1.0, 1.0)])
+    p = build_profile([0], [1.0])
+    q = build_profile([1], [1.0])
     with pytest.raises(DisjointSpectra):
         ultimate_optimum(p, q)
 
@@ -168,8 +168,8 @@ def test_optimum_matches_exhaustive_subset_search():
         q_sectors = list(range(n)) + [n + 1] * int(rng.integers(2))
         pw = rng.dirichlet(np.ones(len(p_sectors)))
         qw = rng.dirichlet(np.ones(len(q_sectors)))
-        p = build_profile([(i, float(i), float(w)) for i, w in zip(p_sectors, pw)])
-        q = build_profile([(i, float(i), float(w)) for i, w in zip(q_sectors, qw)])
+        p = build_profile(p_sectors, pw)
+        q = build_profile(q_sectors, qw)
         p_common = math.fsum(p.weight(i) for i in common_support(p, q))
         targets = boundary_probabilities(p, q) + [p_common, 1.0]
         targets += rng.uniform(0.0, p_common, size=3).tolist()
@@ -186,8 +186,8 @@ def test_optimum_matches_exhaustive_subset_search():
 
 def test_near_tied_ratios_regression():
     # Ratios 1e-9 apart share one ratio group; the scan still sees both.
-    p = build_profile([(0, 0.0, 0.2), (1, 1.0, 0.2 * (1 + 4e-10)), (2, 2.0, 0.6)])
-    q = build_profile([(0, 0.0, 0.3), (1, 1.0, 0.3), (2, 2.0, 0.4)])
+    p = build_profile([0, 1, 2], [0.2, 0.2 * (1 + 4e-10), 0.6])
+    q = build_profile([0, 1, 2], [0.3, 0.3, 0.4])
     pt = optimal_tradeoff_point(p, q, 0.66666666674)
     assert pt.fidelity == pytest.approx(
         exhaustive_tradeoff(p, q, 0.66666666674), abs=1e-12
@@ -198,8 +198,8 @@ def test_near_tied_ratios_regression():
 def test_full_transmission_with_a_small_last_sector():
     # At p_succ = 1 the last sector of the ratio order sits at x = 1, and
     # with p = 1e-9 its computed coefficient lands above 1 + 1e-12.
-    p = build_profile([(0, 0.0, 0.6), (1, 1.0, 0.4 - 1e-9), (2, 2.0, 1e-9)])
-    q = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5 - 1e-11), (2, 2.0, 1e-11)])
+    p = build_profile([0, 1, 2], [0.6, 0.4 - 1e-9, 1e-9])
+    q = build_profile([0, 1, 2], [0.5, 0.5 - 1e-11, 1e-11])
     pt = optimal_tradeoff_point(p, q, 1.0)
     assert pt.s0 == (0, 1, 2)
     assert pt.fidelity == pytest.approx(exhaustive_tradeoff(p, q, 1.0), abs=1e-12)
@@ -209,8 +209,8 @@ def test_full_transmission_with_a_small_last_sector():
 def test_boundary_probability_takes_the_shortest_prefix():
     # At p_succ = B_j the sector after the prefix sits at x = 1 exactly, so
     # the prefixes of length j and j + 1 give the same filter.
-    p = build_profile([(0, 0.0, 0.1), (1, 1.0, 0.3), (2, 2.0, 0.6)])
-    q = build_profile([(0, 0.0, 0.4), (1, 1.0, 0.4), (2, 2.0, 0.2)])
+    p = build_profile([0, 1, 2], [0.1, 0.3, 0.6])
+    q = build_profile([0, 1, 2], [0.4, 0.4, 0.2])
     order = (0, 1, 2)  # ratios 0.25, 0.75, 3
     for j, b in enumerate(boundary_probabilities(p, q)):
         pt = optimal_tradeoff_point(p, q, b)
@@ -252,8 +252,8 @@ def test_optimum_on_1600_sectors_matches_merged_curve():
 
 
 def test_tradeoff_point_infeasible_probability():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([1, 2], [0.5, 0.5])
     # Only sector 1 is common, so above p_succ = 1/2 the filter transmits
     # it whole and makes up the rest from sector 0, which only p carries.
     for mode in ("exhaustive", "ratio-family"):
@@ -265,9 +265,28 @@ def test_tradeoff_point_infeasible_probability():
         assert pt.fidelity == pytest.approx(exhaustive_tradeoff(p, q, 0.9), abs=1e-12)
     # p_succ = 1 + 1e-12 passes the range check but overshoots a small
     # input-only sector by more than its slack.
-    p = build_profile([(0, 0.0, 1e-3), (1, 1.0, 0.999)])
+    p = build_profile([0, 1], [1e-3, 0.999])
     with pytest.raises(NoFeasiblePartition, match="input-only"):
         optimal_tradeoff_point(p, q, 1.0 + 1e-12)
+
+
+def test_tradeoff_point_admits_p_succ_past_one_by_the_slack_alone():
+    # _SLACK = 1e-12 of rounding past p_succ = 1 is admitted, and no more.
+    p, q = two_sector()
+    assert optimal_tradeoff_point(p, q, 1.0 + 5e-13).p_succ == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="must lie in"):
+        optimal_tradeoff_point(p, q, 1.0 + 1.5e-12)
+
+
+def test_request_past_the_common_weight_by_over_1e_10_reaches_input_only_sectors():
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([1, 2], [0.5, 0.5])
+    # p(common) = 1/2; within 1e-10 above it the common spectrum alone is
+    # transmitted, and past that sector 0, which only p carries, joins.
+    p_succ = 0.5 + 1.5e-10
+    pt = optimal_tradeoff_point(p, q, p_succ)
+    assert pt.filter.coefficient(0) > 0.0
+    assert pt.p_succ == pytest.approx(p_succ, abs=1e-15)
 
 
 def test_tradeoff_point_rejects_bad_arguments():

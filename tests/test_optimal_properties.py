@@ -49,8 +49,8 @@ def pairs(draw, max_common=16):
     qw = draw(st.lists(WEIGHTS, min_size=n + q_only, max_size=n + q_only))
     p_sectors = list(range(n + p_only))
     q_sectors = list(range(n)) + list(range(n + p_only, n + p_only + q_only))
-    p = build_profile([(i, float(i), w) for i, w in zip(p_sectors, pw)])
-    q = build_profile([(i, float(i), w) for i, w in zip(q_sectors, qw)])
+    p = build_profile(p_sectors, pw)
+    q = build_profile(q_sectors, qw)
     return p, q
 
 
@@ -201,7 +201,7 @@ def test_results_do_not_depend_on_the_pair_slot(a, b):
     assert results(p, q, s) == want_a
     assert results(q, p, rev) == want_rev
     assert results(copy_of(p), copy_of(q), s) == want_a
-    disjoint = build_profile([(100, 100.0, 1.0)])
+    disjoint = build_profile([100], [1.0])
     with pytest.raises(DisjointSpectra):
         results(p, disjoint, s)
     assert results(p, q, s) == want_a
@@ -215,8 +215,8 @@ def test_a_curve_and_two_optima_sort_the_pair_once(monkeypatch):
         sorts.append(1)
         return sorted(*args, **kwargs)
 
-    p = build_profile([(i, float(i), w) for i, w in enumerate([1, 3, 2, 5, 4])])
-    q = build_profile([(i, float(i), w) for i, w in enumerate([2, 2, 3, 1, 4])])
+    p = build_profile(range(5), [1, 3, 2, 5, 4])
+    q = build_profile(range(5), [2, 2, 3, 1, 4])
     monkeypatch.setattr(spectra, "_last", None)
     monkeypatch.setattr(spectra, "sorted", counting_sorted, raising=False)
     tradeoff_curve(p, q, 64)

@@ -32,7 +32,6 @@ from epops.oracle import (
     embed_profile,
     exhaustive_tradeoff,
     grid_search_tradeoff,
-    hilbert_model,
     luders_identity_holds,
     random_profile_pair,
     run_verification,
@@ -45,7 +44,7 @@ from reference_routes import round_filter_weights
 
 
 def test_model_layout():
-    model = hilbert_model({0: 2, 1: 1, 3: 2})
+    model = HilbertModel((0, 1, 3), (2, 1, 2))
     assert model.labels == (0, 1, 3)
     assert model.dimension == 5
     assert not hasattr(model, "values")
@@ -54,12 +53,12 @@ def test_model_layout():
 
 def test_model_caps_dimension():
     with pytest.raises(TooLarge):
-        hilbert_model({0: 9, 1: 9})
+        HilbertModel((0, 1), (9, 9))
 
 
 def test_model_rejects_bad_dims():
     with pytest.raises(DimensionMismatch):
-        hilbert_model({0: 0})
+        HilbertModel((0,), (0,))
 
 
 @pytest.mark.parametrize("labels", [(0, 0), (1, 0)], ids=["repeated", "unsorted"])
@@ -69,8 +68,8 @@ def test_model_rejects_repeated_or_unsorted_labels(labels):
 
 
 def test_embed_profile_reproduces_weights():
-    model = hilbert_model({0: 2, 1: 3})
-    p = build_profile([(0, 0.0, 0.3), (1, 1.0, 0.7)])
+    model = HilbertModel((0, 1), (2, 3))
+    p = build_profile([0, 1], [0.3, 0.7])
     rng = np.random.default_rng(2)
     psi = embed_profile(model, p, rng)
     w = sector_weights(model, psi)
@@ -79,14 +78,14 @@ def test_embed_profile_reproduces_weights():
 
 
 def test_embed_profile_needs_matching_sectors():
-    model = hilbert_model({0: 1})
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    model = HilbertModel((0,), (1,))
+    p = build_profile([0, 1], [0.5, 0.5])
     with pytest.raises(DimensionMismatch):
         embed_profile(model, p, np.random.default_rng(0))
 
 
 def test_block_unitary_is_energy_preserving():
-    model = hilbert_model({0: 2, 1: 2})
+    model = HilbertModel((0, 1), (2, 2))
     rng = np.random.default_rng(3)
     blocks = []
     for _ in range(2):
@@ -100,7 +99,7 @@ def test_block_unitary_is_energy_preserving():
 
 
 def test_sector_swap_is_not_energy_preserving():
-    model = hilbert_model({0: 1, 1: 1})
+    model = HilbertModel((0, 1), (1, 1))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert not check_energy_preserving(model, [swap], rng=np.random.default_rng(0))
 
@@ -109,19 +108,19 @@ def test_coupling_between_wide_sectors_is_not_energy_preserving():
     # The permutation trades basis vector 1, the second row of sector 0,
     # with basis vector 2, the first of sector 1: trace preserving, with
     # entries outside the diagonal blocks that both routes must see.
-    model = hilbert_model({0: 2, 1: 2})
+    model = HilbertModel((0, 1), (2, 2))
     swap = np.eye(4)[[0, 2, 1, 3]]
     assert not check_energy_preserving(model, [swap], rng=np.random.default_rng(7))
 
 
 def test_trace_increasing_family_rejected():
-    model = hilbert_model({0: 1, 1: 1})
+    model = HilbertModel((0, 1), (1, 1))
     with pytest.raises(NotTraceNonIncreasing):
         check_energy_preserving(model, [1.1 * np.eye(2)], rng=np.random.default_rng(0))
 
 
 def test_square_root_reduction_identity():
-    model = hilbert_model({0: 2, 1: 1})
+    model = HilbertModel((0, 1), (2, 1))
     rng = np.random.default_rng(5)
     m1 = np.zeros((3, 3), dtype=complex)
     m1[:2, :2] = 0.4 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
@@ -133,8 +132,8 @@ def test_simulation_matches_table_engine():
     rng = np.random.default_rng(11)
     for _ in range(10):
         p, q = random_profile_pair(rng, max_sectors=5)
-        dims = {i: int(rng.integers(1, 3)) for i in q.support}
-        model = hilbert_model(dims)
+        dims = tuple([int(rng.integers(1, 3)) for _ in q.support])
+        model = HilbertModel(q.support, dims)
         run = run_protocol(p, q, 64)
         sim = simulate_protocol(model, p, q, 64, rng)
         assert len(sim.rounds) == len(run.rounds)
@@ -149,9 +148,9 @@ def test_simulation_matches_table_engine():
 def test_simulated_kraus_weights_follow_the_input_support():
     # Labels that are not 0..n-1 and an input-only sector 9: each round's
     # weights line up with p.support, and sector 9 is never filtered in.
-    p = build_profile([(1, 1.0, 0.2), (4, 4.0, 0.3), (6, 6.0, 0.4), (9, 9.0, 0.1)])
-    q = build_profile([(1, 1.0, 0.5), (4, 4.0, 0.2), (6, 6.0, 0.3)])
-    model = hilbert_model({1: 2, 4: 1, 6: 2, 9: 1})
+    p = build_profile([1, 4, 6, 9], [0.2, 0.3, 0.4, 0.1])
+    q = build_profile([1, 4, 6], [0.5, 0.2, 0.3])
+    model = HilbertModel((1, 4, 6, 9), (2, 1, 2, 1))
     run = run_protocol(p, q, 64)
     sim = simulate_protocol(model, p, q, 64, np.random.default_rng(19))
     assert len(sim.rounds) == len(run.rounds) == 3
@@ -166,7 +165,7 @@ def test_simulated_kraus_weights_follow_the_input_support():
 def test_simulated_operators_are_energy_preserving():
     rng = np.random.default_rng(13)
     p, q = random_profile_pair(rng, max_sectors=4)
-    model = hilbert_model({i: 2 for i in q.support})
+    model = HilbertModel(q.support, (2,) * len(q.support))
     sim = simulate_protocol(model, p, q, 64, rng)
     ops = [r.operator for r in sim.rounds] + [sim.failure_operator]
     assert check_energy_preserving(model, ops, rng=rng)
@@ -174,8 +173,8 @@ def test_simulated_operators_are_energy_preserving():
 
 
 def test_grid_search_two_sector():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(0, 0.0, 1 / 3), (1, 1.0, 2 / 3)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([0, 1], [1 / 3, 2 / 3])
     f_grid, filt = grid_search_tradeoff(p, q, 0.9, 0.01)
     best = optimal_tradeoff_point(p, q, 0.9)
     assert abs(f_grid - best.fidelity) <= 0.02
@@ -198,7 +197,7 @@ def test_grid_search_agrees_with_lagrange():
 
 
 def test_grid_search_validates_resolution():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
+    p = build_profile([0, 1], [0.5, 0.5])
     with pytest.raises(ValueError):
         grid_search_tradeoff(p, p, 0.5, 0.0)
     with pytest.raises(ValueError):
@@ -206,8 +205,8 @@ def test_grid_search_validates_resolution():
 
 
 def test_grid_search_point_cap():
-    p = build_profile([(i, float(i), 1.0) for i in range(6)])
-    q = build_profile([(i, float(i), float(i + 1)) for i in range(6)])
+    p = build_profile(range(6), [1.0] * 6)
+    q = build_profile(range(6), range(1, 7))
     with pytest.raises(SpectrumTooLarge):
         grid_search_tradeoff(p, q, 0.9, 0.001)
 
@@ -220,8 +219,8 @@ def _grid_resolution(sectors):
 def _dirichlet_pair(rng, n):
     pw = rng.dirichlet(np.ones(n))
     qw = rng.dirichlet(np.ones(n + 1))
-    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+    p = build_profile(range(len(pw)), pw)
+    q = build_profile(range(len(qw)), qw)
     return p, q
 
 
@@ -290,7 +289,7 @@ def test_grid_search_band_edges_match_naive_scan(case):
     # most partial sums, so many values of it share one slice.  A first
     # sector near 1e-300 makes many partial sums and fidelities equal, so
     # the tie rule, not the sort order, must pick among them.
-    uniform = build_profile([(i, float(i), 1.0) for i in range(3)])
+    uniform = build_profile(range(3), [1.0] * 3)
     rng = np.random.default_rng(41)
     w = rng.dirichlet(np.ones(4)).tolist()
     q3 = _profile([0.25, 0.25, 0.5])
@@ -337,7 +336,7 @@ def _run_edge_case(case):
     # Two sectors of weight 0.5 at resolution 0.25: the point (0, 1) reaches
     # 0.5, which lies a few ulps above the band of this request but within
     # the margin, so a slice holding only that point has no feasible point.
-    p = build_profile([(0, 0.0, 1.0), (1, 1.0, 1.0)])
+    p = build_profile([0, 1], [1.0, 1.0])
     target = 0.5 - band - 5e-15
     assert band < 0.5 - target <= band + epops.oracle._BAND_MARGIN
     return p, _profile([0.25, 0.75]), target, 0.25
@@ -405,8 +404,8 @@ def test_grid_search_tie_keeps_first_point_in_flat_order(
     # 25 sorted partial sums: sectors 0 and 1 form the sorted block, and
     # each value of sector 2 has its own slice.
     monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", 25)
-    p = build_profile([(i, float(i), w) for i, w in enumerate(p_weights)])
-    q = build_profile([(i, float(i), w) for i, w in enumerate(q_weights)])
+    p = build_profile(range(len(p_weights)), p_weights)
+    q = build_profile(range(len(q_weights)), q_weights)
     f_grid, filt = grid_search_tradeoff(p, q, 1.0, 0.25)
     assert _coefficients(p, filt) == first
     f_ref, x_ref = _naive_grid(p, q, 1.0, 0.25)
@@ -494,31 +493,31 @@ def test_verification_needs_an_instance(instances):
 
 def test_random_model_falls_back_to_unit_sectors():
     rng = np.random.default_rng(41)
-    q = build_profile([(i, float(i), 1.0) for i in range(16)])
+    q = build_profile(range(16), [1.0] * 16)
     model = _random_model(rng, q)
     assert model.dims == (1,) * 16
     with pytest.raises(TooLarge):
-        _random_model(rng, build_profile([(i, float(i), 1.0) for i in range(17)]))
+        _random_model(rng, build_profile(range(17), [1.0] * 17))
 
 
 def test_exhaustive_tradeoff_two_sector():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(0, 0.0, 1 / 3), (1, 1.0, 2 / 3)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([0, 1], [1 / 3, 2 / 3])
     # The optima of test_optimal's two-sector cases.
     assert exhaustive_tradeoff(p, q, 0.9) == pytest.approx(0.987004097802723, abs=1e-12)
     assert exhaustive_tradeoff(p, q, 1.0) == pytest.approx(0.971404520791032, abs=1e-12)
 
 
 def test_exhaustive_tradeoff_caps_spectrum_size():
-    p = build_profile([(i, float(i), 1.0) for i in range(13)])
-    q = build_profile([(i, float(i), float(i + 1)) for i in range(13)])
+    p = build_profile(range(13), [1.0] * 13)
+    q = build_profile(range(13), range(1, 14))
     with pytest.raises(SpectrumTooLarge):
         exhaustive_tradeoff(p, q, 0.9)
 
 
 def test_exhaustive_tradeoff_infeasible_probability():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([1, 2], [0.5, 0.5])
     # The input-only sector 0 takes up at most its own weight above p(common).
     assert exhaustive_tradeoff(p, q, 0.9) == pytest.approx(0.25 / 0.9, abs=1e-12)
     with pytest.raises(NoFeasiblePartition):
@@ -557,8 +556,8 @@ def _columns(p, q, filt):
 def test_kkt_certificate_passes_the_optimum_and_catches_a_wrong_filter():
     # Ratios p/q of 1/4, 2/3, 3/2 and 4: at 0.3 the optimum transmits
     # sector 0 whole (S0) and filters the rest with c = 1/3.
-    p = build_profile([(i, float(i), w) for i, w in enumerate((0.1, 0.2, 0.3, 0.4))])
-    q = build_profile([(i, float(i), w) for i, w in enumerate((0.4, 0.3, 0.2, 0.1))])
+    p = build_profile(range(4), [0.1, 0.2, 0.3, 0.4])
+    q = build_profile(range(4), [0.4, 0.3, 0.2, 0.1])
     best = optimal_tradeoff_point(p, q, 0.3)
     assert best.s0 == (0,)
     x, pw, qw = _columns(p, q, best.filter)
@@ -580,15 +579,15 @@ def test_kkt_certificate_passes_the_optimum_and_catches_a_wrong_filter():
 def test_kkt_certificate_above_the_common_spectrum():
     # Sector 0 lies outside q: above p(common) = 0.5 the optimum fills it
     # partly, which forces the multiplier to 0 and sector 1 to x = 1.
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([1, 2], [0.5, 0.5])
     x, pw, qw = _columns(p, q, optimal_tradeoff_point(p, q, 0.9).filter)
     assert x.tolist() == [0.8, 1.0]
     assert _kkt_residual(x, pw, qw, 0.9) <= 1e-15
     # Below p(common), probability on the input-only sector is wasted.
     assert _kkt_residual(np.array([0.2, 0.6]), pw, qw, 0.4) > 0.1
     # A common sector left at 0 fails stationarity outright.
-    p3 = build_profile([(i, float(i), 1.0) for i in range(3)])
+    p3 = build_profile(range(3), [1.0] * 3)
     x0 = np.array([0.0, 0.6, 0.6])
     assert _kkt_residual(x0, np.array(p3.weights), np.array(p3.weights), 0.4) == 1.0
 

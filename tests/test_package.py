@@ -29,7 +29,7 @@ from epops.mixedstate import (
     ultimate_mixed_probability,
 )
 from epops.optimal import optimal_tradeoff_point
-from epops.oracle import hilbert_model, run_verification, simulate_protocol
+from epops.oracle import HilbertModel, run_verification, simulate_protocol
 from epops.recursive import cumulative, run_protocol
 from epops.spectra import (
     binomial_profile,
@@ -94,7 +94,8 @@ def read_only_objects():
     run = run_protocol(p, q, 4)
     amp = amplification_tradeoff(1.0, 1.5, 20, 21)
     corr = correction_tradeoff(6, 0.5, 6)
-    model = hilbert_model({i: 1 for i in set(p.support) | set(q.support)})
+    labels = tuple(sorted(set(p.support) | set(q.support)))
+    model = HilbertModel(labels, (1,) * len(labels))
     sim = simulate_protocol(model, p, q, 4, np.random.default_rng(0))
     report = run_verification(1, 1)
     rho = pure_block_density(p)
@@ -135,7 +136,7 @@ def test_value_types_survive_copy_and_pickle():
                 clone.support = None
 
 
-ENGINE = ("spectra", "channels", "recursive", "coarse", "optimal")
+ENGINE = ("spectra", "channels", "recursive", "coarse", "optimal", "oracle")
 
 #: Read by no module, but documented in the README, with the reason.
 DOCUMENTED_UNREAD = {
@@ -148,6 +149,7 @@ DOCUMENTED_UNREAD = {
 #: of the package or the benchmark that reads it as that method.
 AMBIGUOUS_READERS = {
     "ProtocolRun.rounds": "src/epops/oracle.py",
+    "VerificationReport.passed": "src/epops/cli.py",
 }
 
 
@@ -164,7 +166,7 @@ def _functions(tree, module):
 
 
 def _engine_functions(root):
-    """:func:`_functions` of the curve modules."""
+    """:func:`_functions` of the curve modules and the matrix oracle."""
     for module in ENGINE:
         yield from _functions(ast.parse((root / f"{module}.py").read_text()), module)
 
@@ -242,8 +244,9 @@ def _ambiguous_methods(engine, package):
 
 
 def test_engine_has_no_test_only_functions():
-    # Every function of the curve engine has a reader in the package or
-    # the benchmark; a second route read only by tests lives in the tests.
+    # Every function of the curve engine and the matrix oracle has a reader
+    # in the package or the benchmark; a second route read only by tests
+    # lives in the tests.
     # Strings count only in perfbench, whose tracer names its targets;
     # the package's lazy export lists are strings too, and do not count.
     root = Path(epops.__file__).parent

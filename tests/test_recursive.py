@@ -13,8 +13,8 @@ from reference_routes import prefix, round_filter_weights, round_output
 
 
 def two_sector():
-    p = build_profile([(0, 0.0, 0.5), (1, 1.0, 0.5)])
-    q = build_profile([(0, 0.0, 1 / 3), (1, 1.0, 2 / 3)])
+    p = build_profile([0, 1], [0.5, 0.5])
+    q = build_profile([0, 1], [1 / 3, 2 / 3])
     return p, q
 
 
@@ -23,8 +23,8 @@ def random_subset_pair(rng, n):
     # exhaust the full input weight.
     pw = rng.dirichlet(np.ones(n))
     qw = rng.dirichlet(np.ones(n + 1))
-    p = build_profile([(i, float(i), float(w)) for i, w in enumerate(pw)])
-    q = build_profile([(i, float(i), float(w)) for i, w in enumerate(qw)])
+    p = build_profile(range(len(pw)), pw)
+    q = build_profile(range(len(qw)), qw)
     return p, q
 
 
@@ -170,8 +170,8 @@ def test_closed_form_probability_matches_summation():
 def test_probability_tops_out_at_common_weight():
     # An input sector absent from the target can never be converted, so
     # the protocol exhausts only the common weight.
-    p = build_profile([(0, 0.0, 0.2), (1, 1.0, 0.4), (2, 2.0, 0.4)])
-    q = build_profile([(1, 1.0, 0.5), (2, 2.0, 0.5)])
+    p = build_profile([0, 1, 2], [0.2, 0.4, 0.4])
+    q = build_profile([1, 2], [0.5, 0.5])
     run = run_protocol(p, q, 100)
     assert len(run.rounds) == run.table.length
     total = math.fsum(r.probability for r in run.rounds)
