@@ -10,6 +10,7 @@ from epops.errors import DimensionMismatch, DisjointSpectra, NotBlockPositive, N
 from epops.mixedstate import (
     BlockDensity,
     BlockPositivity,
+    MixedProbabilityResult,
     block_density,
     coherent_target_profile,
     det_fidelity_bound,
@@ -351,3 +352,13 @@ def test_purification_closed_form_matches_generic_path(N):
     res = ultimate_mixed_probability(rho, q)
     assert res.exact
     assert res.value == pytest.approx(rep.p_max, abs=1e-8)
+
+
+def test_probability_skips_a_sector_outside_the_top_eigenspace():
+    # The incoherent state diag(0.5, 0.5) toward q = (0.7, 0.3): the top
+    # eigenspace lies in sector 0, so sector 1 carries none of its weight
+    # and bounds no probability.
+    rho = BlockDensity([(0, 1), (1, 1)], np.diag([0.5, 0.5]))
+    res = ultimate_mixed_probability(rho, build_profile([0, 1], [0.7, 0.3]))
+    assert res.exact is True
+    assert res == pytest.approx(MixedProbabilityResult(0.5, 0.7, exact=True), abs=1e-15)

@@ -13,7 +13,7 @@ from epops.channels import (
     filter_success_probability,
 )
 from epops.errors import DisjointSpectra, InfeasibleProbability, NoFeasiblePartition
-from epops.optimal import frontier, optimal_tradeoff_point, ultimate_optimum
+from epops.optimal import _two_regime_columns, frontier, optimal_tradeoff_point, ultimate_optimum
 from epops.apps.correction import damped_profile, uniform_levels
 from epops.coarse import tradeoff_curve
 from epops.oracle import exhaustive_tradeoff
@@ -298,3 +298,10 @@ def test_tradeoff_point_rejects_bad_arguments():
     for p_succ in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError, match="must lie in"):
             frontier(p, q).fidelity(p_succ)
+
+
+def test_two_regime_columns_refuse_a_whole_s0_off_its_probability():
+    # With s1 empty, s0 transmits its whole weight 0.5, so a request 0.1
+    # above it has no two-regime filter.
+    with pytest.raises(InfeasibleProbability, match="s0 covers the whole common spectrum"):
+        _two_regime_columns([0.2, 0.3], [0.5, 0.5], [], [], [], 0.6)

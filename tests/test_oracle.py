@@ -15,12 +15,14 @@ from epops.channels import (
     filter_success_probability,
 )
 from epops.errors import (
+    ConsistencyError,
     DimensionMismatch,
     NoFeasiblePartition,
     NotTraceNonIncreasing,
     SpectrumTooLarge,
     TooLarge,
 )
+import epops.cli
 import epops.optimal
 import epops.oracle
 from epops.optimal import optimal_tradeoff_point, ultimate_optimum
@@ -111,6 +113,27 @@ def test_coupling_between_wide_sectors_is_not_energy_preserving():
     model = HilbertModel((0, 1), (2, 2))
     swap = np.eye(4)[[0, 2, 1, 3]]
     assert not check_energy_preserving(model, [swap], rng=np.random.default_rng(7))
+
+
+def _rotation(angle):
+    return np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+
+
+@pytest.mark.parametrize("angle", [3e-10, 1e-9, 3e-9, 1e-8])
+def test_small_rotation_between_sectors_is_not_energy_preserving(angle):
+    # Off-block entries of sin(angle) exceed the commutant tolerance 1e-10,
+    # while the sector weights move by less than the statistics see.
+    model = HilbertModel((0, 1), (1, 1))
+    assert not check_energy_preserving(model, [_rotation(angle)], rng=np.random.default_rng(0))
+
+
+def test_statistics_moving_under_a_passing_commutant_test_raise(monkeypatch):
+    # With the commutant tolerance planted at 1.0, a rotation by 0.1 rad
+    # passes the commutant test, yet it moves sector weights by about 0.1.
+    monkeypatch.setattr(epops.oracle, "_OPERATOR_TOL", 1.0)
+    model = HilbertModel((0, 1), (1, 1))
+    with pytest.raises(ConsistencyError, match="sector statistics vs commutant"):
+        check_energy_preserving(model, [_rotation(0.1)], rng=np.random.default_rng(0))
 
 
 def test_trace_increasing_family_rejected():
@@ -286,9 +309,9 @@ def _profile(weights):
 def test_grid_search_band_edges_match_naive_scan(case):
     # Uniform weights at resolution 0.25 put grid points on the band
     # edges, up to rounding.  A last sector of weight 1e-17 adds less than one ulp to
-    # most partial sums, so many values of it share one slice.  A first
+    # most partial sums, so many values of it give equal sums.  A first
     # sector near 1e-300 makes many partial sums and fidelities equal, so
-    # the tie rule, not the sort order, must pick among them.
+    # the tie rule must pick among them.
     uniform = build_profile(range(3), [1.0] * 3)
     rng = np.random.default_rng(41)
     w = rng.dirichlet(np.ones(4)).tolist()
@@ -304,10 +327,10 @@ def test_grid_search_band_edges_match_naive_scan(case):
     assert (f_grid, _coefficients(p, filt)) == _naive_grid(p, q, target, resolution)
 
 
-def test_grid_search_small_sorted_block_matches_naive_scan(monkeypatch):
-    # With at most 50 sorted partial sums, the low block holds fewer than
-    # n - 1 sectors and each value of the sectors above it picks a slice.
-    monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", 50)
+def test_grid_search_small_block_matches_naive_scan(monkeypatch):
+    # With at most 50 partial sums, the low block holds fewer than n - 1
+    # sectors and the sectors above it take many values.
+    monkeypatch.setattr(epops.oracle, "_BLOCK_POINTS", 50)
     rng = np.random.default_rng(29)
     for n, resolution in ((1, 0.01), (3, 0.1), (4, 0.2)):
         p, q = _dirichlet_pair(rng, n)
@@ -317,7 +340,7 @@ def test_grid_search_small_sorted_block_matches_naive_scan(monkeypatch):
 
 
 def _run_edge_case(case):
-    """(p, q, p_succ, resolution) for a grid whose runs end at a test's edge."""
+    """(p, q, p_succ, resolution) for a grid whose feasible points sit at a test's edge."""
     if case.startswith("below-step"):
         # Under one step of 0.05 from the request, the zero-probability
         # points pass the band test and only ``achieved > 0`` drops them.
@@ -329,40 +352,39 @@ def _run_edge_case(case):
     band = 0.25 + 1e-12
     if case.endswith("band-edge"):
         # The points reaching 0.375 sit exactly on the band's upper or
-        # lower edge, and they score best: the run must keep them.
+        # lower edge, and they score best: the scan must keep them.
         target = 0.375 - band if case == "upper-band-edge" else 0.375 + band
         assert abs(0.375 - target) == band
         return _profile([0.5, 0.5]), _profile([0.3, 0.7]), target, 0.25
     # Two sectors of weight 0.5 at resolution 0.25: the point (0, 1) reaches
-    # 0.5, which lies a few ulps above the band of this request but within
-    # the margin, so a slice holding only that point has no feasible point.
+    # 0.5, which lies a few ulps above the band of this request, so a value
+    # of sector 1 whose only near point is that one has no feasible point.
     p = build_profile([0, 1], [1.0, 1.0])
     target = 0.5 - band - 5e-15
-    assert band < 0.5 - target <= band + epops.oracle._BAND_MARGIN
+    assert band < 0.5 - target
     return p, _profile([0.25, 0.75]), target, 0.25
 
 
-@pytest.mark.parametrize("sorted_points", [None, 5], ids=["default-block", "small-block"])
+@pytest.mark.parametrize("block_points", [None, 5], ids=["default-block", "small-block"])
 @pytest.mark.parametrize("case", [
     "below-step-0.004", "below-step-0.01", "below-step-0.02",
     "upper-band-edge", "lower-band-edge", "empty-widened-slice", "one-sector",
 ])
-def test_grid_search_run_edges_match_naive_scan(monkeypatch, case, sorted_points):
-    # With at most 5 sorted partial sums, the block is sector 0 alone and
-    # each value of the sectors above it picks a run that starts mid-block.
-    if sorted_points is not None:
-        monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", sorted_points)
+def test_grid_search_run_edges_match_naive_scan(monkeypatch, case, block_points):
+    # With at most 5 partial sums, the block is sector 0 alone and each
+    # value of the sectors above it shifts the whole block.
+    if block_points is not None:
+        monkeypatch.setattr(epops.oracle, "_BLOCK_POINTS", block_points)
     p, q, target, resolution = _run_edge_case(case)
     f_grid, filt = grid_search_tradeoff(p, q, target, resolution)
     assert (f_grid, _coefficients(p, filt)) == _naive_grid(p, q, target, resolution)
 
 
-def test_grid_search_margin_keeps_point_rounding_into_band(monkeypatch):
+def test_grid_search_keeps_point_rounding_into_band(monkeypatch):
     # With a block of sector 0 alone, the best feasible point (0.5, 0.75)
-    # has a partial sum just below its slice's unwidened window, p_succ -
-    # band - shift, yet its full sum rounds to within the band of p_succ:
-    # only the margin keeps it in the sorted run.
-    monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", 5)
+    # has a partial sum just below p_succ - band - shift, yet its full sum
+    # rounds to within the band of p_succ: the scan must test the full sum.
+    monkeypatch.setattr(epops.oracle, "_BLOCK_POINTS", 5)
     p = _profile([0.5165220342982723, 0.48347796570172774])
     q = _profile([0.392753429981466, 0.607246570018534])
     target, resolution = 0.870869491426432, 0.25
@@ -377,7 +399,7 @@ def test_grid_search_margin_keeps_point_rounding_into_band(monkeypatch):
 
 def test_grid_search_scores_no_zero_probability_point():
     # A point of probability 0 scores 0/0: with floating-point errors
-    # raised, a run that let one in fails here instead of skipping it.
+    # raised, a scan that let one in fails here instead of skipping it.
     rng = np.random.default_rng(43)
     for n in range(2, 6):
         p, q = _dirichlet_pair(rng, n)
@@ -401,9 +423,9 @@ def test_grid_search_scores_no_zero_probability_point():
 def test_grid_search_tie_keeps_first_point_in_flat_order(
     monkeypatch, p_weights, q_weights, first
 ):
-    # 25 sorted partial sums: sectors 0 and 1 form the sorted block, and
-    # each value of sector 2 has its own slice.
-    monkeypatch.setattr(epops.oracle, "_SORTED_POINTS", 25)
+    # 25 partial sums: sectors 0 and 1 form the block, and each value of
+    # sector 2 shifts it.
+    monkeypatch.setattr(epops.oracle, "_BLOCK_POINTS", 25)
     p = build_profile(range(len(p_weights)), p_weights)
     q = build_profile(range(len(q_weights)), q_weights)
     f_grid, filt = grid_search_tradeoff(p, q, 1.0, 0.25)
@@ -414,7 +436,7 @@ def test_grid_search_tie_keeps_first_point_in_flat_order(
 
 @pytest.mark.parametrize("n, resolution", [(3, 0.01), (4, 0.02)])
 def test_grid_search_matches_decoded_scan(n, resolution):
-    # 101^3 and 51^4 (6.77M) points, from 10,201 and 132,651 sorted
+    # 101^3 and 51^4 (6.77M) points, from blocks of 10,201 and 132,651
     # partial sums.
     rng = np.random.default_rng(31 + n)
     p, q = _dirichlet_pair(rng, n)
@@ -620,3 +642,19 @@ def test_verification_catches_a_perturbed_optimal_filter(monkeypatch):
         "ok   deterministic-bound",
         "ok   square-root-reduction",
     ]
+
+
+@pytest.mark.parametrize("check, line", [
+    ("luders_identity_holds", "FAIL square-root-reduction: "),
+    ("check_energy_preserving", "FAIL kraus-completeness: "),
+], ids=["square-root-reduction", "kraus-completeness"])
+def test_verification_fails_when_an_operator_check_fails(monkeypatch, capsys, check, line):
+    monkeypatch.setattr(epops.oracle, check, lambda *args, **kwargs: False)
+    report = run_verification(seed=1, instances=2)
+    failed = [text for text in report.lines() if text.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith(line)
+    if check == "check_energy_preserving":
+        assert failed[0].endswith("every family NOT energy-preserving")
+    assert report.passed is False
+    assert epops.cli.main(["verify", "--seed", "4", "--instances", "2"]) == 1
+    assert line in capsys.readouterr().out

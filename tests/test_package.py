@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import importlib
 import pickle
 from pathlib import Path
 
@@ -47,6 +48,21 @@ def test_every_export_resolves_and_is_listed(package):
     for name in package.__all__:
         assert getattr(package, name) is not None
         assert name in listed
+
+
+def test_every_tracer_target_resolves():
+    # The benchmark's tracer rebinds each (module, function) of its TARGETS
+    # by name, so a renamed or deleted one fails only a traced benchmark run.
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    targets = next(
+        node.value for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    )
+    pairs = [(entry.elts[0].value, entry.elts[1].value) for entry in targets.elts]
+    assert ("epops.oracle", "grid_search_tradeoff") in pairs
+    missing = [(module, name) for module, name in pairs
+               if not hasattr(importlib.import_module(module), name)]
+    assert not missing, missing
 
 
 @pytest.mark.parametrize("package", [epops, epops.apps], ids=["epops", "epops.apps"])
